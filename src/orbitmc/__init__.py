@@ -40,6 +40,7 @@ from .ctl import (
 from .errors import (
     CheckerError,
     DeadlockError,
+    InternalError,
     LabelSymmetryError,
     ParseError,
     ResourceLimitError,
@@ -92,6 +93,7 @@ from .symmetry import (
     inverse,
     is_automorphism,
     orbit,
+    pinned_processes,
     rep_min,
     rep_sort,
     representative_fn,

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from . import __version__
 from .counter import build_counter_structure, from_counter
 from .ctl import check, lift_counterexample, parse_ctl
-from .errors import CheckerError, ParseError, ResourceLimitError, UnsupportedModelError
+from .errors import (
+    CheckerError,
+    InternalError,
+    ParseError,
+    ResourceLimitError,
+    UnsupportedModelError,
+)
 from .explore import MODES, _any_bad, _run_mode, compare_modes, reach
 from .kripke import DEFAULT_STATE_BOUND, Path
 from .program import build_full_structure, render_state
@@ -34,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -314,6 +321,9 @@ def run(config, out=None, err=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=err)
         return EXIT_RESOURCE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=err)
+        return EXIT_INTERNAL
     except (UsageError, ParseError, UnsupportedModelError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedModelError
+from .errors import InternalError, UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import (
     GlobalState,
@@ -123,7 +123,7 @@ def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
 
     def label_counter(cstate):
         if cstate.n != n:
-            raise AssertionError(f"occupancy lost a process: {cstate}")
+            raise InternalError(f"occupancy lost a process: {cstate}")
         return labeling(program, from_counter(cstate))
 
     return breadth_first_build(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InternalError, ParseError
 from .kripke import Path
 from .program import successors
 from .symmetry import representative_fn
@@ -433,8 +433,8 @@ def lift_counterexample(program, quotient_path, group=None):
     Walks the concrete successor relation, at each step taking the
     successor whose representative matches the next path state (least
     canonical encoding on ties).  A missing match means the quotient was
-    not built from an automorphism group, which is an internal bug, not
-    an input error.
+    not built from an automorphism group, which is an internal bug
+    (``InternalError``), not an input error.
     """
     rep_fn, _ = representative_fn(program, group)
     current = program.initial_state()
@@ -449,7 +449,7 @@ def lift_counterexample(program, quotient_path, group=None):
             if rep_fn(t) == want
         ]
         if not candidates:
-            raise RuntimeError(
+            raise InternalError(
                 "no concrete successor matches the quotient edge at step "
                 f"{step}; the symmetry machinery is unsound for this program"
             )

@@ -48,3 +48,11 @@ class DeadlockError(CheckerError):
 
 class LabelSymmetryError(CheckerError):
     """A state labeling turned out not to be permutation invariant."""
+
+
+class InternalError(CheckerError):
+    """An internal invariant of the checker failed: a bug, not an input error.
+
+    Raised by explicit checks rather than ``assert`` so that they still
+    fire under ``python -O``.
+    """

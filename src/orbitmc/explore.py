@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counter import _build_counter
-from .errors import UnsupportedModelError
+from .errors import InternalError, UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND
 from .program import _build_full
 from .quotient import _build_quotient
@@ -101,10 +101,11 @@ def compare_modes(program, state_bound=DEFAULT_STATE_BOUND):
             continue
         stats[mode] = mode_stats
     if "quotient" in stats and "counter" in stats:
-        assert stats["quotient"].states_reached == stats["counter"].states_reached, (
-            "counter and quotient explorations disagree: "
-            f"{stats['counter'].states_reached} vs {stats['quotient'].states_reached}"
-        )
+        if stats["quotient"].states_reached != stats["counter"].states_reached:
+            raise InternalError(
+                "counter and quotient explorations disagree: "
+                f"{stats['counter'].states_reached} vs {stats['quotient'].states_reached}"
+            )
     factor = stats["full"].states_reached / stats["quotient"].states_reached
     for mode in ("quotient", "counter"):
         if mode in stats:

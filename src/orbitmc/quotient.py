@@ -10,12 +10,13 @@ certifies at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
-from .errors import LabelSymmetryError, ResourceLimitError
+from .errors import InternalError, LabelSymmetryError, ResourceLimitError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import atomic_props, labeling, successors
-from .symmetry import apply, full_symmetric, orbit, representative_fn
+from .symmetry import apply, full_symmetric, orbit, pinned_processes, representative_fn
 
 BISIM_SIZE_CAP = 10**4
 
@@ -29,10 +30,13 @@ class QuotientStructure:
     rep_mode: str  # "sort" | "min-over-group"
     program: object
     group: object
+    _rep_fn: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rep_fn, _ = representative_fn(self.program, self.group)
 
     def rep(self, state):
-        fn, _ = representative_fn(self.program, self.group)
-        return fn(state)
+        return self._rep_fn(state)
 
     def total_covered(self):
         """Number of concrete states the representatives stand for."""
@@ -40,20 +44,20 @@ class QuotientStructure:
 
 
 def orbit_size_sorted(program, state):
-    """Orbit size of a sorted pid-free state under full symmetry.
+    """Orbit size of a state under the full symmetric group, in closed form.
 
-    The orbit is the set of distinct arrangements of the local-record
-    multiset: n! divided by the product of the multiplicity factorials.
-    Always divides n!.
+    A permutation fixes the state exactly when it fixes every process
+    named by a pid slot and only swaps equal records among the rest, so
+    the orbit size is n! divided by the product of m! over the
+    multiplicities m of the unpinned records.  Without pid slots this is
+    the number of arrangements of the record multiset.  Any state of the
+    orbit gives the same answer.
     """
+    pinned = set(pinned_processes(state))
+    counts = Counter(rec for i, rec in enumerate(state.locals) if i not in pinned)
     size = math.factorial(state.n)
-    run = 1
-    for k in range(1, state.n + 1):
-        if k < state.n and state.locals[k] == state.locals[k - 1]:
-            run += 1
-            continue
-        size //= math.factorial(run)
-        run = 1
+    for m in counts.values():
+        size //= math.factorial(m)
     return size
 
 
@@ -92,21 +96,24 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     """Worklist construction of the quotient structure.
 
     Edge actions keep the process index that fired from the expanded
-    representative; those indices are representative-relative.  Orbit
-    sizes use the multiset closed form when sorting is the rep and
-    explicit orbit enumeration otherwise, and always divide n!.
+    representative; those indices are representative-relative.
+    Representatives come from the pinned sort under Sym(n) (see
+    ``symmetry``) and their orbit sizes from the closed form of
+    ``orbit_size_sorted``; only generated subgroups enumerate each orbit.
+    Every orbit size divides n!, the group being a subgroup of Sym(n); one
+    that does not is an internal fault.
     """
     structure, _, group, rep_mode = _build_quotient(program, group, state_bound)
     orbit_sizes = {}
     nfact = math.factorial(program.n)
     for sid in structure.states():
         payload = structure.payload(sid)
-        if rep_mode == "sort":
+        if group.kind == "full-symmetric":
             size = orbit_size_sorted(program, payload)
         else:
             size = len(orbit(group, payload))
-        if group.kind == "full-symmetric":
-            assert nfact % size == 0, f"orbit size {size} does not divide {program.n}!"
+        if nfact % size != 0:
+            raise InternalError(f"orbit size {size} does not divide {program.n}!")
         orbit_sizes[sid] = size
     return QuotientStructure(structure, orbit_sizes, rep_mode, program, group)
 

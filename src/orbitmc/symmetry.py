@@ -4,11 +4,21 @@ The action permutes the local records and re-points pid-typed shared
 values (``none`` stays put).  Orbits, canonical representatives and the
 automorphism check all live here.  The canonical representative of an
 orbit is its least element under the byte encoding documented in
-``program``; for full symmetry without pid variables that minimum is just
-the state with its local records sorted, which is the cheap production
-path.  Full symmetric groups are always handled through their two
-standard generators, never by enumerating all n! elements outside test
-oracles.
+``program``.
+
+Under the full symmetric group that minimum is built directly by a
+*pinned sort* (the scalarset normal form), in O(n log n):
+
+1. the processes named by non-``none`` pid slots are *pinned* and
+   renumbered 0, 1, ... in order of first appearance across the slots,
+   which makes the shared prefix of the encoding as small as it can be;
+2. their records go first, in that order;
+3. the remaining records follow, sorted, ties kept in old index order.
+
+Without pid slots nothing is pinned and the representative is just the
+state with its local records sorted (``rep_sort``).  Generated subgroups
+have no such normal form and are enumerated outright, capped.  Full
+symmetric groups are never enumerated outside test oracles.
 """
 
 from __future__ import annotations
@@ -87,16 +97,25 @@ class PermGroup:
             raise ValueError("generator degree mismatch")
         if self.kind not in ("full-symmetric", "generated"):
             raise ValueError(f"unknown group kind {self.kind!r}")
+        # canonicalization trusts this kind without looking at the generators
+        if self.kind == "full-symmetric" and self.generators != _symmetric_generators(self.degree):
+            raise ValueError(
+                "a full-symmetric group must carry the generators of full_symmetric(degree)"
+            )
 
 
-def full_symmetric(n):
+def _symmetric_generators(n):
     if n <= 1:
-        return PermGroup(n, (), "full-symmetric")
+        return ()
     gens = [transposition(n, 0, 1)]
     cyc = rotation(n)
     if cyc not in gens:
         gens.append(cyc)
-    return PermGroup(n, tuple(gens), "full-symmetric")
+    return tuple(gens)
+
+
+def full_symmetric(n):
+    return PermGroup(n, _symmetric_generators(n), "full-symmetric")
 
 
 def generated_group(generators):
@@ -150,12 +169,24 @@ def orbit(group, state):
     return frozenset(seen)
 
 
+def pinned_processes(state):
+    """Processes named by non-``none`` pid slots, in order of first appearance."""
+    pins = []
+    for slot in state.pid_slots:
+        v = state.shared[slot]
+        if v != state.n and v not in pins:
+            pins.append(v)
+    return pins
+
+
 def rep_sort(state):
     """Canonical representative under full symmetry: sort the local records.
 
-    Only valid without pid-typed shared variables; a shared value naming a
-    process index is not invariant under re-sorting, so those programs
-    must canonicalize with ``rep_min``.
+    The pin-free case of the pinned sort: with no pid-typed shared
+    variables nothing is pinned, so the least orbit element is the state
+    with its records sorted and no permutation is needed.  A shared value
+    naming a process index is not invariant under re-sorting, so pid-typed
+    programs must canonicalize with ``rep_min``.
     """
     if state.pid_slots:
         raise UnsupportedModelError(
@@ -186,10 +217,12 @@ def group_elements(group, cap=GROUP_ENUM_CAP):
 def rep_min(group, state, enum_cap=GROUP_ENUM_CAP):
     """Least orbit element by byte encoding, plus a permutation reaching it.
 
-    Full symmetric groups walk the orbit with witness permutations, which
-    touches |orbit| states instead of n! group elements.  Generated groups
-    are enumerated outright (desk scale, capped at ``enum_cap``).
-    Satisfies ``apply(perm, state) == rep`` for the returned pair.
+    Full symmetric groups use the pinned sort of the module docstring:
+    the pinned processes first in order of appearance, then the other
+    records sorted (ties by old index, so the witness is deterministic),
+    one ``apply`` in all.  Generated groups are enumerated outright (desk
+    scale, capped at ``enum_cap``).  Satisfies ``apply(perm, state) ==
+    rep`` for the returned pair.
     """
     if group.degree != state.n:
         raise ValueError("group degree does not match state")
@@ -202,31 +235,24 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP):
             if key < best_key:
                 best_state, best_perm, best_key = t, g, key
         return best_state, best_perm
-    # full-symmetric: breadth-first orbit walk carrying witnesses
-    ident = identity(group.degree)
-    witness = {state: ident}
-    queue = deque([state])
-    best_state = state
-    best_key = state.encode()
-    while queue:
-        s = queue.popleft()
-        for g in group.generators:
-            t = apply(g, s)
-            if t not in witness:
-                witness[t] = compose(g, witness[s])
-                queue.append(t)
-                key = t.encode()
-                if key < best_key:
-                    best_state, best_key = t, key
-    return best_state, witness[best_state]
+    pins = pinned_processes(state)
+    pinned = set(pins)
+    locs = state.locals
+    rest = sorted([i for i in range(state.n) if i not in pinned], key=locs.__getitem__)
+    mapping = [0] * state.n
+    for new, old in enumerate(pins + rest):
+        mapping[old] = new
+    perm = Permutation(tuple(mapping))
+    return apply(perm, state), perm
 
 
 def representative_fn(program, group=None):
     """Pick the canonicalization for a program: (function, mode name).
 
-    Sorting is the fast path; it is only correct for pid-free programs
-    under the full symmetric group, so anything else falls back to the
-    orbit minimum.
+    Under the full symmetric group a pid-free program sorts its records
+    (``rep_sort``, mode "sort") and a pid-typed one pins and sorts them
+    (``rep_min``, mode "min-over-group"); generated subgroups always take
+    the enumerated minimum of ``rep_min``.
     """
     if group is None:
         group = full_symmetric(program.n)

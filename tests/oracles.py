@@ -50,6 +50,21 @@ def random_state(rng, n, num_pcs=3, num_locals=2, num_shared=2):
     return GlobalState(shared, locs)
 
 
+def random_pid_state(rng, n, num_pid_slots, num_pcs=3, num_locals=1):
+    """A random global state with ``num_pid_slots`` pid-typed shared slots.
+
+    The pid slots follow one boolean slot; their values are drawn from
+    0..n, so ``none`` (encoded as n) and one process named by several
+    slots both occur.  Few local shapes make equal records common.
+    """
+    shared = (rng.randint(0, 1),) + tuple(rng.randint(0, n) for _ in range(num_pid_slots))
+    locs = tuple(
+        (rng.randrange(num_pcs),) + tuple(rng.randint(0, 1) for _ in range(num_locals))
+        for _ in range(n)
+    )
+    return GlobalState(shared, locs, tuple(range(1, num_pid_slots + 1)))
+
+
 def backward_bfs(structure, targets):
     """All states that can reach ``targets``, including the targets."""
     seen = set(targets)

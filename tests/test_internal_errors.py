@@ -1,0 +1,140 @@
+"""Internal invariant checks raise InternalError, also under ``python -O``."""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
+import pytest
+
+import orbitmc
+from orbitmc import (
+    GlobalState,
+    InternalError,
+    Path,
+    build_counter_structure,
+    build_quotient,
+    builtin_example,
+    compare_modes,
+    lift_counterexample,
+)
+from orbitmc.cli import EXIT_INTERNAL, build_config, run
+
+
+def break_orbit_sizes(monkeypatch):
+    # 4 does not divide 3! = 6
+    monkeypatch.setattr("orbitmc.quotient.orbit_size_sorted", lambda program, state: 4)
+
+
+def break_counter_count(monkeypatch):
+    real_reach = orbitmc.explore.reach
+
+    def reach(program, mode, state_bound):
+        structure, stats = real_reach(program, mode, state_bound)
+        if mode == "counter":
+            stats.states_reached += 1
+        return structure, stats
+
+    monkeypatch.setattr("orbitmc.explore.reach", reach)
+
+
+def lose_a_process(monkeypatch):
+    def counter_successors(program, cstate):
+        (rec, count), *rest = cstate.counts
+        fewer = ((rec, count - 1),) if count > 1 else ()
+        return [("p0:vanish", orbitmc.counter.CounterState(cstate.shared, fewer + tuple(rest)))]
+
+    monkeypatch.setattr("orbitmc.counter.counter_successors", counter_successors)
+
+
+def unmatched_quotient_path(program):
+    # both processes critical at once: no concrete successor of the
+    # initial state has that representative
+    both_critical = GlobalState((), ((2,), (2,)))
+    return Path((program.initial_state(), both_critical), ("p0:enter",))
+
+
+def test_orbit_size_not_dividing_n_factorial(monkeypatch):
+    break_orbit_sizes(monkeypatch)
+    with pytest.raises(InternalError, match="does not divide"):
+        build_quotient(builtin_example("mutex", 3))
+
+
+def test_quotient_and_counter_state_counts_disagree(monkeypatch):
+    break_counter_count(monkeypatch)
+    with pytest.raises(InternalError, match="disagree"):
+        compare_modes(builtin_example("mutex", 3))
+
+
+def test_counter_state_losing_a_process(monkeypatch):
+    lose_a_process(monkeypatch)
+    with pytest.raises(InternalError, match="lost a process"):
+        build_counter_structure(builtin_example("mutex", 3))
+
+
+def test_lift_without_a_matching_concrete_successor():
+    program = builtin_example("mutex", 2)
+    with pytest.raises(InternalError, match="no concrete successor"):
+        lift_counterexample(program, unmatched_quotient_path(program))
+
+
+@pytest.mark.parametrize(
+    "argv, breaker",
+    [
+        (["export-dot", "--builtin", "mutex:3", "--mode", "quotient"],
+         break_orbit_sizes),
+        (["compare", "--builtin", "mutex:3"], break_counter_count),
+        (["reach", "--builtin", "mutex:3", "--mode", "counter"], lose_a_process),
+    ],
+)
+def test_cli_reports_internal_errors_with_exit_4(monkeypatch, argv, breaker):
+    breaker(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(build_config(argv), out=out, err=err) == EXIT_INTERNAL == 4
+    assert err.getvalue().startswith("internal error:")
+
+
+_UNDER_O = """
+import sys
+from orbitmc import (
+    InternalError,
+    build_counter_structure,
+    build_quotient,
+    builtin_example,
+    compare_modes,
+    lift_counterexample,
+)
+import test_internal_errors as t
+
+class Patch:
+    def setattr(self, target, value):
+        module, attr = target.rsplit(".", 1)
+        setattr(sys.modules[module], attr, value)
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+program = builtin_example("mutex", 2)
+cases = [
+    lambda: lift_counterexample(program, t.unmatched_quotient_path(program)),
+    lambda: (t.break_counter_count(Patch()), compare_modes(builtin_example("mutex", 3))),
+    lambda: (t.break_orbit_sizes(Patch()), build_quotient(builtin_example("mutex", 3))),
+    lambda: (t.lose_a_process(Patch()), build_counter_structure(builtin_example("mutex", 3))),
+]
+for i, case in enumerate(cases):
+    try:
+        case()
+    except InternalError:
+        continue
+    sys.exit(f"check {i} did not fire")
+"""
+
+
+def test_checks_still_fire_under_python_O():
+    here = FsPath(__file__).resolve().parent
+    src = FsPath(orbitmc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

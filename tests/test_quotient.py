@@ -59,6 +59,15 @@ def test_quotient_scales_where_full_exploration_cannot():
     assert quotient.total_covered() == mutex_count_closed_form(20) == 11_534_336
 
 
+def test_pid_quotient_scales_by_the_closed_form_orbit_size():
+    # the grant holder is pinned: 2^100 states with grant none plus 100 * 2^99
+    # with one process granted, far beyond any enumeration of an orbit
+    quotient = build_quotient(builtin_example("allocator", 100))
+    assert quotient.rep_mode == "min-over-group"
+    assert quotient.structure.num_states == 201
+    assert quotient.total_covered() == 2**100 + 100 * 2**99
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_sizes_sum_to_full_count(n):
     program = builtin_example("mutex", n)

@@ -20,6 +20,8 @@ from orbitmc import (
     inverse,
     is_automorphism,
     orbit,
+    orbit_size_sorted,
+    pinned_processes,
     rep_min,
     rep_sort,
     transposition,
@@ -30,6 +32,7 @@ from oracles import (
     all_permutations,
     min_image_by_full_enumeration,
     orbit_by_full_enumeration,
+    random_pid_state,
     random_state,
 )
 
@@ -241,6 +244,47 @@ def test_rep_min_agrees_with_rep_sort_on_pid_free_states():
         for _ in range(10):
             s = random_state(rng, n)
             assert rep_min(group, s)[0] == rep_sort(s)
+
+
+def test_pinned_processes_in_order_of_first_appearance():
+    s = GlobalState((1, 3, 2, 3, 1), ((0,),) * 3, pid_slots=(1, 2, 3, 4))
+    # slot 3 holds none (n = 3); slot 4 names process 1 a second time
+    assert pinned_processes(s) == [2, 1]
+    assert pinned_processes(locs(0, 1)) == []
+
+
+def test_rep_min_on_pid_states_matches_the_oracles():
+    rng = random.Random(12)
+    for n in range(1, 6):
+        group = full_symmetric(n)
+        perms = all_permutations(n)
+        for num_pid_slots in (1, 2, 3):
+            for _ in range(12):
+                s = random_pid_state(rng, n, num_pid_slots)
+                rep, perm = rep_min(group, s)
+                assert rep == min_image_by_full_enumeration(s)
+                assert apply(perm, s) == rep
+                for p in perms:
+                    assert rep_min(group, apply(p, s))[0] == rep
+                orbit_size = len(orbit_by_full_enumeration(s))
+                assert orbit_size_sorted(None, s) == orbit_size
+                assert orbit_size_sorted(None, rep) == orbit_size
+
+
+def test_rep_min_pins_grant_holders_before_sorting():
+    # processes 3 and 1 are named by the two slots; 0 and 2 are sorted after them
+    s = GlobalState((3, 1), ((2,), (1,), (0,), (2,)), pid_slots=(0, 1))
+    rep, perm = rep_min(full_symmetric(4), s)
+    assert rep == GlobalState((0, 1), ((2,), (1,), (0,), (2,)), pid_slots=(0, 1))
+    assert perm.mapping == (3, 1, 2, 0)
+
+
+def test_full_symmetric_kind_requires_its_own_generators():
+    assert PermGroup(4, full_symmetric(4).generators, "full-symmetric") == full_symmetric(4)
+    with pytest.raises(ValueError):
+        PermGroup(4, (transposition(4, 0, 1),), "full-symmetric")
+    with pytest.raises(ValueError):
+        PermGroup(3, (transposition(3, 0, 1), transposition(3, 1, 2)), "full-symmetric")
 
 
 # -- generated groups --------------------------------------------------------
