@@ -94,6 +94,7 @@ from .symmetry import (
     is_automorphism,
     orbit,
     pinned_processes,
+    processes_to_fire,
     rep_min,
     rep_sort,
     representative_fn,

@@ -6,7 +6,10 @@ as ``name:n``.  Reports are plain text or JSON with a fixed key order so
 identical runs emit identical bytes (modulo the duration field).
 
 Exit codes: 0 success / property holds; 1 property fails or stop-at-bad
-triggered; 2 usage or input error; 3 resource limit exceeded.
+triggered; 2 usage or input error; 3 resource limit exceeded; 4 internal
+error.  Input errors are raised as ``UsageError``, ``ParseError`` or
+``UnsupportedModelError``; a ``ValueError`` that reaches ``run`` is a
+broken internal precondition, not bad input, and also exits 4.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .counter import build_counter_structure, from_counter
-from .ctl import check, lift_counterexample, parse_ctl
+from .ctl import atoms, check, lift_counterexample, parse_ctl
 from .errors import (
     CheckerError,
     InternalError,
@@ -230,10 +233,10 @@ def run_check(config, out):
     structure, build_stats = _run_mode(program, config.mode, bound, stop_at_bad=False)
     structure.totalize("self-loop")
     formula = parse_ctl(config.prop)
-    try:
-        result = check(structure, formula)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    unknown = sorted(atoms(formula) - structure.props().keys())
+    if unknown:
+        raise UsageError(f"unknown atomic proposition {unknown[0]!r}")
+    result = check(structure, formula)
     build_stats.duration_ms = (time.perf_counter() - started) * 1000.0
     build_stats.bad_reached = _any_bad(structure)
 
@@ -321,10 +324,10 @@ def run(config, out=None, err=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=err)
         return EXIT_RESOURCE
-    except InternalError as exc:
+    except (InternalError, ValueError) as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_INTERNAL
-    except (UsageError, ParseError, UnsupportedModelError, ValueError) as exc:
+    except (UsageError, ParseError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

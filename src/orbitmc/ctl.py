@@ -36,6 +36,7 @@ __all__ = [
     "EU",
     "EG",
     "parse_ctl",
+    "atoms",
     "neg",
     "sat_set",
     "check",
@@ -99,6 +100,16 @@ class EU(Formula):
 @dataclass(frozen=True)
 class EG(Formula):
     inner: Formula
+
+
+def atoms(f):
+    """Names of the atomic propositions a formula mentions."""
+    if isinstance(f, Atom):
+        return {f.name}
+    out = set()
+    for sub in vars(f).values():
+        out |= atoms(sub)
+    return out
 
 
 def neg(f):

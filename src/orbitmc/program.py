@@ -416,23 +416,27 @@ def initial_states(program):
     return frozenset({program.initial_state()})
 
 
-def successors(program, state):
+def successors(program, state, processes=None):
     """All (action, state) pairs one interleaved step away.
 
     Processes are tried in index order and commands in declaration order,
     so the result order is deterministic; the action label is
-    ``"<process>/<command>"``.  An empty result is a deadlock.
+    ``"<process>/<command>"``.  An empty result is a deadlock.  With
+    ``processes`` (increasing indices) only those processes fire; the
+    quotient passes one process per class of interchangeable processes.
     """
     out = []
-    for i, rec in enumerate(state.locals):
+    locs = state.locals
+    for i in range(len(locs)) if processes is None else processes:
+        rec = locs[i]
         for j, cmd in enumerate(program.commands):
             if rec[0] != cmd.from_pc:
                 continue
-            if not cmd.guard.eval(state.shared, state.locals, i):
+            if not cmd.guard.eval(state.shared, locs, i):
                 continue
             action = f"{i}/{j}"
             for new_shared, new_rec in command_branches(program, cmd, state.shared, rec, i):
-                new_locals = state.locals[:i] + (new_rec,) + state.locals[i + 1 :]
+                new_locals = locs[:i] + (new_rec,) + locs[i + 1 :]
                 out.append((action, GlobalState(new_shared, new_locals, state.pid_slots)))
     return out
 

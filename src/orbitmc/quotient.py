@@ -5,6 +5,18 @@ and every successor is canonicalized before insertion.  That is sound
 because process permutations commute with the successor relation, which
 the frontend's guard restrictions guarantee and ``check_bisimulation``
 certifies at desk scale.
+
+A representative does not fire all n processes, only one per class of
+interchangeable processes (``symmetry.processes_to_fire``).  Under Sym(n)
+those are the processes named by pid slots plus the first process of
+each run of equal records in the sorted rest.  Two unpinned processes
+with equal records are swapped by a transposition that fixes the
+representative, so their successors lie in the same orbits: the reached
+states are those of firing every process, and the edges are the counter
+abstraction's, one per (distinct record, command, outcome).  A generated
+subgroup still fires every process.  Edge actions name the fired process
+by its index in the representative (``"i/j"``); ``ctl.lift_counterexample``
+finds the concrete steps again from the concrete successor relation.
 """
 
 from __future__ import annotations
@@ -16,7 +28,14 @@ from dataclasses import dataclass, field
 from .errors import InternalError, LabelSymmetryError, ResourceLimitError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import atomic_props, labeling, successors
-from .symmetry import apply, full_symmetric, orbit, pinned_processes, representative_fn
+from .symmetry import (
+    apply,
+    full_symmetric,
+    orbit,
+    pinned_processes,
+    processes_to_fire,
+    representative_fn,
+)
 
 BISIM_SIZE_CAP = 10**4
 
@@ -61,10 +80,10 @@ def orbit_size_sorted(program, state):
     return size
 
 
-def _expand_canonical(program, rep_fn):
+def _expand_canonical(program, rep_fn, group):
     def expand(rep_state):
         out = []
-        for action, t in successors(program, rep_state):
+        for action, t in successors(program, rep_state, processes_to_fire(group, rep_state)):
             tbar = rep_fn(t)
             if labeling(program, t) != labeling(program, tbar):
                 raise LabelSymmetryError(
@@ -84,7 +103,7 @@ def _build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND, stop_a
     structure, stats = breadth_first_build(
         atomic_props(program),
         [init_rep],
-        _expand_canonical(program, rep_fn),
+        _expand_canonical(program, rep_fn, group),
         lambda s: labeling(program, s),
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
@@ -95,8 +114,13 @@ def _build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND, stop_a
 def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     """Worklist construction of the quotient structure.
 
-    Edge actions keep the process index that fired from the expanded
-    representative; those indices are representative-relative.
+    Each representative fires one process per class of interchangeable
+    processes (see the module docstring): under Sym(n) every pinned
+    process and the first of each run of equal unpinned records, under a
+    generated subgroup every process.  That reaches the same states as
+    firing all n, with one edge per distinct record instead of one per
+    process.  Edge actions keep the index of the fired process in the
+    expanded representative; those indices are representative-relative.
     Representatives come from the pinned sort under Sym(n) (see
     ``symmetry``) and their orbit sizes from the closed form of
     ``orbit_size_sorted``; only generated subgroups enumerate each orbit.

@@ -19,6 +19,11 @@ Without pid slots nothing is pinned and the representative is just the
 state with its local records sorted (``rep_sort``).  Generated subgroups
 have no such normal form and are enumerated outright, capped.  Full
 symmetric groups are never enumerated outside test oracles.
+
+The same stabilizer argument says which processes a quotient must fire
+(``processes_to_fire``): two unpinned processes with equal records are
+swapped by a transposition that fixes the state, so they have the same
+canonical successors and one of them stands for both.
 """
 
 from __future__ import annotations
@@ -48,6 +53,13 @@ class Permutation:
 
     def __call__(self, i):
         return self.mapping[i]
+
+
+class _Bijection(Permutation):
+    """A permutation that is bijective by construction, so it skips the check."""
+
+    def __post_init__(self):
+        pass
 
 
 def identity(n):
@@ -214,15 +226,31 @@ def group_elements(group, cap=GROUP_ENUM_CAP):
     return seen
 
 
-def rep_min(group, state, enum_cap=GROUP_ENUM_CAP):
+def _pinned_sort_mapping(state):
+    """The pinned sort of the module docstring as an index map old -> new.
+
+    The pinned processes come first in order of appearance, then the
+    other records sorted, ties by old index, so the map is deterministic.
+    """
+    pins = pinned_processes(state)
+    pinned = set(pins)
+    locs = state.locals
+    rest = sorted([i for i in range(state.n) if i not in pinned], key=locs.__getitem__)
+    mapping = [0] * state.n
+    for new, old in enumerate(pins + rest):
+        mapping[old] = new
+    return tuple(mapping)
+
+
+def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
     """Least orbit element by byte encoding, plus a permutation reaching it.
 
-    Full symmetric groups use the pinned sort of the module docstring:
-    the pinned processes first in order of appearance, then the other
-    records sorted (ties by old index, so the witness is deterministic),
+    Full symmetric groups use the pinned sort of the module docstring,
     one ``apply`` in all.  Generated groups are enumerated outright (desk
     scale, capped at ``enum_cap``).  Satisfies ``apply(perm, state) ==
-    rep`` for the returned pair.
+    rep`` for the returned pair.  With ``witness=False`` a full symmetric
+    group skips validating the permutation and returns None in its place,
+    for callers that only want the representative.
     """
     if group.degree != state.n:
         raise ValueError("group degree does not match state")
@@ -235,14 +263,10 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP):
             if key < best_key:
                 best_state, best_perm, best_key = t, g, key
         return best_state, best_perm
-    pins = pinned_processes(state)
-    pinned = set(pins)
-    locs = state.locals
-    rest = sorted([i for i in range(state.n) if i not in pinned], key=locs.__getitem__)
-    mapping = [0] * state.n
-    for new, old in enumerate(pins + rest):
-        mapping[old] = new
-    perm = Permutation(tuple(mapping))
+    mapping = _pinned_sort_mapping(state)
+    if not witness:
+        return apply(_Bijection(mapping), state), None
+    perm = Permutation(mapping)
     return apply(perm, state), perm
 
 
@@ -251,8 +275,8 @@ def representative_fn(program, group=None):
 
     Under the full symmetric group a pid-free program sorts its records
     (``rep_sort``, mode "sort") and a pid-typed one pins and sorts them
-    (``rep_min``, mode "min-over-group"); generated subgroups always take
-    the enumerated minimum of ``rep_min``.
+    (``rep_min`` without its witness, mode "min-over-group"); generated
+    subgroups always take the enumerated minimum of ``rep_min``.
     """
     if group is None:
         group = full_symmetric(program.n)
@@ -260,7 +284,33 @@ def representative_fn(program, group=None):
         raise ValueError("group degree does not match program")
     if group.kind == "full-symmetric" and not program.pid_slots:
         return rep_sort, "sort"
-    return (lambda s: rep_min(group, s)[0]), "min-over-group"
+    return (lambda s: rep_min(group, s, witness=False)[0]), "min-over-group"
+
+
+def processes_to_fire(group, state):
+    """Indices of one process per class of interchangeable processes.
+
+    Under the full symmetric group these are the pinned processes plus
+    the first process of each run of equal records among the others:
+    within a run the transposition of two unpinned processes fixes the
+    state and so carries the successors of one onto those of the other,
+    and both give the same canonical successors.  On a representative
+    the unpinned records are sorted, so there is one process per distinct
+    record.  A generated subgroup need not contain those transpositions,
+    so every process fires.
+    """
+    if group.kind != "full-symmetric":
+        return range(state.n)
+    pinned = pinned_processes(state)
+    fire = []
+    prev = None
+    for i, rec in enumerate(state.locals):
+        if i in pinned:
+            fire.append(i)
+        elif rec != prev:
+            fire.append(i)
+            prev = rec
+    return fire
 
 
 def is_automorphism(perm, program, sample):

@@ -234,6 +234,16 @@ def test_compare_reports_reduction():
     assert comparison["reduction_factor"] >= 100
 
 
+def test_compare_quotient_and_counter_report_equal_edges():
+    # the quotient fires one process per distinct record: 23 edges, not the
+    # 63 of firing all six processes of every representative
+    code, report = invoke_json("compare", "--builtin", "mutex:6", "--json")
+    assert code == 0
+    comparison = report["comparison"]
+    assert comparison["quotient"]["states_reached"] == comparison["counter"]["states_reached"] == 13
+    assert comparison["quotient"]["edges"] == comparison["counter"]["edges"] == 23
+
+
 def test_compare_allocator_counter_unsupported():
     code, report = invoke_json("compare", "--builtin", "allocator:3", "--json")
     assert code == 0

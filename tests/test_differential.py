@@ -24,7 +24,11 @@ from orbitmc import (
     generated_group,
     orbit,
     parse_ctl,
+    parse_program,
+    pinned_processes,
+    processes_to_fire,
     rotation,
+    successors,
 )
 from orbitmc.program import (
     AllOthersNotAt,
@@ -247,3 +251,136 @@ def test_cyclic_quotient_counts_necklaces():
     assert sym_quotient.structure.num_states == 5
     assert necklace_quotient.structure.num_states == 6
     assert necklace_quotient.total_covered() == 16
+
+
+# -- the quotient kernel: one process per class of interchangeable processes --
+
+
+def random_pid_program(rng, n):
+    """A random pid-typed program, written in the input language.
+
+    One or two pid cells are claimed with ``self``, released with
+    ``none``, copied into each other and tested against ``self``/``none``
+    in guards, next to the usual pc quantifiers, so the pinned processes
+    of a state change along most runs.
+    """
+    pcs = [f"P{k}" for k in range(rng.randint(2, 3))]
+    pids = [f"g{k}" for k in range(rng.randint(1, 2))]
+    bools = [f"s{k}" for k in range(rng.randint(0, 1))]
+    local = ["x"] if rng.random() < 0.5 else []
+
+    def atom():
+        choices = [
+            "true",
+            f"all_others(pc != {rng.choice(pcs)})",
+            f"exists_other(pc == {rng.choice(pcs)})",
+            f"{rng.choice(pids)} == self",
+            f"{rng.choice(pids)} == none",
+        ]
+        choices += [f"{b} == {rng.randint(0, 1)}" for b in bools + local]
+        text = rng.choice(choices)
+        return "!" + text if rng.random() < 0.3 else text
+
+    def guard():
+        if rng.random() < 0.4:
+            return atom()
+        return f"{atom()} {rng.choice('&|')} {atom()}"
+
+    def updates():
+        out = []
+        for g in pids:
+            if rng.random() < 0.5:
+                out.append(f"{g} := {rng.choice(['self', 'none'] + [h for h in pids if h != g])}")
+        for b in bools + local:
+            if rng.random() < 0.4:
+                out.append(f"{b} := {rng.choice(['0', '1', '*'])}")
+        return ", ".join(out)
+
+    lines = [f"processes {n};"]
+    lines += [f"shared {g} : pid;" for g in pids]
+    lines += [f"shared {b} : bool;" for b in bools]
+    lines += [f"local {x} : bool;" for x in local]
+    lines.append("pc {" + ",".join(pcs) + "};")
+    lines.append("init " + ", ".join([f"pc={pcs[0]}"] + [f"{g}=none" for g in pids]
+                                     + [f"{b}=0" for b in bools + local]) + ";")
+    for k, pc in enumerate(pcs):
+        # an open first step, so exploration leaves the initial state
+        ring_guard = "true" if k == 0 or rng.random() < 0.5 else guard()
+        lines.append(f"{pc} -> {pcs[(k + 1) % len(pcs)]} : {ring_guard} / {updates()};")
+    for _ in range(rng.randint(1, 3)):
+        lines.append(f"{rng.choice(pcs)} -> {rng.choice(pcs)} : {guard()} / {updates()};")
+    lines.append(f"label bad := count(pc={rng.choice(pcs)}) >= {rng.randint(1, n)};")
+    lines.append(f"label free := {pids[0]} == none;")
+    return parse_program("\n".join(lines), name=f"random-pid-{n}")
+
+
+def assert_fired_subset_gives_every_canonical_successor(program, group=None):
+    """For every reachable representative, the fired processes give exactly
+    the canonical successors of firing all n, and the quotient's edges."""
+    quotient = build_quotient(program, group=group, state_bound=50_000)
+    group = quotient.group
+    structure = quotient.structure
+    for sid in structure.states():
+        rep = structure.payload(sid)
+        fired = processes_to_fire(group, rep)
+        from_fired = {quotient.rep(t) for _, t in successors(program, rep, fired)}
+        from_all = {quotient.rep(t) for _, t in successors(program, rep)}
+        assert from_fired == from_all, (program.name, rep)
+        assert {structure.payload(d) for _, d in structure.successors(sid)} == from_all
+        if group.kind == "full-symmetric":
+            pinned = set(pinned_processes(rep))
+            classes = {rec for i, rec in enumerate(rep.locals) if i not in pinned}
+            assert len(fired) == len(pinned) + len(classes)
+        else:
+            assert list(fired) == list(range(program.n))
+    return quotient
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fired_subset_matches_firing_every_process_on_random_programs(seed):
+    rng = random.Random(5000 + seed)
+    n = rng.randint(2, 5)
+    assert_fired_subset_gives_every_canonical_successor(random_program(rng, n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fired_subset_on_random_pid_programs(seed):
+    rng = random.Random(7000 + seed)
+    n = rng.randint(2, 3)
+    program = random_pid_program(rng, n)
+    quotient = assert_fired_subset_gives_every_canonical_successor(program)
+    assert quotient.rep_mode == "min-over-group"
+
+    full = build_full_structure(program, state_bound=50_000)
+    assert quotient.total_covered() == full.num_states
+    full.totalize("self-loop")
+    quotient.structure.totalize("self-loop")
+    assert check_bisimulation(full, quotient), seed
+    for text in FORMULAS:
+        formula = parse_ctl(text)
+        assert check(full, formula).holds == check(quotient.structure, formula).holds
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, 5) for name in ("mutex", "broken-mutex", "allocator")]
+)
+def test_fired_subset_quotient_is_bisimilar_at_five_processes(name, n):
+    program = builtin_example(name, n)
+    quotient = assert_fired_subset_gives_every_canonical_successor(program)
+    full = build_full_structure(program)
+    full.totalize("self-loop")
+    quotient.structure.totalize("self-loop")
+    assert check_bisimulation(full, quotient)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generated_subgroup_still_fires_every_process(seed):
+    rng = random.Random(9000 + seed)
+    n = rng.randint(3, 4)
+    program = random_program(rng, n) if seed % 2 else random_pid_program(rng, 3)
+    cyclic = generated_group([rotation(program.n)])
+    quotient = assert_fired_subset_gives_every_canonical_successor(program, cyclic)
+    full = build_full_structure(program, state_bound=50_000)
+    full.totalize("self-loop")
+    quotient.structure.totalize("self-loop")
+    assert check_bisimulation(full, quotient), seed

@@ -39,6 +39,27 @@ def break_counter_count(monkeypatch):
     monkeypatch.setattr("orbitmc.explore.reach", reach)
 
 
+def break_counter_edges(monkeypatch):
+    real_reach = orbitmc.explore.reach
+
+    def reach(program, mode, state_bound):
+        structure, stats = real_reach(program, mode, state_bound)
+        if mode == "counter":
+            stats.edges += 1
+        return structure, stats
+
+    monkeypatch.setattr("orbitmc.explore.reach", reach)
+
+
+def mismatch_permutation_degree(monkeypatch):
+    # a canonicalization that applies a permutation of the wrong degree:
+    # symmetry.apply rejects it with a ValueError, which is a bug, not bad input
+    def rep_sort(state):
+        return orbitmc.symmetry.apply(orbitmc.symmetry.identity(state.n + 1), state)
+
+    monkeypatch.setattr("orbitmc.symmetry.rep_sort", rep_sort)
+
+
 def lose_a_process(monkeypatch):
     def counter_successors(program, cstate):
         (rec, count), *rest = cstate.counts
@@ -67,6 +88,12 @@ def test_quotient_and_counter_state_counts_disagree(monkeypatch):
         compare_modes(builtin_example("mutex", 3))
 
 
+def test_quotient_and_counter_edge_counts_disagree(monkeypatch):
+    break_counter_edges(monkeypatch)
+    with pytest.raises(InternalError, match="disagree on edges"):
+        compare_modes(builtin_example("mutex", 3))
+
+
 def test_counter_state_losing_a_process(monkeypatch):
     lose_a_process(monkeypatch)
     with pytest.raises(InternalError, match="lost a process"):
@@ -86,6 +113,9 @@ def test_lift_without_a_matching_concrete_successor():
          break_orbit_sizes),
         (["compare", "--builtin", "mutex:3"], break_counter_count),
         (["reach", "--builtin", "mutex:3", "--mode", "counter"], lose_a_process),
+        (["compare", "--builtin", "mutex:3"], break_counter_edges),
+        (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
+         mismatch_permutation_degree),
     ],
 )
 def test_cli_reports_internal_errors_with_exit_4(monkeypatch, argv, breaker):

@@ -7,10 +7,12 @@ from orbitmc import (
     KripkeStructure,
     LabelSymmetryError,
     ResourceLimitError,
+    build_counter_structure,
     build_full_structure,
     build_quotient,
     builtin_example,
     check_bisimulation,
+    check_isomorphism,
     check_symmetric_labeling,
     full_symmetric,
     labeling,
@@ -263,3 +265,19 @@ def test_bisimulation_size_cap():
     full, quotient = totalized_pair("mutex", 2)
     with pytest.raises(ResourceLimitError):
         check_bisimulation(full, quotient, size_cap=3)
+
+
+def test_quotient_edges_are_the_counter_edges_at_scale():
+    # one process fires per distinct record, so mutex:200 has the counter
+    # abstraction's 2n + 1 states and 4n - 1 edges rather than ~n^2 / 2 edges
+    program = builtin_example("mutex", 200)
+    quotient = build_quotient(program)
+    counter = build_counter_structure(program)
+    assert quotient.structure.num_states == counter.num_states == 401
+    assert quotient.structure.num_edges == counter.num_edges == 799
+
+
+def test_counter_isomorphism_holds_at_fifty_processes():
+    program = builtin_example("mutex", 50)
+    report = check_isomorphism(build_counter_structure(program), build_quotient(program))
+    assert report, report.discrepancy
