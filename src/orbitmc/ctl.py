@@ -3,9 +3,13 @@
 The core is EX / E[_ U _] / EG; everything else normalizes into it at
 parse time through the standard dualities, so there are exactly three
 fixpoint routines.  EU is a least fixpoint computed as backward
-saturation, EG a greatest fixpoint by iteration.  All of it runs on any
-totalized Kripke structure, whether it came from the full, quotient or
-counter exploration.
+saturation; EG is a greatest fixpoint computed with a successor-count
+worklist: each candidate counts its edges into the candidate set, and a
+state whose count reaches zero is removed and decrements its
+predecessors (Clarke, Emerson & Sistla 1986).  Both read each state and
+edge a bounded number of times, so every fixpoint runs in time linear in
+the structure.  All of it runs on any totalized Kripke structure,
+whether it came from the full, quotient or counter exploration.
 
 Counterexamples are produced for top-level invariant-style failures
 (anything of the shape "no reachable state hits X") and witnesses for
@@ -286,15 +290,17 @@ def parse_ctl(text):
 # --------------------------------------------------------------------------
 
 
-def sat_set(structure, formula):
+def sat_set(structure, formula, *, _memo=None):
     """States satisfying ``formula``, by the standard explicit fixpoints.
 
     The structure must be total (CTL talks about infinite paths) and
-    every atom must exist in its AP set.
+    every atom must exist in its AP set.  ``_memo``, a dict from
+    subformula to sat set, lets ``check`` read a subformula's set from
+    the same evaluation.
     """
     if not structure.is_total():
         raise ValueError("structure is not total; run totalize() first")
-    memo = {}
+    memo = {} if _memo is None else _memo
 
     def sat(f):
         got = memo.get(f)
@@ -340,13 +346,20 @@ def _sat_eu(structure, left, right):
 
 
 def _sat_eg(structure, inner):
-    # greatest fixpoint Z = inner ∩ pre(Z), iterated from inner
-    current = set(inner)
-    while True:
-        nxt = {s for s in current if any(t in current for _, t in structure.successors(s))}
-        if nxt == current:
-            return frozenset(current)
-        current = nxt
+    # greatest fixpoint Z = inner ∩ pre(Z): count[s] is the number of edges
+    # from s into Z (per edge, so parallel edges count and uncount alike);
+    # a state whose count drops to 0 leaves Z and uncounts its in-edges
+    count = {s: sum(t in inner for _, t in structure.successors(s)) for s in inner}
+    queue = deque(s for s, c in count.items() if c == 0)
+    while queue:
+        t = queue.popleft()
+        for s, _ in structure.predecessors(t):
+            c = count.get(s)
+            if c:
+                count[s] = c - 1
+                if c == 1:
+                    queue.append(s)
+    return frozenset(s for s, c in count.items() if c)
 
 
 # --------------------------------------------------------------------------
@@ -425,16 +438,17 @@ def check(structure, formula, init=None):
     vacuously).  Counterexamples/witnesses are attached per CheckResult.
     """
     init = set(structure.init) if init is None else set(init)
-    sat = sat_set(structure, formula)
+    memo = {}
+    sat = sat_set(structure, formula, _memo=memo)
     holds = init <= sat
     counterexample = None
     target = _invariant_target(formula)
     if target is not None and not holds:
-        counterexample = shortest_path(structure, init, sat_set(structure, target))
+        counterexample = shortest_path(structure, init, memo[target])
     else:
         target = _reachability_target(formula)
         if target is not None and holds and init:
-            counterexample = shortest_path(structure, init, sat_set(structure, target))
+            counterexample = shortest_path(structure, init, memo[target])
     return CheckResult(holds, sat, counterexample)
 
 

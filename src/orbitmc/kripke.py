@@ -1,11 +1,13 @@
 """Explicit Kripke structures with labeled transitions.
 
 States are opaque payloads keyed by value, so re-adding an existing payload
-is a no-op that returns the original id.  The transition relation is a set
-of (source, action, target) triples with set-valued image/preimage
-operators, which is everything the CTL fixpoint routines need.  The module
-also hosts the deterministic worklist builder that the full, quotient and
-counter explorations all share.
+is a no-op that returns the original id.  The transition relation is kept
+once per direction as int-indexed adjacency lists: ``(action, target)``
+pairs per source and ``(source, action)`` pairs per target, deduplicated
+per source, with an edge counter.  On top of them sit the set-valued
+image/preimage operators, which is everything the CTL fixpoint routines
+need.  The module also hosts the deterministic worklist builder that the
+full, quotient and counter explorations all share.
 
 Structures are built single-writer and are safe for concurrent read-only
 use afterwards; no operation mutates after construction except
@@ -101,9 +103,9 @@ class KripkeStructure:
         self._payloads = []
         self._index = {}
         self._labels = []
-        self._succ = []
-        self._pred = []
-        self._edges = set()
+        self._succ = []  # per source: (action, target) pairs, each at most once
+        self._pred = []  # per target: (source, action) pairs
+        self._num_edges = 0
         self.init = set()
 
     # -- atomic propositions ------------------------------------------------
@@ -154,7 +156,7 @@ class KripkeStructure:
 
     @property
     def num_edges(self):
-        return len(self._edges)
+        return self._num_edges
 
     def states(self):
         return range(len(self._payloads))
@@ -187,15 +189,18 @@ class KripkeStructure:
     def add_edge(self, src, action, dst):
         self._check_id(src)
         self._check_id(dst)
-        triple = (src, action, dst)
-        if triple in self._edges:
+        out = self._succ[src]
+        step = (action, dst)
+        if step in out:
             return
-        self._edges.add(triple)
-        self._succ[src].append((action, dst))
+        out.append(step)
         self._pred[dst].append((src, action))
+        self._num_edges += 1
 
     def has_edge(self, src, action, dst):
-        return (src, action, dst) in self._edges
+        if not isinstance(src, int) or not 0 <= src < len(self._succ):
+            return False
+        return (action, dst) in self._succ[src]
 
     def edges(self):
         """All (source, action, target) triples in deterministic order."""
@@ -279,7 +284,7 @@ class KripkeStructure:
             if sid in self.init:
                 attrs.append("peripheries=2")
             lines.append(f'  {sid} [{", ".join(attrs)}];')
-        for src, action, dst in sorted(self._edges):
+        for src, action, dst in sorted(self.edges()):
             lines.append(f'  {src} -> {dst} [label="{action}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -329,17 +334,11 @@ def breadth_first_build(
         structure.add_prop(INIT_PROP)
     stats = BuildStats()
     queue = deque()
+    index = structure._index
 
-    def labels_for(payload):
-        labels = frozenset(labeler(payload))
-        if payload in initial_set:
-            labels |= {INIT_PROP.name}
-        return labels
-
-    def insert(payload, initial=False):
-        known = structure.has_state(payload)
-        labels = structure.label_of(structure.state_of(payload)) if known else labels_for(payload)
-        if not known and structure.num_states >= state_bound:
+    def insert(payload):
+        # only for payloads not yet in the index: the callers look them up
+        if structure.num_states >= state_bound:
             stats.states_reached = structure.num_states
             stats.edges = structure.num_edges
             stats.frontier_peak = max(stats.frontier_peak, len(queue))
@@ -347,17 +346,21 @@ def breadth_first_build(
                 f"state bound {state_bound} exceeded; frontier size {len(queue)}",
                 partial_stats=stats,
             )
+        labels = frozenset(labeler(payload))
+        initial = payload in initial_set
+        if initial:
+            labels |= {INIT_PROP.name}
         sid = structure.add_state(payload, labels, initial=initial)
-        if not known:
-            queue.append(sid)
-            if stop_at_bad and bad_label in labels:
-                stats.bad_reached = True
+        queue.append(sid)
+        if stop_at_bad and bad_label in labels:
+            stats.bad_reached = True
         return sid
 
     for payload in initial_payloads:
-        insert(payload, initial=True)
-        if stats.bad_reached:
-            break
+        if payload not in index:
+            insert(payload)
+            if stats.bad_reached:
+                break
     stats.frontier_peak = len(queue)
 
     while queue and not stats.bad_reached:
@@ -366,7 +369,9 @@ def breadth_first_build(
         if not succs:
             stats.deadlocks += 1
         for action, target in succs:
-            tid = insert(target)
+            tid = index.get(target)
+            if tid is None:
+                tid = insert(target)
             structure.add_edge(sid, action, tid)
             if stats.bad_reached:
                 break

@@ -323,6 +323,24 @@ def test_ef_witness_path():
     assert "bad" in structure.label_of(structure.state_of(witness.states[-1]))
 
 
+def test_check_runs_one_fixpoint_pass():
+    # the counterexample or witness target comes from the verdict's own evaluation
+    for text, holds in (("AG !bad", False), ("EF bad", True)):
+        structure = totalized_full("broken-mutex", 3)
+        scans = [0]
+        is_total = structure.is_total
+
+        def counted():
+            scans[0] += 1
+            return is_total()
+
+        structure.is_total = counted
+        result = check(structure, parse_ctl(text))
+        assert result.holds == holds
+        assert result.counterexample is not None
+        assert scans[0] == 1
+
+
 def test_no_counterexample_for_other_shapes():
     structure = totalized_full("mutex", 2)
     result = check(structure, parse_ctl("AG !bad"))
@@ -396,3 +414,100 @@ def test_lift_rejects_wrong_start():
     wrong = successors(program, program.initial_state())[0][1]
     with pytest.raises(ValueError):
         lift_counterexample(program, Path((wrong,), ()))
+
+
+# -- fixpoints do linear work ------------------------------------------------------
+
+
+def count_reads(structure):
+    """Count successor/predecessor reads on one instance: calls plus pairs returned."""
+    reads = [0]
+
+    def counted(method):
+        def read(sid):
+            out = method(sid)
+            reads[0] += 1 + len(out)
+            return out
+
+        return read
+
+    structure.successors = counted(structure.successors)
+    structure.predecessors = counted(structure.predecessors)
+    return reads
+
+
+def chain(n, gap):
+    """States 0..n-1 in a line, the last one looping; p everywhere but ``gap``, q at the end."""
+    k = KripkeStructure(
+        [AtomicProp("p", "designated-label"), AtomicProp("q", "designated-label")]
+    )
+    for sid in range(n):
+        labels = set() if sid == gap else {"p"}
+        if sid == n - 1:
+            labels.add("q")
+        k.add_state(sid, labels, initial=(sid == 0))
+    for sid in range(n - 1):
+        k.add_edge(sid, "step", sid + 1)
+    k.totalize("self-loop")
+    return k
+
+
+def linear_reads(k, text):
+    """sat set of ``text`` and the reads it took, asserted to be at most 2·(|S| + |E|)."""
+    size = k.num_states + k.num_edges
+    reads = count_reads(k)
+    got = sat_set(k, parse_ctl(text))
+    assert reads[0] <= 2 * size, (text, reads[0], size)
+    return got, reads[0]
+
+
+def eu_oracle(structure):
+    """E[p U q] by backward search through p-states, independent of the fixpoint code."""
+    return frozenset(
+        backward_bfs_within(structure, structure.sat_atom("q"), structure.sat_atom("p"))
+    )
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_eg_and_eu_reads_are_linear_on_a_chain(n):
+    # the gap sits at the far end, so EG must peel the whole chain off state by state
+    got, reads = linear_reads(chain(n, gap=n - 2), "EG p")
+    assert got == {n - 1}
+    assert reads >= n
+    got, reads = linear_reads(chain(n, gap=n - 2), "E[p U q]")
+    assert got == {n - 1}
+    got, reads = linear_reads(chain(n, gap=0), "E[p U q]")
+    assert got == frozenset(range(1, n))
+    assert reads >= n
+
+
+def test_eg_and_eu_reads_are_linear_on_random_structures():
+    rng = random.Random(34)
+    for _ in range(25):
+        k = random_structure(rng, rng.randint(2, 15))
+        expected = eg_oracle(k, k.sat_atom("p"))
+        assert linear_reads(k, "EG p")[0] == expected
+        k = random_structure(rng, rng.randint(2, 15))
+        expected = eu_oracle(k)
+        assert linear_reads(k, "E[p U q]")[0] == expected
+
+
+def test_eg_counts_parallel_edges_per_edge():
+    # a reaches b by two actions and also loops on itself; b leaves p for good
+    k = KripkeStructure([AtomicProp("p", "designated-label")])
+    a = k.add_state("a", {"p"})
+    b = k.add_state("b", {"p"})
+    c = k.add_state("c")
+    k.add_edge(a, "x", b)
+    k.add_edge(a, "y", b)
+    k.add_edge(a, "w", a)
+    k.add_edge(b, "z", c)
+    k.totalize("self-loop")
+    assert sat_set(k, parse_ctl("EG p")) == {a}
+    assert sat_set(k, parse_ctl("AF !p")) == {b, c}
+
+
+def test_eg_on_a_long_chain():
+    n = 10**5
+    k = chain(n, gap=n // 2)
+    assert sat_set(k, parse_ctl("EG p")) == frozenset(range(n // 2 + 1, n))

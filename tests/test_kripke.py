@@ -6,12 +6,14 @@ from orbitmc import (
     AtomicProp,
     DeadlockError,
     KripkeStructure,
+    ResourceLimitError,
     build_full_structure,
     builtin_example,
     initial_states,
     parse_program,
     successors,
 )
+from orbitmc.kripke import breadth_first_build
 
 BAD = AtomicProp("bad", "designated-label")
 
@@ -228,3 +230,98 @@ def test_payload_keying_preserves_state_count():
     init = next(iter(initial_states(program)))
     structure.add_state(init, structure.label_of(structure.state_of(init)))
     assert structure.num_states == count
+
+
+# -- store contract: one adjacency list per direction, deduplicated per source --
+
+
+def test_repeated_add_edge_is_a_no_op():
+    k, s, t = two_cycle()
+    k.add_edge(s, "a", t)
+    assert k.num_edges == 2
+    assert k.out_degree(s) == k.in_degree(t) == 1
+    assert k.successors(s) == [("a", t)]
+    assert k.predecessors(t) == [(s, "a")]
+
+
+def test_same_endpoints_with_two_actions_are_two_edges():
+    k, s, t = two_cycle()
+    k.add_edge(s, "c", t)
+    assert k.num_edges == 3
+    assert k.out_degree(s) == k.in_degree(t) == 2
+    assert k.has_edge(s, "a", t) and k.has_edge(s, "c", t)
+    assert list(k.edges()) == [(s, "a", t), (s, "c", t), (t, "b", s)]
+
+
+def test_has_edge_on_unknown_ids():
+    k, s, t = two_cycle()
+    assert not k.has_edge(7, "a", t)
+    assert not k.has_edge(-1, "a", t)
+    assert not k.has_edge("s", "a", t)
+    assert not k.has_edge(s, "a", 7)
+    assert not k.has_edge(s, "b", t)
+
+
+def test_unknown_ids_raise_key_error():
+    k, s, _ = two_cycle()
+    for bad in (2, -1, "s"):
+        with pytest.raises(KeyError):
+            k.add_edge(s, "a", bad)
+        with pytest.raises(KeyError):
+            k.add_edge(bad, "a", s)
+        with pytest.raises(KeyError):
+            k.image({s, bad})
+        with pytest.raises(KeyError):
+            k.preimage({bad})
+    assert k.num_edges == 2
+
+
+def test_export_dot_edges_sorted_on_mutex3():
+    _, structure = mutex_full(3)
+    triples = []
+    for line in structure.export_dot().splitlines():
+        if "->" in line:
+            arrow, label = line.strip().split(" [label=")
+            src, dst = arrow.split(" -> ")
+            triples.append((int(src), label[1:-3], int(dst)))
+    assert len(triples) == structure.num_edges
+    assert triples == sorted(triples) == sorted(structure.edges())
+
+
+# -- worklist builder --------------------------------------------------------------
+
+
+def test_build_labels_each_state_once_and_keeps_init():
+    labeled = []
+
+    def labeler(payload):
+        labeled.append(payload)
+        return {"bad"} if payload == 3 else set()
+
+    def expand(payload):
+        return [("inc", (payload + 1) % 4), ("back", 0), ("back", 0)]
+
+    structure, stats = breadth_first_build([BAD], [0, 0], expand, labeler)
+    assert structure.num_states == stats.states_reached == 4
+    assert sorted(labeled) == [0, 1, 2, 3]
+    assert structure.init == {0}
+    assert structure.label_of(0) == frozenset({"init"})
+    assert structure.label_of(3) == frozenset({"bad"})
+    assert structure.num_edges == stats.edges == 8  # each repeated "back" edge is stored once
+
+
+def test_build_state_bound_and_stop_at_bad():
+    def expand(payload):
+        return [("inc", payload + 1)] if payload < 5 else []
+
+    def labeler(payload):
+        return {"bad"} if payload == 2 else set()
+
+    structure, _ = breadth_first_build([BAD], [0], expand, labeler, state_bound=6)
+    assert structure.num_states == 6
+    with pytest.raises(ResourceLimitError) as err:
+        breadth_first_build([BAD], [0], expand, labeler, state_bound=5)
+    assert err.value.partial_stats.states_reached == 5
+    structure, stats = breadth_first_build([BAD], [0], expand, labeler, stop_at_bad=True)
+    assert stats.bad_reached
+    assert structure.num_states == 3
