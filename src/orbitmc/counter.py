@@ -8,9 +8,9 @@ counter structure is isomorphic to the full-symmetry quotient, which
 ``check_isomorphism`` verifies structure against structure.
 
 The classic pitfall is the self-exclusion of "other process" guard atoms:
-a guard like all_others(pc != C) must be evaluated against the occupancy
-with the firing process already removed.  ``counter_successors`` does the
-decrement before testing the guard.
+all_others(pc != C) must not count the firing process.  The one guard
+evaluator (``Guard.eval``) reads per-pc totals of all n processes and each
+such atom takes the firing record out itself, in every mode alike.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
-from .program import (
-    GlobalState,
-    atomic_props,
-    command_branches,
-    labeling,
-    render_local,
-)
+from .program import GlobalState, atomic_props, labeling
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class CounterState:
 
 
 def _require_pid_free(program):
-    if program.pid_slots:
+    if not program.table.pid_free:
         names = [program.shared_names[k] for k in program.pid_slots]
         raise UnsupportedModelError(
             f"counter abstraction cannot track pid-typed shared state ({', '.join(names)})"
@@ -87,27 +81,25 @@ def from_counter(cstate):
 def counter_successors(program, cstate):
     """All (action, counter state) pairs one step away.
 
-    A command fires once per occupied source record; its guard sees the
-    per-pc totals of the other processes, i.e. with the firing record
-    decremented first.  The effect moves one unit of occupancy from the
-    firing record to the updated one and rewrites the shared valuation.
-    Action labels name the firing record and command index.
+    A command fires once per occupied source record.  The effect moves
+    one unit of occupancy from the firing record to the updated one and
+    rewrites the shared valuation.  Action labels name the firing record
+    and command index.  Pid-typed programs raise ``UnsupportedModelError``.
     """
+    _require_pid_free(program)
+    table = program.table
+    shared = cstate.shared
     counts = dict(cstate.counts)
-    pc_totals = [0] * len(program.pc_names)
+    occ = [0] * len(table.by_pc)
     for rec, c in cstate.counts:
-        pc_totals[rec[0]] += c
+        occ[rec[0]] += c
     out = []
     for rec, _ in cstate.counts:
-        for j, cmd in enumerate(program.commands):
-            if rec[0] != cmd.from_pc:
+        for j, guard in table.by_pc[rec[0]]:
+            if not guard.eval(shared, rec, None, occ, program.n):
                 continue
-            pc_others = list(pc_totals)
-            pc_others[rec[0]] -= 1
-            if not cmd.guard.eval_counter(cstate.shared, rec, pc_others):
-                continue
-            action = f"{render_local(program, rec)}/{j}"
-            for new_shared, new_rec in command_branches(program, cmd, cstate.shared, rec, -1):
+            action = table.counter_action(rec, j)
+            for new_shared, new_rec in table.effects(j, shared, rec, None):
                 moved = dict(counts)
                 moved[rec] -= 1
                 if moved[rec] == 0:

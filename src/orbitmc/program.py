@@ -25,6 +25,7 @@ states by it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import UnsupportedModelError
@@ -64,36 +65,28 @@ class GlobalState:
 # --------------------------------------------------------------------------
 # Guard expressions.
 #
-# Two evaluation contexts: the concrete one sees (shared, all locals, the
-# acting process index); the counter one sees (shared, the acting local
-# record, per-pc counts of the *other* processes).  Keeping both on the
-# node classes pins the all_others/exists_other semantics to one place.
+# One evaluator serves every mode: ``eval(shared, rec, i, occ, n)`` sees the
+# acting record ``rec``, its index ``i`` (None in the counter abstraction)
+# and the per-pc totals ``occ`` of all n processes, acting one included.
+# The "other process" atoms take the acting process out of ``occ``
+# themselves, so every atom is O(1) after one O(n) occupancy pass per state.
 # --------------------------------------------------------------------------
 
 
 class Guard:
-    def eval(self, shared, locs, i):
-        raise NotImplementedError
-
-    def eval_counter(self, shared, rec, pc_others):
+    def eval(self, shared, rec, i, occ, n):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class GTrue(Guard):
-    def eval(self, shared, locs, i):
-        return True
-
-    def eval_counter(self, shared, rec, pc_others):
+    def eval(self, shared, rec, i, occ, n):
         return True
 
 
 @dataclass(frozen=True)
 class GFalse(Guard):
-    def eval(self, shared, locs, i):
-        return False
-
-    def eval_counter(self, shared, rec, pc_others):
+    def eval(self, shared, rec, i, occ, n):
         return False
 
 
@@ -101,11 +94,8 @@ class GFalse(Guard):
 class GNot(Guard):
     inner: Guard
 
-    def eval(self, shared, locs, i):
-        return not self.inner.eval(shared, locs, i)
-
-    def eval_counter(self, shared, rec, pc_others):
-        return not self.inner.eval_counter(shared, rec, pc_others)
+    def eval(self, shared, rec, i, occ, n):
+        return not self.inner.eval(shared, rec, i, occ, n)
 
 
 @dataclass(frozen=True)
@@ -113,13 +103,8 @@ class GAnd(Guard):
     left: Guard
     right: Guard
 
-    def eval(self, shared, locs, i):
-        return self.left.eval(shared, locs, i) and self.right.eval(shared, locs, i)
-
-    def eval_counter(self, shared, rec, pc_others):
-        return self.left.eval_counter(shared, rec, pc_others) and self.right.eval_counter(
-            shared, rec, pc_others
-        )
+    def eval(self, shared, rec, i, occ, n):
+        return self.left.eval(shared, rec, i, occ, n) and self.right.eval(shared, rec, i, occ, n)
 
 
 @dataclass(frozen=True)
@@ -127,13 +112,8 @@ class GOr(Guard):
     left: Guard
     right: Guard
 
-    def eval(self, shared, locs, i):
-        return self.left.eval(shared, locs, i) or self.right.eval(shared, locs, i)
-
-    def eval_counter(self, shared, rec, pc_others):
-        return self.left.eval_counter(shared, rec, pc_others) or self.right.eval_counter(
-            shared, rec, pc_others
-        )
+    def eval(self, shared, rec, i, occ, n):
+        return self.left.eval(shared, rec, i, occ, n) or self.right.eval(shared, rec, i, occ, n)
 
 
 @dataclass(frozen=True)
@@ -143,10 +123,7 @@ class SharedEq(Guard):
     slot: int
     value: int
 
-    def eval(self, shared, locs, i):
-        return shared[self.slot] == self.value
-
-    def eval_counter(self, shared, rec, pc_others):
+    def eval(self, shared, rec, i, occ, n):
         return shared[self.slot] == self.value
 
 
@@ -157,10 +134,7 @@ class LocalEq(Guard):
     slot: int
     value: int
 
-    def eval(self, shared, locs, i):
-        return locs[i][1 + self.slot] == self.value
-
-    def eval_counter(self, shared, rec, pc_others):
+    def eval(self, shared, rec, i, occ, n):
         return rec[1 + self.slot] == self.value
 
 
@@ -170,22 +144,18 @@ class PidEqSelf(Guard):
 
     slot: int
 
-    def eval(self, shared, locs, i):
+    def eval(self, shared, rec, i, occ, n):
+        if i is None:
+            raise UnsupportedModelError("pid comparisons have no counter semantics")
         return shared[self.slot] == i
-
-    def eval_counter(self, shared, rec, pc_others):
-        raise UnsupportedModelError("pid comparisons have no counter semantics")
 
 
 @dataclass(frozen=True)
 class PidEqNone(Guard):
     slot: int
 
-    def eval(self, shared, locs, i):
-        return shared[self.slot] == len(locs)
-
-    def eval_counter(self, shared, rec, pc_others):
-        raise UnsupportedModelError("pid comparisons have no counter semantics")
+    def eval(self, shared, rec, i, occ, n):
+        return shared[self.slot] == n
 
 
 @dataclass(frozen=True)
@@ -194,11 +164,8 @@ class AllOthersNotAt(Guard):
 
     pc: int
 
-    def eval(self, shared, locs, i):
-        return all(rec[0] != self.pc for j, rec in enumerate(locs) if j != i)
-
-    def eval_counter(self, shared, rec, pc_others):
-        return pc_others[self.pc] == 0
+    def eval(self, shared, rec, i, occ, n):
+        return occ[self.pc] == (rec[0] == self.pc)
 
 
 @dataclass(frozen=True)
@@ -207,11 +174,8 @@ class ExistsOtherAt(Guard):
 
     pc: int
 
-    def eval(self, shared, locs, i):
-        return any(rec[0] == self.pc for j, rec in enumerate(locs) if j != i)
-
-    def eval_counter(self, shared, rec, pc_others):
-        return pc_others[self.pc] >= 1
+    def eval(self, shared, rec, i, occ, n):
+        return occ[self.pc] > (rec[0] == self.pc)
 
 
 # --------------------------------------------------------------------------
@@ -270,19 +234,17 @@ def command_branches(program, cmd, shared, rec, i):
     All right-hand sides read the pre-state; ``*`` assignments branch, with
     branches enumerated in increasing binary order of the assigned bits
     (star bits keyed by update position).  ``i`` is the acting process
-    index, only consulted by ``self`` values, so the counter abstraction
-    passes a dummy.
+    index, only consulted by ``self`` values; the counter abstraction
+    passes None.
     """
-    star_positions = [k for k, u in enumerate(cmd.updates) if u.value.tag == V_STAR]
     outcomes = []
-    for bits in product((0, 1), repeat=len(star_positions)):
-        star_bits = dict(zip(star_positions, bits))
-        new_shared = list(shared)
-        new_rec = list(rec)
+    for bits in product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)):
+        star_bits = iter(bits)
+        new_shared, new_rec = list(shared), list(rec)
         new_rec[0] = cmd.to_pc
-        for k, u in enumerate(cmd.updates):
+        for u in cmd.updates:
             if u.value.tag == V_STAR:
-                value = star_bits[k]
+                value = next(star_bits)
             else:
                 value = _resolve_value(u.value, program.n, shared, rec, i)
             if u.target == "shared":
@@ -410,6 +372,46 @@ class Program:
     def local_domain_size(self):
         return len(self.pc_names) * (2 ** len(self.local_names))
 
+    @cached_property
+    def table(self):
+        """The program's ``CommandTable``, built on first use."""
+        return CommandTable(self)
+
+
+class CommandTable:
+    """Per-program lookups for successor generation: ``by_pc[pc]`` lists
+    ``(j, guard)`` for the commands leaving ``pc`` in declaration order, and
+    ``effects`` memoizes ``command_branches``, whose outcome depends only on
+    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``."""
+
+    def __init__(self, program):
+        self.program = program
+        self.pid_free = not program.pid_slots
+        self.by_pc = tuple(
+            tuple((j, cmd.guard) for j, cmd in enumerate(program.commands) if cmd.from_pc == pc)
+            for pc in range(len(program.pc_names))
+        )
+        self._assigns_self = tuple(
+            any(u.value.tag == V_SELF for u in cmd.updates) for cmd in program.commands
+        )
+        self._effects = {}
+        self._counter_actions = {}
+
+    def effects(self, j, shared, rec, i):
+        """``command_branches`` of command ``j``, computed once per key."""
+        key = (j, shared, rec, i) if self._assigns_self[j] else (j, shared, rec)
+        out = self._effects.get(key)
+        if out is None:
+            cmd = self.program.commands[j]
+            out = self._effects[key] = tuple(command_branches(self.program, cmd, shared, rec, i))
+        return out
+
+    def counter_action(self, rec, j):
+        """The counter abstraction's action label ``"<record>/<j>"``, rendered once."""
+        if (rec, j) not in self._counter_actions:
+            self._counter_actions[rec, j] = f"{render_local(self.program, rec)}/{j}"
+        return self._counter_actions[rec, j]
+
 
 def initial_states(program):
     """The initial set; a singleton because all processes start identical."""
@@ -425,17 +427,21 @@ def successors(program, state, processes=None):
     ``processes`` (increasing indices) only those processes fire; the
     quotient passes one process per class of interchangeable processes.
     """
-    out = []
+    table = program.table
+    shared = state.shared
     locs = state.locals
+    n = program.n
+    occ = [0] * len(table.by_pc)
+    for rec in locs:
+        occ[rec[0]] += 1
+    out = []
     for i in range(len(locs)) if processes is None else processes:
         rec = locs[i]
-        for j, cmd in enumerate(program.commands):
-            if rec[0] != cmd.from_pc:
-                continue
-            if not cmd.guard.eval(state.shared, locs, i):
+        for j, guard in table.by_pc[rec[0]]:
+            if not guard.eval(shared, rec, i, occ, n):
                 continue
             action = f"{i}/{j}"
-            for new_shared, new_rec in command_branches(program, cmd, state.shared, rec, i):
+            for new_shared, new_rec in table.effects(j, shared, rec, i):
                 new_locals = locs[:i] + (new_rec,) + locs[i + 1 :]
                 out.append((action, GlobalState(new_shared, new_locals, state.pid_slots)))
     return out

@@ -9,6 +9,25 @@ from collections import deque
 from itertools import permutations, product
 
 from orbitmc import GlobalState, Permutation, apply
+from orbitmc.program import (
+    AllOthersNotAt,
+    ExistsOtherAt,
+    GAnd,
+    GFalse,
+    GNot,
+    GOr,
+    GTrue,
+    LocalEq,
+    PidEqNone,
+    PidEqSelf,
+    SharedEq,
+    V_CONST,
+    V_LOCAL,
+    V_NONE,
+    V_SELF,
+    V_SHARED,
+    V_STAR,
+)
 
 
 def mutex_reachable_states(n):
@@ -92,3 +111,79 @@ def shortest_distance(structure, sources, targets):
                 dist[t] = dist[s] + 1
                 queue.append(t)
     return None
+
+
+def guard_by_definition(guard, state, i):
+    """A guard AST read by its definition for process ``i``, scanning the
+    other processes' records for the "other process" atoms."""
+    shared, locs = state.shared, state.locals
+    kind = type(guard)
+    if kind is GTrue:
+        return True
+    if kind is GFalse:
+        return False
+    if kind is GNot:
+        return not guard_by_definition(guard.inner, state, i)
+    if kind is GAnd:
+        return guard_by_definition(guard.left, state, i) and guard_by_definition(guard.right, state, i)
+    if kind is GOr:
+        return guard_by_definition(guard.left, state, i) or guard_by_definition(guard.right, state, i)
+    if kind is SharedEq:
+        return shared[guard.slot] == guard.value
+    if kind is LocalEq:
+        return locs[i][1 + guard.slot] == guard.value
+    if kind is PidEqSelf:
+        return shared[guard.slot] == i
+    if kind is PidEqNone:
+        return shared[guard.slot] == len(locs)
+    if kind is AllOthersNotAt:
+        return all(rec[0] != guard.pc for k, rec in enumerate(locs) if k != i)
+    if kind is ExistsOtherAt:
+        return any(rec[0] == guard.pc for k, rec in enumerate(locs) if k != i)
+    raise TypeError(f"no definition for guard {guard!r}")
+
+
+def successors_by_definition(program, state, processes=None):
+    """Every (action, state) one step away, from the language's definition.
+
+    Processes in index order, commands in declaration order; the k star
+    updates of a command branch over the numbers 0 .. 2^k - 1, the first
+    star update taking the most significant bit; every right-hand side
+    reads the pre-state.
+    """
+    shared, locs, n = state.shared, state.locals, state.n
+    out = []
+    for i in range(n) if processes is None else processes:
+        rec = locs[i]
+        for j, cmd in enumerate(program.commands):
+            if rec[0] != cmd.from_pc or not guard_by_definition(cmd.guard, state, i):
+                continue
+            stars = [k for k, u in enumerate(cmd.updates) if u.value.tag == V_STAR]
+            for number in range(2 ** len(stars)):
+                new_shared = list(shared)
+                new_rec = [cmd.to_pc] + list(rec[1:])
+                for k, u in enumerate(cmd.updates):
+                    tag, arg = u.value.tag, u.value.arg
+                    if tag == V_STAR:
+                        value = (number >> (len(stars) - 1 - stars.index(k))) & 1
+                    elif tag == V_SELF:
+                        value = i
+                    elif tag == V_NONE:
+                        value = n
+                    elif tag == V_SHARED:
+                        value = shared[arg]
+                    elif tag == V_LOCAL:
+                        value = rec[1 + arg]
+                    elif tag == V_CONST:
+                        value = arg
+                    else:
+                        raise TypeError(f"no definition for value {u.value!r}")
+                    if u.target == "shared":
+                        new_shared[u.slot] = value
+                    else:
+                        new_rec[1 + u.slot] = value
+                new_locals = list(locs)
+                new_locals[i] = tuple(new_rec)
+                successor = GlobalState(tuple(new_shared), tuple(new_locals), state.pid_slots)
+                out.append((f"{i}/{j}", successor))
+    return out

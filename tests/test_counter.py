@@ -172,6 +172,17 @@ def test_counter_refuses_pid_programs():
     assert "grant" in str(err.value)
 
 
+def test_counter_successors_refuses_pid_programs_directly():
+    # without the entry check, `grant == none` and `grant := self` would be
+    # evaluated against a counter state that has no process identities
+    program = builtin_example("allocator", 3)
+    none = program.none_value
+    for cstate in (counts((1, 3), shared=(none,)), counts((0, 2), (2, 1), shared=(0,))):
+        with pytest.raises(UnsupportedModelError) as err:
+            counter_successors(program, cstate)
+        assert "grant" in str(err.value)
+
+
 def test_counter_build_is_deterministic():
     program = builtin_example("mutex", 5)
     one = build_counter_structure(program)

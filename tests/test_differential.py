@@ -20,6 +20,8 @@ from orbitmc import (
     check,
     check_bisimulation,
     check_isomorphism,
+    counter_successors,
+    from_counter,
     full_symmetric,
     generated_group,
     orbit,
@@ -29,6 +31,7 @@ from orbitmc import (
     processes_to_fire,
     rotation,
     successors,
+    to_counter,
 )
 from orbitmc.program import (
     AllOthersNotAt,
@@ -49,7 +52,10 @@ from orbitmc.program import (
     V_LOCAL,
     V_SHARED,
     V_STAR,
+    render_local,
 )
+
+from oracles import successors_by_definition
 
 
 def random_guard(rng, num_pcs, num_shared, num_locals, depth=2):
@@ -384,3 +390,85 @@ def test_generated_subgroup_still_fires_every_process(seed):
     full.totalize("self-loop")
     quotient.structure.totalize("self-loop")
     assert check_bisimulation(full, quotient), seed
+
+
+# -- the successor kernel against the language's definition --
+
+
+def counter_successors_by_definition(program, cstate):
+    """The definition's successors of the sorted concretization, fired by
+    the first process of each record and mapped through ``to_counter``."""
+    state = from_counter(cstate)
+    locs = state.locals
+    heads = [i for i, rec in enumerate(locs) if i == 0 or locs[i - 1] != rec]
+    out = []
+    for action, t in successors_by_definition(program, state, heads):
+        i, j = action.split("/")
+        out.append((f"{render_local(program, locs[int(i)])}/{j}", to_counter(t)))
+    return out
+
+
+def assert_kernel_matches_definition(program):
+    """``successors`` and ``counter_successors`` against the oracle on every
+    reachable state: same list, same order, same actions."""
+    full = build_full_structure(program, state_bound=50_000)
+    odd = tuple(range(1, program.n, 2))
+    for sid in full.states():
+        state = full.payload(sid)
+        assert successors(program, state) == successors_by_definition(program, state)
+        assert successors(program, state, odd) == successors_by_definition(program, state, odd)
+    if program.pid_slots:
+        return
+    counter = build_counter_structure(program, state_bound=50_000)
+    for cid in counter.states():
+        cstate = counter.payload(cid)
+        expected = counter_successors_by_definition(program, cstate)
+        assert counter_successors(program, cstate) == expected, (program.name, cstate)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_definition_on_random_programs(seed):
+    rng = random.Random(5000 + seed)
+    assert_kernel_matches_definition(random_program(rng, rng.randint(2, 5)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_definition_on_random_pid_programs(seed):
+    rng = random.Random(7000 + seed)
+    assert_kernel_matches_definition(random_pid_program(rng, rng.randint(2, 3)))
+
+
+STAR_AND_SELF = """
+processes 3;
+shared g : pid;
+shared b : bool;
+local x : bool;
+pc {A, B};
+init pc=A, g=none, b=0, x=0;
+A -> B : true / g := self, b := *, x := *;
+B -> A : g == self / g := none, x := b;
+B -> B : !(g == self) & exists_other(pc == B) / b := *;
+label bad := count(pc=B) >= 3;
+"""
+
+
+def test_effect_memo_neither_aliases_nor_leaks_between_processes():
+    program = parse_program(STAR_AND_SELF, name="star-and-self:3")
+    first = build_full_structure(program)
+    # the second build reads every effect from the memo the first one filled
+    second = build_full_structure(program)
+    fresh = build_full_structure(parse_program(STAR_AND_SELF, name="star-and-self:3"))
+    payloads = [first.payload(s) for s in first.states()]
+    assert payloads == [second.payload(s) for s in second.states()]
+    assert payloads == [fresh.payload(s) for s in fresh.states()]
+    assert list(first.edges()) == list(second.edges()) == list(fresh.edges())
+    for state in payloads:
+        assert successors(program, state) == successors_by_definition(program, state)
+
+    # from the initial state, every process claims g for itself, under all
+    # four star branches, although all three fire from the same record
+    init = program.initial_state()
+    claims = [(action, t.shared) for action, t in successors(program, init)]
+    assert claims == [(f"{i}/0", (i, b)) for i in range(3) for b in (0, 0, 1, 1)]
+    for i in range(3):
+        assert [t.locals[i][1] for _, t in successors(program, init, (i,))] == [0, 1, 0, 1]

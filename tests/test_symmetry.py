@@ -423,7 +423,7 @@ class _PidIsZero(Guard):
     def __init__(self, slot):
         self.slot = slot
 
-    def eval(self, shared, locals_, i):
+    def eval(self, shared, rec, i, occ, n):
         return shared[self.slot] == 0
 
 
