@@ -7,6 +7,12 @@ counting a concrete state lose exactly the same information, so the
 counter structure is isomorphic to the full-symmetry quotient, which
 ``check_isomorphism`` verifies structure against structure.
 
+A successor moves one unit of occupancy, so it is a splice of the sorted
+``(record, count)`` pairs: decrement or drop the firing entry, increment
+or insert the target entry at its sorted position.  That costs O(k) for k
+occupied records, the counts stay sorted by construction, and
+``CounterState`` validates them in one linear pass.
+
 The classic pitfall is the self-exclusion of "other process" guard atoms:
 all_others(pc != C) must not count the firing process.  The one guard
 evaluator (``Guard.eval``) reads per-pc totals of all n processes and each
@@ -15,6 +21,7 @@ such atom takes the firing record out itself, in every mode alike.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InternalError, UnsupportedModelError
@@ -24,16 +31,31 @@ from .program import GlobalState, atomic_props, labeling
 
 @dataclass(frozen=True)
 class CounterState:
-    """Shared valuation plus sorted (local record, count > 0) pairs."""
+    """Shared valuation plus (local record, count >= 1) pairs, records
+    strictly increasing; one occupancy vector has exactly one form.
+
+    Construction checks both conditions in one linear pass and caches the
+    hash, since every state is hashed several times while it is interned.
+    """
 
     shared: tuple
     counts: tuple
 
     def __post_init__(self):
-        if any(c < 1 for _, c in self.counts):
-            raise ValueError("counter states store only positive counts")
-        if list(self.counts) != sorted(self.counts):
-            raise ValueError("counts must be sorted by local record")
+        prev = None
+        for rec, c in self.counts:
+            if c < 1:
+                raise ValueError("counter states store only positive counts")
+            if prev is not None and not prev < rec:
+                # a zero count anywhere is reported before a disorder
+                if any(k < 1 for _, k in self.counts):
+                    raise ValueError("counter states store only positive counts")
+                raise ValueError("counts must be sorted by local record")
+            prev = rec
+        object.__setattr__(self, "_hash", hash((self.shared, self.counts)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self):
@@ -78,34 +100,59 @@ def from_counter(cstate):
     return GlobalState(cstate.shared, tuple(locs), ())
 
 
+def _move_one(counts, a, new_rec):
+    """``counts`` with one unit moved from entry ``a`` to ``new_rec``.
+
+    A splice of the sorted pairs: ``new_rec`` gains one unit at its sorted
+    position, found by bisection (``(new_rec,)`` sorts just before any
+    pair ``(new_rec, c)`` and after every smaller record), then entry ``a``
+    loses one and is dropped at zero.  The result is sorted without
+    sorting.
+    """
+    rec, c = counts[a]
+    if new_rec == rec:
+        return counts
+    out = list(counts)
+    b = bisect_left(counts, (new_rec,))
+    if b < len(counts) and counts[b][0] == new_rec:
+        out[b] = (new_rec, counts[b][1] + 1)
+    else:
+        out.insert(b, (new_rec, 1))
+        a += b <= a
+    if c > 1:
+        out[a] = (rec, c - 1)
+    else:
+        del out[a]
+    return tuple(out)
+
+
 def counter_successors(program, cstate):
     """All (action, counter state) pairs one step away.
 
     A command fires once per occupied source record.  The effect moves
     one unit of occupancy from the firing record to the updated one and
-    rewrites the shared valuation.  Action labels name the firing record
-    and command index.  Pid-typed programs raise ``UnsupportedModelError``.
+    rewrites the shared valuation; the new counts are spliced from the
+    old sorted ones in O(k) for k occupied records, so they come out
+    sorted by construction.  Guards, action labels (firing record and
+    command index) and outcomes come from the table's firing plan for
+    ``(shared, record)``.  Pid-typed programs raise
+    ``UnsupportedModelError``.
     """
     _require_pid_free(program)
     table = program.table
     shared = cstate.shared
-    counts = dict(cstate.counts)
+    counts = cstate.counts
+    n = program.n
     occ = [0] * len(table.by_pc)
-    for rec, c in cstate.counts:
+    for rec, c in counts:
         occ[rec[0]] += c
     out = []
-    for rec, _ in cstate.counts:
-        for j, guard in table.by_pc[rec[0]]:
-            if not guard.eval(shared, rec, None, occ, program.n):
+    for a, (rec, _) in enumerate(counts):
+        for guard, action, outcomes in table.counter_plan(shared, rec):
+            if not guard.eval(shared, rec, None, occ, n):
                 continue
-            action = table.counter_action(rec, j)
-            for new_shared, new_rec in table.effects(j, shared, rec, None):
-                moved = dict(counts)
-                moved[rec] -= 1
-                if moved[rec] == 0:
-                    del moved[rec]
-                moved[new_rec] = moved.get(new_rec, 0) + 1
-                out.append((action, CounterState(new_shared, tuple(sorted(moved.items())))))
+            for new_shared, new_rec in outcomes:
+                out.append((action, CounterState(new_shared, _move_one(counts, a, new_rec))))
     return out
 
 
@@ -114,9 +161,10 @@ def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
     n = program.n
 
     def label_counter(cstate):
-        if cstate.n != n:
+        concrete = from_counter(cstate)
+        if len(concrete.locals) != n:
             raise InternalError(f"occupancy lost a process: {cstate}")
-        return labeling(program, from_counter(cstate))
+        return labeling(program, concrete)
 
     return breadth_first_build(
         atomic_props(program),

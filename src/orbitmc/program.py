@@ -382,7 +382,8 @@ class CommandTable:
     """Per-program lookups for successor generation: ``by_pc[pc]`` lists
     ``(j, guard)`` for the commands leaving ``pc`` in declaration order, and
     ``effects`` memoizes ``command_branches``, whose outcome depends only on
-    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``."""
+    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``;
+    ``counter_plan`` bundles those per record for the counter abstraction."""
 
     def __init__(self, program):
         self.program = program
@@ -395,7 +396,7 @@ class CommandTable:
             any(u.value.tag == V_SELF for u in cmd.updates) for cmd in program.commands
         )
         self._effects = {}
-        self._counter_actions = {}
+        self._counter_plans = {}
 
     def effects(self, j, shared, rec, i):
         """``command_branches`` of command ``j``, computed once per key."""
@@ -406,11 +407,19 @@ class CommandTable:
             out = self._effects[key] = tuple(command_branches(self.program, cmd, shared, rec, i))
         return out
 
-    def counter_action(self, rec, j):
-        """The counter abstraction's action label ``"<record>/<j>"``, rendered once."""
-        if (rec, j) not in self._counter_actions:
-            self._counter_actions[rec, j] = f"{render_local(self.program, rec)}/{j}"
-        return self._counter_actions[rec, j]
+    def counter_plan(self, shared, rec):
+        """The counter abstraction's firing plan for a record, built once
+        per ``(shared, rec)``: ``(guard, action, outcomes)`` for each command
+        leaving ``rec[0]``, with action ``"<record>/<j>"`` and outcomes
+        ``effects(j, shared, rec, None)``."""
+        plan = self._counter_plans.get((shared, rec))
+        if plan is None:
+            label = render_local(self.program, rec)
+            plan = self._counter_plans[shared, rec] = tuple(
+                (guard, f"{label}/{j}", self.effects(j, shared, rec, None))
+                for j, guard in self.by_pc[rec[0]]
+            )
+        return plan
 
 
 def initial_states(program):

@@ -286,6 +286,79 @@ def test_examples_with_n():
     assert "processes 7;" in out
 
 
+# -- golden counter-mode output: action order and action text ----------------------
+
+GOLDEN_COUNTER_DOT = """\
+digraph M {
+  0 [label="[T,T,T] {init}", peripheries=2];
+  1 [label="[T,T,W]"];
+  2 [label="[T,W,W]"];
+  3 [label="[T,T,C]"];
+  4 [label="[W,W,W]"];
+  5 [label="[T,W,C]"];
+  6 [label="[W,W,C]"];
+  0 -> 1 [label="T/0"];
+  1 -> 2 [label="T/0"];
+  1 -> 3 [label="W/1"];
+  2 -> 4 [label="T/0"];
+  2 -> 5 [label="W/1"];
+  3 -> 0 [label="C/2"];
+  3 -> 5 [label="T/0"];
+  4 -> 6 [label="W/1"];
+  5 -> 1 [label="C/2"];
+  5 -> 6 [label="T/0"];
+  6 -> 2 [label="C/2"];
+}
+"""
+
+GOLDEN_COUNTER_CHECK = """\
+{
+  "tool_version": "0.1.0",
+  "command": "check",
+  "model": "broken-mutex:3",
+  "mode": "counter",
+  "verdict": "fails",
+  "stats": {
+    "states_reached": 10,
+    "edges": 18,
+    "deadlocks": 0,
+    "frontier_peak": 3,
+    "bad_reached": true
+  },
+  "counterexample": {
+    "states": [
+      "[T,T,T]",
+      "[T,T,W]",
+      "[T,W,W]",
+      "[T,W,C]",
+      "[T,C,C]"
+    ],
+    "actions": [
+      "2/0",
+      "1/0",
+      "2/1",
+      "1/1"
+    ]
+  }
+}
+"""
+
+
+def test_counter_mode_export_dot_is_pinned():
+    code, out, _ = invoke("export-dot", "--builtin", "mutex:3", "--mode", "counter")
+    assert code == 0
+    assert out == GOLDEN_COUNTER_DOT
+
+
+def test_counter_mode_check_report_is_pinned():
+    code, out, _ = invoke(
+        "check", "--builtin", "broken-mutex:3", "--mode", "counter", "--prop", "AG !bad", "--json"
+    )
+    assert code == 1
+    kept = [line for line in out.splitlines(keepends=True) if '"duration_ms"' not in line]
+    assert "".join(kept) == GOLDEN_COUNTER_CHECK
+
+
 # -- determinism of reports --------------------------------------------------------
 
 

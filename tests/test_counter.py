@@ -88,6 +88,112 @@ def test_counter_state_validation():
         CounterState((), (((1,), 1), ((0,), 1)))
 
 
+def test_counter_state_rejects_duplicate_records():
+    # two forms of one occupancy vector would compare unequal and split a state
+    with pytest.raises(ValueError, match="sorted"):
+        CounterState((), (((0,), 1), ((0,), 2)))
+    with pytest.raises(ValueError, match="sorted"):
+        CounterState((0,), (((0, 0), 1), ((1, 0), 1), ((1, 0), 1)))
+
+
+def test_counter_state_validation_reports_a_zero_count_first():
+    with pytest.raises(ValueError, match="positive"):
+        CounterState((), (((1,), 1), ((0,), 1), ((2,), 0)))
+
+
+# -- the one-unit splice -----------------------------------------------------------
+
+MOVER = "processes {n}; shared g : bool; pc {{A,B,C,D}}; init pc=A, g=0; {cmds}"
+A, B, C, D = range(4)
+
+
+def mover(*cmds, n=3):
+    return parse_program(MOVER.format(n=n, cmds=" ".join(f"{c} : true / ;" for c in cmds)))
+
+
+def test_splice_shared_only_command_keeps_counts():
+    program = parse_program(MOVER.format(n=3, cmds="B -> B : true / g := 1;"))
+    before = counts((A, 1), (B, 2), shared=(0,))
+    [(action, after)] = counter_successors(program, before)
+    assert action == "B/0"
+    assert after == counts((A, 1), (B, 2), shared=(1,))
+    assert after.counts == before.counts
+
+
+def test_splice_drops_the_entry_of_the_last_leaving_unit():
+    program = mover("B -> C")
+    assert counter_successors(program, counts((B, 1), (C, 1), shared=(0,))) == [
+        ("B/0", counts((C, 2), shared=(0,)))
+    ]
+    assert counter_successors(program, counts((A, 1), (B, 1), (D, 1), shared=(0,))) == [
+        ("B/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
+    ]
+
+
+def test_splice_inserts_a_new_record_at_the_front():
+    program = mover("D -> A")
+    assert counter_successors(program, counts((B, 1), (D, 2), shared=(0,))) == [
+        ("D/0", counts((A, 1), (B, 1), (D, 1), shared=(0,)))
+    ]
+    assert counter_successors(program, counts((C, 1), (D, 1), shared=(0,))) == [
+        ("D/0", counts((A, 1), (C, 1), shared=(0,)))
+    ]
+
+
+def test_splice_inserts_a_new_record_in_the_middle():
+    # from a record before the gap, and from one after it
+    assert counter_successors(mover("A -> C"), counts((A, 2), (D, 1), shared=(0,))) == [
+        ("A/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
+    ]
+    assert counter_successors(mover("D -> B"), counts((A, 1), (C, 1), (D, 1), shared=(0,))) == [
+        ("D/0", counts((A, 1), (B, 1), (C, 1), shared=(0,)))
+    ]
+
+
+def test_splice_inserts_a_new_record_at_the_end():
+    program = mover("A -> D")
+    assert counter_successors(program, counts((A, 1), (B, 2), shared=(0,))) == [
+        ("A/0", counts((B, 2), (D, 1), shared=(0,)))
+    ]
+    assert counter_successors(program, counts((A, 3), shared=(0,))) == [
+        ("A/0", counts((A, 2), (D, 1), shared=(0,)))
+    ]
+
+
+def test_splice_increments_an_existing_record():
+    assert counter_successors(mover("B -> D"), counts((B, 2), (D, 1), shared=(0,))) == [
+        ("B/0", counts((B, 1), (D, 2), shared=(0,)))
+    ]
+    assert counter_successors(mover("D -> A"), counts((A, 1), (C, 1), (D, 1), shared=(0,))) == [
+        ("D/0", counts((A, 2), (C, 1), shared=(0,)))
+    ]
+
+
+def test_splice_keeps_records_with_locals_in_order():
+    program = parse_program(
+        "processes 4; local x : bool; pc {A,B}; init pc=A, x=0;"
+        " A -> B : true / x := 1; B -> A : true / x := 0;"
+    )
+    before = CounterState((), (((0, 0), 2), ((0, 1), 1), ((1, 1), 1)))
+    assert counter_successors(program, before) == [
+        ("A(x=0)/0", CounterState((), (((0, 0), 1), ((0, 1), 1), ((1, 1), 2)))),
+        ("A(x=1)/0", CounterState((), (((0, 0), 2), ((1, 1), 2)))),
+        ("B(x=1)/1", CounterState((), (((0, 0), 3), ((0, 1), 1)))),
+    ]
+
+
+def test_cached_hash_agrees_with_equality():
+    program = mover("A -> C")
+    [(_, spliced)] = counter_successors(program, counts((A, 2), (D, 1), shared=(0,)))
+    built = CounterState((0,), (((A,), 1), ((C,), 1), ((D,), 1)))
+    abstracted = to_counter(GlobalState((0,), ((D,), (A,), (C,))))
+    assert spliced == built == abstracted
+    assert hash(spliced) == hash(built) == hash(abstracted)
+    table = {spliced: "found"}
+    assert table[built] == "found" and table[abstracted] == "found"
+    assert counts((A, 1), (C, 1), (D, 1), shared=(1,)) not in table
+
+
 # -- guard evaluation against decremented counts -------------------------------
 
 

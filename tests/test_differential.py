@@ -29,7 +29,9 @@ from orbitmc import (
     parse_program,
     pinned_processes,
     processes_to_fire,
+    rep_sort,
     rotation,
+    sat_set,
     successors,
     to_counter,
 )
@@ -169,6 +171,57 @@ def test_three_representations_agree_on_random_programs(seed):
             check(quotient.structure, formula).holds,
             check(counter, formula).holds,
         }
+        assert len(verdicts) == 1, (seed, text)
+
+
+# -- random CTL formulas: verdicts and sat sets across the three modes --
+
+CTL_UNARY = ("!", "EX", "AX", "EF", "AF", "EG", "AG")
+CTL_BINARY = ("&", "|", "->")
+CTL_UNTIL = ("E", "A")
+CTL_OPERATORS = CTL_UNARY + CTL_BINARY + CTL_UNTIL
+
+
+def random_ctl(rng, atoms, depth, op=None):
+    """Surface CTL text nested ``depth`` operators deep over ``atoms``;
+    ``op`` fixes the outermost operator."""
+    if depth == 0:
+        return rng.choice(atoms)
+    op = op or rng.choice(CTL_OPERATORS)
+    sub = lambda: random_ctl(rng, atoms, rng.randrange(depth), None)
+    if op in CTL_UNARY:
+        return f"{op} ({sub()})"
+    if op in CTL_BINARY:
+        return f"({sub()}) {op} ({sub()})"
+    return f"{op}[{sub()} U {sub()}]"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_ctl_formulas_agree_across_modes(seed):
+    rng = random.Random(1000 + seed)
+    n = rng.randint(2, 4)
+    program = random_program(rng, n)
+    full = build_full_structure(program, state_bound=50_000)
+    quotient = build_quotient(program, state_bound=50_000).structure
+    counter = build_counter_structure(program, state_bound=50_000)
+    for structure in (full, quotient, counter):
+        structure.totalize("self-loop")
+    full_reps = {sid: rep_sort(full.payload(sid)) for sid in full.states()}
+    counter_reps = {cid: from_counter(counter.payload(cid)) for cid in counter.states()}
+
+    atoms = ["init"] + [name for name, _ in program.label_defs]
+    # every surface operator once at the top, random ones below it
+    for op in CTL_OPERATORS:
+        text = random_ctl(rng, atoms, 3, op)
+        formula = parse_ctl(text)
+        quotient_sat = {quotient.payload(q) for q in sat_set(quotient, formula)}
+        full_sat = sat_set(full, formula)
+        counter_sat = sat_set(counter, formula)
+        for sid, rep in full_reps.items():
+            assert (sid in full_sat) == (rep in quotient_sat), (seed, text, full.payload(sid))
+        for cid, rep in counter_reps.items():
+            assert (cid in counter_sat) == (rep in quotient_sat), (seed, text, rep)
+        verdicts = {check(s, formula).holds for s in (full, quotient, counter)}
         assert len(verdicts) == 1, (seed, text)
 
 
