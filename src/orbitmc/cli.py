@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .counter import build_counter_structure, from_counter
+from .counter import from_counter
 from .ctl import atoms, check, lift_counterexample, parse_ctl
 from .errors import (
     CheckerError,
@@ -31,11 +31,11 @@ from .errors import (
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .explore import MODES, _any_bad, _run_mode, compare_modes, reach
+from .explore import MODES, compare_modes, explore
 from .kripke import DEFAULT_STATE_BOUND, Path
-from .program import build_full_structure, render_state
+from .program import atomic_props, render_state
 from .parser import BUILTIN_NAMES, builtin_example, builtin_source, parse_program
-from .quotient import build_quotient
+from .quotient import _orbit_sizes
 
 BOUND_ENV_VAR = "ORBITMC_BOUND"
 
@@ -133,7 +133,7 @@ def load_program(config):
     """The program plus its display name for reports."""
     if config.builtin is not None:
         name, sep, count = config.builtin.partition(":")
-        if not sep or not count.isdigit() or int(count) < 1:
+        if not sep or not count.isdecimal() or int(count) < 1:
             raise UsageError(f"builtin models are NAME:N with N >= 1, got {config.builtin!r}")
         if name not in BUILTIN_NAMES:
             raise UsageError(
@@ -155,21 +155,10 @@ def effective_bound(config):
         return config.bound
     env = os.environ.get(BOUND_ENV_VAR)
     if env:
-        if not env.isdigit() or int(env) < 1:
+        if not env.isdecimal() or int(env) < 1:
             raise UsageError(f"{BOUND_ENV_VAR} must be a positive integer, got {env!r}")
         return int(env)
     return DEFAULT_STATE_BOUND
-
-
-def build_structure_for_mode(program, mode, bound):
-    if mode == "full":
-        return build_full_structure(program, bound), None
-    if mode == "quotient":
-        quotient = build_quotient(program, state_bound=bound)
-        return quotient.structure, quotient
-    if mode == "counter":
-        return build_counter_structure(program, bound), None
-    raise UsageError(f"unknown mode {mode!r}")
 
 
 def _stats_dict(stats):
@@ -229,22 +218,21 @@ def _concretize_path(program, mode, structure, path):
 def run_check(config, out):
     program, model_name = load_program(config)
     bound = effective_bound(config)
-    started = time.perf_counter()
-    structure, build_stats = _run_mode(program, config.mode, bound, stop_at_bad=False)
-    structure.totalize("self-loop")
     formula = parse_ctl(config.prop)
-    unknown = sorted(atoms(formula) - structure.props().keys())
+    unknown = sorted(atoms(formula) - {prop.name for prop in atomic_props(program)})
     if unknown:
         raise UsageError(f"unknown atomic proposition {unknown[0]!r}")
+    started = time.perf_counter()
+    structure, stats = explore(program, config.mode, bound)
+    structure.totalize("self-loop")
     result = check(structure, formula)
-    build_stats.duration_ms = (time.perf_counter() - started) * 1000.0
-    build_stats.bad_reached = _any_bad(structure)
+    stats.duration_ms = (time.perf_counter() - started) * 1000.0
 
     report = _report_head(config, model_name)
     if config.fmt == "text":
         report["property"] = config.prop
     report["verdict"] = result.verdict
-    report["stats"] = _stats_dict(build_stats)
+    report["stats"] = _stats_dict(stats)
     if result.counterexample is not None:
         concrete = _concretize_path(program, config.mode, structure, result.counterexample)
         report["counterexample"] = {
@@ -258,7 +246,7 @@ def run_check(config, out):
 def run_reach(config, out):
     program, model_name = load_program(config)
     bound = effective_bound(config)
-    _, stats = reach(program, config.mode, bound, stop_at_bad=config.stop_at_bad)
+    _, stats = explore(program, config.mode, bound, stop_at_bad=config.stop_at_bad)
     report = _report_head(config, model_name)
     report["stats"] = _stats_dict(stats)
     _emit(config, report, out)
@@ -287,8 +275,10 @@ def run_compare(config, out):
 
 def run_export_dot(config, out):
     program, _ = load_program(config)
-    bound = effective_bound(config)
-    structure, _ = build_structure_for_mode(program, config.mode, bound)
+    structure, _ = explore(program, config.mode, effective_bound(config))
+    if config.mode == "quotient":
+        # a quotient export certifies every orbit size, as build_quotient does
+        _orbit_sizes(program, structure)
     if config.mode == "counter":
         renderer = lambda c: render_state(program, from_counter(c))
     else:

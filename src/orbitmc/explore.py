@@ -1,10 +1,13 @@
-"""Unified reachability over the full, quotient and counter representations.
+"""Unified exploration over the full, quotient and counter representations.
 
-``reach`` runs one breadth-first exploration in the chosen representation
-and reports statistics; ``compare_modes`` runs every applicable mode on
-one program and reports the state-count reduction the canonicalized modes
-achieve over the unreduced graph.  Everything is sequential and
-deterministic: identical inputs give identical reached sets and counts.
+``explore`` is the one place a mode name picks a builder: it runs one
+breadth-first exploration in the chosen representation and returns the
+structure with its ``ExplorationStats``.  Every CLI subcommand builds
+through it.  ``reach`` wraps it for callers that want the reached
+payloads; ``compare_modes`` runs every applicable mode on one program and
+reports the state-count reduction the canonicalized modes achieve over
+the unreduced graph.  Everything is sequential and deterministic:
+identical inputs give identical structures and counts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from .kripke import DEFAULT_STATE_BOUND
 from .program import _build_full
 from .quotient import _build_quotient
 
-MODES = ("full", "quotient", "counter")
+_BUILDERS = {"full": _build_full, "quotient": _build_quotient, "counter": _build_counter}
+MODES = tuple(_BUILDERS)
 
 
 @dataclass
@@ -35,45 +39,26 @@ class ExplorationStats:
     reduction_factor: float | None = None
 
 
-def _run_mode(program, mode, state_bound, stop_at_bad):
-    if mode == "full":
-        structure, stats = _build_full(program, state_bound, stop_at_bad)
-    elif mode == "quotient":
-        structure, stats, _, _ = _build_quotient(
-            program, state_bound=state_bound, stop_at_bad=stop_at_bad
-        )
-    elif mode == "counter":
-        structure, stats = _build_counter(program, state_bound, stop_at_bad)
-    else:
+def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
+    """Build the structure of one representation; returns (structure, stats).
+
+    ``stats.bad_reached`` says whether a state labeled ``bad`` was
+    inserted.  With ``stop_at_bad`` the worklist halts at the first such
+    state and the structure is the partial one seen so far.
+    """
+    if mode not in _BUILDERS:
         raise ValueError(f"unknown mode {mode!r} (have {', '.join(MODES)})")
-    return structure, stats
+    structure, built = _BUILDERS[mode](program, state_bound, stop_at_bad)
+    return structure, ExplorationStats(
+        mode, built.states_reached, built.edges, built.deadlocks,
+        built.frontier_peak, built.duration_ms, built.bad_reached,
+    )
 
 
 def reach(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
-    """Explore in one representation; returns (reached payloads, stats).
-
-    With ``stop_at_bad`` the worklist halts as soon as a bad-labeled
-    state is inserted and the reached set is the partial one seen so far.
-    bad states are recognized by the designated label ``bad``.
-    """
-    structure, bstats = _run_mode(program, mode, state_bound, stop_at_bad)
-    reached = frozenset(structure.payload(sid) for sid in structure.states())
-    stats = ExplorationStats(
-        mode=mode,
-        states_reached=bstats.states_reached,
-        edges=bstats.edges,
-        deadlocks=bstats.deadlocks,
-        frontier_peak=bstats.frontier_peak,
-        duration_ms=bstats.duration_ms,
-        bad_reached=bstats.bad_reached or _any_bad(structure),
-    )
-    return reached, stats
-
-
-def _any_bad(structure):
-    if not structure.has_prop("bad"):
-        return False
-    return any("bad" in structure.label_of(sid) for sid in structure.states())
+    """Explore in one representation; returns (reached payloads, stats)."""
+    structure, stats = explore(program, mode, state_bound, stop_at_bad)
+    return frozenset(map(structure.payload, structure.states())), stats
 
 
 @dataclass
@@ -97,6 +82,8 @@ def compare_modes(program, state_bound=DEFAULT_STATE_BOUND):
     unsupported = {}
     for mode in MODES:
         try:
+            # via reach, not explore: tests/test_internal_errors.py patches reach
+            # to plant a counter/quotient disagreement
             _, mode_stats = reach(program, mode, state_bound)
         except UnsupportedModelError as exc:
             unsupported[mode] = str(exc)

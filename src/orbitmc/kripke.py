@@ -316,9 +316,10 @@ def breadth_first_build(
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
     deterministic order; insertion order then fixes state numbering, so
-    two runs over the same inputs produce identical structures.  With
-    ``stop_at_bad`` the loop halts as soon as a state carrying
-    ``bad_label`` is inserted, leaving a partial structure.
+    two runs over the same inputs produce identical structures.
+    ``stats.bad_reached`` records whether a state carrying ``bad_label``
+    was inserted; with ``stop_at_bad`` the loop halts at the first such
+    state, leaving a partial structure.
 
     Initial payloads get the designated ``init`` label on top of whatever
     ``labeler`` assigns, keeping labels a pure function of the payload
@@ -352,18 +353,18 @@ def breadth_first_build(
             labels |= {INIT_PROP.name}
         sid = structure.add_state(payload, labels, initial=initial)
         queue.append(sid)
-        if stop_at_bad and bad_label in labels:
+        if bad_label in labels:
             stats.bad_reached = True
         return sid
 
     for payload in initial_payloads:
         if payload not in index:
             insert(payload)
-            if stats.bad_reached:
+            if stop_at_bad and stats.bad_reached:
                 break
     stats.frontier_peak = len(queue)
 
-    while queue and not stats.bad_reached:
+    while queue and not (stop_at_bad and stats.bad_reached):
         sid = queue.popleft()
         succs = expand(structure.payload(sid))
         if not succs:
@@ -373,7 +374,7 @@ def breadth_first_build(
             if tid is None:
                 tid = insert(target)
             structure.add_edge(sid, action, tid)
-            if stats.bad_reached:
+            if stop_at_bad and stats.bad_reached:
                 break
         stats.frontier_peak = max(stats.frontier_peak, len(queue))
 

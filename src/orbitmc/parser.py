@@ -112,9 +112,9 @@ def _tokenize(text):
             while pos < len(text) and text[pos] != "\n":
                 pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
             tokens.append(_Token("int", int(text[start:pos]), line, col))
             col += pos - start

@@ -49,10 +49,7 @@ class QuotientStructure:
     rep_mode: str  # "sort" | "min-over-group"
     program: object
     group: object
-    _rep_fn: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._rep_fn, _ = representative_fn(self.program, self.group)
+    _rep_fn: object = field(repr=False, compare=False)
 
     def rep(self, state):
         return self._rep_fn(state)
@@ -95,20 +92,47 @@ def _expand_canonical(program, rep_fn, group):
     return expand
 
 
-def _build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
+def _build_quotient(
+    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None
+):
+    """Explore the quotient; (structure, stats).  ``group`` defaults to
+    Sym(n) and ``rep_fn`` to the group's ``representative_fn``."""
     if group is None:
         group = full_symmetric(program.n)
-    rep_fn, rep_mode = representative_fn(program, group)
-    init_rep = rep_fn(program.initial_state())
-    structure, stats = breadth_first_build(
+    if rep_fn is None:
+        rep_fn, _ = representative_fn(program, group)
+    return breadth_first_build(
         atomic_props(program),
-        [init_rep],
+        [rep_fn(program.initial_state())],
         _expand_canonical(program, rep_fn, group),
         lambda s: labeling(program, s),
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
     )
-    return structure, stats, group, rep_mode
+
+
+def _orbit_sizes(program, structure, group=None):
+    """Orbit size per state id of a quotient structure.
+
+    Under Sym(n) sizes come from the closed form of ``orbit_size_sorted``;
+    only generated subgroups enumerate each orbit.  Every orbit size
+    divides n!, the group being a subgroup of Sym(n); one that does not
+    is an internal fault.
+    """
+    if group is None:
+        group = full_symmetric(program.n)
+    sizes = {}
+    nfact = math.factorial(program.n)
+    for sid in structure.states():
+        payload = structure.payload(sid)
+        if group.kind == "full-symmetric":
+            size = orbit_size_sorted(program, payload)
+        else:
+            size = len(orbit(group, payload))
+        if nfact % size != 0:
+            raise InternalError(f"orbit size {size} does not divide {program.n}!")
+        sizes[sid] = size
+    return sizes
 
 
 def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
@@ -122,24 +146,14 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     process.  Edge actions keep the index of the fired process in the
     expanded representative; those indices are representative-relative.
     Representatives come from the pinned sort under Sym(n) (see
-    ``symmetry``) and their orbit sizes from the closed form of
-    ``orbit_size_sorted``; only generated subgroups enumerate each orbit.
-    Every orbit size divides n!, the group being a subgroup of Sym(n); one
-    that does not is an internal fault.
+    ``symmetry``); orbit sizes from ``_orbit_sizes``.
     """
-    structure, _, group, rep_mode = _build_quotient(program, group, state_bound)
-    orbit_sizes = {}
-    nfact = math.factorial(program.n)
-    for sid in structure.states():
-        payload = structure.payload(sid)
-        if group.kind == "full-symmetric":
-            size = orbit_size_sorted(program, payload)
-        else:
-            size = len(orbit(group, payload))
-        if nfact % size != 0:
-            raise InternalError(f"orbit size {size} does not divide {program.n}!")
-        orbit_sizes[sid] = size
-    return QuotientStructure(structure, orbit_sizes, rep_mode, program, group)
+    if group is None:
+        group = full_symmetric(program.n)
+    rep_fn, rep_mode = representative_fn(program, group)
+    structure, _ = _build_quotient(program, state_bound, group=group, rep_fn=rep_fn)
+    sizes = _orbit_sizes(program, structure, group)
+    return QuotientStructure(structure, sizes, rep_mode, program, group, rep_fn)
 
 
 def check_symmetric_labeling(program, sample, group=None):

@@ -134,6 +134,32 @@ def test_bound_exceeded_is_resource_error():
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("prop", ["AG !(", "AG !nosuch"])
+def test_property_is_validated_before_exploration(prop):
+    # mutex:8 exceeds a bound of 5 states: only an early check reports the property error
+    code, _, err = invoke("check", "--builtin", "mutex:8", "--prop", prop, "--bound", "5")
+    assert code == 2
+    assert "resource limit" not in err
+
+
+@pytest.mark.parametrize("where", ["builtin", "env", "model"])
+def test_superscript_digit_is_usage_error(where, tmp_path, monkeypatch):
+    # "²".isdigit() holds but int("²") fails
+    argv = ["check", "--builtin", "mutex:2", "--prop", "AG !bad"]
+    if where == "builtin":
+        argv[2] = "mutex:\u00b2"
+    elif where == "env":
+        monkeypatch.setenv(BOUND_ENV_VAR, "\u00b2")
+    else:
+        model = tmp_path / "sup.gcl"
+        text = "processes \u00b2; pc {A}; init pc=A; A -> A : true / ;\n"
+        model.write_text(text, encoding="utf-8")
+        argv[1:3] = ["--model", str(model)]
+    code, _, err = invoke(*argv)
+    assert code == 2, err
+    assert err.startswith("error:")
+
+
 def test_bound_env_var_override(monkeypatch):
     monkeypatch.setenv(BOUND_ENV_VAR, "5")
     code, _, _ = invoke("reach", "--builtin", "mutex:6")
@@ -348,6 +374,112 @@ def test_counter_mode_export_dot_is_pinned():
     code, out, _ = invoke("export-dot", "--builtin", "mutex:3", "--mode", "counter")
     assert code == 0
     assert out == GOLDEN_COUNTER_DOT
+
+
+GOLDEN_FULL_DOT = """\
+digraph M {
+  0 [label="[T,T,T] {init}", peripheries=2];
+  1 [label="[W,T,T]"];
+  2 [label="[T,W,T]"];
+  3 [label="[T,T,W]"];
+  4 [label="[C,T,T]"];
+  5 [label="[W,W,T]"];
+  6 [label="[W,T,W]"];
+  7 [label="[T,C,T]"];
+  8 [label="[T,W,W]"];
+  9 [label="[T,T,C]"];
+  10 [label="[C,W,T]"];
+  11 [label="[C,T,W]"];
+  12 [label="[W,C,T]"];
+  13 [label="[W,W,W]"];
+  14 [label="[W,T,C]"];
+  15 [label="[T,C,W]"];
+  16 [label="[T,W,C]"];
+  17 [label="[C,W,W]"];
+  18 [label="[W,C,W]"];
+  19 [label="[W,W,C]"];
+  0 -> 1 [label="0/0"];
+  0 -> 2 [label="1/0"];
+  0 -> 3 [label="2/0"];
+  1 -> 4 [label="0/1"];
+  1 -> 5 [label="1/0"];
+  1 -> 6 [label="2/0"];
+  2 -> 5 [label="0/0"];
+  2 -> 7 [label="1/1"];
+  2 -> 8 [label="2/0"];
+  3 -> 6 [label="0/0"];
+  3 -> 8 [label="1/0"];
+  3 -> 9 [label="2/1"];
+  4 -> 0 [label="0/2"];
+  4 -> 10 [label="1/0"];
+  4 -> 11 [label="2/0"];
+  5 -> 10 [label="0/1"];
+  5 -> 12 [label="1/1"];
+  5 -> 13 [label="2/0"];
+  6 -> 11 [label="0/1"];
+  6 -> 13 [label="1/0"];
+  6 -> 14 [label="2/1"];
+  7 -> 12 [label="0/0"];
+  7 -> 0 [label="1/2"];
+  7 -> 15 [label="2/0"];
+  8 -> 13 [label="0/0"];
+  8 -> 15 [label="1/1"];
+  8 -> 16 [label="2/1"];
+  9 -> 14 [label="0/0"];
+  9 -> 16 [label="1/0"];
+  9 -> 0 [label="2/2"];
+  10 -> 2 [label="0/2"];
+  10 -> 17 [label="2/0"];
+  11 -> 3 [label="0/2"];
+  11 -> 17 [label="1/0"];
+  12 -> 1 [label="1/2"];
+  12 -> 18 [label="2/0"];
+  13 -> 17 [label="0/1"];
+  13 -> 18 [label="1/1"];
+  13 -> 19 [label="2/1"];
+  14 -> 19 [label="1/0"];
+  14 -> 1 [label="2/2"];
+  15 -> 18 [label="0/0"];
+  15 -> 3 [label="1/2"];
+  16 -> 19 [label="0/0"];
+  16 -> 2 [label="2/2"];
+  17 -> 8 [label="0/2"];
+  18 -> 6 [label="1/2"];
+  19 -> 5 [label="2/2"];
+}
+"""
+
+GOLDEN_QUOTIENT_DOT = """\
+digraph M {
+  0 [label="[T,T,T] {init}", peripheries=2];
+  1 [label="[T,T,W]"];
+  2 [label="[T,W,W]"];
+  3 [label="[T,T,C]"];
+  4 [label="[W,W,W]"];
+  5 [label="[T,W,C]"];
+  6 [label="[W,W,C]"];
+  0 -> 1 [label="0/0"];
+  1 -> 2 [label="0/0"];
+  1 -> 3 [label="2/1"];
+  2 -> 4 [label="0/0"];
+  2 -> 5 [label="1/1"];
+  3 -> 5 [label="0/0"];
+  3 -> 0 [label="2/2"];
+  4 -> 6 [label="0/1"];
+  5 -> 6 [label="0/0"];
+  5 -> 1 [label="2/2"];
+  6 -> 2 [label="2/2"];
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, golden", [("full", GOLDEN_FULL_DOT), ("quotient", GOLDEN_QUOTIENT_DOT)]
+)
+def test_export_dot_is_pinned(mode, golden):
+    code, out, _ = invoke("export-dot", "--builtin", "mutex:3", "--mode", mode)
+    assert code == 0
+    assert out == golden
 
 
 def test_counter_mode_check_report_is_pinned():

@@ -325,3 +325,17 @@ def test_build_state_bound_and_stop_at_bad():
     structure, stats = breadth_first_build([BAD], [0], expand, labeler, stop_at_bad=True)
     assert stats.bad_reached
     assert structure.num_states == 3
+
+
+def test_build_reports_bad_without_stopping():
+    def expand(payload):
+        return [("inc", payload + 1)] if payload < 5 else []
+
+    def labeler(payload):
+        return {"bad"} if payload == 2 else set()
+
+    structure, stats = breadth_first_build([BAD], [0], expand, labeler)
+    assert stats.bad_reached
+    assert structure.num_states == stats.states_reached == 6
+    _, stats = breadth_first_build([BAD], [0], expand, lambda payload: set())
+    assert not stats.bad_reached
