@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .explore import MODES, compare_modes, explore
 from .kripke import DEFAULT_STATE_BOUND, Path
 from .program import atomic_props, render_state
 from .parser import BUILTIN_NAMES, builtin_example, builtin_source, parse_program
-from .quotient import _orbit_sizes
 
 BOUND_ENV_VAR = "ORBITMC_BOUND"
 
@@ -44,6 +44,8 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+_DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
 
 
 @dataclass
@@ -102,7 +104,7 @@ def build_arg_parser():
     p = subs.add_parser("export-dot", help="print the structure as DOT")
     _add_model_args(p)
     _add_common_args(p)
-    p.add_argument("--name", dest="dot_name", default="M", help="graph name")
+    p.add_argument("--name", dest="dot_name", default="M", help="graph name, a DOT identifier")
 
     p = subs.add_parser("examples", help="print the builtin model sources")
     p.add_argument("--n", dest="examples_n", type=int, default=2)
@@ -274,16 +276,18 @@ def run_compare(config, out):
 
 
 def run_export_dot(config, out):
+    name = config.dot_name
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        raise UsageError(
+            f"--name must be a DOT identifier ([A-Za-z_][A-Za-z0-9_]*, not a DOT keyword), got {name!r}"
+        )
     program, _ = load_program(config)
     structure, _ = explore(program, config.mode, effective_bound(config))
-    if config.mode == "quotient":
-        # a quotient export certifies every orbit size, as build_quotient does
-        _orbit_sizes(program, structure)
     if config.mode == "counter":
         renderer = lambda c: render_state(program, from_counter(c))
     else:
         renderer = lambda s: render_state(program, s)
-    out.write(structure.export_dot(config.dot_name, renderer))
+    out.write(structure.export_dot(name, renderer))
     return EXIT_OK
 
 

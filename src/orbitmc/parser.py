@@ -6,17 +6,20 @@ Grammar (UTF-8 text, ``#`` line comments):
                  "init" assign ("," assign)* ";" command* label*
     decl      := "shared" ID ":" ("bool"|"pid") ";" | "local" ID ":" "bool" ";"
     assign    := "pc" "=" ID | ID "=" ("0"|"1"|"none")
-    command   := ID "->" ID ":" guard "/" updates? ";"
-    guard     := disjunction of conjunctions of (possibly negated) atoms
-    atom      := "true" | "false" | "(" guard ")"
-               | ID ("== self" | "== none" | "== 0" | "== 1")
+    command   := ID "->" ID ":" bool[guardatom] "/" updates? ";"
+    update    := ID ":=" ("0"|"1"|"*"|"self"|"none"|ID)
+    label     := "label" ID ":=" bool[labelatom] ";"
+    bool[A]   := conj[A] ("|" conj[A])*
+    conj[A]   := unary[A] ("&" unary[A])*
+    unary[A]  := "!" unary[A] | "(" bool[A] ")" | "true" | "false" | A
+    guardatom := ID ("== self" | "== none" | "== 0" | "== 1")
                | "all_others" "(" "pc" "!=" ID ")"
                | "exists_other" "(" "pc" "==" ID ")"
-    update    := ID ":=" ("0"|"1"|"*"|"self"|"none"|ID)
-    label     := "label" ID ":=" labelexpr ";"
-    labelatom := "true" | "false" | "(" labelexpr ")"
-               | "count" "(" "pc" ("="|"==") ID ")" ">=" INT
+    labelatom := "count" "(" "pc" ("="|"==") ID ")" ">=" INT
                | ID "==" ("0"|"1"|"none")
+
+Guards and labels share the one boolean rule ``bool`` and differ only in
+their atoms, so both parse into the same connective nodes.
 
 The ``init`` list must assign the pc and every declared variable exactly
 once; pid variables can only start at ``none``, so the single initial
@@ -39,13 +42,8 @@ from .program import (
     GOr,
     GTrue,
     GuardedCommand,
-    LAnd,
-    LFalse,
-    LNot,
-    LOr,
     LPidIsNone,
     LSharedEq,
-    LTrue,
     LocalEq,
     PID,
     PidEqNone,
@@ -361,7 +359,7 @@ class _Parser:
         to_name = self.expect_name("pc value name")
         to_pc = self.pc_index(to_name, ttok)
         self.expect_sym(":")
-        guard = self.parse_guard()
+        guard = self.parse_bool(self.parse_guard_atom)
         self.expect_sym("/")
         updates = []
         assigned = set()
@@ -380,31 +378,31 @@ class _Parser:
         self.expect_sym(";")
         return GuardedCommand(from_pc, to_pc, guard, tuple(updates))
 
-    def parse_guard(self):
-        left = self.parse_guard_conj()
+    # -- boolean expressions ---------------------------------------------------
+
+    def parse_bool(self, atom):
+        """``|`` over ``&`` over ``!`` over ``atom()``, parentheses, ``true``
+        and ``false``: the rule guards and labels share."""
+        left = self.parse_conj(atom)
         while self.at_sym("|"):
             self.advance()
-            left = GOr(left, self.parse_guard_conj())
+            left = GOr(left, self.parse_conj(atom))
         return left
 
-    def parse_guard_conj(self):
-        left = self.parse_guard_unary()
+    def parse_conj(self, atom):
+        left = self.parse_unary(atom)
         while self.at_sym("&"):
             self.advance()
-            left = GAnd(left, self.parse_guard_unary())
+            left = GAnd(left, self.parse_unary(atom))
         return left
 
-    def parse_guard_unary(self):
+    def parse_unary(self, atom):
         if self.at_sym("!"):
             self.advance()
-            return GNot(self.parse_guard_unary())
-        return self.parse_guard_atom()
-
-    def parse_guard_atom(self):
-        tok = self.peek()
+            return GNot(self.parse_unary(atom))
         if self.at_sym("("):
             self.advance()
-            inner = self.parse_guard()
+            inner = self.parse_bool(atom)
             self.expect_sym(")")
             return inner
         if self.at_keyword("true"):
@@ -413,6 +411,10 @@ class _Parser:
         if self.at_keyword("false"):
             self.advance()
             return GFalse()
+        return atom()
+
+    def parse_guard_atom(self):
+        tok = self.peek()
         if self.at_keyword("all_others"):
             self.advance()
             self.expect_sym("(")
@@ -519,43 +521,12 @@ class _Parser:
             self.fail(f"duplicate label {name!r}", tok)
         self.label_names.append(name)
         self.expect_sym(":=")
-        expr = self.parse_label_expr()
+        expr = self.parse_bool(self.parse_label_atom)
         self.expect_sym(";")
         return (name, expr)
 
-    def parse_label_expr(self):
-        left = self.parse_label_conj()
-        while self.at_sym("|"):
-            self.advance()
-            left = LOr(left, self.parse_label_conj())
-        return left
-
-    def parse_label_conj(self):
-        left = self.parse_label_unary()
-        while self.at_sym("&"):
-            self.advance()
-            left = LAnd(left, self.parse_label_unary())
-        return left
-
-    def parse_label_unary(self):
-        if self.at_sym("!"):
-            self.advance()
-            return LNot(self.parse_label_unary())
-        return self.parse_label_atom()
-
     def parse_label_atom(self):
         tok = self.peek()
-        if self.at_sym("("):
-            self.advance()
-            inner = self.parse_label_expr()
-            self.expect_sym(")")
-            return inner
-        if self.at_keyword("true"):
-            self.advance()
-            return LTrue()
-        if self.at_keyword("false"):
-            self.advance()
-            return LFalse()
         if self.at_keyword("count"):
             self.advance()
             self.expect_sym("(")

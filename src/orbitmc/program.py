@@ -63,13 +63,20 @@ class GlobalState:
 
 
 # --------------------------------------------------------------------------
-# Guard expressions.
+# Boolean expressions: guards and labels.
 #
-# One evaluator serves every mode: ``eval(shared, rec, i, occ, n)`` sees the
-# acting record ``rec``, its index ``i`` (None in the counter abstraction)
-# and the per-pc totals ``occ`` of all n processes, acting one included.
-# The "other process" atoms take the acting process out of ``occ``
-# themselves, so every atom is O(1) after one O(n) occupancy pass per state.
+# Guards and labels are boolean combinations of atoms that cannot name a
+# process index, and they share one set of connectives: ``GTrue``,
+# ``GFalse``, ``GNot``, ``GAnd`` and ``GOr``.  A connective's ``eval(*ctx)``
+# passes its arguments on unchanged, so one node evaluates inside a guard
+# as ``eval(shared, rec, i, occ, n)`` and inside a label as ``eval(state)``.
+# Only the atoms differ.
+#
+# Guard atoms see the acting record ``rec``, its index ``i`` (None in the
+# counter abstraction) and the per-pc totals ``occ`` of all n processes,
+# acting one included.  The "other process" atoms take the acting process
+# out of ``occ`` themselves, so every atom is O(1) after one O(n) occupancy
+# pass per state.
 # --------------------------------------------------------------------------
 
 
@@ -78,42 +85,47 @@ class Guard:
         raise NotImplementedError
 
 
+class LabelExpr:
+    def eval(self, state):
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class GTrue(Guard):
-    def eval(self, shared, rec, i, occ, n):
+class GTrue(Guard, LabelExpr):
+    def eval(self, *ctx):
         return True
 
 
 @dataclass(frozen=True)
-class GFalse(Guard):
-    def eval(self, shared, rec, i, occ, n):
+class GFalse(Guard, LabelExpr):
+    def eval(self, *ctx):
         return False
 
 
 @dataclass(frozen=True)
-class GNot(Guard):
-    inner: Guard
+class GNot(Guard, LabelExpr):
+    inner: Guard | LabelExpr
 
-    def eval(self, shared, rec, i, occ, n):
-        return not self.inner.eval(shared, rec, i, occ, n)
-
-
-@dataclass(frozen=True)
-class GAnd(Guard):
-    left: Guard
-    right: Guard
-
-    def eval(self, shared, rec, i, occ, n):
-        return self.left.eval(shared, rec, i, occ, n) and self.right.eval(shared, rec, i, occ, n)
+    def eval(self, *ctx):
+        return not self.inner.eval(*ctx)
 
 
 @dataclass(frozen=True)
-class GOr(Guard):
-    left: Guard
-    right: Guard
+class GAnd(Guard, LabelExpr):
+    left: Guard | LabelExpr
+    right: Guard | LabelExpr
 
-    def eval(self, shared, rec, i, occ, n):
-        return self.left.eval(shared, rec, i, occ, n) or self.right.eval(shared, rec, i, occ, n)
+    def eval(self, *ctx):
+        return self.left.eval(*ctx) and self.right.eval(*ctx)
+
+
+@dataclass(frozen=True)
+class GOr(Guard, LabelExpr):
+    left: Guard | LabelExpr
+    right: Guard | LabelExpr
+
+    def eval(self, *ctx):
+        return self.left.eval(*ctx) or self.right.eval(*ctx)
 
 
 @dataclass(frozen=True)
@@ -256,52 +268,10 @@ def command_branches(program, cmd, shared, rec, i):
 
 
 # --------------------------------------------------------------------------
-# Label expressions: evaluated on whole states, restricted to atoms that
-# are invariant under process permutations.
+# Label atoms: evaluated on whole states, restricted to atoms that are
+# invariant under process permutations.  Labels combine them with the
+# connectives above.
 # --------------------------------------------------------------------------
-
-
-class LabelExpr:
-    def eval(self, state):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class LTrue(LabelExpr):
-    def eval(self, state):
-        return True
-
-
-@dataclass(frozen=True)
-class LFalse(LabelExpr):
-    def eval(self, state):
-        return False
-
-
-@dataclass(frozen=True)
-class LNot(LabelExpr):
-    inner: LabelExpr
-
-    def eval(self, state):
-        return not self.inner.eval(state)
-
-
-@dataclass(frozen=True)
-class LAnd(LabelExpr):
-    left: LabelExpr
-    right: LabelExpr
-
-    def eval(self, state):
-        return self.left.eval(state) and self.right.eval(state)
-
-
-@dataclass(frozen=True)
-class LOr(LabelExpr):
-    left: LabelExpr
-    right: LabelExpr
-
-    def eval(self, state):
-        return self.left.eval(state) or self.right.eval(state)
 
 
 @dataclass(frozen=True)

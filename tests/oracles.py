@@ -11,12 +11,15 @@ from itertools import permutations, product
 from orbitmc import GlobalState, Permutation, apply
 from orbitmc.program import (
     AllOthersNotAt,
+    CountAtLeast,
     ExistsOtherAt,
     GAnd,
     GFalse,
     GNot,
     GOr,
     GTrue,
+    LPidIsNone,
+    LSharedEq,
     LocalEq,
     PidEqNone,
     PidEqSelf,
@@ -141,6 +144,34 @@ def guard_by_definition(guard, state, i):
     if kind is ExistsOtherAt:
         return any(rec[0] == guard.pc for k, rec in enumerate(locs) if k != i)
     raise TypeError(f"no definition for guard {guard!r}")
+
+
+_NOT = {False: True, True: False}
+_AND = {(False, False): False, (False, True): False, (True, False): False, (True, True): True}
+_OR = {(False, False): False, (False, True): True, (True, False): True, (True, True): True}
+
+
+def label_by_definition(expr, state):
+    """A label AST read by its definition: truth tables for the
+    connectives, a count of the records at a pc value for ``count``."""
+    kind = type(expr)
+    if kind is GTrue:
+        return True
+    if kind is GFalse:
+        return False
+    if kind is GNot:
+        return _NOT[label_by_definition(expr.inner, state)]
+    if kind is GAnd:
+        return _AND[label_by_definition(expr.left, state), label_by_definition(expr.right, state)]
+    if kind is GOr:
+        return _OR[label_by_definition(expr.left, state), label_by_definition(expr.right, state)]
+    if kind is CountAtLeast:
+        return sum(1 for rec in state.locals if rec[0] == expr.pc) >= expr.k
+    if kind is LSharedEq:
+        return state.shared[expr.slot] == expr.value
+    if kind is LPidIsNone:
+        return state.shared[expr.slot] == len(state.locals)
+    raise TypeError(f"no definition for label {expr!r}")
 
 
 def successors_by_definition(program, state, processes=None):

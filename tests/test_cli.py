@@ -297,6 +297,21 @@ def test_export_dot_counter_mode():
     assert "[T,T]" in out
 
 
+@pytest.mark.parametrize("name", ['a b"c', "graph", "DiGraph", "STRICT", "1abc", "", "M\n", "n\u00e9"])
+def test_export_dot_rejects_a_name_that_is_not_a_dot_identifier(name):
+    code, out, err = invoke("export-dot", "--builtin", "mutex:1", "--name", name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --name must be a DOT identifier")
+
+
+@pytest.mark.parametrize("name", ["_", "graph_1", "Nodes", "M2"])
+def test_export_dot_accepts_an_identifier_name(name):
+    code, out, _ = invoke("export-dot", "--builtin", "mutex:1", "--name", name)
+    assert code == 0
+    assert out.startswith(f"digraph {name} {{\n")
+
+
 def test_examples_prints_all_builtin_sources():
     code, out, _ = invoke("examples")
     assert code == 0

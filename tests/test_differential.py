@@ -8,6 +8,7 @@ A disagreement on any seed is a real bug somewhere in the pipeline, with
 the counter abstraction's guard decrement being the usual suspect.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from orbitmc import (
     from_counter,
     full_symmetric,
     generated_group,
+    labeling,
     orbit,
     parse_ctl,
     parse_program,
@@ -40,11 +42,13 @@ from orbitmc.program import (
     CountAtLeast,
     ExistsOtherAt,
     GAnd,
+    GFalse,
     GNot,
     GOr,
     GTrue,
     GuardedCommand,
     LocalEq,
+    LPidIsNone,
     LSharedEq,
     Program,
     SharedEq,
@@ -57,7 +61,7 @@ from orbitmc.program import (
     render_local,
 )
 
-from oracles import successors_by_definition
+from oracles import label_by_definition, successors_by_definition
 
 
 def random_guard(rng, num_pcs, num_shared, num_locals, depth=2):
@@ -443,6 +447,75 @@ def test_generated_subgroup_still_fires_every_process(seed):
     full.totalize("self-loop")
     quotient.structure.totalize("self-loop")
     assert check_bisimulation(full, quotient), seed
+
+
+# -- random labels: the boolean layer labels share with guards --
+
+
+def random_label(rng, leaves, depth):
+    """A label nested ``depth`` connectives deep along its first operand."""
+    if depth == 0:
+        return rng.choice(leaves)()
+    op = rng.choice((GNot, GAnd, GOr))
+    if op is GNot:
+        return GNot(random_label(rng, leaves, depth - 1))
+    return op(random_label(rng, leaves, depth - 1), random_label(rng, leaves, rng.randrange(depth)))
+
+
+def node_types(expr):
+    children = [getattr(expr, field.name) for field in dataclasses.fields(expr)]
+    return {type(expr)}.union(*(node_types(c) for c in children if not isinstance(c, int)))
+
+
+def random_labels(rng, program):
+    """Four depth-3 labels over every label atom the program's shared
+    variables allow, redrawn until together they use every connective and
+    every such atom."""
+    n, pcs = program.n, len(program.pc_names)
+    leaves = [GTrue, GFalse, lambda: CountAtLeast(rng.randrange(pcs), rng.randint(1, n + 1))]
+    bools = [k for k, kind in enumerate(program.shared_kinds) if kind == "bool"]
+    pids = [k for k, kind in enumerate(program.shared_kinds) if kind == "pid"]
+    if bools:
+        leaves.append(lambda: LSharedEq(rng.choice(bools), rng.randint(0, 1)))
+    if pids:
+        leaves.append(lambda: LPidIsNone(rng.choice(pids)))
+    wanted = {GTrue, GFalse, GNot, GAnd, GOr, CountAtLeast}
+    wanted |= {LSharedEq} if bools else set()
+    wanted |= {LPidIsNone} if pids else set()
+    while True:
+        labels = [random_label(rng, leaves, 3) for _ in range(4)]
+        if set().union(*map(node_types, labels)) == wanted:
+            return tuple((f"l{k}", expr) for k, expr in enumerate(labels))
+
+
+@pytest.mark.parametrize("pid_typed", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_random_labels_match_definition_and_agree_across_modes(seed, pid_typed):
+    if pid_typed:
+        rng = random.Random(7000 + seed)
+        program = random_pid_program(rng, rng.randint(2, 3))
+    else:
+        rng = random.Random(1000 + seed)
+        program = random_program(rng, rng.randint(2, 4))
+    labels = random_labels(random.Random(3000 + seed), program)
+    program = dataclasses.replace(program, label_defs=program.label_defs + labels)
+
+    full = build_full_structure(program, state_bound=50_000)
+    for sid in full.states():
+        state = full.payload(sid)
+        expected = {name for name, expr in program.label_defs if label_by_definition(expr, state)}
+        assert labeling(program, state) == expected, (seed, state)
+
+    structures = [full, build_quotient(program, state_bound=50_000).structure]
+    if not pid_typed:
+        structures.append(build_counter_structure(program, state_bound=50_000))
+    for structure in structures:
+        structure.totalize("self-loop")
+    for name, _ in labels:
+        for text in (f"AG !{name}", f"EF {name}"):
+            formula = parse_ctl(text)
+            verdicts = {check(structure, formula).holds for structure in structures}
+            assert len(verdicts) == 1, (seed, text)
 
 
 # -- the successor kernel against the language's definition --

@@ -85,6 +85,58 @@ def test_parse_errors(source, fragment):
     assert err.value.line is not None
 
 
+_DECLS = (
+    "processes 2;\nshared g : pid;\nshared b : bool;\nlocal x : bool;\npc {A, B};\n"
+    "init pc=A, g=none, b=0, x=0;\n"
+)
+
+
+def _in_guard(text):
+    return _DECLS + f"A -> B : {text} / ;\n"
+
+
+def _in_label(text):
+    return _DECLS + "A -> B : true / ;\n" + f"label l := {text};\n"
+
+
+# guards start at line 7 column 10, labels at line 8 column 12; the table
+# pins each error's full message and position, for the boolean rule the
+# two share and for the atoms each of them refuses
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        (_in_guard("()"), "expected guard atom", 7, 11),
+        (_in_guard("(b == 1"), "expected ')'", 7, 18),
+        (_in_guard("b == 1 &"), "expected guard atom", 7, 19),
+        (_in_guard("b == 1 |"), "expected guard atom", 7, 19),
+        (_in_guard("!"), "expected guard atom", 7, 12),
+        (_in_guard("count(pc=A) >= 1"), "'count' is a keyword, not a valid guard atom", 7, 10),
+        (_in_guard("true true"), "expected '/'", 7, 15),
+        (_in_guard("b == none"), "'b' is bool, cannot compare against none", 7, 10),
+        (_in_label("()"), "expected label atom", 8, 13),
+        (_in_label("(b == 1"), "expected ')'", 8, 19),
+        (_in_label("b == 1 &"), "expected label atom", 8, 20),
+        (_in_label("b == 1 |"), "expected label atom", 8, 20),
+        (_in_label("!"), "expected label atom", 8, 13),
+        (_in_label("all_others(pc != A)"), "'all_others' is a keyword, not a valid label atom", 8, 12),
+        (_in_label("exists_other(pc == A)"), "'exists_other' is a keyword, not a valid label atom", 8, 12),
+        (_in_label("g == self"), "expected 0, 1 or none in label atom", 8, 17),
+        (_in_label("self"), "'self' is a keyword, not a valid label atom", 8, 12),
+        (_in_label("x == 1"), "local variable 'x' is not permutation invariant; "
+         "label atoms are shared literals and count thresholds", 8, 12),
+        (_in_label("!(b == 1 & x == 0)"), "local variable 'x' is not permutation invariant; "
+         "label atoms are shared literals and count thresholds", 8, 23),
+        (_in_label("count(pc A) >= 1"), "expected '=' in count atom", 8, 21),
+        (_in_label("true true"), "expected ';'", 8, 17),
+    ],
+)
+def test_malformed_guards_and_labels_golden(source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_program("processes 2;\npc {A};\ninit pc=Oops;")
