@@ -1,5 +1,9 @@
 """CTL parsing and explicit-state fixpoint model checking.
 
+``parse_ctl`` is the model parser with CTL atoms: the same lexer (``#``
+comments included), depth bound and ``bool`` rule, building the guard and
+label connectives, with right-associative ``->`` on top.
+
 The core is EX / E[_ U _] / EG; everything else normalizes into it at
 parse time through the standard dualities, so there are exactly three
 fixpoint routines.  EU is a least fixpoint computed as backward
@@ -24,9 +28,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError, ParseError
+from .errors import InternalError
 from .kripke import Path
-from .program import successors
+from .parser import PROPERTY_KEYWORDS, PROPERTY_PREFIXES, _Parser
+from .program import GAnd, GFalse, GNot, GOr, GTrue, successors
 from .symmetry import representative_fn
 
 __all__ = [
@@ -50,60 +55,33 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Formula AST (core fragment only; surface forms normalize into it).
+# Formula AST (core fragment only; surface forms normalize into it).  The
+# boolean layer is the guard and label connectives; ``TrueF`` ... ``Or``
+# name them here.
 # --------------------------------------------------------------------------
 
-
-class Formula:
-    pass
+TrueF, FalseF, Not, And, Or = GTrue, GFalse, GNot, GAnd, GOr
 
 
 @dataclass(frozen=True)
-class TrueF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
+class Atom:
     name: str
 
 
 @dataclass(frozen=True)
-class Not(Formula):
-    inner: Formula
+class EX:
+    inner: object
 
 
 @dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class EU:
+    left: object
+    right: object
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class EX(Formula):
-    inner: Formula
-
-
-@dataclass(frozen=True)
-class EU(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class EG(Formula):
-    inner: Formula
+class EG:
+    inner: object
 
 
 def atoms(f):
@@ -144,145 +122,58 @@ def au(f, g):
 
 
 # --------------------------------------------------------------------------
-# Parser.  Surface syntax:
-#   atoms are label identifiers; "true"/"false" literals;
-#   prefixes ! EX AX EF AF EG AG INV bind tightest, then &, |, ->;
-#   E[ f U g ] and A[ f U g ] for the until forms.
+# Parser: the model parser's ``bool`` rule over CTL atoms, with
+#   formula := bool[ctlatom] ("->" formula)?
+#   ctlatom := ID | prefix unary[ctlatom] | ("E"|"A") "[" formula "U" formula "]"
+# where parentheses hold a whole formula.  Prefixes bind tightest, then
+# &, |, ->.
 # --------------------------------------------------------------------------
 
-_PREFIXES = {
-    "EX": EX,
-    "AX": ax,
-    "EF": ef,
-    "AF": af,
-    "EG": EG,
-    "AG": ag,
-    "INV": ag,
-}
-
-_CTL_KEYWORDS = set(_PREFIXES) | {"E", "A", "U", "true", "false"}
+_PREFIXES = dict(zip(PROPERTY_PREFIXES, (EX, ax, ef, af, EG, ag, ag), strict=True))
 
 
-def _ctl_tokens(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append((text[start:pos], start))
-            continue
-        if text.startswith("->", pos):
-            tokens.append(("->", pos))
-            pos += 2
-            continue
-        if ch in "!&|()[]":
-            tokens.append((ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in formula", 1, pos + 1)
-    tokens.append((None, len(text)))
-    return tokens
-
-
-class _CtlParser:
-    def __init__(self, text):
-        self.tokens = _ctl_tokens(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message):
-        tok, at = self.tokens[self.pos]
-        raise ParseError(message, 1, at + 1)
-
-    def expect(self, what):
-        if self.peek() != what:
-            self.fail(f"expected {what!r}")
-        self.advance()
-
+class _FormulaParser(_Parser):
     def parse(self):
-        f = self.parse_implies()
-        if self.peek() is not None:
+        f = self.parse_bool(self.parse_atom)
+        if self.peek().kind != "eof":
             self.fail("trailing input after formula")
         return f
 
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.advance()
-            right = self.parse_implies()
-            return Or(neg(left), right)
-        return left
+    def parse_bool(self, atom):
+        left = super().parse_bool(atom)
+        if not self.at_sym("->"):
+            return left
+        tok, depth = self.advance(), self.depth
+        right = self.descend(tok, self.parse_bool, atom)
+        self.depth = max(self.depth, self.deeper(tok, depth))
+        return Or(neg(left), right)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
+    def negate(self, inner):
+        return neg(inner)
 
-    def parse_and(self):
-        left = self.parse_unary()
-        while self.peek() == "&":
-            self.advance()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok == "!":
-            self.advance()
-            return neg(self.parse_unary())
-        if tok in _PREFIXES:
-            self.advance()
-            return _PREFIXES[tok](self.parse_unary())
-        if tok in ("E", "A"):
-            self.advance()
-            self.expect("[")
-            left = self.parse_implies()
-            self.expect("U")
-            right = self.parse_implies()
-            self.expect("]")
-            return EU(left, right) if tok == "E" else au(left, right)
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok == "(":
-            self.advance()
-            inner = self.parse_implies()
-            self.expect(")")
-            return inner
-        if tok == "true":
-            self.advance()
-            return TrueF()
-        if tok == "false":
-            self.advance()
-            return FalseF()
-        if tok is None:
-            self.fail("unexpected end of formula")
-        if tok in _CTL_KEYWORDS or not (tok[0].isalpha() or tok[0] == "_"):
-            self.fail(f"unexpected token {tok!r}")
-        self.advance()
-        return Atom(tok)
+    def parse_atom(self):
+        tok = self.advance()
+        if tok.kind == "eof":
+            self.fail("unexpected end of formula", tok)
+        if tok.value in _PREFIXES:
+            return _PREFIXES[tok.value](self.descend(tok, self.parse_unary, self.parse_atom))
+        if tok.value in ("E", "A"):
+            self.expect_sym("[")
+            left = self.descend(tok, self.parse_bool, self.parse_atom)
+            depth = self.depth
+            self.expect_keyword("U")
+            right = self.descend(tok, self.parse_bool, self.parse_atom)
+            self.depth = max(depth, self.depth)
+            self.expect_sym("]")
+            return EU(left, right) if tok.value == "E" else au(left, right)
+        if tok.kind != "id" or tok.value in PROPERTY_KEYWORDS:
+            self.fail(f"unexpected token {str(tok.value)!r}", tok)
+        return Atom(tok.value)
 
 
 def parse_ctl(text):
     """Parse a CTL formula, normalizing derived operators into the core."""
-    return _CtlParser(text).parse()
+    return _FormulaParser(text, "<formula>").parse()
 
 
 # --------------------------------------------------------------------------

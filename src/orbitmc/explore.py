@@ -2,11 +2,12 @@
 
 ``explore`` is the one place a mode name picks a builder: it runs one
 breadth-first exploration in the chosen representation and returns the
-structure with its ``ExplorationStats``.  Every CLI subcommand builds
-through it.  ``reach`` wraps it for callers that want the reached
-payloads; ``compare_modes`` runs every applicable mode on one program and
-reports the state-count reduction the canonicalized modes achieve over
-the unreduced graph.  Everything is sequential and deterministic:
+structure with its stats, a ``kripke.BuildStats`` (also importable as
+``ExplorationStats``).  Every CLI subcommand builds through it.
+``reach`` wraps it for callers that want the reached payloads;
+``compare_modes`` runs every applicable mode on one program and reports
+the state-count reduction the canonicalized modes achieve over the
+unreduced graph.  Everything is sequential and deterministic:
 identical inputs give identical structures and counts.
 """
 
@@ -16,27 +17,14 @@ from dataclasses import dataclass
 
 from .counter import _build_counter
 from .errors import InternalError, UnsupportedModelError
-from .kripke import DEFAULT_STATE_BOUND
+from .kripke import DEFAULT_STATE_BOUND, BuildStats
 from .program import _build_full
 from .quotient import _build_quotient
 
 _BUILDERS = {"full": _build_full, "quotient": _build_quotient, "counter": _build_counter}
 MODES = tuple(_BUILDERS)
 
-
-@dataclass
-class ExplorationStats:
-    """What one exploration saw; ``reduction_factor`` only appears in
-    comparison reports."""
-
-    mode: str
-    states_reached: int
-    edges: int
-    deadlocks: int
-    frontier_peak: int
-    duration_ms: float
-    bad_reached: bool
-    reduction_factor: float | None = None
+ExplorationStats = BuildStats
 
 
 def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
@@ -48,11 +36,9 @@ def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
     """
     if mode not in _BUILDERS:
         raise ValueError(f"unknown mode {mode!r} (have {', '.join(MODES)})")
-    structure, built = _BUILDERS[mode](program, state_bound, stop_at_bad)
-    return structure, ExplorationStats(
-        mode, built.states_reached, built.edges, built.deadlocks,
-        built.frontier_peak, built.duration_ms, built.bad_reached,
-    )
+    structure, stats = _BUILDERS[mode](program, state_bound, stop_at_bad)
+    stats.mode = mode
+    return structure, stats
 
 
 def reach(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):

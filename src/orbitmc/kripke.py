@@ -292,7 +292,8 @@ class KripkeStructure:
 
 @dataclass
 class BuildStats:
-    """Counters gathered while a structure is explored."""
+    """Counters gathered while a structure is explored.  ``explore`` sets
+    ``mode``; ``reduction_factor`` only appears in comparison reports."""
 
     states_reached: int = 0
     edges: int = 0
@@ -300,6 +301,8 @@ class BuildStats:
     frontier_peak: int = 0
     bad_reached: bool = False
     duration_ms: float = 0.0
+    mode: str | None = None
+    reduction_factor: float | None = None
 
 
 def breadth_first_build(

@@ -1,4 +1,4 @@
-"""Parser for the guarded-command input language.
+"""Front end: the guarded-command input language and CTL properties.
 
 Grammar (UTF-8 text, ``#`` line comments):
 
@@ -18,8 +18,13 @@ Grammar (UTF-8 text, ``#`` line comments):
     labelatom := "count" "(" "pc" ("="|"==") ID ")" ">=" INT
                | ID "==" ("0"|"1"|"none")
 
-Guards and labels share the one boolean rule ``bool`` and differ only in
-their atoms, so both parse into the same connective nodes.
+Guards, labels and CTL formulas (``ctl.parse_ctl``, a ``_Parser``
+subclass) share the one boolean rule ``bool`` and differ only in their
+atoms, so all three parse into the same connective nodes.  Labels may
+not take the names ``PROPERTY_KEYWORDS`` reserves for formulas.  An
+expression nests at most ``MAX_DEPTH`` levels, one per ``!``, ``(``,
+binary and temporal operator, so no recursion over a parsed tree can
+overflow.
 
 The ``init`` list must assign the pc and every declared variable exactly
 once; pid variables can only start at ``none``, so the single initial
@@ -78,7 +83,27 @@ KEYWORDS = {
     "none",
 }
 
-_SYMBOLS = ("->", ":=", "==", "!=", ">=", ";", ":", ",", "{", "}", "(", ")", "/", "*", "!", "&", "|", "=")
+# The words CTL properties reserve: the prefix operators, then the until
+# forms ``E[ f U g ]`` and ``A[ f U g ]``.  ``ctl.parse_ctl`` reads its
+# operators from here, and no label may be named after any of them.
+PROPERTY_PREFIXES = ("EX", "AX", "EF", "AF", "EG", "AG", "INV")
+PROPERTY_KEYWORDS = frozenset(PROPERTY_PREFIXES + ("E", "A", "U"))
+
+_LABEL_RESERVED = KEYWORDS | PROPERTY_KEYWORDS
+
+# the guard atoms over the other processes' pcs: comparison and node
+_OTHERS_ATOMS = {"all_others": ("!=", AllOthersNotAt), "exists_other": ("==", ExistsOtherAt)}
+
+# the left-associative boolean operators, loosest first
+_CHAINS = (("|", GOr), ("&", GAnd))
+
+# How deep one expression may nest; see the module docstring.
+MAX_DEPTH = 64
+
+_SYMBOLS = (
+    "->", ":=", "==", "!=", ">=", ";", ":", ",", "{", "}", "(", ")", "[", "]",
+    "/", "*", "!", "&", "|", "=",
+)
 
 
 class _Token:
@@ -146,6 +171,10 @@ class _Parser:
         self.locals = []
         self.pc_names = []
         self.label_names = []
+        # expression nesting: levels open around the current token, and
+        # the depth of the expression parsed last
+        self.open = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -174,11 +203,11 @@ class _Parser:
             self.fail(f"expected {word!r}")
         return self.advance()
 
-    def expect_name(self, what):
+    def expect_name(self, what, reserved=KEYWORDS):
         tok = self.peek()
         if tok.kind != "id":
             self.fail(f"expected {what}")
-        if tok.value in KEYWORDS:
+        if tok.value in reserved:
             self.fail(f"{tok.value!r} is a keyword, not a valid {what}", tok)
         return self.advance().value
 
@@ -208,6 +237,10 @@ class _Parser:
         if name not in self.pc_names:
             self.fail(f"undeclared pc value {name!r}", tok)
         return self.pc_names.index(name)
+
+    def expect_pc(self):
+        tok = self.peek()
+        return self.pc_index(self.expect_name("pc value name"), tok)
 
     # -- program --------------------------------------------------------------
 
@@ -351,13 +384,9 @@ class _Parser:
     # -- commands --------------------------------------------------------------
 
     def parse_command(self):
-        ftok = self.peek()
-        from_name = self.expect_name("pc value name")
-        from_pc = self.pc_index(from_name, ftok)
+        from_pc = self.expect_pc()
         self.expect_sym("->")
-        ttok = self.peek()
-        to_name = self.expect_name("pc value name")
-        to_pc = self.pc_index(to_name, ttok)
+        to_pc = self.expect_pc()
         self.expect_sym(":")
         guard = self.parse_bool(self.parse_guard_atom)
         self.expect_sym("/")
@@ -382,29 +411,35 @@ class _Parser:
 
     def parse_bool(self, atom):
         """``|`` over ``&`` over ``!`` over ``atom()``, parentheses, ``true``
-        and ``false``: the rule guards and labels share."""
-        left = self.parse_conj(atom)
-        while self.at_sym("|"):
-            self.advance()
-            left = GOr(left, self.parse_conj(atom))
-        return left
+        and ``false``: the rule guards, labels and formulas share.  Sets
+        ``self.depth`` to the nesting depth of what it parsed."""
+        return self.parse_chain(atom, 0)
 
-    def parse_conj(self, atom):
-        left = self.parse_unary(atom)
-        while self.at_sym("&"):
-            self.advance()
-            left = GAnd(left, self.parse_unary(atom))
+    def parse_chain(self, atom, level):
+        if level == len(_CHAINS):
+            return self.parse_unary(atom)
+        sym, node = _CHAINS[level]
+        left = self.parse_chain(atom, level + 1)
+        depth = self.depth
+        while self.at_sym(sym):
+            tok = self.advance()
+            right = self.parse_chain(atom, level + 1)
+            depth = self.deeper(tok, depth, self.depth)
+            left = node(left, right)
+        self.depth = depth
         return left
 
     def parse_unary(self, atom):
+        tok = self.peek()
         if self.at_sym("!"):
             self.advance()
-            return GNot(self.parse_unary(atom))
+            return self.negate(self.descend(tok, self.parse_unary, atom))
         if self.at_sym("("):
             self.advance()
-            inner = self.parse_bool(atom)
+            inner = self.descend(tok, self.parse_bool, atom)
             self.expect_sym(")")
             return inner
+        self.depth = 0
         if self.at_keyword("true"):
             self.advance()
             return GTrue()
@@ -413,26 +448,39 @@ class _Parser:
             return GFalse()
         return atom()
 
+    def negate(self, inner):
+        return GNot(inner)
+
+    def descend(self, tok, parse, *args):
+        """``parse(*args)`` one nesting level below ``tok``."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(tok)
+        node = parse(*args)
+        self.open -= 1
+        self.depth += 1
+        return node
+
+    def deeper(self, tok, *depths):
+        """The depth of a node at ``tok`` over operands of these depths."""
+        depth = max(depths) + 1
+        if self.open + depth > MAX_DEPTH:
+            self.too_deep(tok)
+        return depth
+
+    def too_deep(self, tok):
+        self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+
     def parse_guard_atom(self):
         tok = self.peek()
-        if self.at_keyword("all_others"):
-            self.advance()
+        if tok.kind == "id" and tok.value in _OTHERS_ATOMS:
+            op, node = _OTHERS_ATOMS[self.advance().value]
             self.expect_sym("(")
             self.expect_keyword("pc")
-            self.expect_sym("!=")
-            ptok = self.peek()
-            pc = self.pc_index(self.expect_name("pc value name"), ptok)
+            self.expect_sym(op)
+            pc = self.expect_pc()
             self.expect_sym(")")
-            return AllOthersNotAt(pc)
-        if self.at_keyword("exists_other"):
-            self.advance()
-            self.expect_sym("(")
-            self.expect_keyword("pc")
-            self.expect_sym("==")
-            ptok = self.peek()
-            pc = self.pc_index(self.expect_name("pc value name"), ptok)
-            self.expect_sym(")")
-            return ExistsOtherAt(pc)
+            return node(pc)
         name = self.expect_name("guard atom")
         self.expect_sym("==")
         slot = self.shared_slot(name)
@@ -515,8 +563,9 @@ class _Parser:
         self.expect_keyword("label")
         tok = self.peek()
         # note: "init" cannot name a label, it is a keyword and stays
-        # reserved for the designated initial-state proposition
-        name = self.expect_name("label name")
+        # reserved for the designated initial-state proposition; formulas
+        # could not refer to a label named after a property keyword
+        name = self.expect_name("label name", _LABEL_RESERVED)
         if name in self.label_names:
             self.fail(f"duplicate label {name!r}", tok)
         self.label_names.append(name)
@@ -535,8 +584,7 @@ class _Parser:
                 self.advance()
             else:
                 self.fail("expected '=' in count atom")
-            ptok = self.peek()
-            pc = self.pc_index(self.expect_name("pc value name"), ptok)
+            pc = self.expect_pc()
             self.expect_sym(")")
             self.expect_sym(">=")
             ktok = self.peek()

@@ -63,14 +63,16 @@ class GlobalState:
 
 
 # --------------------------------------------------------------------------
-# Boolean expressions: guards and labels.
+# Boolean expressions: guards, labels and formulas.
 #
 # Guards and labels are boolean combinations of atoms that cannot name a
 # process index, and they share one set of connectives: ``GTrue``,
 # ``GFalse``, ``GNot``, ``GAnd`` and ``GOr``.  A connective's ``eval(*ctx)``
 # passes its arguments on unchanged, so one node evaluates inside a guard
 # as ``eval(shared, rec, i, occ, n)`` and inside a label as ``eval(state)``.
-# Only the atoms differ.
+# Only the atoms differ.  CTL formulas are built from the same nodes
+# (``ctl.TrueF`` ... ``ctl.Or`` name them), which ``ctl.sat_set`` reads
+# structurally and never calls ``eval`` on.
 #
 # Guard atoms see the acting record ``rec``, its index ``i`` (None in the
 # counter abstraction) and the per-pc totals ``occ`` of all n processes,
