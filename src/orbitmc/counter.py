@@ -148,10 +148,10 @@ def counter_successors(program, cstate):
         occ[rec[0]] += c
     out = []
     for a, (rec, _) in enumerate(counts):
-        for guard, action, outcomes in table.counter_plan(shared, rec):
+        for guard, action, outcomes, _ in table.record_plan(shared, rec):
             if not guard.eval(shared, rec, None, occ, n):
                 continue
-            for new_shared, new_rec in outcomes:
+            for new_shared, new_rec, _, _ in outcomes:
                 out.append((action, CounterState(new_shared, _move_one(counts, a, new_rec))))
     return out
 

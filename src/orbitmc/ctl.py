@@ -32,7 +32,7 @@ from .errors import InternalError
 from .kripke import Path
 from .parser import PROPERTY_KEYWORDS, PROPERTY_PREFIXES, _Parser
 from .program import GAnd, GFalse, GNot, GOr, GTrue, successors
-from .symmetry import representative_fn
+from .symmetry import canonical_key_fn, representative_fn
 
 __all__ = [
     "Atom",
@@ -348,28 +348,30 @@ def lift_counterexample(program, quotient_path, group=None):
 
     Walks the concrete successor relation, at each step taking the
     successor whose representative matches the next path state (least
-    canonical encoding on ties).  A missing match means the quotient was
-    not built from an automorphism group, which is an internal bug
+    canonical encoding on ties).  The walk runs on the program's keys,
+    whose byte order is the canonical encoding's, and decodes only the
+    states it keeps.  A missing match means the quotient was not built
+    from an automorphism group, which is an internal bug
     (``InternalError``), not an input error.
     """
     rep_fn, _ = representative_fn(program, group)
     current = program.initial_state()
     if rep_fn(current) != quotient_path.states[0]:
         raise ValueError("path does not start at the representative of the initial state")
+    codec = program.table.codec
+    canon = canonical_key_fn(program, group)
+    key = codec.encode(current)
     states = [current]
     actions = []
     for step, want in enumerate(quotient_path.states[1:]):
-        candidates = [
-            (t.encode(), action, t)
-            for action, t in successors(program, current)
-            if rep_fn(t) == want
-        ]
+        want = codec.encode(want)
+        candidates = [(t, action) for action, t in successors(program, key) if canon(t) == want]
         if not candidates:
             raise InternalError(
                 "no concrete successor matches the quotient edge at step "
                 f"{step}; the symmetry machinery is unsound for this program"
             )
-        _, action, current = min(candidates)
-        states.append(current)
+        key, action = min(candidates)
+        states.append(codec.decode(key))
         actions.append(action)
     return Path(tuple(states), tuple(actions))

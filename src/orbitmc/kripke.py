@@ -1,7 +1,10 @@
 """Explicit Kripke structures with labeled transitions.
 
 States are opaque payloads keyed by value, so re-adding an existing payload
-is a no-op that returns the original id.  The transition relation is kept
+is a no-op that returns the original id.  A structure given a ``codec``
+stores each payload as the codec's ``bytes`` key and speaks payloads at
+its interface: ``add_state`` takes either form, ``payload`` decodes,
+``state_of`` and ``has_state`` encode.  The transition relation is kept
 once per direction as int-indexed adjacency lists: ``(action, target)``
 pairs per source and ``(source, action)`` pairs per target, deduplicated
 per source, with an edge counter.  On top of them sit the set-valued
@@ -96,7 +99,8 @@ class Path:
 class KripkeStructure:
     """States, initial set, labeled edges and AP labeling."""
 
-    def __init__(self, props=()):
+    def __init__(self, props=(), codec=None):
+        self._codec = codec
         self._props = {}
         for p in props:
             self.add_prop(p)
@@ -134,6 +138,8 @@ class KripkeStructure:
         for name in labels:
             if name not in self._props:
                 raise ValueError(f"label {name!r} is not in the AP set")
+        if self._codec is not None and not isinstance(payload, bytes):
+            payload = self._codec.encode(payload)
         sid = self._index.get(payload)
         if sid is None:
             sid = len(self._payloads)
@@ -162,13 +168,27 @@ class KripkeStructure:
         return range(len(self._payloads))
 
     def payload(self, sid):
-        return self._payloads[sid]
+        if self._codec is None:
+            return self._payloads[sid]
+        return self._codec.decode(self._payloads[sid])
+
+    def _stored(self, payload):
+        """The stored form of ``payload``; KeyError if it has none."""
+        if self._codec is None:
+            return payload
+        try:
+            return self._codec.encode(payload)
+        except ValueError:
+            raise KeyError(f"{payload!r} is not a state of this structure") from None
 
     def state_of(self, payload):
-        return self._index[payload]
+        return self._index[self._stored(payload)]
 
     def has_state(self, payload):
-        return payload in self._index
+        try:
+            return self._stored(payload) in self._index
+        except KeyError:
+            return False
 
     def label_of(self, sid):
         self._check_id(sid)
@@ -187,9 +207,14 @@ class KripkeStructure:
     # -- edges ---------------------------------------------------------------
 
     def add_edge(self, src, action, dst):
-        self._check_id(src)
-        self._check_id(dst)
-        out = self._succ[src]
+        succ = self._succ
+        count = len(succ)
+        # the ids a builder passes are plain ints it has just issued; anything
+        # else takes the full check, which raises KeyError on an unknown id
+        if not (type(src) is type(dst) is int and 0 <= src < count and 0 <= dst < count):
+            self._check_id(src)
+            self._check_id(dst)
+        out = succ[src]
         step = (action, dst)
         if step in out:
             return
@@ -274,7 +299,7 @@ class KripkeStructure:
         lines = [f"digraph {graph_name} {{"]
         for sid in self.states():
             if payload_renderer is not None:
-                text = payload_renderer(self._payloads[sid])
+                text = payload_renderer(self.payload(sid))
             else:
                 text = str(sid)
             labels = sorted(self._labels[sid])
@@ -311,6 +336,7 @@ def breadth_first_build(
     expand,
     labeler,
     *,
+    codec=None,
     state_bound=DEFAULT_STATE_BOUND,
     stop_at_bad=False,
     bad_label="bad",
@@ -326,23 +352,28 @@ def breadth_first_build(
 
     Initial payloads get the designated ``init`` label on top of whatever
     ``labeler`` assigns, keeping labels a pure function of the payload
-    even when exploration cycles back to an initial state.
+    even when exploration cycles back to an initial state.  With a
+    ``codec`` the payloads handed in and out are its keys, and the
+    structure stores them as they are (see ``KripkeStructure``).
     """
     if state_bound < 1:
         raise ValueError("state_bound must be >= 1")
     started = time.perf_counter()
     initial_payloads = list(initial_payloads)
     initial_set = set(initial_payloads)
-    structure = KripkeStructure(props)
+    structure = KripkeStructure(props, codec)
     if initial_set and not structure.has_prop(INIT_PROP.name):
         structure.add_prop(INIT_PROP)
     stats = BuildStats()
     queue = deque()
     index = structure._index
+    payloads = structure._payloads
+
+    label_sets = {}  # one frozenset per distinct label set, shared by its states
 
     def insert(payload):
         # only for payloads not yet in the index: the callers look them up
-        if structure.num_states >= state_bound:
+        if len(payloads) >= state_bound:
             stats.states_reached = structure.num_states
             stats.edges = structure.num_edges
             stats.frontier_peak = max(stats.frontier_peak, len(queue))
@@ -354,6 +385,7 @@ def breadth_first_build(
         initial = payload in initial_set
         if initial:
             labels |= {INIT_PROP.name}
+        labels = label_sets.setdefault(labels, labels)
         sid = structure.add_state(payload, labels, initial=initial)
         queue.append(sid)
         if bad_label in labels:
@@ -367,19 +399,21 @@ def breadth_first_build(
                 break
     stats.frontier_peak = len(queue)
 
+    add_edge = structure.add_edge
     while queue and not (stop_at_bad and stats.bad_reached):
         sid = queue.popleft()
-        succs = expand(structure.payload(sid))
+        succs = expand(payloads[sid])
         if not succs:
             stats.deadlocks += 1
         for action, target in succs:
             tid = index.get(target)
             if tid is None:
                 tid = insert(target)
-            structure.add_edge(sid, action, tid)
+            add_edge(sid, action, tid)
             if stop_at_bad and stats.bad_reached:
                 break
-        stats.frontier_peak = max(stats.frontier_peak, len(queue))
+        if len(queue) > stats.frontier_peak:
+            stats.frontier_peak = len(queue)
 
     stats.states_reached = structure.num_states
     stats.edges = structure.num_edges

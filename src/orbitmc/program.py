@@ -20,13 +20,26 @@ states by it:
   the n local records in process order;
 * ``GlobalState.encode()`` packs exactly that value sequence as 4-byte
   big-endian unsigned integers, so byte order and tuple order agree.
+
+Exploration stores each state as one packed ``bytes`` key instead
+(``StateCodec``, one per program): the shared values, then one *code*
+per local record, ``pc * 2**L + bits`` for L locals, where ``bits`` reads
+the booleans as that same binary number.  Every field is a fixed-width
+big-endian unsigned integer, as wide as its largest value needs, rounded
+up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 for a
+program without pid-typed variables), record fields up to
+``local_domain_size() - 1``.  So a key is one byte per field while
+n + 1 <= 256 and ``local_domain_size()`` <= 256, and wider past that.
+Because all fields of a program have fixed widths, byte order of keys is
+tuple order, which is the order of ``GlobalState.encode``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from struct import Struct, error as StructError
 
 from .errors import UnsupportedModelError
 from .kripke import AtomicProp, DEFAULT_STATE_BOUND, breadth_first_build
@@ -62,6 +75,159 @@ class GlobalState:
         return bytes(out)
 
 
+_FIELD_FORMATS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _field_format(largest):
+    """(width, struct format) of the narrowest field holding 0..largest."""
+    for width, fmt in _FIELD_FORMATS:
+        if largest < 1 << (8 * width):
+            return width, fmt
+    raise UnsupportedModelError(f"a state field would need more than 64 bits (value {largest})")
+
+
+class StateCodec:
+    """Packs the states of one layout into single ``bytes`` keys and back.
+
+    The layout is n records of ``num_locals`` booleans and one of
+    ``num_pcs`` pc values, behind ``num_shared`` shared values of at most
+    ``max_shared``; the key format is the module docstring's.  ``encode``
+    and ``decode`` raise ``ValueError`` on a state or key that does not
+    fit the layout, so ``decode(encode(s)) == s`` for every state they
+    accept.  Record codes and records are converted through two memo
+    dicts, filled on first use.
+    """
+
+    def __init__(self, n, num_shared, pid_slots, num_locals, num_pcs, max_shared):
+        self.n = n
+        self.num_shared = num_shared
+        self.pid_slots = pid_slots
+        self.num_locals = num_locals
+        self.num_pcs = num_pcs
+        self.shared_width, shared_fmt = _field_format(max_shared)
+        self.width, code_fmt = _field_format((num_pcs << num_locals) - 1)
+        self.shared_size = num_shared * self.shared_width
+        self.size = self.shared_size + n * self.width
+        self._shared = Struct(f">{num_shared}{shared_fmt}")
+        self._codes = Struct(f">{n}{code_fmt}")
+        self._whole = Struct(f">{num_shared}{shared_fmt}{n}{code_fmt}")
+        self._record_of = {}
+        self._code_of = {}
+
+    @staticmethod
+    def for_program(program):
+        return _codec(
+            program.n,
+            len(program.shared_names),
+            program.pid_slots,
+            len(program.local_names),
+            len(program.pc_names),
+            program.n if program.pid_slots else 1,
+        )
+
+    @staticmethod
+    def fitting(state):
+        """A codec wide enough for ``state`` and every permutation of it."""
+        locs = state.locals
+        if not locs:
+            raise ValueError("a state has at least one process")
+        return _codec(
+            len(locs),
+            len(state.shared),
+            state.pid_slots,
+            len(locs[0]) - 1,
+            max(rec[0] for rec in locs) + 1,
+            max((len(locs), *state.shared)),
+        )
+
+    # -- one record --------------------------------------------------------
+
+    def code(self, rec):
+        """The code ``pc * 2**L + bits`` of a local record."""
+        code = self._code_of.get(rec)
+        if code is None:
+            if len(rec) != 1 + self.num_locals or not 0 <= rec[0] < self.num_pcs:
+                raise ValueError(f"local record {rec!r} does not fit the state layout")
+            code = rec[0]
+            for bit in rec[1:]:
+                if bit not in (0, 1):
+                    raise ValueError(f"local record {rec!r} holds a non-boolean local")
+                code = code << 1 | bit
+            self._code_of[rec] = code
+            self._record_of[code] = rec
+        return code
+
+    def record(self, code):
+        """The local record of a code."""
+        rec = self._record_of.get(code)
+        if rec is None:
+            pc = code >> self.num_locals
+            if pc >= self.num_pcs:
+                raise ValueError(f"record code {code} names no pc value")
+            rec = (pc,) + tuple(code >> k & 1 for k in reversed(range(self.num_locals)))
+            self._record_of[code] = rec
+            self._code_of[rec] = code
+        return rec
+
+    # -- whole keys --------------------------------------------------------
+
+    def encode(self, state):
+        if (
+            len(state.shared) != self.num_shared
+            or len(state.locals) != self.n
+            or state.pid_slots != self.pid_slots
+        ):
+            raise ValueError(f"state {state} does not fit the state layout")
+        try:
+            return self._whole.pack(*state.shared, *map(self.code, state.locals))
+        except StructError as exc:
+            raise ValueError(f"state {state} has a shared value out of range: {exc}") from None
+
+    def decode(self, key):
+        if len(key) != self.size:
+            raise ValueError(f"a key of this layout has {self.size} bytes, got {len(key)}")
+        values = self._whole.unpack(key)
+        k = self.num_shared
+        return GlobalState(values[:k], tuple(map(self.record, values[k:])), self.pid_slots)
+
+    def shared(self, key):
+        """The shared values of a key, as a tuple."""
+        return self._shared.unpack_from(key)
+
+    def codes(self, key):
+        """The record codes of a key, indexable by process."""
+        if self.width == 1:
+            return key[self.shared_size :]
+        return self._codes.unpack_from(key, self.shared_size)
+
+    def pack_shared(self, values):
+        try:
+            return self._shared.pack(*values)
+        except StructError as exc:
+            raise ValueError(f"shared values {values} out of range: {exc}") from None
+
+    def pack_codes(self, codes):
+        """The record part of a key holding these n codes."""
+        if self.width == 1:
+            return bytes(codes)
+        return self._codes.pack(*codes)
+
+    def occupancy(self, codes):
+        """Per-pc process counts of a key's codes."""
+        if not self.num_locals:
+            return list(map(codes.count, range(self.num_pcs)))
+        occ = [0] * self.num_pcs
+        shift = self.num_locals
+        for code in set(codes):
+            occ[code >> shift] += codes.count(code)
+        return occ
+
+
+@lru_cache(maxsize=None)
+def _codec(*layout):
+    return StateCodec(*layout)
+
+
 # --------------------------------------------------------------------------
 # Boolean expressions: guards, labels and formulas.
 #
@@ -69,10 +235,10 @@ class GlobalState:
 # process index, and they share one set of connectives: ``GTrue``,
 # ``GFalse``, ``GNot``, ``GAnd`` and ``GOr``.  A connective's ``eval(*ctx)``
 # passes its arguments on unchanged, so one node evaluates inside a guard
-# as ``eval(shared, rec, i, occ, n)`` and inside a label as ``eval(state)``.
-# Only the atoms differ.  CTL formulas are built from the same nodes
-# (``ctl.TrueF`` ... ``ctl.Or`` name them), which ``ctl.sat_set`` reads
-# structurally and never calls ``eval`` on.
+# as ``eval(shared, rec, i, occ, n)`` and inside a label as
+# ``eval(shared, occ, n)``.  Only the atoms differ.  CTL formulas are built
+# from the same nodes (``ctl.TrueF`` ... ``ctl.Or`` name them), which
+# ``ctl.sat_set`` reads structurally and never calls ``eval`` on.
 #
 # Guard atoms see the acting record ``rec``, its index ``i`` (None in the
 # counter abstraction) and the per-pc totals ``occ`` of all n processes,
@@ -88,7 +254,13 @@ class Guard:
 
 
 class LabelExpr:
-    def eval(self, state):
+    """A label node.  The package's label nodes read ``eval(shared, occ,
+    n)``, the shared values and per-pc totals, never a record; a
+    ``LabelExpr`` subclass from outside the package implements
+    ``eval(state)`` on a decoded ``GlobalState`` instead, and a label
+    definition that holds one is evaluated that way as a whole."""
+
+    def eval(self, shared, occ, n):
         raise NotImplementedError
 
 
@@ -270,9 +442,9 @@ def command_branches(program, cmd, shared, rec, i):
 
 
 # --------------------------------------------------------------------------
-# Label atoms: evaluated on whole states, restricted to atoms that are
-# invariant under process permutations.  Labels combine them with the
-# connectives above.
+# Label atoms: evaluated on the shared values and the per-pc totals,
+# restricted to atoms that are invariant under process permutations.
+# Labels combine them with the connectives above.
 # --------------------------------------------------------------------------
 
 
@@ -283,14 +455,8 @@ class CountAtLeast(LabelExpr):
     pc: int
     k: int
 
-    def eval(self, state):
-        count = 0
-        for rec in state.locals:
-            if rec[0] == self.pc:
-                count += 1
-                if count >= self.k:
-                    return True
-        return False
+    def eval(self, shared, occ, n):
+        return occ[self.pc] >= self.k
 
 
 @dataclass(frozen=True)
@@ -298,16 +464,43 @@ class LSharedEq(LabelExpr):
     slot: int
     value: int
 
-    def eval(self, state):
-        return state.shared[self.slot] == self.value
+    def eval(self, shared, occ, n):
+        return shared[self.slot] == self.value
 
 
 @dataclass(frozen=True)
 class LPidIsNone(LabelExpr):
     slot: int
 
-    def eval(self, state):
-        return state.shared[self.slot] == state.n
+    def eval(self, shared, occ, n):
+        return shared[self.slot] == n
+
+
+_LABEL_ATOMS = (CountAtLeast, LSharedEq, LPidIsNone)
+
+
+def _label_kind(program, expr):
+    """How a label definition is evaluated: ``"counts"`` when it is built
+    from the package's nodes, ``"asymmetric"`` when one of those tests a
+    pid-typed slot against a value (only a harness builds that), and
+    ``"state"`` when it holds a node from outside the package."""
+    nodes, atoms, foreign = [expr], [], False
+    while nodes:
+        node = nodes.pop()
+        kind = type(node)
+        if kind is GNot:
+            nodes.append(node.inner)
+        elif kind in (GAnd, GOr):
+            nodes += (node.left, node.right)
+        elif kind in _LABEL_ATOMS:
+            atoms.append(node)
+        elif kind not in (GTrue, GFalse):
+            foreign = True
+    if foreign:
+        return "state"
+    if any(type(a) is LSharedEq and program.shared_kinds[a.slot] == PID for a in atoms):
+        return "asymmetric"
+    return "counts"
 
 
 # --------------------------------------------------------------------------
@@ -351,15 +544,19 @@ class Program:
 
 
 class CommandTable:
-    """Per-program lookups for successor generation: ``by_pc[pc]`` lists
-    ``(j, guard)`` for the commands leaving ``pc`` in declaration order, and
-    ``effects`` memoizes ``command_branches``, whose outcome depends only on
-    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``;
-    ``counter_plan`` bundles those per record for the counter abstraction."""
+    """Per-program lookups for successor generation: ``codec`` packs the
+    program's states into keys, ``by_pc[pc]`` lists ``(j, guard)`` for the
+    commands leaving ``pc`` in declaration order, ``effects`` memoizes
+    ``command_branches``, whose outcome depends only on ``(j, shared,
+    rec)``, plus ``i`` for commands that assign ``self``, and
+    ``record_plan`` bundles those per record; ``count_labels`` and
+    ``state_labels`` split the label definitions by how they are
+    evaluated (see ``labeling``)."""
 
     def __init__(self, program):
         self.program = program
         self.pid_free = not program.pid_slots
+        self.codec = StateCodec.for_program(program)
         self.by_pc = tuple(
             tuple((j, cmd.guard) for j, cmd in enumerate(program.commands) if cmd.from_pc == pc)
             for pc in range(len(program.pc_names))
@@ -367,30 +564,61 @@ class CommandTable:
         self._assigns_self = tuple(
             any(u.value.tag == V_SELF for u in cmd.updates) for cmd in program.commands
         )
+        kinds = [(name, expr, _label_kind(program, expr)) for name, expr in program.label_defs]
+        self.count_labels = tuple((name, expr) for name, expr, kind in kinds if kind != "state")
+        self.state_labels = tuple((name, expr) for name, expr, kind in kinds if kind == "state")
+        # labels that permuting processes may change, checked per orbit by the quotient
+        self.labels_need_orbit_check = any(kind != "counts" for _, _, kind in kinds)
         self._effects = {}
-        self._counter_plans = {}
+        self._plans = {}
+
+    @cached_property
+    def action_names(self):
+        """``action_names[i][j]`` is the action ``"i/j"``; row ``i`` is
+        None until ``action_row(i)`` builds it, so a quotient that fires
+        few of n processes never builds the rest."""
+        return [None] * self.program.n
+
+    def action_row(self, i):
+        row = self.action_names[i] = tuple(f"{i}/{j}" for j in range(len(self.program.commands)))
+        return row
 
     def effects(self, j, shared, rec, i):
-        """``command_branches`` of command ``j``, computed once per key."""
+        """``command_branches`` of command ``j``, computed once per key, as
+        ``(new shared, new rec, packed shared, packed rec)``; the packed
+        shared values are None when the command leaves them unchanged."""
         key = (j, shared, rec, i) if self._assigns_self[j] else (j, shared, rec)
         out = self._effects.get(key)
         if out is None:
             cmd = self.program.commands[j]
-            out = self._effects[key] = tuple(command_branches(self.program, cmd, shared, rec, i))
+            codec = self.codec
+            out = self._effects[key] = tuple(
+                (
+                    new_shared,
+                    new_rec,
+                    None if new_shared == shared else codec.pack_shared(new_shared),
+                    codec.code(new_rec).to_bytes(codec.width, "big"),
+                )
+                for new_shared, new_rec in command_branches(self.program, cmd, shared, rec, i)
+            )
         return out
 
-    def counter_plan(self, shared, rec):
-        """The counter abstraction's firing plan for a record, built once
-        per ``(shared, rec)``: ``(guard, action, outcomes)`` for each command
-        leaving ``rec[0]``, with action ``"<record>/<j>"`` and outcomes
-        ``effects(j, shared, rec, None)``."""
-        plan = self._counter_plans.get((shared, rec))
+    def record_plan(self, shared, rec):
+        """The firing plan of a record in a pid-free program, built once per
+        ``(shared, rec)``: ``(guard, action, outcomes, moves)`` for each
+        command ``j`` leaving ``rec[0]``, with the counter abstraction's
+        action ``"<record>/<j>"``, outcomes ``effects(j, shared, rec,
+        None)`` and, for the key kernel, ``moves`` as ``(j, packed shared,
+        packed rec)`` per outcome."""
+        plan = self._plans.get((shared, rec))
         if plan is None:
             label = render_local(self.program, rec)
-            plan = self._counter_plans[shared, rec] = tuple(
-                (guard, f"{label}/{j}", self.effects(j, shared, rec, None))
-                for j, guard in self.by_pc[rec[0]]
-            )
+            plan = []
+            for j, guard in self.by_pc[rec[0]]:
+                outcomes = self.effects(j, shared, rec, None)
+                moves = tuple((j, outcome[2], outcome[3]) for outcome in outcomes)
+                plan.append((guard, f"{label}/{j}", outcomes, moves))
+            plan = self._plans[shared, rec] = tuple(plan)
         return plan
 
 
@@ -402,35 +630,100 @@ def initial_states(program):
 def successors(program, state, processes=None):
     """All (action, state) pairs one interleaved step away.
 
-    Processes are tried in index order and commands in declaration order,
-    so the result order is deterministic; the action label is
+    ``state`` is a key of the program's codec, and so are the successors;
+    given a ``GlobalState``, the successors are decoded ones.  Processes
+    are tried in index order and commands in declaration order, so the
+    result order is deterministic; the action label is
     ``"<process>/<command>"``.  An empty result is a deadlock.  With
     ``processes`` (increasing indices) only those processes fire; the
     quotient passes one process per class of interchangeable processes.
     """
-    table = program.table
-    shared = state.shared
-    locs = state.locals
-    n = program.n
-    occ = [0] * len(table.by_pc)
-    for rec in locs:
-        occ[rec[0]] += 1
+    if isinstance(state, GlobalState):
+        codec = program.table.codec
+        return [
+            (action, codec.decode(key))
+            for action, key in _key_successors(program.table, codec.encode(state), processes)
+        ]
+    return _key_successors(program.table, state, processes)
+
+
+def _key_successors(table, key, processes):
+    """The successor rule on keys.  A successor is the key with one record
+    field replaced (and the shared prefix too when the command writes
+    shared state).  In a pid-free program no guard or effect reads the
+    process index, so each distinct record is planned once per state
+    (``record_plan``) and every process holding it reuses the plan."""
+    codec = table.codec
+    n = codec.n
+    shared = codec.shared(key)
+    codes = codec.codes(key)
+    occ = codec.occupancy(codes)
+    record = codec.record
+    pid_free = table.pid_free
+    if pid_free:
+        plans = {}
+        for code in set(codes):
+            rec = record(code)
+            moves = plans[code] = []
+            for guard, _, _, command_moves in table.record_plan(shared, rec):
+                if guard.eval(shared, rec, None, occ, n):
+                    moves += command_moves
+    start, width = codec.shared_size, codec.width
+    names = table.action_names
     out = []
-    for i in range(len(locs)) if processes is None else processes:
-        rec = locs[i]
-        for j, guard in table.by_pc[rec[0]]:
-            if not guard.eval(shared, rec, i, occ, n):
-                continue
-            action = f"{i}/{j}"
-            for new_shared, new_rec in table.effects(j, shared, rec, i):
-                new_locals = locs[:i] + (new_rec,) + locs[i + 1 :]
-                out.append((action, GlobalState(new_shared, new_locals, state.pid_slots)))
+    append = out.append
+    for i in range(n) if processes is None else processes:
+        # the enabled moves of process i as (j, packed shared, packed record)
+        if pid_free:
+            moves = plans[codes[i]]
+        else:
+            rec = record(codes[i])
+            moves = [
+                (j, packed_shared, packed_rec)
+                for j, guard in table.by_pc[rec[0]]
+                if guard.eval(shared, rec, i, occ, n)
+                for _, _, packed_shared, packed_rec in table.effects(j, shared, rec, i)
+            ]
+        if not moves:
+            continue
+        at = start + i * width
+        head, tail = key[:at], key[at + width :]
+        actions = names[i] or table.action_row(i)
+        for j, packed_shared, packed_rec in moves:
+            if packed_shared is None:
+                append((actions[j], head + packed_rec + tail))
+            else:
+                append((actions[j], packed_shared + head[start:] + packed_rec + tail))
     return out
 
 
 def labeling(program, state):
-    """Evaluate every label definition on ``state``."""
-    return frozenset(name for name, expr in program.label_defs if expr.eval(state))
+    """Evaluate every label definition on ``state``, a key or a ``GlobalState``.
+
+    The package's label nodes read only the shared values and the per-pc
+    totals, so a key is never decoded for them; a definition holding a
+    label class from outside the package gets the decoded state.
+    """
+    table = program.table
+    if isinstance(state, GlobalState):
+        shared = state.shared
+        occ = [0] * len(table.by_pc)
+        for rec in state.locals:
+            occ[rec[0]] += 1
+    else:
+        codec = table.codec
+        shared = codec.shared(state)
+        occ = codec.occupancy(codec.codes(state))
+    n = program.n
+    out = []
+    for name, expr in table.count_labels:
+        if expr.eval(shared, occ, n):
+            out.append(name)
+    if table.state_labels:
+        if not isinstance(state, GlobalState):
+            state = table.codec.decode(state)
+        out += [name for name, expr in table.state_labels if expr.eval(state)]
+    return frozenset(out)
 
 
 _DESIGNATED_NAMES = ("init", "bad", "good")
@@ -495,11 +788,13 @@ def render_state(program, state):
 
 
 def _build_full(program, state_bound, stop_at_bad=False):
+    codec = program.table.codec
     return breadth_first_build(
         atomic_props(program),
-        sorted(initial_states(program), key=GlobalState.encode),
-        lambda s: successors(program, s),
-        lambda s: labeling(program, s),
+        sorted(map(codec.encode, initial_states(program))),
+        lambda key: successors(program, key),
+        lambda key: labeling(program, key),
+        codec=codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
     )

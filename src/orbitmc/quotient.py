@@ -30,10 +30,11 @@ from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import atomic_props, labeling, successors
 from .symmetry import (
     apply,
+    canonical_key_fn,
     full_symmetric,
+    key_processes_to_fire,
     orbit,
     pinned_processes,
-    processes_to_fire,
     representative_fn,
 )
 
@@ -77,14 +78,26 @@ def orbit_size_sorted(program, state):
     return size
 
 
-def _expand_canonical(program, rep_fn, group):
-    def expand(rep_state):
+def _expand_canonical(program, canon, group):
+    """Expansion of a representative key: fire one process per class
+    (every process under a generated subgroup) and canonicalize each
+    successor key.  The package's label nodes read only shared values and
+    per-pc totals, which every permutation keeps, so labels that could
+    differ inside an orbit (``CommandTable.labels_need_orbit_check``) are
+    the only ones compared between a successor and its representative."""
+    table = program.table
+    codec = table.codec
+    symmetric = group.kind == "full-symmetric"
+    check_labels = table.labels_need_orbit_check
+
+    def expand(rep):
+        fire = key_processes_to_fire(codec, rep) if symmetric else None
         out = []
-        for action, t in successors(program, rep_state, processes_to_fire(group, rep_state)):
-            tbar = rep_fn(t)
-            if labeling(program, t) != labeling(program, tbar):
+        for action, t in successors(program, rep, fire):
+            tbar = canon(t)
+            if check_labels and labeling(program, t) != labeling(program, tbar):
                 raise LabelSymmetryError(
-                    f"labels differ inside one orbit: {t} vs {tbar}"
+                    f"labels differ inside one orbit: {codec.decode(t)} vs {codec.decode(tbar)}"
                 )
             out.append((action, tbar))
         return out
@@ -96,16 +109,20 @@ def _build_quotient(
     program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None
 ):
     """Explore the quotient; (structure, stats).  ``group`` defaults to
-    Sym(n) and ``rep_fn`` to the group's ``representative_fn``."""
+    Sym(n) and ``rep_fn`` to the group's ``representative_fn``, which
+    canonicalizes the initial state; every other state is canonicalized
+    as a key by ``canonical_key_fn``."""
     if group is None:
         group = full_symmetric(program.n)
     if rep_fn is None:
         rep_fn, _ = representative_fn(program, group)
+    codec = program.table.codec
     return breadth_first_build(
         atomic_props(program),
-        [rep_fn(program.initial_state())],
-        _expand_canonical(program, rep_fn, group),
-        lambda s: labeling(program, s),
+        [codec.encode(rep_fn(program.initial_state()))],
+        _expand_canonical(program, canonical_key_fn(program, group), group),
+        lambda key: labeling(program, key),
+        codec=codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
     )

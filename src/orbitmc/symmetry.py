@@ -7,18 +7,23 @@ orbit is its least element under the byte encoding documented in
 ``program``.
 
 Under the full symmetric group that minimum is built directly by a
-*pinned sort* (the scalarset normal form), in O(n log n):
+*pinned sort* (the scalarset normal form), in O(n log n), on the packed
+key of a state (``canonical_key``):
 
 1. the processes named by non-``none`` pid slots are *pinned* and
    renumbered 0, 1, ... in order of first appearance across the slots,
    which makes the shared prefix of the encoding as small as it can be;
 2. their records go first, in that order;
-3. the remaining records follow, sorted, ties kept in old index order.
+3. the remaining records follow, sorted by their fixed-width bytes, ties
+   kept in old index order.
 
-Without pid slots nothing is pinned and the representative is just the
-state with its local records sorted (``rep_sort``).  Generated subgroups
-have no such normal form and are enumerated outright, capped.  Full
-symmetric groups are never enumerated outside test oracles.
+Without pid slots nothing is pinned and the representative key is the
+sorted record bytes behind the shared prefix.  ``rep_sort`` and
+``rep_min`` are the same rule on ``GlobalState`` values: they encode,
+sort and come back (``rep_min`` through the permutation the sort
+defines, which it returns as a witness).  Generated subgroups have no
+such normal form and are enumerated outright, capped.  Full symmetric
+groups are never enumerated outside test oracles.
 
 The same stabilizer argument says which processes a quotient must fire
 (``processes_to_fire``): two unpinned processes with equal records are
@@ -30,9 +35,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ResourceLimitError, UnsupportedModelError
-from .program import GlobalState, labeling, successors
+from .program import GlobalState, StateCodec, labeling, successors
 
 GROUP_ENUM_CAP = 10**6
 
@@ -181,14 +187,39 @@ def orbit(group, state):
     return frozenset(seen)
 
 
-def pinned_processes(state):
-    """Processes named by non-``none`` pid slots, in order of first appearance."""
+def _pins(shared, pid_slots, n):
     pins = []
-    for slot in state.pid_slots:
-        v = state.shared[slot]
-        if v != state.n and v not in pins:
+    for slot in pid_slots:
+        v = shared[slot]
+        if v != n and v not in pins:
             pins.append(v)
     return pins
+
+
+def pinned_processes(state):
+    """Processes named by non-``none`` pid slots, in order of first appearance."""
+    return _pins(state.shared, state.pid_slots, state.n)
+
+
+def _key_pins(codec, key):
+    if not codec.pid_slots:
+        return ()
+    return _pins(codec.shared(key), codec.pid_slots, codec.n)
+
+
+def canonical_key(codec, key):
+    """The pinned sort of the module docstring on a key of ``codec``: the
+    key of the least element of its orbit under the full symmetric group."""
+    codes = codec.codes(key)
+    pins = _key_pins(codec, key)
+    if not pins:
+        return key[: codec.shared_size] + codec.pack_codes(sorted(codes))
+    rank = {p: r for r, p in enumerate(pins)}
+    shared = list(codec.shared(key))
+    for slot in codec.pid_slots:
+        shared[slot] = rank.get(shared[slot], codec.n)
+    rest = sorted(code for i, code in enumerate(codes) if i not in rank)
+    return codec.pack_shared(shared) + codec.pack_codes([codes[p] for p in pins] + rest)
 
 
 def rep_sort(state):
@@ -204,7 +235,8 @@ def rep_sort(state):
         raise UnsupportedModelError(
             "rep_sort needs a pid-free program; use rep_min for pid-typed shared state"
         )
-    return GlobalState(state.shared, tuple(sorted(state.locals)), state.pid_slots)
+    codec = StateCodec.fitting(state)
+    return codec.decode(canonical_key(codec, codec.encode(state)))
 
 
 def group_elements(group, cap=GROUP_ENUM_CAP):
@@ -226,31 +258,36 @@ def group_elements(group, cap=GROUP_ENUM_CAP):
     return seen
 
 
-def _pinned_sort_mapping(state):
-    """The pinned sort of the module docstring as an index map old -> new.
-
-    The pinned processes come first in order of appearance, then the
-    other records sorted, ties by old index, so the map is deterministic.
-    """
-    pins = pinned_processes(state)
-    pinned = set(pins)
-    locs = state.locals
-    rest = sorted([i for i in range(state.n) if i not in pinned], key=locs.__getitem__)
-    mapping = [0] * state.n
-    for new, old in enumerate(pins + rest):
-        mapping[old] = new
+def _sort_witness(codec, key, rep_key):
+    """The permutation, old index -> new, that carries ``key`` to its
+    pinned sort ``rep_key``: each pinned process to its rank, the others
+    in old index order onto the run of their record in ``rep_key``."""
+    codes, rep_codes = codec.codes(key), codec.codes(rep_key)
+    pins = _key_pins(codec, key)
+    rank = {p: r for r, p in enumerate(pins)}
+    slot = {}
+    for new in reversed(range(len(pins), codec.n)):
+        slot[rep_codes[new]] = new
+    mapping = [0] * codec.n
+    for old, code in enumerate(codes):
+        if old in rank:
+            mapping[old] = rank[old]
+        else:
+            mapping[old] = slot[code]
+            slot[code] += 1
     return tuple(mapping)
 
 
 def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
     """Least orbit element by byte encoding, plus a permutation reaching it.
 
-    Full symmetric groups use the pinned sort of the module docstring,
-    one ``apply`` in all.  Generated groups are enumerated outright (desk
-    scale, capped at ``enum_cap``).  Satisfies ``apply(perm, state) ==
-    rep`` for the returned pair.  With ``witness=False`` a full symmetric
-    group skips validating the permutation and returns None in its place,
-    for callers that only want the representative.
+    Full symmetric groups use the pinned sort of the module docstring on
+    the state's key, then one ``apply`` of the permutation it defines.
+    Generated groups are enumerated outright (desk scale, capped at
+    ``enum_cap``).  Satisfies ``apply(perm, state) == rep`` for the
+    returned pair.  With ``witness=False`` a full symmetric group skips
+    validating the permutation and returns None in its place, for callers
+    that only want the representative.
     """
     if group.degree != state.n:
         raise ValueError("group degree does not match state")
@@ -263,7 +300,9 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
             if key < best_key:
                 best_state, best_perm, best_key = t, g, key
         return best_state, best_perm
-    mapping = _pinned_sort_mapping(state)
+    codec = StateCodec.fitting(state)
+    key = codec.encode(state)
+    mapping = _sort_witness(codec, key, canonical_key(codec, key))
     if not witness:
         return apply(_Bijection(mapping), state), None
     perm = Permutation(mapping)
@@ -287,6 +326,20 @@ def representative_fn(program, group=None):
     return (lambda s: rep_min(group, s, witness=False)[0]), "min-over-group"
 
 
+def canonical_key_fn(program, group=None):
+    """The canonicalization of ``representative_fn`` on the program's keys:
+    the pinned sort under the full symmetric group; a generated subgroup
+    decodes, takes ``rep_min`` and encodes."""
+    if group is None:
+        group = full_symmetric(program.n)
+    if group.degree != program.n:
+        raise ValueError("group degree does not match program")
+    codec = program.table.codec
+    if group.kind == "full-symmetric":
+        return partial(canonical_key, codec)
+    return lambda key: codec.encode(rep_min(group, codec.decode(key), witness=False)[0])
+
+
 def processes_to_fire(group, state):
     """Indices of one process per class of interchangeable processes.
 
@@ -301,11 +354,19 @@ def processes_to_fire(group, state):
     """
     if group.kind != "full-symmetric":
         return range(state.n)
-    pinned = pinned_processes(state)
+    return _first_of_runs(pinned_processes(state), state.locals)
+
+
+def key_processes_to_fire(codec, key):
+    """``processes_to_fire`` under the full symmetric group, on a key."""
+    return _first_of_runs(_key_pins(codec, key), codec.codes(key))
+
+
+def _first_of_runs(pins, records):
     fire = []
     prev = None
-    for i, rec in enumerate(state.locals):
-        if i in pinned:
+    for i, rec in enumerate(records):
+        if i in pins:
             fire.append(i)
         elif rec != prev:
             fire.append(i)

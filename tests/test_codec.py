@@ -1,0 +1,245 @@
+"""Packed state keys (``program.StateCodec``): round trips, order and wide fields.
+
+Exploration stores every state as one ``bytes`` key.  These tests pin the
+three things everything else relies on: a key decodes back to the state
+it came from, byte order of keys is the order of ``GlobalState.encode``
+(which canonicalization minimizes), and fields widen past one byte
+without changing any report.
+"""
+
+import dataclasses
+import io
+import random
+
+import pytest
+
+from orbitmc import (
+    GlobalState,
+    LabelSymmetryError,
+    build_quotient,
+    builtin_example,
+    labeling,
+    parse_program,
+    successors,
+)
+from orbitmc.cli import build_config, run
+from orbitmc.program import LSharedEq, StateCodec
+
+from test_differential import random_pid_program, random_program
+
+
+def random_state(rng, program):
+    shared = tuple(
+        rng.randint(0, program.n) if kind == "pid" else rng.randint(0, 1)
+        for kind in program.shared_kinds
+    )
+    locs = tuple(
+        (rng.randrange(len(program.pc_names)),)
+        + tuple(rng.randint(0, 1) for _ in program.local_names)
+        for _ in range(program.n)
+    )
+    return GlobalState(shared, locs, program.pid_slots)
+
+
+WIDE = """
+processes 2;
+shared s : bool;
+local a : bool;
+local b : bool;
+local c : bool;
+local d : bool;
+local e : bool;
+local f : bool;
+local g : bool;
+pc {P, Q, R};
+init pc=P, s=0, a=0, b=0, c=1, d=0, e=0, f=0, g=1;
+P -> Q : true / a := *, g := 0;
+Q -> R : exists_other(pc == Q) | s == 1 / b := a, s := *, f := 1;
+R -> P : f == 1 / g := 1, c := b, f := 0;
+Q -> Q : a == 1 & exists_other(pc == Q) / a := 0, e := 1;
+label bad := count(pc=R) >= 2;
+label done := s == 1;
+"""
+
+
+def programs():
+    """Random programs of both kinds, plus layouts whose fields need two bytes."""
+    for seed in range(20):
+        rng = random.Random(4000 + seed)
+        yield random_program(rng, rng.randint(2, 6))
+        yield random_pid_program(rng, rng.randint(2, 4))
+    yield parse_program(WIDE)
+    yield builtin_example("allocator", 300)
+    yield builtin_example("mutex", 256)
+
+
+@pytest.mark.parametrize("program", list(programs()), ids=lambda p: p.name)
+def test_keys_round_trip_and_keep_the_encoding_order(program):
+    codec = program.table.codec
+    rng = random.Random(program.name)
+    states = [random_state(rng, program) for _ in range(60)] + [program.initial_state()]
+    keys = [codec.encode(s) for s in states]
+    for state, key in zip(states, keys):
+        assert len(key) == codec.size
+        assert codec.decode(key) == state
+        assert labeling(program, key) == labeling(program, state)
+    for state in states[:5]:
+        key = codec.encode(state)
+        assert [(a, codec.decode(t)) for a, t in successors(program, key)] == successors(
+            program, state
+        )
+    assert sorted(states, key=GlobalState.encode) == sorted(states, key=codec.encode)
+    for a, b in zip(keys, keys[1:]):
+        assert (a < b) == (codec.decode(a).encode() < codec.decode(b).encode())
+
+
+def test_field_widths_follow_the_largest_value():
+    assert StateCodec.for_program(builtin_example("allocator", 255)).shared_width == 1
+    assert StateCodec.for_program(builtin_example("allocator", 256)).shared_width == 2
+    # without pid slots shared values are booleans, whatever n is
+    assert StateCodec.for_program(builtin_example("mutex", 300)).shared_width == 1
+    wide = parse_program(WIDE)
+    assert wide.local_domain_size() == 3 * 2**7 > 256
+    assert wide.table.codec.width == 2
+    assert StateCodec.for_program(builtin_example("mutex", 3)).size == 3
+
+
+def test_keys_that_do_not_fit_raise_value_errors():
+    program = builtin_example("allocator", 3)
+    codec = program.table.codec
+    good = program.initial_state()
+    misfits = [
+        GlobalState(good.shared, good.locals[:2], good.pid_slots),  # wrong n
+        GlobalState(good.shared, good.locals, ()),  # wrong pid slots
+        GlobalState((4,), good.locals, good.pid_slots),  # never a pid value, but fits
+        GlobalState((256,), good.locals, good.pid_slots),  # wider than the field
+        GlobalState(good.shared, ((3,),) * 3, good.pid_slots),  # no such pc
+        GlobalState(good.shared, ((0, 1),) * 3, good.pid_slots),  # a local too many
+    ]
+    assert codec.decode(codec.encode(misfits[2])) == misfits[2]
+    for state in misfits[:2] + misfits[3:]:
+        with pytest.raises(ValueError):
+            codec.encode(state)
+    with pytest.raises(ValueError):
+        codec.decode(codec.encode(good)[:-1])
+    with pytest.raises(ValueError):
+        codec.decode(b"\x00\x00\x00\x07")  # record code 7 names no pc
+    with pytest.raises(ValueError):
+        parse_program(WIDE).table.codec.encode(
+            GlobalState((0,), ((0, 2, 0, 0, 0, 0, 0, 0),) * 2)
+        )
+
+
+def test_a_label_reading_a_pid_value_is_still_checked_per_orbit():
+    # only a harness can build this label: the parser lets labels test a
+    # pid-typed variable against none alone
+    base = builtin_example("allocator", 3)
+    program = dataclasses.replace(
+        base, label_defs=base.label_defs + (("granted_to_0", LSharedEq(0, 0)),)
+    )
+    assert program.table.labels_need_orbit_check
+    with pytest.raises(LabelSymmetryError):
+        build_quotient(program)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(build_config(argv), out=out, err=err)
+    lines = [line for line in out.getvalue().splitlines(True) if "duration_ms" not in line]
+    return code, "".join(lines), err.getvalue()
+
+
+# reports of ``check --prop 'AG !bad'`` on WIDE, minus their duration line,
+# as the checker printed them when every state was a tuple of records
+WIDE_REPORTS = {
+    'full': (
+            'tool_version: 0.1.0\n'
+            'command: check\n'
+            'model: {model}\n'
+            'mode: full\n'
+            'property: AG !bad\n'
+            'verdict: fails\n'
+            'stats:\n'
+            '  states_reached: 1054\n'
+            '  edges: 3158\n'
+            '  deadlocks: 0\n'
+            '  frontier_peak: 153\n'
+            '  bad_reached: True\n'
+            'counterexample:\n'
+            '  0: s=0 [P(a=0,b=0,c=1,d=0,e=0,f=0,g=1),P(a=0,b=0,c=1,d=0,e=0,f=0,g=1)]\n'
+            '     --0/0-->\n'
+            '  1: s=0 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),P(a=0,b=0,c=1,d=0,e=0,f=0,g=1)]\n'
+            '     --1/0-->\n'
+            '  2: s=0 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --0/1-->\n'
+            '  3: s=1 [R(a=0,b=0,c=1,d=0,e=0,f=1,g=0),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --1/1-->\n'
+            '  4: s=0 [R(a=0,b=0,c=1,d=0,e=0,f=1,g=0),R(a=0,b=0,c=1,d=0,e=0,f=1,g=0)]\n'
+        ),
+    'quotient': (
+            'tool_version: 0.1.0\n'
+            'command: check\n'
+            'model: {model}\n'
+            'mode: quotient\n'
+            'property: AG !bad\n'
+            'verdict: fails\n'
+            'stats:\n'
+            '  states_reached: 549\n'
+            '  edges: 1579\n'
+            '  deadlocks: 0\n'
+            '  frontier_peak: 80\n'
+            '  bad_reached: True\n'
+            'counterexample:\n'
+            '  0: s=0 [P(a=0,b=0,c=1,d=0,e=0,f=0,g=1),P(a=0,b=0,c=1,d=0,e=0,f=0,g=1)]\n'
+            '     --1/0-->\n'
+            '  1: s=0 [P(a=0,b=0,c=1,d=0,e=0,f=0,g=1),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --0/0-->\n'
+            '  2: s=0 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --1/1-->\n'
+            '  3: s=1 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),R(a=0,b=0,c=1,d=0,e=0,f=1,g=0)]\n'
+            '     --0/1-->\n'
+            '  4: s=0 [R(a=0,b=0,c=1,d=0,e=0,f=1,g=0),R(a=0,b=0,c=1,d=0,e=0,f=1,g=0)]\n'
+        ),
+    'counter': (
+            'tool_version: 0.1.0\n'
+            'command: check\n'
+            'model: {model}\n'
+            'mode: counter\n'
+            'property: AG !bad\n'
+            'verdict: fails\n'
+            'stats:\n'
+            '  states_reached: 549\n'
+            '  edges: 1579\n'
+            '  deadlocks: 0\n'
+            '  frontier_peak: 80\n'
+            '  bad_reached: True\n'
+            'counterexample:\n'
+            '  0: s=0 [P(a=0,b=0,c=1,d=0,e=0,f=0,g=1),P(a=0,b=0,c=1,d=0,e=0,f=0,g=1)]\n'
+            '     --1/0-->\n'
+            '  1: s=0 [P(a=0,b=0,c=1,d=0,e=0,f=0,g=1),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --0/0-->\n'
+            '  2: s=0 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0)]\n'
+            '     --1/1-->\n'
+            '  3: s=1 [Q(a=0,b=0,c=1,d=0,e=0,f=0,g=0),R(a=0,b=0,c=1,d=0,e=0,f=1,g=0)]\n'
+            '     --0/1-->\n'
+            '  4: s=0 [R(a=0,b=0,c=1,d=0,e=0,f=1,g=0),R(a=0,b=0,c=1,d=0,e=0,f=1,g=0)]\n'
+        ),
+}
+
+
+@pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
+def test_two_byte_records_give_the_same_reports(tmp_path, monkeypatch, mode):
+    (tmp_path / "wide.gcl").write_text(WIDE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["check", "--model", "wide.gcl", "--mode", mode, "--prop", "AG !bad"])
+    assert (code, err) == (1, "")
+    assert out == "".join(WIDE_REPORTS[mode]).format(model="wide.gcl")
+
+
+def test_two_byte_pid_values_in_the_quotient():
+    code, out, err = run_cli(
+        ["check", "--builtin", "allocator:300", "--mode", "quotient", "--prop", "AG !bad"]
+    )
+    assert (code, err) == (0, "")
+    assert "verdict: holds\n" in out
+    assert "  states_reached: 601\n  edges: 1199\n" in out

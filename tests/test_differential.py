@@ -31,12 +31,14 @@ from orbitmc import (
     parse_program,
     pinned_processes,
     processes_to_fire,
+    rep_min,
     rep_sort,
     rotation,
     sat_set,
     successors,
     to_counter,
 )
+from orbitmc.symmetry import Permutation, transposition
 from orbitmc.program import (
     AllOthersNotAt,
     CountAtLeast,
@@ -447,6 +449,92 @@ def test_generated_subgroup_still_fires_every_process(seed):
     full.totalize("self-loop")
     quotient.structure.totalize("self-loop")
     assert check_bisimulation(full, quotient), seed
+
+
+# -- random subgroups: the generated-group path against full mode and Sym(n) --
+
+
+def random_generator(rng, n):
+    """A transposition, a cycle through a random subset, or a swap of two
+    disjoint blocks of processes."""
+    kind = rng.choice(("transposition", "cycle", "blocks"))
+    if kind == "transposition":
+        return transposition(n, *rng.sample(range(n), 2))
+    mapping = list(range(n))
+    if kind == "cycle":
+        points = rng.sample(range(n), rng.randint(2, n))
+        for a, b in zip(points, points[1:] + points[:1]):
+            mapping[a] = b
+    else:
+        size = rng.randint(1, n // 2)
+        points = rng.sample(range(n), 2 * size)
+        for a, b in zip(points[:size], points[size:]):
+            mapping[a], mapping[b] = b, a
+    return Permutation(tuple(mapping))
+
+
+def random_case(seed):
+    """A random program, pid-free on even seeds and pid-typed on odd ones."""
+    rng = random.Random(11000 + seed)
+    if seed % 2:
+        return rng, random_pid_program(rng, rng.randint(2, 3))
+    return rng, random_program(rng, rng.randint(2, 4))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_subgroup_quotients_are_bisimilar_to_full(seed):
+    rng, program = random_case(seed)
+    group = generated_group(
+        [random_generator(rng, program.n) for _ in range(rng.randint(1, 2))]
+    )
+    quotient = build_quotient(program, group=group, state_bound=50_000)
+    full = build_full_structure(program, state_bound=50_000)
+    assert quotient.total_covered() == full.num_states, seed
+    for sid in quotient.structure.states():
+        rep = quotient.structure.payload(sid)
+        assert quotient.orbit_sizes[sid] == len(orbit(group, rep))
+        assert rep_min(group, rep, witness=False)[0] == rep
+    full.totalize("self-loop")
+    quotient.structure.totalize("self-loop")
+    assert check_bisimulation(full, quotient), seed
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_symmetric_group_given_by_generators_matches_full_symmetric(seed):
+    # enumerating Sym(n) from its generators must find the pinned sort's
+    # representatives, state for state, with the same edges between them
+    _, program = random_case(seed)
+    sym = build_quotient(program, state_bound=50_000)
+    generators = full_symmetric(program.n).generators
+    enumerated = build_quotient(program, group=generated_group(generators), state_bound=50_000)
+    one, two = sym.structure, enumerated.structure
+    assert [one.payload(s) for s in one.states()] == [two.payload(s) for s in two.states()]
+    assert [one.label_of(s) for s in one.states()] == [two.label_of(s) for s in two.states()]
+    assert one.init == two.init
+    assert {(s, d) for s, _, d in one.edges()} == {(s, d) for s, _, d in two.edges()}
+    assert sym.orbit_sizes == enumerated.orbit_sizes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_ctl_formulas_agree_on_random_pid_programs(seed):
+    rng = random.Random(7000 + seed)
+    program = random_pid_program(rng, rng.randint(2, 3))
+    full = build_full_structure(program, state_bound=50_000)
+    quotient = build_quotient(program, state_bound=50_000).structure
+    full.totalize("self-loop")
+    quotient.totalize("self-loop")
+    group = full_symmetric(program.n)
+    full_reps = {sid: rep_min(group, full.payload(sid))[0] for sid in full.states()}
+
+    atoms = ["init"] + [name for name, _ in program.label_defs]
+    for op in CTL_OPERATORS:
+        text = random_ctl(rng, atoms, 3, op)
+        formula = parse_ctl(text)
+        quotient_sat = {quotient.payload(q) for q in sat_set(quotient, formula)}
+        full_sat = sat_set(full, formula)
+        for sid, rep in full_reps.items():
+            assert (sid in full_sat) == (rep in quotient_sat), (seed, text, full.payload(sid))
+        assert check(full, formula).holds == check(quotient, formula).holds, (seed, text)
 
 
 # -- random labels: the boolean layer labels share with guards --
