@@ -283,11 +283,8 @@ def run_export_dot(config, out):
         )
     program, _ = load_program(config)
     structure, _ = explore(program, config.mode, effective_bound(config))
-    if config.mode == "counter":
-        renderer = lambda c: render_state(program, from_counter(c))
-    else:
-        renderer = lambda s: render_state(program, s)
-    out.write(structure.export_dot(name, renderer))
+    view = from_counter if config.mode == "counter" else (lambda state: state)
+    out.write(structure.export_dot(name, lambda payload: render_state(program, view(payload))))
     return EXIT_OK
 
 

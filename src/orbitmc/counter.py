@@ -1,17 +1,14 @@
 """Counter abstraction: states as occupancy counts per local record.
 
 A counter state keeps the shared valuation plus, sparsely, how many
-processes sit in each local record.  For programs without pid-typed
-shared variables this is an exact reduction: sorting a concrete state and
-counting a concrete state lose exactly the same information, so the
-counter structure is isomorphic to the full-symmetry quotient, which
-``check_isomorphism`` verifies structure against structure.
-
-A successor moves one unit of occupancy, so it is a splice of the sorted
-``(record, count)`` pairs: decrement or drop the firing entry, increment
-or insert the target entry at its sorted position.  That costs O(k) for k
-occupied records, the counts stay sorted by construction, and
-``CounterState`` validates them in one linear pass.
+processes sit in each local record.  Without pid-typed shared variables
+that is the full-symmetry quotient under other names, and one structure
+with it: the run-length keys of ``runs.RunCodec`` (the shared values,
+then one ``(record code, count)`` pair per distinct record, codes
+increasing, each count 1 byte wide up to n = 255 and 2 bytes past that),
+stepped by ``runs.run_successors`` as a one-unit splice of the pairs.
+Counter mode names actions ``"<record>/<j>"`` and decodes payloads to
+``CounterState`` (``CounterView``).
 
 The classic pitfall is the self-exclusion of "other process" guard atoms:
 all_others(pc != C) must not count the firing process.  The one guard
@@ -21,22 +18,21 @@ such atom takes the firing record out itself, in every mode alike.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
-from .errors import InternalError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import GlobalState, atomic_props, labeling
+from .runs import run_successors
 
 
 @dataclass(frozen=True)
 class CounterState:
     """Shared valuation plus (local record, count >= 1) pairs, records
-    strictly increasing; one occupancy vector has exactly one form.
-
-    Construction checks both conditions in one linear pass and caches the
-    hash, since every state is hashed several times while it is interned.
-    """
+    strictly increasing, so one occupancy vector has exactly one form: the
+    decoded view of a counter structure's keys.  Construction checks both
+    conditions in one linear pass and caches the hash."""
 
     shared: tuple
     counts: tuple
@@ -61,116 +57,68 @@ class CounterState:
     def n(self):
         return sum(c for _, c in self.counts)
 
-    def encode(self):
-        out = bytearray()
-        for v in self.shared:
-            out += v.to_bytes(4, "big")
-        for rec, c in self.counts:
-            for v in rec:
-                out += v.to_bytes(4, "big")
-            out += c.to_bytes(4, "big")
-        return bytes(out)
+
+class CounterView:
+    """A program's run-length keys read as ``CounterState`` values: the
+    codec a counter structure speaks through.  Record order is code
+    order, so the pairs of a counter state are the key's runs."""
+
+    def __init__(self, program):
+        self.runs = program.table.runs
+
+    def encode(self, cstate):
+        if type(cstate) is not CounterState:
+            raise ValueError(f"{cstate!r} is not a counter state")
+        code = self.runs.codec.code
+        return self.runs.pack(cstate.shared, (), tuple((code(rec), c) for rec, c in cstate.counts))
+
+    def decode(self, key):
+        shared, _, codes, counts, _ = self.runs.parts(key)
+        return CounterState(shared, tuple(zip(map(self.runs.codec.record, codes), counts)))
 
 
 def _require_pid_free(program):
     if not program.table.pid_free:
-        names = [program.shared_names[k] for k in program.pid_slots]
-        raise UnsupportedModelError(
-            f"counter abstraction cannot track pid-typed shared state ({', '.join(names)})"
-        )
+        names = ", ".join(program.shared_names[k] for k in program.pid_slots)
+        message = f"counter abstraction cannot track pid-typed shared state ({names})"
+        raise UnsupportedModelError(message)
 
 
 def to_counter(state):
     """Abstract a concrete state to its occupancy vector."""
     if state.pid_slots:
-        raise UnsupportedModelError(
-            "counter abstraction cannot track pid-typed shared state"
-        )
-    tally = {}
-    for rec in state.locals:
-        tally[rec] = tally.get(rec, 0) + 1
-    return CounterState(state.shared, tuple(sorted(tally.items())))
+        raise UnsupportedModelError("counter abstraction cannot track pid-typed shared state")
+    runs = groupby(sorted(state.locals))
+    return CounterState(state.shared, tuple((rec, len(list(run))) for rec, run in runs))
 
 
 def from_counter(cstate):
     """The unique sorted concrete state with these occupancies."""
-    locs = []
-    for rec, c in cstate.counts:
-        locs.extend([rec] * c)
-    return GlobalState(cstate.shared, tuple(locs), ())
-
-
-def _move_one(counts, a, new_rec):
-    """``counts`` with one unit moved from entry ``a`` to ``new_rec``.
-
-    A splice of the sorted pairs: ``new_rec`` gains one unit at its sorted
-    position, found by bisection (``(new_rec,)`` sorts just before any
-    pair ``(new_rec, c)`` and after every smaller record), then entry ``a``
-    loses one and is dropped at zero.  The result is sorted without
-    sorting.
-    """
-    rec, c = counts[a]
-    if new_rec == rec:
-        return counts
-    out = list(counts)
-    b = bisect_left(counts, (new_rec,))
-    if b < len(counts) and counts[b][0] == new_rec:
-        out[b] = (new_rec, counts[b][1] + 1)
-    else:
-        out.insert(b, (new_rec, 1))
-        a += b <= a
-    if c > 1:
-        out[a] = (rec, c - 1)
-    else:
-        del out[a]
-    return tuple(out)
+    return GlobalState(cstate.shared, tuple(rec for rec, c in cstate.counts for _ in range(c)), ())
 
 
 def counter_successors(program, cstate):
-    """All (action, counter state) pairs one step away.
-
-    A command fires once per occupied source record.  The effect moves
-    one unit of occupancy from the firing record to the updated one and
-    rewrites the shared valuation; the new counts are spliced from the
-    old sorted ones in O(k) for k occupied records, so they come out
-    sorted by construction.  Guards, action labels (firing record and
-    command index) and outcomes come from the table's firing plan for
-    ``(shared, record)``.  Pid-typed programs raise
-    ``UnsupportedModelError``.
-    """
+    """All (action, counter state) pairs one step away, by
+    ``runs.run_successors``: a command fires once per occupied record, with
+    the action ``"<record>/<j>"``.  ``cstate`` is a run-length key, and so
+    are the successors; given a ``CounterState``, they are decoded ones.
+    Pid-typed programs raise ``UnsupportedModelError``."""
     _require_pid_free(program)
-    table = program.table
-    shared = cstate.shared
-    counts = cstate.counts
-    n = program.n
-    occ = [0] * len(table.by_pc)
-    for rec, c in counts:
-        occ[rec[0]] += c
-    out = []
-    for a, (rec, _) in enumerate(counts):
-        for guard, action, outcomes, _ in table.record_plan(shared, rec):
-            if not guard.eval(shared, rec, None, occ, n):
-                continue
-            for new_shared, new_rec, _, _ in outcomes:
-                out.append((action, CounterState(new_shared, _move_one(counts, a, new_rec))))
-    return out
+    if not isinstance(cstate, CounterState):
+        return run_successors(program, cstate, counter=True)
+    view = CounterView(program)
+    return [(a, view.decode(k)) for a, k in run_successors(program, view.encode(cstate), True)]
 
 
 def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
     _require_pid_free(program)
-    n = program.n
-
-    def label_counter(cstate):
-        concrete = from_counter(cstate)
-        if len(concrete.locals) != n:
-            raise InternalError(f"occupancy lost a process: {cstate}")
-        return labeling(program, concrete)
-
+    runs = program.table.runs
     return breadth_first_build(
         atomic_props(program),
-        [to_counter(program.initial_state())],
-        lambda c: counter_successors(program, c),
-        label_counter,
+        [runs.encode(program.initial_state())],
+        lambda key: counter_successors(program, key),
+        lambda key: labeling(program, key, runs),
+        codec=CounterView(program),
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
     )
@@ -192,14 +140,11 @@ class IsomorphismReport:
 
 
 def check_isomorphism(counter_structure, quotient):
-    """Verify counter and quotient structures are the same graph.
-
-    The candidate map sends a counter state to its sorted concretization.
-    Checked: the map is a bijection onto the quotient payloads, initial
-    states correspond, labels agree, and edges map onto edges in both
-    directions (action labels disregarded).  Returns a truthy report, or
-    a falsy one naming the first discrepancy.
-    """
+    """Verify counter and quotient structures are the same graph, under the
+    map from a counter state to its sorted concretization: a bijection onto
+    the quotient payloads that keeps initial states, labels and edges both
+    ways (actions disregarded).  Returns a truthy report, or a falsy one
+    naming the first discrepancy."""
     qstruct = quotient.structure
     mapping = {}
     for cid in counter_structure.states():

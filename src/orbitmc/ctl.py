@@ -294,7 +294,8 @@ def shortest_path(structure, sources, targets):
     """Deterministic BFS shortest path; None if no target is reachable.
 
     Sources are seeded in id order and successors expanded in stored
-    order, so ties always break the same way.
+    order, so ties always break the same way.  The path is read back from
+    the target and reversed once, in time linear in its length.
     """
     targets = set(targets)
     parent = {}
@@ -307,14 +308,11 @@ def shortest_path(structure, sources, targets):
         sid = queue.popleft()
         if sid in targets:
             states, actions = [sid], []
-            while parent[states[0]] is not None:
-                prev, action = parent[states[0]]
-                states.insert(0, prev)
-                actions.insert(0, action)
-            return Path(
-                tuple(structure.payload(s) for s in states),
-                tuple(actions),
-            )
+            while parent[states[-1]] is not None:
+                prev, action = parent[states[-1]]
+                states.append(prev)
+                actions.append(action)
+            return Path(tuple(map(structure.payload, reversed(states))), tuple(reversed(actions)))
         for action, dst in structure.successors(sid):
             if dst not in parent:
                 parent[dst] = (sid, action)
@@ -346,25 +344,22 @@ def check(structure, formula, init=None):
 def lift_counterexample(program, quotient_path, group=None):
     """Concretize a path of representatives into a real execution.
 
-    Walks the concrete successor relation, at each step taking the
-    successor whose representative matches the next path state (least
-    canonical encoding on ties).  The walk runs on the program's keys,
-    whose byte order is the canonical encoding's, and decodes only the
-    states it keeps.  A missing match means the quotient was not built
-    from an automorphism group, which is an internal bug
-    (``InternalError``), not an input error.
+    Walks the concrete successor relation on the program's positional keys,
+    at each step taking the successor whose canonical key is the next path
+    state's (least key, which is least encoding, on ties).  A missing match
+    means the quotient was not built from an automorphism group: an
+    internal bug (``InternalError``), not an input error.
     """
     rep_fn, _ = representative_fn(program, group)
     current = program.initial_state()
     if rep_fn(current) != quotient_path.states[0]:
         raise ValueError("path does not start at the representative of the initial state")
     codec = program.table.codec
-    canon = canonical_key_fn(program, group)
+    stored, canon = canonical_key_fn(program, group)
     key = codec.encode(current)
-    states = [current]
-    actions = []
+    states, actions = [current], []
     for step, want in enumerate(quotient_path.states[1:]):
-        want = codec.encode(want)
+        want = stored.encode(want)
         candidates = [(t, action) for action, t in successors(program, key) if canon(t) == want]
         if not candidates:
             raise InternalError(

@@ -167,6 +167,10 @@ class KripkeStructure:
     def states(self):
         return range(len(self._payloads))
 
+    def key(self, sid):
+        """The stored form of state ``sid``: its codec key, or its payload."""
+        return self._payloads[sid]
+
     def payload(self, sid):
         if self._codec is None:
             return self._payloads[sid]

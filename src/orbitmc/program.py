@@ -22,16 +22,13 @@ states by it:
   big-endian unsigned integers, so byte order and tuple order agree.
 
 Exploration stores each state as one packed ``bytes`` key instead
-(``StateCodec``, one per program): the shared values, then one *code*
-per local record, ``pc * 2**L + bits`` for L locals, where ``bits`` reads
-the booleans as that same binary number.  Every field is a fixed-width
+(``StateCodec``): the shared values, then one *code* per local record,
+``pc * 2**L + bits`` for L locals.  Every field is a fixed-width
 big-endian unsigned integer, as wide as its largest value needs, rounded
-up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 for a
-program without pid-typed variables), record fields up to
-``local_domain_size() - 1``.  So a key is one byte per field while
-n + 1 <= 256 and ``local_domain_size()`` <= 256, and wider past that.
-Because all fields of a program have fixed widths, byte order of keys is
-tuple order, which is the order of ``GlobalState.encode``.
+up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 without
+pid-typed variables), record fields up to ``local_domain_size() - 1``.
+Fixed widths make byte order of keys the order of ``GlobalState.encode``.
+Under the full symmetric group keys are run-length (``runs.RunCodec``).
 """
 
 from __future__ import annotations
@@ -87,15 +84,11 @@ def _field_format(largest):
 
 
 class StateCodec:
-    """Packs the states of one layout into single ``bytes`` keys and back.
-
-    The layout is n records of ``num_locals`` booleans and one of
-    ``num_pcs`` pc values, behind ``num_shared`` shared values of at most
-    ``max_shared``; the key format is the module docstring's.  ``encode``
-    and ``decode`` raise ``ValueError`` on a state or key that does not
-    fit the layout, so ``decode(encode(s)) == s`` for every state they
-    accept.  Record codes and records are converted through two memo
-    dicts, filled on first use.
+    """Packs the states of one layout (n records of ``num_locals`` booleans
+    and a pc of ``num_pcs`` values, behind ``num_shared`` shared values of
+    at most ``max_shared``) into the keys of the module docstring and back.
+    ``encode`` and ``decode`` raise ``ValueError`` on a misfit, so
+    ``decode(encode(s)) == s``; codes and records convert through memos.
     """
 
     def __init__(self, n, num_shared, pid_slots, num_locals, num_pcs, max_shared):
@@ -104,13 +97,13 @@ class StateCodec:
         self.pid_slots = pid_slots
         self.num_locals = num_locals
         self.num_pcs = num_pcs
-        self.shared_width, shared_fmt = _field_format(max_shared)
-        self.width, code_fmt = _field_format((num_pcs << num_locals) - 1)
+        self.shared_width, self.shared_fmt = _field_format(max_shared)
+        self.width, self.code_fmt = _field_format((num_pcs << num_locals) - 1)
         self.shared_size = num_shared * self.shared_width
         self.size = self.shared_size + n * self.width
-        self._shared = Struct(f">{num_shared}{shared_fmt}")
-        self._codes = Struct(f">{n}{code_fmt}")
-        self._whole = Struct(f">{num_shared}{shared_fmt}{n}{code_fmt}")
+        self._shared = Struct(f">{num_shared}{self.shared_fmt}")
+        self._codes = Struct(f">{n}{self.code_fmt}")
+        self._whole = Struct(f">{num_shared}{self.shared_fmt}{n}{self.code_fmt}")
         self._record_of = {}
         self._code_of = {}
 
@@ -123,21 +116,6 @@ class StateCodec:
             len(program.local_names),
             len(program.pc_names),
             program.n if program.pid_slots else 1,
-        )
-
-    @staticmethod
-    def fitting(state):
-        """A codec wide enough for ``state`` and every permutation of it."""
-        locs = state.locals
-        if not locs:
-            raise ValueError("a state has at least one process")
-        return _codec(
-            len(locs),
-            len(state.shared),
-            state.pid_slots,
-            len(locs[0]) - 1,
-            max(rec[0] for rec in locs) + 1,
-            max((len(locs), *state.shared)),
         )
 
     # -- one record --------------------------------------------------------
@@ -206,21 +184,15 @@ class StateCodec:
         except StructError as exc:
             raise ValueError(f"shared values {values} out of range: {exc}") from None
 
-    def pack_codes(self, codes):
-        """The record part of a key holding these n codes."""
-        if self.width == 1:
-            return bytes(codes)
-        return self._codes.pack(*codes)
-
-    def occupancy(self, codes):
-        """Per-pc process counts of a key's codes."""
+    def census(self, key):
+        """The shared values and per-pc process counts of a key."""
+        codes = self.codes(key)
         if not self.num_locals:
-            return list(map(codes.count, range(self.num_pcs)))
+            return self.shared(key), list(map(codes.count, range(self.num_pcs)))
         occ = [0] * self.num_pcs
-        shift = self.num_locals
         for code in set(codes):
-            occ[code >> shift] += codes.count(code)
-        return occ
+            occ[code >> self.num_locals] += codes.count(code)
+        return self.shared(key), occ
 
 
 @lru_cache(maxsize=None)
@@ -544,14 +516,13 @@ class Program:
 
 
 class CommandTable:
-    """Per-program lookups for successor generation: ``codec`` packs the
-    program's states into keys, ``by_pc[pc]`` lists ``(j, guard)`` for the
-    commands leaving ``pc`` in declaration order, ``effects`` memoizes
-    ``command_branches``, whose outcome depends only on ``(j, shared,
-    rec)``, plus ``i`` for commands that assign ``self``, and
-    ``record_plan`` bundles those per record; ``count_labels`` and
-    ``state_labels`` split the label definitions by how they are
-    evaluated (see ``labeling``)."""
+    """Per-program lookups for successor generation: ``codec`` and ``runs``
+    pack states into keys and run-length keys, ``by_pc[pc]`` lists ``(j,
+    guard)`` for the commands leaving ``pc`` in declaration order,
+    ``effects`` memoizes ``command_branches`` (whose outcome depends only on
+    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``),
+    ``record_plan`` bundles those per record, and ``count_labels`` and
+    ``state_labels`` split the labels by how ``labeling`` evaluates them."""
 
     def __init__(self, program):
         self.program = program
@@ -571,21 +542,24 @@ class CommandTable:
         self.labels_need_orbit_check = any(kind != "counts" for _, _, kind in kinds)
         self._effects = {}
         self._plans = {}
+        # ``action_names[i][j]`` is the action "i/j"; row i stays None until
+        # ``action_row(i)`` fills it, so a quotient that fires few of n
+        # processes never builds the rest
+        self.action_names = [None] * program.n
 
     @cached_property
-    def action_names(self):
-        """``action_names[i][j]`` is the action ``"i/j"``; row ``i`` is
-        None until ``action_row(i)`` builds it, so a quotient that fires
-        few of n processes never builds the rest."""
-        return [None] * self.program.n
+    def runs(self):
+        from .runs import run_codec  # the runs module builds on this one
+
+        return run_codec(self.codec)
 
     def action_row(self, i):
-        row = self.action_names[i] = tuple(f"{i}/{j}" for j in range(len(self.program.commands)))
+        row = self.action_names[i] = _action_row(i, len(self.program.commands))
         return row
 
     def effects(self, j, shared, rec, i):
         """``command_branches`` of command ``j``, computed once per key, as
-        ``(new shared, new rec, packed shared, packed rec)``; the packed
+        ``(j, new shared, packed shared, new code, packed code)``; the packed
         shared values are None when the command leaves them unchanged."""
         key = (j, shared, rec, i) if self._assigns_self[j] else (j, shared, rec)
         out = self._effects.get(key)
@@ -594,32 +568,36 @@ class CommandTable:
             codec = self.codec
             out = self._effects[key] = tuple(
                 (
+                    j,
                     new_shared,
-                    new_rec,
                     None if new_shared == shared else codec.pack_shared(new_shared),
-                    codec.code(new_rec).to_bytes(codec.width, "big"),
+                    code := codec.code(new_rec),
+                    code.to_bytes(codec.width, "big"),
                 )
                 for new_shared, new_rec in command_branches(self.program, cmd, shared, rec, i)
             )
         return out
 
-    def record_plan(self, shared, rec):
-        """The firing plan of a record in a pid-free program, built once per
-        ``(shared, rec)``: ``(guard, action, outcomes, moves)`` for each
-        command ``j`` leaving ``rec[0]``, with the counter abstraction's
-        action ``"<record>/<j>"``, outcomes ``effects(j, shared, rec,
-        None)`` and, for the key kernel, ``moves`` as ``(j, packed shared,
-        packed rec)`` per outcome."""
-        plan = self._plans.get((shared, rec))
-        if plan is None:
-            label = render_local(self.program, rec)
-            plan = []
-            for j, guard in self.by_pc[rec[0]]:
-                outcomes = self.effects(j, shared, rec, None)
-                moves = tuple((j, outcome[2], outcome[3]) for outcome in outcomes)
-                plan.append((guard, f"{label}/{j}", outcomes, moves))
-            plan = self._plans[shared, rec] = tuple(plan)
-        return plan
+    def record_plan(self, shared, code, i=None):
+        """The record of a code and its firing plan, kept in ``_plans``:
+        ``(guard, action, moves)`` per command ``j`` leaving the record's pc,
+        with the counter action ``"<record>/<j>"`` and ``effects(j, shared,
+        rec, i)`` as moves; only pid-typed programs, which have no counter
+        actions, pass a process index ``i``."""
+        got = self._plans.get((shared, code, i))
+        if got is None:
+            rec = self.codec.record(code)
+            label = render_local(self.program, rec) if i is None else None
+            got = self._plans[shared, code, i] = rec, tuple(
+                (guard, label and f"{label}/{j}", self.effects(j, shared, rec, i))
+                for j, guard in self.by_pc[rec[0]]
+            )
+        return got
+
+
+@lru_cache(maxsize=None)
+def _action_row(i, commands):
+    return tuple(f"{i}/{j}" for j in range(commands))
 
 
 def initial_states(program):
@@ -628,16 +606,11 @@ def initial_states(program):
 
 
 def successors(program, state, processes=None):
-    """All (action, state) pairs one interleaved step away.
-
-    ``state`` is a key of the program's codec, and so are the successors;
-    given a ``GlobalState``, the successors are decoded ones.  Processes
-    are tried in index order and commands in declaration order, so the
-    result order is deterministic; the action label is
-    ``"<process>/<command>"``.  An empty result is a deadlock.  With
-    ``processes`` (increasing indices) only those processes fire; the
-    quotient passes one process per class of interchangeable processes.
-    """
+    """All (action, state) pairs one interleaved step away, processes in
+    index order (only ``processes`` if given) and commands in declaration
+    order; the action is ``"<process>/<command>"`` and an empty result is a
+    deadlock.  ``state`` is a key of the program's codec, and so are the
+    successors; given a ``GlobalState``, they are decoded ones."""
     if isinstance(state, GlobalState):
         codec = program.table.codec
         return [
@@ -655,17 +628,16 @@ def _key_successors(table, key, processes):
     (``record_plan``) and every process holding it reuses the plan."""
     codec = table.codec
     n = codec.n
-    shared = codec.shared(key)
+    shared, occ = codec.census(key)
     codes = codec.codes(key)
-    occ = codec.occupancy(codes)
     record = codec.record
     pid_free = table.pid_free
     if pid_free:
         plans = {}
         for code in set(codes):
-            rec = record(code)
+            rec, plan = table.record_plan(shared, code)
             moves = plans[code] = []
-            for guard, _, _, command_moves in table.record_plan(shared, rec):
+            for guard, _, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
                     moves += command_moves
     start, width = codec.shared_size, codec.width
@@ -673,23 +645,23 @@ def _key_successors(table, key, processes):
     out = []
     append = out.append
     for i in range(n) if processes is None else processes:
-        # the enabled moves of process i as (j, packed shared, packed record)
+        # the enabled moves of process i, as ``effects`` gives them
         if pid_free:
             moves = plans[codes[i]]
         else:
             rec = record(codes[i])
             moves = [
-                (j, packed_shared, packed_rec)
+                move
                 for j, guard in table.by_pc[rec[0]]
                 if guard.eval(shared, rec, i, occ, n)
-                for _, _, packed_shared, packed_rec in table.effects(j, shared, rec, i)
+                for move in table.effects(j, shared, rec, i)
             ]
         if not moves:
             continue
         at = start + i * width
         head, tail = key[:at], key[at + width :]
         actions = names[i] or table.action_row(i)
-        for j, packed_shared, packed_rec in moves:
+        for j, _, packed_shared, _, packed_rec in moves:
             if packed_shared is None:
                 append((actions[j], head + packed_rec + tail))
             else:
@@ -697,32 +669,22 @@ def _key_successors(table, key, processes):
     return out
 
 
-def labeling(program, state):
-    """Evaluate every label definition on ``state``, a key or a ``GlobalState``.
-
-    The package's label nodes read only the shared values and the per-pc
-    totals, so a key is never decoded for them; a definition holding a
-    label class from outside the package gets the decoded state.
+def labeling(program, state, codec=None):
+    """Evaluate every label definition on ``state``: a ``GlobalState``, or
+    a key of ``codec`` (by default the program's ``StateCodec``).  Package
+    label nodes read only the shared values and per-pc totals; a definition
+    holding a label class from outside the package gets the decoded state.
     """
     table = program.table
     if isinstance(state, GlobalState):
-        shared = state.shared
-        occ = [0] * len(table.by_pc)
-        for rec in state.locals:
-            occ[rec[0]] += 1
-    else:
-        codec = table.codec
-        shared = codec.shared(state)
-        occ = codec.occupancy(codec.codes(state))
+        codec, state = table.codec, table.codec.encode(state)
+    codec = codec or table.codec
+    shared, occ = codec.census(state)
     n = program.n
-    out = []
-    for name, expr in table.count_labels:
-        if expr.eval(shared, occ, n):
-            out.append(name)
+    out = [name for name, expr in table.count_labels if expr.eval(shared, occ, n)]
     if table.state_labels:
-        if not isinstance(state, GlobalState):
-            state = table.codec.decode(state)
-        out += [name for name, expr in table.state_labels if expr.eval(state)]
+        decoded = codec.decode(state)
+        out += [name for name, expr in table.state_labels if expr.eval(decoded)]
     return frozenset(out)
 
 

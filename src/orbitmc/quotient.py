@@ -1,22 +1,20 @@
 """Quotient structures over canonical orbit representatives.
 
 The quotient is built on the fly: only representatives are ever expanded,
-and every successor is canonicalized before insertion.  That is sound
+and every successor is canonical before insertion.  That is sound
 because process permutations commute with the successor relation, which
 the frontend's guard restrictions guarantee and ``check_bisimulation``
 certifies at desk scale.
 
-A representative does not fire all n processes, only one per class of
-interchangeable processes (``symmetry.processes_to_fire``).  Under Sym(n)
-those are the processes named by pid slots plus the first process of
-each run of equal records in the sorted rest.  Two unpinned processes
-with equal records are swapped by a transposition that fixes the
-representative, so their successors lie in the same orbits: the reached
-states are those of firing every process, and the edges are the counter
-abstraction's, one per (distinct record, command, outcome).  A generated
-subgroup still fires every process.  Edge actions name the fired process
-by its index in the representative (``"i/j"``); ``ctl.lift_counterexample``
-finds the concrete steps again from the concrete successor relation.
+Under Sym(n) each state is its run-length key (``runs.RunCodec``), a
+representative by construction: the shared values, the pinned records
+in pin-rank order, then one ``(record code, count)`` pair per distinct
+unpinned record, each count 1 byte wide up to n = 255 and 2 bytes past
+that.  ``runs.run_successors``, the counter abstraction's kernel too,
+fires each pin and each run head, so the edges are the counter
+abstraction's; actions ``"i/j"`` name the head by its index in the
+representative.  A generated subgroup keeps positional keys, fires every
+process and canonicalizes each successor (``symmetry.canonical_key_fn``).
 """
 
 from __future__ import annotations
@@ -28,11 +26,11 @@ from dataclasses import dataclass, field
 from .errors import InternalError, LabelSymmetryError, ResourceLimitError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import atomic_props, labeling, successors
+from .runs import run_successors
 from .symmetry import (
     apply,
     canonical_key_fn,
     full_symmetric,
-    key_processes_to_fire,
     orbit,
     pinned_processes,
     representative_fn,
@@ -63,89 +61,69 @@ class QuotientStructure:
 def orbit_size_sorted(program, state):
     """Orbit size of a state under the full symmetric group, in closed form.
 
-    A permutation fixes the state exactly when it fixes every process
-    named by a pid slot and only swaps equal records among the rest, so
-    the orbit size is n! divided by the product of m! over the
-    multiplicities m of the unpinned records.  Without pid slots this is
-    the number of arrangements of the record multiset.  Any state of the
-    orbit gives the same answer.
+    The stabilizer fixes every pinned process and swaps equal records
+    among the rest, so the size is n! over the product of m! for the
+    multiplicities m of the unpinned records: the run counts, when
+    ``state`` is a run-length key of the program.
     """
-    pinned = set(pinned_processes(state))
-    counts = Counter(rec for i, rec in enumerate(state.locals) if i not in pinned)
-    size = math.factorial(state.n)
-    for m in counts.values():
+    if isinstance(state, bytes):
+        runs = program.table.runs
+        size, counts = runs.nfact, runs.parts(state)[3]
+    else:
+        pinned = set(pinned_processes(state))
+        size = math.factorial(state.n)
+        counts = Counter(rec for i, rec in enumerate(state.locals) if i not in pinned).values()
+    for m in counts:
         size //= math.factorial(m)
     return size
-
-
-def _expand_canonical(program, canon, group):
-    """Expansion of a representative key: fire one process per class
-    (every process under a generated subgroup) and canonicalize each
-    successor key.  The package's label nodes read only shared values and
-    per-pc totals, which every permutation keeps, so labels that could
-    differ inside an orbit (``CommandTable.labels_need_orbit_check``) are
-    the only ones compared between a successor and its representative."""
-    table = program.table
-    codec = table.codec
-    symmetric = group.kind == "full-symmetric"
-    check_labels = table.labels_need_orbit_check
-
-    def expand(rep):
-        fire = key_processes_to_fire(codec, rep) if symmetric else None
-        out = []
-        for action, t in successors(program, rep, fire):
-            tbar = canon(t)
-            if check_labels and labeling(program, t) != labeling(program, tbar):
-                raise LabelSymmetryError(
-                    f"labels differ inside one orbit: {codec.decode(t)} vs {codec.decode(tbar)}"
-                )
-            out.append((action, tbar))
-        return out
-
-    return expand
 
 
 def _build_quotient(
     program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None
 ):
-    """Explore the quotient; (structure, stats).  ``group`` defaults to
-    Sym(n) and ``rep_fn`` to the group's ``representative_fn``, which
-    canonicalizes the initial state; every other state is canonicalized
-    as a key by ``canonical_key_fn``."""
+    """Explore the quotient; (structure, stats).  ``group`` defaults to Sym(n)
+    and ``rep_fn``, which canonicalizes the initial state, to its
+    ``representative_fn``.  Labels that permutations may change are checked
+    on each decoded representative against its images under the generators."""
     if group is None:
         group = full_symmetric(program.n)
     if rep_fn is None:
         rep_fn, _ = representative_fn(program, group)
-    codec = program.table.codec
+    codec, canon = canonical_key_fn(program, group)
+    if group.kind == "full-symmetric":
+        expand = lambda key: run_successors(program, key)
+    else:
+        expand = lambda key: [(action, canon(t)) for action, t in successors(program, key)]
+
+    check = program.table.labels_need_orbit_check
+
+    def labeler(key):
+        if check:
+            for rep, g, _, _ in check_symmetric_labeling(program, [codec.decode(key)], group)[:1]:
+                raise LabelSymmetryError(f"labels differ in one orbit: {rep} vs {apply(g, rep)}")
+        return labeling(program, key, codec)
+
     return breadth_first_build(
         atomic_props(program),
         [codec.encode(rep_fn(program.initial_state()))],
-        _expand_canonical(program, canonical_key_fn(program, group), group),
-        lambda key: labeling(program, key),
+        expand,
+        labeler,
         codec=codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
     )
 
 
-def _orbit_sizes(program, structure, group=None):
-    """Orbit size per state id of a quotient structure.
-
-    Under Sym(n) sizes come from the closed form of ``orbit_size_sorted``;
-    only generated subgroups enumerate each orbit.  Every orbit size
-    divides n!, the group being a subgroup of Sym(n); one that does not
-    is an internal fault.
-    """
-    if group is None:
-        group = full_symmetric(program.n)
-    sizes = {}
-    nfact = math.factorial(program.n)
+def _orbit_sizes(program, structure, group):
+    """Orbit size per state id: the closed form of ``orbit_size_sorted``
+    on each run-length key under Sym(n), the orbit itself under a generated
+    subgroup.  A size that does not divide n! is an internal fault."""
+    sizes, nfact = {}, program.table.runs.nfact
     for sid in structure.states():
-        payload = structure.payload(sid)
         if group.kind == "full-symmetric":
-            size = orbit_size_sorted(program, payload)
+            size = orbit_size_sorted(program, structure.key(sid))
         else:
-            size = len(orbit(group, payload))
+            size = len(orbit(group, structure.payload(sid)))
         if nfact % size != 0:
             raise InternalError(f"orbit size {size} does not divide {program.n}!")
         sizes[sid] = size
@@ -153,18 +131,8 @@ def _orbit_sizes(program, structure, group=None):
 
 
 def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
-    """Worklist construction of the quotient structure.
-
-    Each representative fires one process per class of interchangeable
-    processes (see the module docstring): under Sym(n) every pinned
-    process and the first of each run of equal unpinned records, under a
-    generated subgroup every process.  That reaches the same states as
-    firing all n, with one edge per distinct record instead of one per
-    process.  Edge actions keep the index of the fired process in the
-    expanded representative; those indices are representative-relative.
-    Representatives come from the pinned sort under Sym(n) (see
-    ``symmetry``); orbit sizes from ``_orbit_sizes``.
-    """
+    """Worklist construction of the quotient structure (see the module
+    docstring), with orbit sizes from ``_orbit_sizes``."""
     if group is None:
         group = full_symmetric(program.n)
     rep_fn, rep_mode = representative_fn(program, group)
@@ -174,12 +142,9 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
 
 
 def check_symmetric_labeling(program, sample, group=None):
-    """Violations of label invariance under the group generators.
-
-    Returns a list of (state, permutation, labels, permuted labels)
-    tuples; empty means the labeling is symmetric on the sample.
-    Violations are data, not errors: the report is for diagnostics.
-    """
+    """Violations of label invariance under the group generators, as
+    (state, permutation, labels, permuted labels) tuples; empty means the
+    labeling is symmetric on the sample."""
     if group is None:
         group = full_symmetric(program.n)
     violations = []
@@ -193,13 +158,11 @@ def check_symmetric_labeling(program, sample, group=None):
 
 
 def check_bisimulation(full, quotient, size_cap=BISIM_SIZE_CAP):
-    """Certify that relating each state to its representative is a bisimulation.
-
-    Checks, for every concrete state s with representative r(s): equal
-    labels; every concrete edge s -> t has a quotient edge
-    r(s) -> r(t) (forth); and every quotient edge r(s) -> tbar is matched
-    by some concrete edge s -> t with r(t) = tbar (back).  Both structures
-    must be totalized first.  Action labels play no role.
+    """Certify that relating each state to its representative is a bisimulation:
+    for every concrete state s, equal labels, a quotient edge r(s) -> r(t)
+    for every concrete edge s -> t (forth), and a concrete edge s -> t with
+    r(t) = tbar for every quotient edge r(s) -> tbar (back), actions aside.
+    Both structures must be totalized first.
     """
     if full.num_states > size_cap:
         raise ResourceLimitError(f"bisimulation check capped at {size_cap} states")

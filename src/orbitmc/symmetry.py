@@ -1,44 +1,28 @@
 """Permutations of process indices acting on global states.
 
 The action permutes the local records and re-points pid-typed shared
-values (``none`` stays put).  Orbits, canonical representatives and the
-automorphism check all live here.  The canonical representative of an
-orbit is its least element under the byte encoding documented in
-``program``.
-
-Under the full symmetric group that minimum is built directly by a
-*pinned sort* (the scalarset normal form), in O(n log n), on the packed
-key of a state (``canonical_key``):
-
-1. the processes named by non-``none`` pid slots are *pinned* and
-   renumbered 0, 1, ... in order of first appearance across the slots,
-   which makes the shared prefix of the encoding as small as it can be;
-2. their records go first, in that order;
-3. the remaining records follow, sorted by their fixed-width bytes, ties
-   kept in old index order.
-
-Without pid slots nothing is pinned and the representative key is the
-sorted record bytes behind the shared prefix.  ``rep_sort`` and
-``rep_min`` are the same rule on ``GlobalState`` values: they encode,
-sort and come back (``rep_min`` through the permutation the sort
-defines, which it returns as a witness).  Generated subgroups have no
-such normal form and are enumerated outright, capped.  Full symmetric
-groups are never enumerated outside test oracles.
-
-The same stabilizer argument says which processes a quotient must fire
-(``processes_to_fire``): two unpinned processes with equal records are
-swapped by a transposition that fixes the state, so they have the same
-canonical successors and one of them stands for both.
+values (``none`` stays put).  The representative of an orbit is its
+least element under the byte encoding documented in ``program``.  Under
+the full symmetric group that is a *pinned sort* (the scalarset normal
+form), O(n log n): the processes named by non-``none`` pid slots are
+pinned and renumbered 0, 1, ... in order of first appearance, their
+records go first, and the others follow sorted, ties in index order
+(``rep_sort``, ``rep_min`` with a witness permutation).  Exploration
+stores it as a run-length key (``runs.RunCodec.canonical``): the shared
+values, the pinned records, then one ``(record code, count)`` pair per
+run of the sorted rest, each count 1 byte wide up to n = 255 and 2 bytes
+past that.  Generated subgroups are enumerated, capped, once per group.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 from .errors import ResourceLimitError, UnsupportedModelError
-from .program import GlobalState, StateCodec, labeling, successors
+from .program import GlobalState, labeling, successors
+from .runs import _pins
 
 GROUP_ENUM_CAP = 10**6
 
@@ -132,6 +116,7 @@ def _symmetric_generators(n):
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
 def full_symmetric(n):
     return PermGroup(n, _symmetric_generators(n), "full-symmetric")
 
@@ -187,56 +172,22 @@ def orbit(group, state):
     return frozenset(seen)
 
 
-def _pins(shared, pid_slots, n):
-    pins = []
-    for slot in pid_slots:
-        v = shared[slot]
-        if v != n and v not in pins:
-            pins.append(v)
-    return pins
-
-
 def pinned_processes(state):
     """Processes named by non-``none`` pid slots, in order of first appearance."""
     return _pins(state.shared, state.pid_slots, state.n)
 
 
-def _key_pins(codec, key):
-    if not codec.pid_slots:
-        return ()
-    return _pins(codec.shared(key), codec.pid_slots, codec.n)
-
-
-def canonical_key(codec, key):
-    """The pinned sort of the module docstring on a key of ``codec``: the
-    key of the least element of its orbit under the full symmetric group."""
-    codes = codec.codes(key)
-    pins = _key_pins(codec, key)
-    if not pins:
-        return key[: codec.shared_size] + codec.pack_codes(sorted(codes))
-    rank = {p: r for r, p in enumerate(pins)}
-    shared = list(codec.shared(key))
-    for slot in codec.pid_slots:
-        shared[slot] = rank.get(shared[slot], codec.n)
-    rest = sorted(code for i, code in enumerate(codes) if i not in rank)
-    return codec.pack_shared(shared) + codec.pack_codes([codes[p] for p in pins] + rest)
-
-
 def rep_sort(state):
     """Canonical representative under full symmetry: sort the local records.
 
-    The pin-free case of the pinned sort: with no pid-typed shared
-    variables nothing is pinned, so the least orbit element is the state
-    with its records sorted and no permutation is needed.  A shared value
-    naming a process index is not invariant under re-sorting, so pid-typed
-    programs must canonicalize with ``rep_min``.
+    The pin-free case of the pinned sort; a shared value naming a process
+    is not invariant under re-sorting, so pid-typed states take ``rep_min``.
     """
     if state.pid_slots:
         raise UnsupportedModelError(
             "rep_sort needs a pid-free program; use rep_min for pid-typed shared state"
         )
-    codec = StateCodec.fitting(state)
-    return codec.decode(canonical_key(codec, codec.encode(state)))
+    return GlobalState(state.shared, tuple(sorted(state.locals)), ())
 
 
 def group_elements(group, cap=GROUP_ENUM_CAP):
@@ -250,59 +201,36 @@ def group_elements(group, cap=GROUP_ENUM_CAP):
             q = compose(g, p)
             if q not in seen:
                 if len(seen) >= cap:
-                    raise ResourceLimitError(
-                        f"group enumeration exceeded cap of {cap} elements"
-                    )
+                    raise ResourceLimitError(f"group enumeration exceeded cap of {cap} elements")
                 seen.add(q)
                 queue.append(q)
     return seen
 
 
-def _sort_witness(codec, key, rep_key):
-    """The permutation, old index -> new, that carries ``key`` to its
-    pinned sort ``rep_key``: each pinned process to its rank, the others
-    in old index order onto the run of their record in ``rep_key``."""
-    codes, rep_codes = codec.codes(key), codec.codes(rep_key)
-    pins = _key_pins(codec, key)
-    rank = {p: r for r, p in enumerate(pins)}
-    slot = {}
-    for new in reversed(range(len(pins), codec.n)):
-        slot[rep_codes[new]] = new
-    mapping = [0] * codec.n
-    for old, code in enumerate(codes):
-        if old in rank:
-            mapping[old] = rank[old]
-        else:
-            mapping[old] = slot[code]
-            slot[code] += 1
-    return tuple(mapping)
+@lru_cache(maxsize=4)
+def _sorted_elements(group, cap):
+    """The elements of a generated group, sorted by mapping, enumerated once."""
+    return sorted(group_elements(group, cap), key=lambda p: p.mapping)
 
 
 def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
-    """Least orbit element by byte encoding, plus a permutation reaching it.
+    """Least orbit element by byte encoding, plus a permutation reaching it
+    (``apply(perm, state) == rep``).
 
-    Full symmetric groups use the pinned sort of the module docstring on
-    the state's key, then one ``apply`` of the permutation it defines.
-    Generated groups are enumerated outright (desk scale, capped at
-    ``enum_cap``).  Satisfies ``apply(perm, state) == rep`` for the
-    returned pair.  With ``witness=False`` a full symmetric group skips
-    validating the permutation and returns None in its place, for callers
-    that only want the representative.
+    Full symmetric groups apply the permutation of the pinned sort (old
+    index -> new); generated groups are enumerated outright, once per group
+    and capped at ``enum_cap``.  With ``witness=False`` a full symmetric
+    group skips validating the permutation and returns None in its place.
     """
     if group.degree != state.n:
         raise ValueError("group degree does not match state")
     if group.kind == "generated":
-        best_state, best_perm = state, identity(group.degree)
-        best_key = state.encode()
-        for g in sorted(group_elements(group, enum_cap), key=lambda p: p.mapping):
-            t = apply(g, state)
-            key = t.encode()
-            if key < best_key:
-                best_state, best_perm, best_key = t, g, key
-        return best_state, best_perm
-    codec = StateCodec.fitting(state)
-    key = codec.encode(state)
-    mapping = _sort_witness(codec, key, canonical_key(codec, key))
+        images = ((apply(g, state), g) for g in _sorted_elements(group, enum_cap))
+        return min(images, key=lambda image: image[0].encode())
+    pins = pinned_processes(state)
+    rest = (i for i in range(state.n) if i not in pins)
+    order = pins + sorted(rest, key=state.locals.__getitem__)
+    mapping = tuple(sorted(range(state.n), key=order.__getitem__))  # old index -> new
     if not witness:
         return apply(_Bijection(mapping), state), None
     perm = Permutation(mapping)
@@ -310,13 +238,9 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
 
 
 def representative_fn(program, group=None):
-    """Pick the canonicalization for a program: (function, mode name).
-
-    Under the full symmetric group a pid-free program sorts its records
-    (``rep_sort``, mode "sort") and a pid-typed one pins and sorts them
-    (``rep_min`` without its witness, mode "min-over-group"); generated
-    subgroups always take the enumerated minimum of ``rep_min``.
-    """
+    """Pick the canonicalization for a program, as (function, mode name):
+    under the full symmetric group ``rep_sort`` ("sort") for a pid-free
+    program, otherwise ``rep_min`` without its witness ("min-over-group")."""
     if group is None:
         group = full_symmetric(program.n)
     if group.degree != program.n:
@@ -327,51 +251,33 @@ def representative_fn(program, group=None):
 
 
 def canonical_key_fn(program, group=None):
-    """The canonicalization of ``representative_fn`` on the program's keys:
-    the pinned sort under the full symmetric group; a generated subgroup
-    decodes, takes ``rep_min`` and encodes."""
+    """``(codec, canon)``: the codec a quotient under ``group`` stores its
+    states in, and the map from a ``StateCodec`` key to the stored key of
+    its representative: ``RunCodec.canonical`` under the full symmetric
+    group, ``rep_min`` between decode and encode under a generated one."""
     if group is None:
         group = full_symmetric(program.n)
     if group.degree != program.n:
         raise ValueError("group degree does not match program")
-    codec = program.table.codec
     if group.kind == "full-symmetric":
-        return partial(canonical_key, codec)
-    return lambda key: codec.encode(rep_min(group, codec.decode(key), witness=False)[0])
+        return program.table.runs, program.table.runs.canonical
+    codec = program.table.codec
+    return codec, lambda key: codec.encode(rep_min(group, codec.decode(key), witness=False)[0])
 
 
 def processes_to_fire(group, state):
-    """Indices of one process per class of interchangeable processes.
-
-    Under the full symmetric group these are the pinned processes plus
-    the first process of each run of equal records among the others:
-    within a run the transposition of two unpinned processes fixes the
-    state and so carries the successors of one onto those of the other,
-    and both give the same canonical successors.  On a representative
-    the unpinned records are sorted, so there is one process per distinct
-    record.  A generated subgroup need not contain those transpositions,
-    so every process fires.
+    """Indices of one process per class of interchangeable processes: under
+    the full symmetric group the pinned processes plus the first of each
+    run of equal records among the others (the transposition of two such
+    processes fixes the state), which on a representative is the firing
+    rule of ``runs.run_successors``; under a generated subgroup every one.
     """
     if group.kind != "full-symmetric":
         return range(state.n)
-    return _first_of_runs(pinned_processes(state), state.locals)
-
-
-def key_processes_to_fire(codec, key):
-    """``processes_to_fire`` under the full symmetric group, on a key."""
-    return _first_of_runs(_key_pins(codec, key), codec.codes(key))
-
-
-def _first_of_runs(pins, records):
-    fire = []
-    prev = None
-    for i, rec in enumerate(records):
-        if i in pins:
-            fire.append(i)
-        elif rec != prev:
-            fire.append(i)
-            prev = rec
-    return fire
+    pins, locs = pinned_processes(state), state.locals
+    rest = [i for i in range(state.n) if i not in pins]
+    heads = [i for i, prev in zip(rest, [None] + rest) if prev is None or locs[prev] != locs[i]]
+    return sorted(pins + heads)
 
 
 def is_automorphism(perm, program, sample):

@@ -218,3 +218,50 @@ def successors_by_definition(program, state, processes=None):
                 successor = GlobalState(tuple(new_shared), tuple(new_locals), state.pid_slots)
                 out.append((f"{i}/{j}", successor))
     return out
+
+
+def quotient_by_rep_min(program, state_bound=50_000):
+    """The Sym(n) quotient and counter structures read off the full
+    structure, every state canonicalized with ``rep_min``.
+
+    Returns a dict: ``payloads`` (the representatives), ``labels`` and
+    ``orbit_sizes`` per representative, ``init``, ``edges`` as (source,
+    target) representative pairs, ``actions`` as (source, "i/j", target)
+    triples for the quotient's firing rule (every pinned process and the
+    first process of each run of equal records, fired by the language's
+    definition) and, for pid-free programs, ``counter_edges`` as (counter
+    state, "<record>/<j>", counter state) triples.
+    """
+    from orbitmc import build_full_structure, full_symmetric, rep_min, to_counter
+    from orbitmc.program import render_local
+
+    group = full_symmetric(program.n)
+    full = build_full_structure(program, state_bound=state_bound)
+    rep_of = {sid: rep_min(group, full.payload(sid), witness=False)[0] for sid in full.states()}
+    labels, orbit_sizes = {}, {}
+    for sid, rep in rep_of.items():
+        labels[rep] = full.label_of(sid)
+        orbit_sizes[rep] = orbit_sizes.get(rep, 0) + 1
+    actions, counter_edges = set(), set()
+    for rep in labels:
+        pinned = [v for v in dict.fromkeys(rep.shared[k] for k in rep.pid_slots) if v != rep.n]
+        heads = [
+            i for i in range(rep.n)
+            if i in pinned or i == len(pinned) or rep.locals[i] != rep.locals[i - 1]
+        ]
+        for action, t in successors_by_definition(program, rep, heads):
+            target = rep_min(group, t, witness=False)[0]
+            actions.add((rep, action, target))
+            if not program.pid_slots:
+                i, j = action.split("/")
+                label = f"{render_local(program, rep.locals[int(i)])}/{j}"
+                counter_edges.add((to_counter(rep), label, to_counter(target)))
+    return {
+        "payloads": set(labels),
+        "labels": labels,
+        "orbit_sizes": orbit_sizes,
+        "init": {rep_of[sid] for sid in full.init},
+        "edges": {(rep_of[s], rep_of[t]) for s, _, t in full.edges()},
+        "actions": actions,
+        "counter_edges": counter_edges,
+    }

@@ -511,3 +511,13 @@ def test_eg_on_a_long_chain():
     n = 10**5
     k = chain(n, gap=n // 2)
     assert sat_set(k, parse_ctl("EG p")) == frozenset(range(n // 2 + 1, n))
+
+
+def test_ef_witness_on_a_long_chain():
+    # the witness is read back from its target and reversed once, so a
+    # 2·10^5-step path takes linear time, not quadratic
+    n = 2 * 10**5
+    result = check(chain(n, gap=0), parse_ctl("EF q"))
+    assert result.holds
+    assert result.counterexample.states == tuple(range(n))
+    assert result.counterexample.actions == ("step",) * (n - 1)

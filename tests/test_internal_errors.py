@@ -61,10 +61,15 @@ def mismatch_permutation_degree(monkeypatch):
 
 
 def lose_a_process(monkeypatch):
-    def counter_successors(program, cstate):
+    # the counter build steps run-length keys; the fault drops one unit of
+    # the first run and hands the key kernel's caller that key
+    def counter_successors(program, key):
+        view = orbitmc.counter.CounterView(program)
+        cstate = view.decode(key)
         (rec, count), *rest = cstate.counts
         fewer = ((rec, count - 1),) if count > 1 else ()
-        return [("p0:vanish", orbitmc.counter.CounterState(cstate.shared, fewer + tuple(rest)))]
+        vanished = orbitmc.counter.CounterState(cstate.shared, fewer + tuple(rest))
+        return [("p0:vanish", view.encode(vanished))]
 
     monkeypatch.setattr("orbitmc.counter.counter_successors", counter_successors)
 
