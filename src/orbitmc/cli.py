@@ -9,7 +9,8 @@ Exit codes: 0 success / property holds; 1 property fails or stop-at-bad
 triggered; 2 usage or input error; 3 resource limit exceeded; 4 internal
 error.  Input errors are raised as ``UsageError``, ``ParseError`` or
 ``UnsupportedModelError``; a ``ValueError`` that reaches ``run`` is a
-broken internal precondition, not bad input, and also exits 4.
+broken internal precondition, not bad input, and also exits 4, as does any
+other exception that reaches it.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def load_program(config):
     try:
         with open(config.model_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read model file: {exc}")
     return parse_program(text, name=config.model_path), config.model_path
 
@@ -321,6 +322,12 @@ def run(config, out=None, err=None):
     except (UsageError, ParseError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only a bug gets here, so start-up does not pay for it
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        traceback.print_exc(file=err)
+        return EXIT_INTERNAL
 
 
 def main(argv=None):

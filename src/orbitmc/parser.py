@@ -47,8 +47,6 @@ from .program import (
     GOr,
     GTrue,
     GuardedCommand,
-    LPidIsNone,
-    LSharedEq,
     LocalEq,
     PID,
     PidEqNone,
@@ -610,11 +608,11 @@ class _Parser:
             if kind != PID:
                 self.fail(f"{name!r} is bool, cannot compare against none", tok)
             self.advance()
-            return LPidIsNone(slot)
+            return PidEqNone(slot)
         if self.peek().kind == "int" and self.peek().value in (0, 1):
             if kind != BOOL:
                 self.fail(f"{name!r} is pid-typed; labels may only test it against none", tok)
-            return LSharedEq(slot, self.advance().value)
+            return SharedEq(slot, self.advance().value)
         self.fail("expected 0, 1 or none in label atom")
 
 

@@ -204,74 +204,77 @@ def _codec(*layout):
 # Boolean expressions: guards, labels and formulas.
 #
 # Guards and labels are boolean combinations of atoms that cannot name a
-# process index, and they share one set of connectives: ``GTrue``,
-# ``GFalse``, ``GNot``, ``GAnd`` and ``GOr``.  A connective's ``eval(*ctx)``
-# passes its arguments on unchanged, so one node evaluates inside a guard
-# as ``eval(shared, rec, i, occ, n)`` and inside a label as
-# ``eval(shared, occ, n)``.  Only the atoms differ.  CTL formulas are built
-# from the same nodes (``ctl.TrueF`` ... ``ctl.Or`` name them), which
-# ``ctl.sat_set`` reads structurally and never calls ``eval`` on.
+# process index, and every package node evaluates as ``eval(shared, rec, i,
+# occ, n)``: the shared values, the acting record ``rec`` and its index
+# ``i``, and the per-pc totals ``occ`` of all n processes, acting one
+# included.  The counter abstraction fires a record with no index (``i``
+# None), and a label has no acting process at all (``rec`` and ``i`` None),
+# so the label atoms ``CountAtLeast``, ``SharedEq`` and ``PidEqNone`` read
+# only ``shared``, ``occ`` and ``n``.  The connectives ``GTrue``, ``GFalse``,
+# ``GNot``, ``GAnd`` and ``GOr`` pass the five arguments on unchanged.  CTL
+# formulas are built from the same connectives (``ctl.TrueF`` ... ``ctl.Or``
+# name them), which ``ctl.sat_set`` reads structurally and never calls
+# ``eval`` on.
 #
-# Guard atoms see the acting record ``rec``, its index ``i`` (None in the
-# counter abstraction) and the per-pc totals ``occ`` of all n processes,
-# acting one included.  The "other process" atoms take the acting process
-# out of ``occ`` themselves, so every atom is O(1) after one O(n) occupancy
-# pass per state.
+# The "other process" atoms take the acting process out of ``occ``
+# themselves, so every atom is O(1) after one O(n) occupancy pass per state.
 # --------------------------------------------------------------------------
 
 
 class Guard:
+    """A boolean node of the package, or a guard from outside it."""
+
     def eval(self, shared, rec, i, occ, n):
         raise NotImplementedError
 
 
 class LabelExpr:
-    """A label node.  The package's label nodes read ``eval(shared, occ,
-    n)``, the shared values and per-pc totals, never a record; a
-    ``LabelExpr`` subclass from outside the package implements
-    ``eval(state)`` on a decoded ``GlobalState`` instead, and a label
-    definition that holds one is evaluated that way as a whole."""
+    """A label node from outside the package: it implements ``eval(state)``
+    on a decoded ``GlobalState``.  A label definition holding one is
+    evaluated that way as a whole, so the node must be the definition's
+    root: package nodes derive from ``Guard`` alone, and the connectives
+    evaluate their operands as guards."""
 
-    def eval(self, shared, occ, n):
+    def eval(self, state):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class GTrue(Guard, LabelExpr):
-    def eval(self, *ctx):
+class GTrue(Guard):
+    def eval(self, shared, rec, i, occ, n):
         return True
 
 
 @dataclass(frozen=True)
-class GFalse(Guard, LabelExpr):
-    def eval(self, *ctx):
+class GFalse(Guard):
+    def eval(self, shared, rec, i, occ, n):
         return False
 
 
 @dataclass(frozen=True)
-class GNot(Guard, LabelExpr):
-    inner: Guard | LabelExpr
+class GNot(Guard):
+    inner: Guard
 
-    def eval(self, *ctx):
-        return not self.inner.eval(*ctx)
-
-
-@dataclass(frozen=True)
-class GAnd(Guard, LabelExpr):
-    left: Guard | LabelExpr
-    right: Guard | LabelExpr
-
-    def eval(self, *ctx):
-        return self.left.eval(*ctx) and self.right.eval(*ctx)
+    def eval(self, shared, rec, i, occ, n):
+        return not self.inner.eval(shared, rec, i, occ, n)
 
 
 @dataclass(frozen=True)
-class GOr(Guard, LabelExpr):
-    left: Guard | LabelExpr
-    right: Guard | LabelExpr
+class GAnd(Guard):
+    left: Guard
+    right: Guard
 
-    def eval(self, *ctx):
-        return self.left.eval(*ctx) or self.right.eval(*ctx)
+    def eval(self, shared, rec, i, occ, n):
+        return self.left.eval(shared, rec, i, occ, n) and self.right.eval(shared, rec, i, occ, n)
+
+
+@dataclass(frozen=True)
+class GOr(Guard):
+    left: Guard
+    right: Guard
+
+    def eval(self, shared, rec, i, occ, n):
+        return self.left.eval(shared, rec, i, occ, n) or self.right.eval(shared, rec, i, occ, n)
 
 
 @dataclass(frozen=True)
@@ -310,6 +313,8 @@ class PidEqSelf(Guard):
 
 @dataclass(frozen=True)
 class PidEqNone(Guard):
+    """Pid-typed shared variable is ``none``."""
+
     slot: int
 
     def eval(self, shared, rec, i, occ, n):
@@ -334,6 +339,21 @@ class ExistsOtherAt(Guard):
 
     def eval(self, shared, rec, i, occ, n):
         return occ[self.pc] > (rec[0] == self.pc)
+
+
+@dataclass(frozen=True)
+class CountAtLeast(Guard):
+    """At least ``k`` processes sit at the pc value with this index."""
+
+    pc: int
+    k: int
+
+    def eval(self, shared, rec, i, occ, n):
+        return occ[self.pc] >= self.k
+
+
+# ``LSharedEq`` and ``LPidIsNone`` name the same atoms for callers importing the label names
+LSharedEq, LPidIsNone = SharedEq, PidEqNone
 
 
 # --------------------------------------------------------------------------
@@ -414,41 +434,12 @@ def command_branches(program, cmd, shared, rec, i):
 
 
 # --------------------------------------------------------------------------
-# Label atoms: evaluated on the shared values and the per-pc totals,
-# restricted to atoms that are invariant under process permutations.
-# Labels combine them with the connectives above.
+# Label definitions: boolean nodes over the atoms above that are invariant
+# under process permutations.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountAtLeast(LabelExpr):
-    """At least ``k`` processes sit at the pc value with this index."""
-
-    pc: int
-    k: int
-
-    def eval(self, shared, occ, n):
-        return occ[self.pc] >= self.k
-
-
-@dataclass(frozen=True)
-class LSharedEq(LabelExpr):
-    slot: int
-    value: int
-
-    def eval(self, shared, occ, n):
-        return shared[self.slot] == self.value
-
-
-@dataclass(frozen=True)
-class LPidIsNone(LabelExpr):
-    slot: int
-
-    def eval(self, shared, occ, n):
-        return shared[self.slot] == n
-
-
-_LABEL_ATOMS = (CountAtLeast, LSharedEq, LPidIsNone)
+_LABEL_ATOMS = (CountAtLeast, SharedEq, PidEqNone)
 
 
 def _label_kind(program, expr):
@@ -470,7 +461,7 @@ def _label_kind(program, expr):
             foreign = True
     if foreign:
         return "state"
-    if any(type(a) is LSharedEq and program.shared_kinds[a.slot] == PID for a in atoms):
+    if any(type(a) is SharedEq and program.shared_kinds[a.slot] == PID for a in atoms):
         return "asymmetric"
     return "counts"
 
@@ -488,7 +479,7 @@ class Program:
     pc_names: tuple
     local_names: tuple
     commands: tuple
-    label_defs: tuple  # (name, LabelExpr) pairs
+    label_defs: tuple  # (name, label node) pairs
     init_shared: tuple
     init_pc: int
     init_locals: tuple
@@ -681,7 +672,7 @@ def labeling(program, state, codec=None):
     codec = codec or table.codec
     shared, occ = codec.census(state)
     n = program.n
-    out = [name for name, expr in table.count_labels if expr.eval(shared, occ, n)]
+    out = [name for name, expr in table.count_labels if expr.eval(shared, None, None, occ, n)]
     if table.state_labels:
         decoded = codec.decode(state)
         out += [name for name, expr in table.state_labels if expr.eval(decoded)]
@@ -701,7 +692,7 @@ def atomic_props(program):
         elif isinstance(expr, CountAtLeast):
             kind = "count-threshold"
             detail = (program.pc_names[expr.pc], expr.k)
-        elif isinstance(expr, LSharedEq):
+        elif isinstance(expr, SharedEq):
             kind = "shared-literal"
             detail = (program.shared_names[expr.slot], expr.value)
         else:

@@ -227,6 +227,15 @@ def test_missing_model_file(tmp_path):
     assert code == 2
 
 
+def test_model_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.gcl"
+    path.write_bytes(b"processes 2; pc {A}; init pc=A; # caf\xe9\n")
+    code, out, err = invoke("check", "--model", str(path), "--prop", "AG !bad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read model file:")
+
+
 # -- reach / compare ------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from orbitmc import (
     parse_program,
     successors,
 )
-from orbitmc.program import AllOthersNotAt, CountAtLeast, GTrue, PidEqNone
+from orbitmc.program import AllOthersNotAt, CountAtLeast, GAnd, GNot, GTrue, PidEqNone, SharedEq
 from orbitmc.symmetry import apply
 
 from oracles import all_permutations, mutex_count_closed_form, mutex_reachable_states
@@ -57,6 +57,19 @@ def test_parse_allocator_golden():
     assert program.init_shared == (2,)  # none encodes as n
     req_exec = program.commands[1]
     assert req_exec.guard == PidEqNone(0)
+
+
+def test_label_atoms_are_the_guard_atoms():
+    program = parse_program(
+        "processes 2; shared x : bool; shared g : pid; pc {A};"
+        " init pc=A, x=0, g=none; A -> A : x == 1 & g == none / ;"
+        " label on := x == 1; label free := !(g == none & x == 0);"
+    )
+    assert program.commands[0].guard == GAnd(SharedEq(0, 1), PidEqNone(1))
+    assert program.label_defs == (
+        ("on", SharedEq(0, 1)),
+        ("free", GNot(GAnd(PidEqNone(1), SharedEq(0, 0)))),
+    )
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,8 @@ from orbitmc import (
 )
 from orbitmc.cli import EXIT_INTERNAL, build_config, run
 
+from test_quotient import asymmetric_mutex
+
 
 def break_orbit_sizes(monkeypatch):
     # 4 does not divide 3! = 6
@@ -74,6 +76,23 @@ def lose_a_process(monkeypatch):
     monkeypatch.setattr("orbitmc.counter.counter_successors", counter_successors)
 
 
+def raise_from(target, exc):
+    # an exception no handler of the CLI names: a bug like any other
+    def breaker(monkeypatch):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, broken)
+
+    return breaker
+
+
+def label_process_zero(monkeypatch):
+    # mutex with a label that permuting processes changes: the quotient
+    # build raises LabelSymmetryError
+    monkeypatch.setattr("orbitmc.cli.builtin_example", lambda name, n: asymmetric_mutex(n))
+
+
 def unmatched_quotient_path(program):
     # both processes critical at once: no concrete successor of the
     # initial state has that representative
@@ -121,6 +140,12 @@ def test_lift_without_a_matching_concrete_successor():
         (["compare", "--builtin", "mutex:3"], break_counter_edges),
         (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
          mismatch_permutation_degree),
+        (["check", "--builtin", "mutex:3", "--prop", "AG !bad"],
+         raise_from("orbitmc.ctl.sat_set", KeyError(7))),
+        (["reach", "--builtin", "mutex:3"],
+         raise_from("orbitmc.program.labeling", TypeError("no label protocol"))),
+        (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
+         label_process_zero),
     ],
 )
 def test_cli_reports_internal_errors_with_exit_4(monkeypatch, argv, breaker):
