@@ -21,7 +21,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .counter import from_counter
@@ -37,6 +36,7 @@ from .explore import MODES, compare_modes, explore
 from .kripke import DEFAULT_STATE_BOUND, Path
 from .program import atomic_props, render_state
 from .parser import BUILTIN_NAMES, builtin_example, builtin_source, parse_program
+from .value import Value
 
 BOUND_ENV_VAR = "ORBITMC_BOUND"
 
@@ -49,24 +49,18 @@ EXIT_INTERNAL = 4
 _DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    builtin: str | None = None
-    model_path: str | None = None
-    prop: str | None = None
-    mode: str = "full"
-    bound: int | None = None
-    fmt: str = "text"
-    stop_at_bad: bool = False
-    dot_name: str = "M"
-    examples_n: int = 2
+class RunConfig(Value, frozen=False):
+    __slots__ = ("command", "builtin", "model_path", "prop", "mode", "bound", "fmt",
+                 "stop_at_bad", "dot_name", "examples_n")
+    _defaults = (None, None, None, "full", None, "text", False, "M", 2)
 
 
 def _add_model_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="NAME:N", help="builtin example, e.g. mutex:4")
-    group.add_argument("--model", metavar="FILE", help="model file in the input language")
+    group.add_argument(
+        "--model", dest="model_path", metavar="FILE", help="model file in the input language"
+    )
 
 
 def _add_common_args(sub, modes=MODES):
@@ -113,19 +107,9 @@ def build_arg_parser():
 
 
 def build_config(argv):
-    ns = build_arg_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        builtin=getattr(ns, "builtin", None),
-        model_path=getattr(ns, "model", None),
-        prop=getattr(ns, "prop", None),
-        mode=getattr(ns, "mode", "full"),
-        bound=getattr(ns, "bound", None),
-        fmt=getattr(ns, "fmt", "text"),
-        stop_at_bad=getattr(ns, "stop_at_bad", False),
-        dot_name=getattr(ns, "dot_name", "M"),
-        examples_n=getattr(ns, "examples_n", 2),
-    )
+    ns = vars(build_arg_parser().parse_args(argv))
+    # a subcommand without an option leaves its field at the default
+    return RunConfig(**{field: ns[field] for field in RunConfig._fields if field in ns})
 
 
 class UsageError(CheckerError):

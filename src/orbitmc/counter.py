@@ -18,37 +18,36 @@ such atom takes the firing record out itself, in every mode alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import GlobalState, atomic_props, labeling
 from .runs import run_successors
+from .value import Value, _init2
 
 
-@dataclass(frozen=True)
-class CounterState:
+class CounterState(Value):
     """Shared valuation plus (local record, count >= 1) pairs, records
     strictly increasing, so one occupancy vector has exactly one form: the
     decoded view of a counter structure's keys.  Construction checks both
     conditions in one linear pass and caches the hash."""
 
-    shared: tuple
-    counts: tuple
+    __slots__ = ("shared", "counts", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, shared, counts):
         prev = None
-        for rec, c in self.counts:
+        for rec, c in counts:
             if c < 1:
                 raise ValueError("counter states store only positive counts")
             if prev is not None and not prev < rec:
                 # a zero count anywhere is reported before a disorder
-                if any(k < 1 for _, k in self.counts):
+                if any(k < 1 for _, k in counts):
                     raise ValueError("counter states store only positive counts")
                 raise ValueError("counts must be sorted by local record")
             prev = rec
-        object.__setattr__(self, "_hash", hash((self.shared, self.counts)))
+        _init2(self, shared, counts)
+        object.__setattr__(self, "_hash", hash(self._values))
 
     def __hash__(self):
         return self._hash
@@ -130,10 +129,9 @@ def build_counter_structure(program, state_bound=DEFAULT_STATE_BOUND):
     return structure
 
 
-@dataclass
-class IsomorphismReport:
-    ok: bool
-    discrepancy: str | None = None
+class IsomorphismReport(Value, frozen=False):
+    __slots__ = ("ok", "discrepancy")
+    _defaults = (None,)
 
     def __bool__(self):
         return self.ok

@@ -26,13 +26,13 @@ the symmetry machinery is sound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InternalError
 from .kripke import Path
 from .parser import PROPERTY_KEYWORDS, PROPERTY_PREFIXES, _Parser
 from .program import GAnd, GFalse, GNot, GOr, GTrue, successors
 from .symmetry import canonical_key_fn, representative_fn
+from .value import Value
 
 __all__ = [
     "Atom",
@@ -63,35 +63,27 @@ __all__ = [
 TrueF, FalseF, Not, And, Or = GTrue, GFalse, GNot, GAnd, GOr
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class EX:
-    inner: object
+class EX(Value):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class EU:
-    left: object
-    right: object
+class EU(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EG:
-    inner: object
+class EG(Value):
+    __slots__ = ("inner",)
 
 
 def atoms(f):
     """Names of the atomic propositions a formula mentions."""
     if isinstance(f, Atom):
         return {f.name}
-    out = set()
-    for sub in vars(f).values():
-        out |= atoms(sub)
-    return out
+    return set().union(*map(atoms, f._values))
 
 
 def neg(f):
@@ -258,8 +250,7 @@ def _sat_eg(structure, inner):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value, frozen=False):
     """Outcome of checking one formula against a structure's initial set.
 
     ``counterexample`` is a shortest path to a violating state for failed
@@ -267,9 +258,8 @@ class CheckResult:
     reachability-shaped formulas; None otherwise.
     """
 
-    holds: bool
-    sat_states: frozenset
-    counterexample: Path | None = None
+    __slots__ = ("holds", "sat_states", "counterexample")
+    _defaults = (None,)
 
     @property
     def verdict(self):

@@ -13,13 +13,12 @@ identical inputs give identical structures and counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counter import _build_counter
 from .errors import InternalError, UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, BuildStats
 from .program import _build_full
 from .quotient import _build_quotient
+from .value import Value
 
 _BUILDERS = {"full": _build_full, "quotient": _build_quotient, "counter": _build_counter}
 MODES = tuple(_BUILDERS)
@@ -47,13 +46,10 @@ def reach(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
     return frozenset(map(structure.payload, structure.states())), stats
 
 
-@dataclass
-class ModeComparison:
+class ModeComparison(Value, frozen=False):
     """Per-mode stats for one program, plus the quotient reduction factor."""
 
-    stats: dict  # mode -> ExplorationStats
-    unsupported: dict  # mode -> reason
-    reduction_factor: float
+    __slots__ = ("stats", "unsupported", "reduction_factor")  # mode -> stats, mode -> reason
 
 
 def compare_modes(program, state_bound=DEFAULT_STATE_BOUND):

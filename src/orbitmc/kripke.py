@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import DeadlockError, ResourceLimitError
+from .value import Value
 
 STUTTER_ACTION = "stutter"
 DEFAULT_STATE_BOUND = 10**6
@@ -31,8 +31,7 @@ DEFAULT_STATE_BOUND = 10**6
 _AP_KINDS = ("shared-literal", "count-threshold", "designated-label")
 
 
-@dataclass(frozen=True)
-class AtomicProp:
+class AtomicProp(Value):
     """A named boolean observation on states.
 
     ``kind`` is one of ``shared-literal``, ``count-threshold`` or
@@ -40,41 +39,36 @@ class AtomicProp:
     pair in ``detail``, shared literals the (variable, value) pair.
     """
 
-    name: str
-    kind: str
-    detail: tuple = ()
+    __slots__ = ("name", "kind", "detail")
 
-    def __post_init__(self):
-        if self.kind not in _AP_KINDS:
-            raise ValueError(f"unknown atomic proposition kind: {self.kind!r}")
-        if self.kind == "count-threshold":
-            if len(self.detail) != 2 or int(self.detail[1]) < 1:
-                raise ValueError("count-threshold props carry (pc value, k >= 1)")
+    def __init__(self, name, kind, detail=()):
+        if kind not in _AP_KINDS:
+            raise ValueError(f"unknown atomic proposition kind: {kind!r}")
+        if kind == "count-threshold" and (len(detail) != 2 or int(detail[1]) < 1):
+            raise ValueError("count-threshold props carry (pc value, k >= 1)")
+        Value.__init__(self, name, kind, detail)
 
 
 INIT_PROP = AtomicProp("init", "designated-label")
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A finite path.  ``states`` holds payloads, ``actions`` labels steps.
 
     ``lasso``, when set, is the index of the state the final state loops
     back to, turning the path into an infinite-path witness.
     """
 
-    states: tuple
-    actions: tuple
+    __slots__ = ("states", "actions", "lasso")
 
-    lasso: int | None = None
-
-    def __post_init__(self):
-        if len(self.states) == 0:
+    def __init__(self, states, actions, lasso=None):
+        if len(states) == 0:
             raise ValueError("a path has at least one state")
-        if len(self.actions) != len(self.states) - 1:
+        if len(actions) != len(states) - 1:
             raise ValueError("need exactly one action per step")
-        if self.lasso is not None and not (0 <= self.lasso < len(self.states)):
+        if lasso is not None and not (0 <= lasso < len(states)):
             raise ValueError("lasso index out of range")
+        Value.__init__(self, states, actions, lasso)
 
     @property
     def steps(self):
@@ -319,19 +313,13 @@ class KripkeStructure:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class BuildStats:
+class BuildStats(Value, frozen=False):
     """Counters gathered while a structure is explored.  ``explore`` sets
     ``mode``; ``reduction_factor`` only appears in comparison reports."""
 
-    states_reached: int = 0
-    edges: int = 0
-    deadlocks: int = 0
-    frontier_peak: int = 0
-    bad_reached: bool = False
-    duration_ms: float = 0.0
-    mode: str | None = None
-    reduction_factor: float | None = None
+    __slots__ = ("states_reached", "edges", "deadlocks", "frontier_peak", "bad_reached",
+                 "duration_ms", "mode", "reduction_factor")
+    _defaults = (0, 0, 0, 0, False, 0.0, None, None)
 
 
 def breadth_first_build(

@@ -33,29 +33,34 @@ Under the full symmetric group keys are run-length (``runs.RunCodec``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from struct import Struct, error as StructError
 
 from .errors import UnsupportedModelError
 from .kripke import AtomicProp, DEFAULT_STATE_BOUND, breadth_first_build
+from .value import Value, _keep
 
 BOOL = "bool"
 PID = "pid"
 
 
-@dataclass(frozen=True)
-class GlobalState:
+class GlobalState(Value):
     """One configuration: shared valuation plus per-process local records.
 
     ``pid_slots`` lists the shared slots holding process ids so the state
     is self-describing under permutation; it is constant per program.
     """
 
-    shared: tuple
-    locals: tuple
-    pid_slots: tuple = ()
+    __slots__ = ("shared", "locals", "pid_slots")
+
+    def __init__(self, shared, locals, pid_slots=()):
+        # unrolled: every decoded state is built here
+        _keep(self, (shared, locals, pid_slots))
+        set_shared, set_locals, set_pid_slots = self._setters
+        set_shared(self, shared)
+        set_locals(self, locals)
+        set_pid_slots(self, pid_slots)
 
     @property
     def n(self):
@@ -224,6 +229,8 @@ def _codec(*layout):
 class Guard:
     """A boolean node of the package, or a guard from outside it."""
 
+    __slots__ = ()
+
     def eval(self, shared, rec, i, occ, n):
         raise NotImplementedError
 
@@ -239,71 +246,63 @@ class LabelExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class GTrue(Guard):
+class GTrue(Guard, Value):
+    __slots__ = ()
+
     def eval(self, shared, rec, i, occ, n):
         return True
 
 
-@dataclass(frozen=True)
-class GFalse(Guard):
+class GFalse(Guard, Value):
+    __slots__ = ()
+
     def eval(self, shared, rec, i, occ, n):
         return False
 
 
-@dataclass(frozen=True)
-class GNot(Guard):
-    inner: Guard
+class GNot(Guard, Value):
+    __slots__ = ("inner",)
 
     def eval(self, shared, rec, i, occ, n):
         return not self.inner.eval(shared, rec, i, occ, n)
 
 
-@dataclass(frozen=True)
-class GAnd(Guard):
-    left: Guard
-    right: Guard
+class GAnd(Guard, Value):
+    __slots__ = ("left", "right")
 
     def eval(self, shared, rec, i, occ, n):
         return self.left.eval(shared, rec, i, occ, n) and self.right.eval(shared, rec, i, occ, n)
 
 
-@dataclass(frozen=True)
-class GOr(Guard):
-    left: Guard
-    right: Guard
+class GOr(Guard, Value):
+    __slots__ = ("left", "right")
 
     def eval(self, shared, rec, i, occ, n):
         return self.left.eval(shared, rec, i, occ, n) or self.right.eval(shared, rec, i, occ, n)
 
 
-@dataclass(frozen=True)
-class SharedEq(Guard):
+class SharedEq(Guard, Value):
     """Boolean shared variable compared against 0/1."""
 
-    slot: int
-    value: int
+    __slots__ = ("slot", "value")
 
     def eval(self, shared, rec, i, occ, n):
         return shared[self.slot] == self.value
 
 
-@dataclass(frozen=True)
-class LocalEq(Guard):
+class LocalEq(Guard, Value):
     """Local boolean of the acting process compared against 0/1."""
 
-    slot: int
-    value: int
+    __slots__ = ("slot", "value")
 
     def eval(self, shared, rec, i, occ, n):
         return rec[1 + self.slot] == self.value
 
 
-@dataclass(frozen=True)
-class PidEqSelf(Guard):
+class PidEqSelf(Guard, Value):
     """Pid-typed shared variable equals the acting process index."""
 
-    slot: int
+    __slots__ = ("slot",)
 
     def eval(self, shared, rec, i, occ, n):
         if i is None:
@@ -311,42 +310,37 @@ class PidEqSelf(Guard):
         return shared[self.slot] == i
 
 
-@dataclass(frozen=True)
-class PidEqNone(Guard):
+class PidEqNone(Guard, Value):
     """Pid-typed shared variable is ``none``."""
 
-    slot: int
+    __slots__ = ("slot",)
 
     def eval(self, shared, rec, i, occ, n):
         return shared[self.slot] == n
 
 
-@dataclass(frozen=True)
-class AllOthersNotAt(Guard):
+class AllOthersNotAt(Guard, Value):
     """Every process other than the acting one is away from this pc value."""
 
-    pc: int
+    __slots__ = ("pc",)
 
     def eval(self, shared, rec, i, occ, n):
         return occ[self.pc] == (rec[0] == self.pc)
 
 
-@dataclass(frozen=True)
-class ExistsOtherAt(Guard):
+class ExistsOtherAt(Guard, Value):
     """Some process other than the acting one sits at this pc value."""
 
-    pc: int
+    __slots__ = ("pc",)
 
     def eval(self, shared, rec, i, occ, n):
         return occ[self.pc] > (rec[0] == self.pc)
 
 
-@dataclass(frozen=True)
-class CountAtLeast(Guard):
+class CountAtLeast(Guard, Value):
     """At least ``k`` processes sit at the pc value with this index."""
 
-    pc: int
-    k: int
+    __slots__ = ("pc", "k")
 
     def eval(self, shared, rec, i, occ, n):
         return occ[self.pc] >= self.k
@@ -369,27 +363,19 @@ V_SHARED = "shared"
 V_LOCAL = "local"
 
 
-@dataclass(frozen=True)
-class ValueExpr:
-    tag: str
-    arg: int = 0
+class ValueExpr(Value):
+    __slots__ = ("tag", "arg")
+    _defaults = (0,)
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Value):
     """One assignment ``target := value``; targets are shared or self-local."""
 
-    target: str  # "shared" | "local"
-    slot: int
-    value: ValueExpr
+    __slots__ = ("target", "slot", "value")  # target is "shared" or "local"
 
 
-@dataclass(frozen=True)
-class GuardedCommand:
-    from_pc: int
-    to_pc: int
-    guard: Guard
-    updates: tuple
+class GuardedCommand(Value):
+    __slots__ = ("from_pc", "to_pc", "guard", "updates")
 
 
 def _resolve_value(expr, n, shared, rec, i):
@@ -471,19 +457,11 @@ def _label_kind(program, expr):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Program:
-    n: int
-    shared_names: tuple
-    shared_kinds: tuple
-    pc_names: tuple
-    local_names: tuple
-    commands: tuple
-    label_defs: tuple  # (name, label node) pairs
-    init_shared: tuple
-    init_pc: int
-    init_locals: tuple
-    name: str = "program"
+class Program(Value):
+    # label_defs holds (name, label node) pairs; the __dict__ slot holds the cached table
+    __slots__ = ("n", "shared_names", "shared_kinds", "pc_names", "local_names", "commands",
+                 "label_defs", "init_shared", "init_pc", "init_locals", "name", "__dict__")
+    _defaults = ("program",)
 
     @property
     def pid_slots(self):

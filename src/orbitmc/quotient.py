@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import InternalError, LabelSymmetryError, ResourceLimitError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
@@ -35,23 +34,19 @@ from .symmetry import (
     pinned_processes,
     representative_fn,
 )
+from .value import Value
 
 BISIM_SIZE_CAP = 10**4
 
 
-@dataclass
-class QuotientStructure:
+class QuotientStructure(Value, frozen=False):
     """A Kripke structure whose payloads are orbit representatives."""
 
-    structure: object
-    orbit_sizes: dict  # state id -> orbit size
-    rep_mode: str  # "sort" | "min-over-group"
-    program: object
-    group: object
-    _rep_fn: object = field(repr=False, compare=False)
+    # orbit_sizes maps state id -> orbit size; rep_mode is "sort" or "min-over-group"
+    __slots__ = ("structure", "orbit_sizes", "rep_mode", "program", "group")
 
     def rep(self, state):
-        return self._rep_fn(state)
+        return representative_fn(self.program, self.group)[0](state)
 
     def total_covered(self):
         """Number of concrete states the representatives stand for."""
@@ -138,7 +133,7 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     rep_fn, rep_mode = representative_fn(program, group)
     structure, _ = _build_quotient(program, state_bound, group=group, rep_fn=rep_fn)
     sizes = _orbit_sizes(program, structure, group)
-    return QuotientStructure(structure, sizes, rep_mode, program, group, rep_fn)
+    return QuotientStructure(structure, sizes, rep_mode, program, group)
 
 
 def check_symmetric_labeling(program, sample, group=None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from struct import Struct, error as StructError
 
 from .errors import InternalError
@@ -114,14 +114,19 @@ class RunCodec:
         return self.pack(shared, [codes[q] for q in pins], pairs)
 
     def encode(self, state):
-        key = self.canonical(self.codec.encode(state))
-        if self.decode(key) != state:
+        # the state is its representative iff its key is the representative's
+        # positional key: the shared values, the pins, then each run spelled out
+        positional = self.codec.encode(state)
+        key = self.canonical(positional)
+        _, pins, codes, counts, _ = self.parts(key)
+        runs = chain.from_iterable(map(repeat, codes, counts))
+        if key[: self.codec.shared_size] + self.codec._codes.pack(*pins, *runs) != positional:
             raise ValueError(f"state {state} is not its own representative")
         return key
 
     def decode(self, key):
         shared, pins, codes, counts, _ = self.parts(key)
-        locs = [*pins, *(code for code, m in zip(codes, counts) for _ in range(m))]
+        locs = chain(pins, *map(repeat, codes, counts))
         return GlobalState(shared, tuple(map(self.codec.record, locs)), self.codec.pid_slots)
 
 

@@ -17,25 +17,25 @@ past that.  Generated subgroups are enumerated, capped, once per group.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError, UnsupportedModelError
 from .program import GlobalState, labeling, successors
 from .runs import _pins
+from .value import Value, _init1
 
 GROUP_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection on {0..n-1}; ``mapping[i]`` is the image of i."""
 
-    mapping: tuple
+    __slots__ = ("mapping",)
 
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError(f"not a permutation of 0..{len(self.mapping) - 1}: {self.mapping}")
+    def __init__(self, mapping):
+        if sorted(mapping) != list(range(len(mapping))):
+            raise ValueError(f"not a permutation of 0..{len(mapping) - 1}: {mapping}")
+        _init1(self, mapping)
 
     @property
     def degree(self):
@@ -48,8 +48,8 @@ class Permutation:
 class _Bijection(Permutation):
     """A permutation that is bijective by construction, so it skips the check."""
 
-    def __post_init__(self):
-        pass
+    __slots__ = ()
+    __init__ = _init1
 
 
 def identity(n):
@@ -81,8 +81,7 @@ def inverse(p):
     return Permutation(tuple(m))
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Value):
     """A permutation group given by generators.
 
     ``full-symmetric`` groups are generated by the transposition (0 1)
@@ -90,20 +89,19 @@ class PermGroup:
     whatever their generator list produces.
     """
 
-    degree: int
-    generators: tuple
-    kind: str = "generated"
+    __slots__ = ("degree", "generators", "kind")
 
-    def __post_init__(self):
-        if any(g.degree != self.degree for g in self.generators):
+    def __init__(self, degree, generators, kind="generated"):
+        if any(g.degree != degree for g in generators):
             raise ValueError("generator degree mismatch")
-        if self.kind not in ("full-symmetric", "generated"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
+        if kind not in ("full-symmetric", "generated"):
+            raise ValueError(f"unknown group kind {kind!r}")
         # canonicalization trusts this kind without looking at the generators
-        if self.kind == "full-symmetric" and self.generators != _symmetric_generators(self.degree):
+        if kind == "full-symmetric" and generators != _symmetric_generators(degree):
             raise ValueError(
                 "a full-symmetric group must carry the generators of full_symmetric(degree)"
             )
+        Value.__init__(self, degree, generators, kind)
 
 
 def _symmetric_generators(n):

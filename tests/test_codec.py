@@ -7,7 +7,6 @@ it came from, byte order of keys is the order of ``GlobalState.encode``
 without changing any report.
 """
 
-import dataclasses
 import io
 import random
 
@@ -134,9 +133,7 @@ def test_a_label_reading_a_pid_value_is_still_checked_per_orbit():
     # only a harness can build this label: the parser lets labels test a
     # pid-typed variable against none alone
     base = builtin_example("allocator", 3)
-    program = dataclasses.replace(
-        base, label_defs=base.label_defs + (("granted_to_0", LSharedEq(0, 0)),)
-    )
+    program = base._replace(label_defs=base.label_defs + (("granted_to_0", LSharedEq(0, 0)),))
     assert program.table.labels_need_orbit_check
     with pytest.raises(LabelSymmetryError):
         build_quotient(program)

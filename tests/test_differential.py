@@ -8,7 +8,6 @@ A disagreement on any seed is a real bug somewhere in the pipeline, with
 the counter abstraction's guard decrement being the usual suspect.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -551,7 +550,7 @@ def random_label(rng, leaves, depth):
 
 
 def node_types(expr):
-    children = [getattr(expr, field.name) for field in dataclasses.fields(expr)]
+    children = [getattr(expr, name) for name in expr._fields]
     return {type(expr)}.union(*(node_types(c) for c in children if not isinstance(c, int)))
 
 
@@ -586,7 +585,7 @@ def test_random_labels_match_definition_and_agree_across_modes(seed, pid_typed):
         rng = random.Random(1000 + seed)
         program = random_program(rng, rng.randint(2, 4))
     labels = random_labels(random.Random(3000 + seed), program)
-    program = dataclasses.replace(program, label_defs=program.label_defs + labels)
+    program = program._replace(label_defs=program.label_defs + labels)
 
     full = build_full_structure(program, state_bound=50_000)
     for sid in full.states():

@@ -7,6 +7,7 @@ is one byte wide up to n = 255 and two bytes past that.
 """
 
 import io
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from orbitmc import (
     CounterState,
     GlobalState,
     InternalError,
+    Permutation,
+    apply,
     build_counter_structure,
     build_quotient,
     builtin_example,
@@ -65,6 +68,27 @@ def test_non_representatives_raise_value_errors():
     for state in misfits:
         with pytest.raises(ValueError):
             runs.encode(state)
+
+
+def test_every_other_image_of_a_representative_is_refused():
+    # encode compares the positional key of the canonical form with the
+    # state's own, so a state differing from its representative only in a
+    # pid value or in the order of two records must still raise
+    program = builtin_example("allocator", 4)
+    runs = program.table.runs
+    rep = GlobalState((0,), ((2,), (0,), (1,), (1,)), (0,))
+    assert runs.decode(runs.encode(rep)) == rep
+    images = {apply(Permutation(m), rep) for m in itertools.permutations(range(4))}
+    assert len(images) == 12  # 4! over the two interchangeable (1,) records
+    for image in images - {rep}:
+        with pytest.raises(ValueError, match="not its own representative"):
+            runs.encode(image)
+    mutex = builtin_example("mutex", 100)
+    locs = ((0,),) * 97 + ((1,), (2,), (1,))
+    with pytest.raises(ValueError, match="not its own representative"):
+        mutex.table.runs.encode(GlobalState((), locs, ()))
+    rep = GlobalState((), tuple(sorted(locs)), ())
+    assert mutex.table.runs.decode(mutex.table.runs.encode(rep)) == rep
 
 
 def test_keys_that_do_not_fit_raise_value_errors():

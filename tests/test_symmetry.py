@@ -299,13 +299,13 @@ def test_representative_without_witness_is_the_pinned_minimum(monkeypatch):
                 cases.append((group, rep_fn, random_pid_state(rng, n, num_pid_slots)))
 
     validated = []
-    real_post_init = Permutation.__post_init__
+    real_init = Permutation.__init__
 
-    def counting_post_init(self):
-        validated.append(self.mapping)
-        real_post_init(self)
+    def counting_init(self, mapping):
+        validated.append(mapping)
+        real_init(self, mapping)
 
-    monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
     results = [(rep_fn(s), rep_min(group, s, witness=False)) for group, rep_fn, s in cases]
     monkeypatch.undo()
     assert validated == []
