@@ -22,7 +22,9 @@ Figures in µs are per call, each the least of ``--repeat`` timings of
   defaulted); ``global_state_eq_us`` and ``global_state_hash_us`` compare
   two equal states and hash one;
 * ``gand_new_us``, ``gand_eq_us`` and ``gand_hash_us``: the same for
-  ``GAnd(GTrue(), GTrue())``, three constructions per call.
+  ``GAnd(GTrue(), GTrue())``, three constructions per call;
+* ``gnot_new_us``: ``GNot`` around a built node, one construction of a
+  one-field record per call.
 
 The copies are of the orbitmc package this process imported.  Prints
 one JSON object.
@@ -43,7 +45,7 @@ import time
 import timeit
 
 import orbitmc
-from orbitmc.program import GAnd, GlobalState, GTrue
+from orbitmc.program import GAnd, GlobalState, GNot, GTrue
 
 
 def wall_ms(argv, runs, src, cache):
@@ -103,6 +105,7 @@ def main(argv=None):
         "GlobalState": GlobalState,
         "GAnd": GAnd,
         "GTrue": GTrue,
+        "GNot": GNot,
         "shared": shared,
         "locs": locs,
         "pids": pids,
@@ -121,6 +124,7 @@ def main(argv=None):
         ("gand_new_us", "GAnd(GTrue(), GTrue())"),
         ("gand_eq_us", "g == h"),
         ("gand_hash_us", "hash(g)"),
+        ("gnot_new_us", "GNot(g)"),
     ):
         report[key] = per_call_us(stmt, namespace, **timing)
     print(json.dumps(report, indent=2))

@@ -42,11 +42,16 @@ BISIM_SIZE_CAP = 10**4
 class QuotientStructure(Value, frozen=False):
     """A Kripke structure whose payloads are orbit representatives."""
 
-    # orbit_sizes maps state id -> orbit size; rep_mode is "sort" or "min-over-group"
-    __slots__ = ("structure", "orbit_sizes", "rep_mode", "program", "group")
+    # orbit_sizes maps state id -> orbit size; rep_mode is "sort" or "min-over-group";
+    # _rep_fn, no field, is the canonicalization of the program under the group
+    __slots__ = ("structure", "orbit_sizes", "rep_mode", "program", "group", "_rep_fn")
+
+    def __init__(self, structure, orbit_sizes, rep_mode, program, group):
+        Value.__init__(self, structure, orbit_sizes, rep_mode, program, group)
+        self._rep_fn = representative_fn(program, group)[0]
 
     def rep(self, state):
-        return representative_fn(self.program, self.group)[0](state)
+        return self._rep_fn(state)
 
     def total_covered(self):
         """Number of concrete states the representatives stand for."""

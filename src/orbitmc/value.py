@@ -1,9 +1,9 @@
 """Records with value semantics.  A subclass names its fields once, in
 ``__slots__`` (``_...`` slots are no fields); ``_defaults`` fills the last.
-Fields are passed by position, and also by name past two fields.  A record
-equals one of its class with the same field tuple, hashes as that tuple
-and prints as ``Name(field=value, ...)``.  A frozen record keeps the tuple
-in ``_values``; a class declared ``frozen=False`` is mutable."""
+Fields are passed by position or by name.  A record equals one of its
+class with the same field tuple, hashes as that tuple and prints as
+``Name(field=value, ...)``.  A frozen record keeps the tuple in
+``_values``; a class declared ``frozen=False`` is mutable."""
 
 
 class Value:
@@ -22,7 +22,7 @@ class Value:
         elif "__init__" not in cls.__dict__ and cls.__init__ in _INITS:
             # short records get unrolled inits, and field-less ones compare and
             # hash without reading an attribute, which a method that many
-            # classes share does slowly
+            # classes share does slowly (timed with and without in BENCH_startup.json)
             cls.__init__ = _INITS[min(len(fields), 3)]
             if not fields:
                 cls._values, cls.__eq__, cls.__hash__ = (), _same_class, _hash_of_nothing
@@ -81,16 +81,16 @@ def _hash_of_nothing(self, _hash=hash(())):
     return _hash
 
 
-def _init1(self, *values):
-    if len(values) != 1:
-        values = self._bind(values, {})
+def _init1(self, *values, **named):
+    if named or len(values) != 1:
+        values = self._bind(values, named)
     _keep(self, values)
     self._setters[0](self, values[0])
 
 
-def _init2(self, *values):
-    if len(values) != 2:
-        values = self._bind(values, {})
+def _init2(self, *values, **named):
+    if named or len(values) != 2:
+        values = self._bind(values, named)
     _keep(self, values)
     set_first, set_second = self._setters
     set_first(self, values[0])

@@ -222,6 +222,7 @@ def test_eq_hash_and_mutability(row):
     assert value._values == values
     twin = cls(*values)
     assert twin == value and not twin != value
+    assert cls(**dict(zip(names, values))) == value
     assert value != object() and value != values
     if frozen:
         assert hash(value) == hash(values) == hash(twin)
@@ -296,10 +297,13 @@ def test_keywords_defaults_and_replace():
         "shared", 0, ValueExpr("star")
     )
     assert BuildStats(edges=3).edges == 3
+    assert EU(left=Atom("p"), right=Atom("q")) == EU(Atom("p"), right=Atom("q"))
+    assert SharedEq(slot=0, value=1) == SharedEq(0, 1) and GNot(inner=GTrue()) == GNot(GTrue())
     bad_calls = [
         lambda: GAnd(GTrue()),
         lambda: GAnd(GTrue(), GTrue(), GTrue()),
-        lambda: GAnd(left=GTrue(), right=GTrue()),  # one or two fields: by position only
+        lambda: GAnd(GTrue(), left=GTrue()),
+        lambda: GNot(inner=GTrue(), other=GTrue()),
         lambda: GTrue(1),
         lambda: GTrue(x=1),
         lambda: Program(n=3),
@@ -310,6 +314,22 @@ def test_keywords_defaults_and_replace():
     for bad in bad_calls:
         with pytest.raises(TypeError):
             bad()
+
+
+def test_a_copied_quotient_keeps_its_canonicalization():
+    allocator = builtin_example("allocator", 3)
+    built = quotient.build_quotient(allocator)
+    state = GlobalState((2,), ((0,), (1,), (2,)), allocator.pid_slots)
+    assert copy.copy(built).rep(state) == built.rep(state) != state
+
+
+def test_reprs_evaluate_back_to_equal_values():
+    names = {**vars(program), **vars(ctl)}
+    for value in (
+        parse_ctl("AG (bad -> AF !bad) & E[p U q] & EX r"),
+        parse_program(builtin_source("allocator", 2)),
+    ):
+        assert eval(repr(value), names) == value
 
 
 def test_formula_atoms_read_the_field_tuples():
