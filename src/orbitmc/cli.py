@@ -16,6 +16,7 @@ other exception that reaches it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -63,8 +64,11 @@ def _add_model_args(sub):
     )
 
 
-def _add_common_args(sub, modes=MODES):
-    sub.add_argument("--mode", choices=list(modes), default="full")
+def _add_mode_arg(sub):
+    sub.add_argument("--mode", choices=list(MODES), default="full")
+
+
+def _add_output_args(sub):
     sub.add_argument("--bound", type=int, default=None, help="state bound (default 10^6)")
     sub.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     sub.add_argument(
@@ -72,7 +76,9 @@ def _add_common_args(sub, modes=MODES):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser():
+    """The argument parser, built once: parsing leaves it as it was."""
     top = argparse.ArgumentParser(
         prog="orbitmc",
         description="explicit-state model checking with symmetry reduction",
@@ -83,22 +89,23 @@ def build_arg_parser():
     p = subs.add_parser("check", help="model-check a CTL property")
     _add_model_args(p)
     p.add_argument("--prop", required=True, help="CTL formula, e.g. 'AG !bad'")
-    _add_common_args(p)
+    _add_mode_arg(p)
+    _add_output_args(p)
 
     p = subs.add_parser("reach", help="explore the reachable states")
     _add_model_args(p)
-    _add_common_args(p)
+    _add_mode_arg(p)
+    _add_output_args(p)
     p.add_argument("--stop-at-bad", action="store_true", help="halt at the first bad state")
 
     p = subs.add_parser("compare", help="run all modes and report the reduction")
     _add_model_args(p)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    p.add_argument("--json", dest="fmt", action="store_const", const="json")
+    _add_output_args(p)
 
     p = subs.add_parser("export-dot", help="print the structure as DOT")
     _add_model_args(p)
-    _add_common_args(p)
+    _add_mode_arg(p)
+    _add_output_args(p)
     p.add_argument("--name", dest="dot_name", default="M", help="graph name, a DOT identifier")
 
     p = subs.add_parser("examples", help="print the builtin model sources")

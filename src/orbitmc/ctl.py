@@ -118,46 +118,44 @@ def au(f, g):
 #   formula := bool[ctlatom] ("->" formula)?
 #   ctlatom := ID | prefix unary[ctlatom] | ("E"|"A") "[" formula "U" formula "]"
 # where parentheses hold a whole formula.  Prefixes bind tightest, then
-# &, |, ->.
+# &, |, ->.  ``->`` is one more entry in the table of binary operators,
+# and the unary rule reads the prefixes and until forms.
 # --------------------------------------------------------------------------
 
 _PREFIXES = dict(zip(PROPERTY_PREFIXES, (EX, ax, ef, af, EG, ag, ag), strict=True))
 
 
 class _FormulaParser(_Parser):
+    BINARY = {**_Parser.BINARY, "->": (0, lambda f, g: Or(neg(f), g), True)}
+    NOT = staticmethod(neg)
+
     def parse(self):
-        f = self.parse_bool(self.parse_atom)
+        f, _ = self.parse_bool(self.parse_atom)
         if self.peek().kind != "eof":
             self.fail("trailing input after formula")
         return f
 
-    def parse_bool(self, atom):
-        left = super().parse_bool(atom)
-        if not self.at_sym("->"):
-            return left
-        tok, depth = self.advance(), self.depth
-        right = self.descend(tok, self.parse_bool, atom)
-        self.depth = max(self.depth, self.deeper(tok, depth))
-        return Or(neg(left), right)
-
-    def negate(self, inner):
-        return neg(inner)
+    def parse_unary(self, atom, outer):
+        tok = self.peek()
+        if tok.value in _PREFIXES:
+            self.pos += 1
+            inner, depth = self.parse_unary(atom, self.nest(tok, outer))
+            return _PREFIXES[tok.value](inner), depth + 1
+        if tok.value in ("E", "A"):
+            self.pos += 1
+            self.expect("[")
+            inside = self.nest(tok, outer)
+            left, depth = self.parse_bool(atom, inside)
+            self.expect("U")
+            right, inner = self.parse_bool(atom, inside)
+            self.expect("]")
+            return (EU if tok.value == "E" else au)(left, right), max(depth, inner) + 1
+        return super().parse_unary(atom, outer)
 
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "eof":
             self.fail("unexpected end of formula", tok)
-        if tok.value in _PREFIXES:
-            return _PREFIXES[tok.value](self.descend(tok, self.parse_unary, self.parse_atom))
-        if tok.value in ("E", "A"):
-            self.expect_sym("[")
-            left = self.descend(tok, self.parse_bool, self.parse_atom)
-            depth = self.depth
-            self.expect_keyword("U")
-            right = self.descend(tok, self.parse_bool, self.parse_atom)
-            self.depth = max(depth, self.depth)
-            self.expect_sym("]")
-            return EU(left, right) if tok.value == "E" else au(left, right)
         if tok.kind != "id" or tok.value in PROPERTY_KEYWORDS:
             self.fail(f"unexpected token {str(tok.value)!r}", tok)
         return Atom(tok.value)

@@ -19,12 +19,12 @@ Grammar (UTF-8 text, ``#`` line comments):
                | ID "==" ("0"|"1"|"none")
 
 Guards, labels and CTL formulas (``ctl.parse_ctl``, a ``_Parser``
-subclass) share the one boolean rule ``bool`` and differ only in their
-atoms, so all three parse into the same connective nodes.  Labels may
-not take the names ``PROPERTY_KEYWORDS`` reserves for formulas.  An
-expression nests at most ``MAX_DEPTH`` levels, one per ``!``, ``(``,
-binary and temporal operator, so no recursion over a parsed tree can
-overflow.
+subclass) share the one boolean rule ``bool``, precedence climbing over
+the table ``_Parser.BINARY``, and differ only in their atoms, so all
+three parse into the same connective nodes.  Labels may not take the
+names ``PROPERTY_KEYWORDS`` reserves for formulas.  An expression nests
+at most ``MAX_DEPTH`` levels, one per ``!``, ``(``, binary and temporal
+operator, so no recursion over a parsed tree can overflow.
 
 The ``init`` list must assign the pc and every declared variable exactly
 once; pid variables can only start at ``none``, so the single initial
@@ -34,6 +34,8 @@ the symmetric group acts by automorphisms on every parsed program.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .program import (
@@ -56,10 +58,8 @@ from .program import (
     Update,
     ValueExpr,
     V_CONST,
-    V_LOCAL,
     V_NONE,
     V_SELF,
-    V_SHARED,
     V_STAR,
 )
 
@@ -92,15 +92,18 @@ _LABEL_RESERVED = KEYWORDS | PROPERTY_KEYWORDS
 # the guard atoms over the other processes' pcs: comparison and node
 _OTHERS_ATOMS = {"all_others": ("!=", AllOthersNotAt), "exists_other": ("==", ExistsOtherAt)}
 
-# the left-associative boolean operators, loosest first
-_CHAINS = (("|", GOr), ("&", GAnd))
-
 # How deep one expression may nest; see the module docstring.
 MAX_DEPTH = 64
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
-_SYMBOLS = (
-    "->", ":=", "==", "!=", ">=", ";", ":", ",", "{", "}", "(", ")", "[", "]",
-    "/", "*", "!", "&", "|", "=",
+# One lexeme per match, tried in order: a newline, other whitespace, a
+# comment, an integer, a word, a symbol (two-character ones first), and
+# any other character, which is an error.  In a str pattern ``\d`` is
+# ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or ``_``; a word must
+# also start with a letter or ``_`` (``²`` and ``½`` are ``\w``, not letters).
+_LEXEME = re.compile(
+    r"(?P<nl>\n)|[^\S\n]+|#.*|(?P<int>\d+)|(?P<id>\w+)"
+    r"|(?P<sym>->|:=|==|!=|>=|[;:,{}()[\]/*!&|=])|(?P<bad>.)"
 )
 
 
@@ -116,63 +119,35 @@ class _Token:
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < len(text) and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch.isdecimal():
-            start = pos
-            while pos < len(text) and text[pos].isdecimal():
-                pos += 1
-            tokens.append(_Token("int", int(text[start:pos]), line, col))
-            col += pos - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("id", text[start:pos], line, col))
-            col += pos - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(_Token("sym", sym, line, col))
-                pos += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+    line, start = 1, 0  # start: the offset of the line's first character
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        if kind == "nl":
+            line, start = line + 1, match.end()
+        elif kind:
+            value, col = match.group(), match.start() - start + 1
+            if kind == "bad" or kind == "id" and not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(_Token(kind, int(value) if kind == "int" else value, line, col))
+    # a comment takes no columns, so eof sits at a comment that ends the text
+    tokens.append(_Token("eof", None, line, len(text[start:].partition("#")[0]) + 1))
     return tokens
 
 
 class _Parser:
+    # the binary operators: symbol -> (binding power, node, right-associative)
+    BINARY = {"|": (1, GOr, False), "&": (2, GAnd, False)}
+    NOT = GNot
+
     def __init__(self, text, name):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.name = name
-        # symbol tables filled while parsing
-        self.shared = []  # (name, kind)
-        self.locals = []
-        self.pc_names = []
-        self.label_names = []
-        # expression nesting: levels open around the current token, and
-        # the depth of the expression parsed last
-        self.open = 0
-        self.depth = 0
+        # filled while parsing; variables map name -> (target, slot, kind),
+        # where the target, "shared" or "local", is also the value tag of a copy
+        self.vars = {}
+        self.pcs = {}  # name -> index
+        self.labels = {}  # name -> label node
 
     # -- token helpers ------------------------------------------------------
 
@@ -181,25 +156,31 @@ class _Parser:
 
     def advance(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
+
+    def accept(self, value):
+        """The current token, consumed, if its value is ``value``; else None."""
+        tok = self.tokens[self.pos]
+        if tok.value == value:
+            self.pos += 1
+            return tok
+        return None
+
+    def expect(self, value):
+        return self.accept(value) or self.fail(f"expected {value!r}")
+
+    def accept_bit(self):
+        """A ``0`` or ``1``, consumed, as an int; else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "int" and tok.value in (0, 1):
+            self.pos += 1
+            return tok.value
+        return None
 
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
-
-    def expect_sym(self, sym):
-        tok = self.peek()
-        if tok.kind != "sym" or tok.value != sym:
-            self.fail(f"expected {sym!r}")
-        return self.advance()
-
-    def expect_keyword(self, word):
-        tok = self.peek()
-        if tok.kind != "id" or tok.value != word:
-            self.fail(f"expected {word!r}")
-        return self.advance()
 
     def expect_name(self, what, reserved=KEYWORDS):
         tok = self.peek()
@@ -209,32 +190,29 @@ class _Parser:
             self.fail(f"{tok.value!r} is a keyword, not a valid {what}", tok)
         return self.advance().value
 
-    def at_keyword(self, word):
+    def expect_positive(self, what, subject):
         tok = self.peek()
-        return tok.kind == "id" and tok.value == word
-
-    def at_sym(self, sym):
-        tok = self.peek()
-        return tok.kind == "sym" and tok.value == sym
+        if tok.kind != "int":
+            self.fail(f"expected {what}")
+        if self.advance().value < 1:
+            self.fail(f"{subject} must be >= 1", tok)
+        return tok.value
 
     # -- lookups --------------------------------------------------------------
 
-    def shared_slot(self, name):
-        for k, (sname, _) in enumerate(self.shared):
-            if sname == name:
-                return k
-        return None
+    def variable(self, name, tok):
+        """The ``(target, slot, kind)`` of a declared variable."""
+        if name not in self.vars:
+            self.fail(f"unknown variable {name!r}", tok)
+        return self.vars[name]
 
-    def local_slot(self, name):
-        for k, lname in enumerate(self.locals):
-            if lname == name:
-                return k
-        return None
+    def names(self, target):
+        return [name for name, var in self.vars.items() if var[0] == target]
 
     def pc_index(self, name, tok):
-        if name not in self.pc_names:
+        if name not in self.pcs:
             self.fail(f"undeclared pc value {name!r}", tok)
-        return self.pc_names.index(name)
+        return self.pcs[name]
 
     def expect_pc(self):
         tok = self.peek()
@@ -243,94 +221,68 @@ class _Parser:
     # -- program --------------------------------------------------------------
 
     def parse(self):
-        self.expect_keyword("processes")
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail("expected process count")
-        n = self.advance().value
-        if n < 1:
-            self.fail("process count must be >= 1", tok)
-        self.expect_sym(";")
-
-        while self.at_keyword("shared") or self.at_keyword("local"):
+        self.expect("processes")
+        n = self.expect_positive("process count", "process count")
+        self.expect(";")
+        while self.peek().value in ("shared", "local"):
             self.parse_decl()
-
-        self.expect_keyword("pc")
-        self.expect_sym("{")
+        self.expect("pc")
+        self.expect("{")
         while True:
             tok = self.peek()
             name = self.expect_name("pc value name")
-            if name in self.pc_names:
+            if name in self.pcs:
                 self.fail(f"duplicate pc value {name!r}", tok)
-            self.pc_names.append(name)
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
-        self.expect_sym("}")
-        self.expect_sym(";")
-
-        init_shared, init_pc, init_locals = self.parse_init(n)
-
+            self.pcs[name] = len(self.pcs)
+            if not self.accept(","):
+                break
+        self.expect("}")
+        self.expect(";")
+        init_pc, values = self.parse_init(n)
         commands = []
-        while self.peek().kind == "id" and not self.at_keyword("label"):
+        while self.peek().kind == "id" and self.peek().value != "label":
             commands.append(self.parse_command())
-
-        label_defs = []
-        while self.at_keyword("label"):
-            label_defs.append(self.parse_label())
-
-        tok = self.peek()
-        if tok.kind != "eof":
+        while self.accept("label"):
+            self.parse_label()
+        if self.peek().kind != "eof":
             self.fail("trailing input after program")
-
+        shared, local = self.names("shared"), self.names("local")
         return Program(
             n=n,
-            shared_names=tuple(name for name, _ in self.shared),
-            shared_kinds=tuple(kind for _, kind in self.shared),
-            pc_names=tuple(self.pc_names),
-            local_names=tuple(self.locals),
+            shared_names=tuple(shared),
+            shared_kinds=tuple(self.vars[name][2] for name in shared),
+            pc_names=tuple(self.pcs),
+            local_names=tuple(local),
             commands=tuple(commands),
-            label_defs=tuple(label_defs),
-            init_shared=init_shared,
+            label_defs=tuple(self.labels.items()),
+            init_shared=tuple(values[name] for name in shared),
             init_pc=init_pc,
-            init_locals=init_locals,
+            init_locals=tuple(values[name] for name in local),
             name=self.name,
         )
 
     def parse_decl(self):
-        scope = self.advance().value  # "shared" | "local"
+        target = self.advance().value  # "shared" | "local"
         tok = self.peek()
         name = self.expect_name("variable name")
-        if self.shared_slot(name) is not None or self.local_slot(name) is not None:
+        if name in self.vars:
             self.fail(f"duplicate variable {name!r}", tok)
-        self.expect_sym(":")
-        kind_tok = self.peek()
-        if self.at_keyword("bool"):
-            kind = BOOL
-        elif self.at_keyword("pid"):
-            kind = PID
-        else:
-            self.fail("expected type 'bool' or 'pid'")
-        self.advance()
-        if scope == "local" and kind != BOOL:
+        self.expect(":")
+        kind_tok = self.accept(BOOL) or self.accept(PID) or self.fail("expected type 'bool' or 'pid'")
+        if target == "local" and kind_tok.value != BOOL:
             self.fail("local variables must be bool", kind_tok)
-        self.expect_sym(";")
-        if scope == "shared":
-            self.shared.append((name, kind))
-        else:
-            self.locals.append(name)
+        self.expect(";")
+        self.vars[name] = (target, len(self.names(target)), kind_tok.value)
 
     def parse_init(self, n):
-        self.expect_keyword("init")
+        """The initial pc and the initial value of each variable by name."""
+        self.expect("init")
         init_pc = None
-        shared_vals = {}
-        local_vals = {}
+        values = {}
         while True:
             tok = self.peek()
-            if self.at_keyword("pc"):
-                self.advance()
-                self.expect_sym("=")
+            if self.accept("pc"):
+                self.expect("=")
                 ptok = self.peek()
                 pname = self.expect_name("pc value name")
                 if init_pc is not None:
@@ -338,59 +290,44 @@ class _Parser:
                 init_pc = self.pc_index(pname, ptok)
             else:
                 name = self.expect_name("variable name")
-                self.expect_sym("=")
-                vtok = self.peek()
-                slot = self.shared_slot(name)
-                if slot is not None:
-                    if name in shared_vals:
-                        self.fail(f"{name!r} initialized twice", tok)
-                    kind = self.shared[slot][1]
-                    shared_vals[name] = self.parse_init_value(kind, vtok, n)
-                elif self.local_slot(name) is not None:
-                    if name in local_vals:
-                        self.fail(f"{name!r} initialized twice", tok)
-                    local_vals[name] = self.parse_init_value(BOOL, vtok, n)
-                else:
-                    self.fail(f"unknown variable {name!r}", tok)
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
-        self.expect_sym(";")
+                self.expect("=")
+                _, _, kind = self.variable(name, tok)
+                if name in values:
+                    self.fail(f"{name!r} initialized twice", tok)
+                values[name] = self.parse_init_value(kind, n)
+            if not self.accept(","):
+                break
+        self.expect(";")
         if init_pc is None:
             self.fail("init must assign pc")
-        for name, _ in self.shared:
-            if name not in shared_vals:
-                self.fail(f"init must assign shared variable {name!r}")
-        for name in self.locals:
-            if name not in local_vals:
-                self.fail(f"init must assign local variable {name!r}")
-        init_shared = tuple(shared_vals[name] for name, _ in self.shared)
-        init_locals = tuple(local_vals[name] for name in self.locals)
-        return init_shared, init_pc, init_locals
+        for target in ("shared", "local"):
+            for name in self.names(target):
+                if name not in values:
+                    self.fail(f"init must assign {target} variable {name!r}")
+        return init_pc, values
 
-    def parse_init_value(self, kind, tok, n):
+    def parse_init_value(self, kind, n):
         if kind == PID:
-            if self.at_keyword("none"):
-                self.advance()
+            if self.accept("none"):
                 return n
-            self.fail("pid variables can only be initialized to 'none'", tok)
-        if self.peek().kind == "int" and self.peek().value in (0, 1):
-            return self.advance().value
-        self.fail("expected 0 or 1", tok)
+            self.fail("pid variables can only be initialized to 'none'")
+        bit = self.accept_bit()
+        if bit is None:
+            self.fail("expected 0 or 1")
+        return bit
 
     # -- commands --------------------------------------------------------------
 
     def parse_command(self):
         from_pc = self.expect_pc()
-        self.expect_sym("->")
+        self.expect("->")
         to_pc = self.expect_pc()
-        self.expect_sym(":")
-        guard = self.parse_bool(self.parse_guard_atom)
-        self.expect_sym("/")
+        self.expect(":")
+        guard, _ = self.parse_bool(self.parse_guard_atom)
+        self.expect("/")
         updates = []
         assigned = set()
-        while not self.at_sym(";"):
+        while self.peek().value != ";":
             tok = self.peek()
             update = self.parse_update()
             key = (update.target, update.slot)
@@ -398,222 +335,164 @@ class _Parser:
                 self.fail("variable assigned twice in one command", tok)
             assigned.add(key)
             updates.append(update)
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
-        self.expect_sym(";")
+            if not self.accept(","):
+                break
+        self.expect(";")
         return GuardedCommand(from_pc, to_pc, guard, tuple(updates))
 
     # -- boolean expressions ---------------------------------------------------
 
-    def parse_bool(self, atom):
-        """``|`` over ``&`` over ``!`` over ``atom()``, parentheses, ``true``
-        and ``false``: the rule guards, labels and formulas share.  Sets
-        ``self.depth`` to the nesting depth of what it parsed."""
-        return self.parse_chain(atom, 0)
-
-    def parse_chain(self, atom, level):
-        if level == len(_CHAINS):
-            return self.parse_unary(atom)
-        sym, node = _CHAINS[level]
-        left = self.parse_chain(atom, level + 1)
-        depth = self.depth
-        while self.at_sym(sym):
-            tok = self.advance()
-            right = self.parse_chain(atom, level + 1)
-            depth = self.deeper(tok, depth, self.depth)
+    def parse_bool(self, atom, outer=0, floor=0):
+        """The rule guards, labels and formulas share: precedence climbing
+        over the ``BINARY`` operators that bind at least as tightly as
+        ``floor``, on operands of ``parse_unary``.  ``outer`` counts the
+        levels open around the expression; returns it and its depth."""
+        left, depth = self.parse_unary(atom, outer)
+        while True:
+            tok = self.peek()
+            op = self.BINARY.get(tok.value)
+            if op is None or op[0] < floor:
+                return left, depth
+            power, node, right_assoc = op
+            self.pos += 1
+            if right_assoc:  # the right operand nests below the operator
+                right, inner = self.parse_bool(atom, self.nest(tok, outer), power)
+            else:
+                right, inner = self.parse_bool(atom, outer, power + 1)
+            depth = max(depth, inner) + 1
+            if outer + depth > MAX_DEPTH:
+                self.fail(_TOO_DEEP, tok)
             left = node(left, right)
-        self.depth = depth
-        return left
 
-    def parse_unary(self, atom):
+    def parse_unary(self, atom, outer):
+        """``!``, parentheses, ``true``, ``false`` or ``atom()``: the node
+        and its depth."""
         tok = self.peek()
-        if self.at_sym("!"):
-            self.advance()
-            return self.negate(self.descend(tok, self.parse_unary, atom))
-        if self.at_sym("("):
-            self.advance()
-            inner = self.descend(tok, self.parse_bool, atom)
-            self.expect_sym(")")
-            return inner
-        self.depth = 0
-        if self.at_keyword("true"):
-            self.advance()
-            return GTrue()
-        if self.at_keyword("false"):
-            self.advance()
-            return GFalse()
-        return atom()
+        if self.accept("!"):
+            inner, depth = self.parse_unary(atom, self.nest(tok, outer))
+            return self.NOT(inner), depth + 1
+        if self.accept("("):
+            inner, depth = self.parse_bool(atom, self.nest(tok, outer))
+            self.expect(")")
+            return inner, depth + 1
+        if self.accept("true"):
+            return GTrue(), 0
+        if self.accept("false"):
+            return GFalse(), 0
+        return atom(), 0
 
-    def negate(self, inner):
-        return GNot(inner)
-
-    def descend(self, tok, parse, *args):
-        """``parse(*args)`` one nesting level below ``tok``."""
-        self.open += 1
-        if self.open > MAX_DEPTH:
-            self.too_deep(tok)
-        node = parse(*args)
-        self.open -= 1
-        self.depth += 1
-        return node
-
-    def deeper(self, tok, *depths):
-        """The depth of a node at ``tok`` over operands of these depths."""
-        depth = max(depths) + 1
-        if self.open + depth > MAX_DEPTH:
-            self.too_deep(tok)
-        return depth
-
-    def too_deep(self, tok):
-        self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+    def nest(self, tok, outer):
+        """The ``outer`` levels and the one ``tok`` opens, if they fit."""
+        if outer >= MAX_DEPTH:
+            self.fail(_TOO_DEEP, tok)
+        return outer + 1
 
     def parse_guard_atom(self):
         tok = self.peek()
-        if tok.kind == "id" and tok.value in _OTHERS_ATOMS:
+        if tok.value in _OTHERS_ATOMS:
             op, node = _OTHERS_ATOMS[self.advance().value]
-            self.expect_sym("(")
-            self.expect_keyword("pc")
-            self.expect_sym(op)
+            self.expect("(")
+            self.expect("pc")
+            self.expect(op)
             pc = self.expect_pc()
-            self.expect_sym(")")
+            self.expect(")")
             return node(pc)
         name = self.expect_name("guard atom")
-        self.expect_sym("==")
-        slot = self.shared_slot(name)
-        if slot is not None:
-            kind = self.shared[slot][1]
-            if self.at_keyword("self"):
-                if kind != PID:
-                    self.fail(f"{name!r} is bool, cannot compare against self", tok)
-                self.advance()
-                return PidEqSelf(slot)
-            if self.at_keyword("none"):
-                if kind != PID:
-                    self.fail(f"{name!r} is bool, cannot compare against none", tok)
-                self.advance()
-                return PidEqNone(slot)
-            if self.peek().kind == "int" and self.peek().value in (0, 1):
-                if kind != BOOL:
-                    self.fail(f"{name!r} is pid-typed, compare against self or none", tok)
-                return SharedEq(slot, self.advance().value)
+        self.expect("==")
+        target, slot, kind = self.variable(name, tok)
+        if target == "local":
+            bit = self.accept_bit()
+            if bit is None:
+                self.fail("local variables compare against 0 or 1")
+            return LocalEq(slot, bit)
+        if self.accept("self"):
+            if kind != PID:
+                self.fail(f"{name!r} is bool, cannot compare against self", tok)
+            return PidEqSelf(slot)
+        if self.accept("none"):
+            if kind != PID:
+                self.fail(f"{name!r} is bool, cannot compare against none", tok)
+            return PidEqNone(slot)
+        bit = self.accept_bit()
+        if bit is None:
             self.fail("expected self, none, 0 or 1 after '=='")
-        slot = self.local_slot(name)
-        if slot is not None:
-            if self.peek().kind == "int" and self.peek().value in (0, 1):
-                return LocalEq(slot, self.advance().value)
-            self.fail("local variables compare against 0 or 1")
-        self.fail(f"unknown variable {name!r}", tok)
+        if kind != BOOL:
+            self.fail(f"{name!r} is pid-typed, compare against self or none", tok)
+        return SharedEq(slot, bit)
 
     def parse_update(self):
         tok = self.peek()
         name = self.expect_name("update target")
-        self.expect_sym(":=")
-        vtok = self.peek()
-        slot = self.shared_slot(name)
-        if slot is not None:
-            kind = self.shared[slot][1]
-            return Update("shared", slot, self.parse_update_value(kind, vtok))
-        slot = self.local_slot(name)
-        if slot is not None:
-            return Update("local", slot, self.parse_update_value(BOOL, vtok))
-        self.fail(f"unknown variable {name!r}", tok)
+        self.expect(":=")
+        target, slot, kind = self.variable(name, tok)
+        return Update(target, slot, self.parse_update_value(kind))
 
-    def parse_update_value(self, kind, tok):
-        if self.at_sym("*"):
-            if kind != BOOL:
-                self.fail("'*' only assigns bool variables", tok)
-            self.advance()
-            return ValueExpr(V_STAR)
-        if self.at_keyword("self"):
-            if kind != PID:
-                self.fail("'self' only assigns pid variables", tok)
-            self.advance()
-            return ValueExpr(V_SELF)
-        if self.at_keyword("none"):
-            if kind != PID:
-                self.fail("'none' only assigns pid variables", tok)
-            self.advance()
-            return ValueExpr(V_NONE)
-        if self.peek().kind == "int" and self.peek().value in (0, 1):
+    def parse_update_value(self, kind):
+        tok = self.peek()
+        for word, tag, fits in (("*", V_STAR, BOOL), ("self", V_SELF, PID), ("none", V_NONE, PID)):
+            if self.accept(word):
+                if kind != fits:
+                    self.fail(f"{word!r} only assigns {fits} variables", tok)
+                return ValueExpr(tag)
+        bit = self.accept_bit()
+        if bit is not None:
             if kind != BOOL:
                 self.fail("pid variables take self, none or another pid variable", tok)
-            return ValueExpr(V_CONST, self.advance().value)
-        if self.peek().kind == "id" and self.peek().value not in KEYWORDS:
-            name = self.advance().value
-            slot = self.shared_slot(name)
-            if slot is not None:
-                if self.shared[slot][1] != kind:
-                    self.fail(f"type mismatch copying {name!r}", tok)
-                return ValueExpr(V_SHARED, slot)
-            slot = self.local_slot(name)
-            if slot is not None:
-                if kind != BOOL:
-                    self.fail(f"type mismatch copying {name!r}", tok)
-                return ValueExpr(V_LOCAL, slot)
-            self.fail(f"unknown variable {name!r}", tok)
+            return ValueExpr(V_CONST, bit)
+        if tok.kind == "id" and tok.value not in KEYWORDS:
+            self.pos += 1
+            target, slot, source_kind = self.variable(tok.value, tok)
+            if source_kind != kind:
+                self.fail(f"type mismatch copying {tok.value!r}", tok)
+            return ValueExpr(target, slot)
         self.fail("expected 0, 1, *, self, none or a variable name")
 
     # -- labels --------------------------------------------------------------
 
     def parse_label(self):
-        self.expect_keyword("label")
         tok = self.peek()
         # note: "init" cannot name a label, it is a keyword and stays
         # reserved for the designated initial-state proposition; formulas
         # could not refer to a label named after a property keyword
         name = self.expect_name("label name", _LABEL_RESERVED)
-        if name in self.label_names:
+        if name in self.labels:
             self.fail(f"duplicate label {name!r}", tok)
-        self.label_names.append(name)
-        self.expect_sym(":=")
-        expr = self.parse_bool(self.parse_label_atom)
-        self.expect_sym(";")
-        return (name, expr)
+        self.expect(":=")
+        self.labels[name], _ = self.parse_bool(self.parse_label_atom)
+        self.expect(";")
 
     def parse_label_atom(self):
         tok = self.peek()
-        if self.at_keyword("count"):
-            self.advance()
-            self.expect_sym("(")
-            self.expect_keyword("pc")
-            if self.at_sym("==") or self.at_sym("="):
-                self.advance()
-            else:
+        if self.accept("count"):
+            self.expect("(")
+            self.expect("pc")
+            if not (self.accept("==") or self.accept("=")):
                 self.fail("expected '=' in count atom")
             pc = self.expect_pc()
-            self.expect_sym(")")
-            self.expect_sym(">=")
-            ktok = self.peek()
-            if ktok.kind != "int":
-                self.fail("expected threshold integer")
-            k = self.advance().value
-            if k < 1:
-                self.fail("count threshold must be >= 1", ktok)
-            return CountAtLeast(pc, k)
+            self.expect(")")
+            self.expect(">=")
+            return CountAtLeast(pc, self.expect_positive("threshold integer", "count threshold"))
         name = self.expect_name("label atom")
-        slot = self.shared_slot(name)
-        if slot is None:
-            if self.local_slot(name) is not None:
+        target, slot, kind = self.vars.get(name, (None, None, None))
+        if target != "shared":
+            if target == "local":
                 self.fail(
                     f"local variable {name!r} is not permutation invariant; "
                     "label atoms are shared literals and count thresholds",
                     tok,
                 )
             self.fail(f"unknown shared variable {name!r}", tok)
-        kind = self.shared[slot][1]
-        self.expect_sym("==")
-        if self.at_keyword("none"):
+        self.expect("==")
+        if self.accept("none"):
             if kind != PID:
                 self.fail(f"{name!r} is bool, cannot compare against none", tok)
-            self.advance()
             return PidEqNone(slot)
-        if self.peek().kind == "int" and self.peek().value in (0, 1):
-            if kind != BOOL:
-                self.fail(f"{name!r} is pid-typed; labels may only test it against none", tok)
-            return SharedEq(slot, self.advance().value)
-        self.fail("expected 0, 1 or none in label atom")
+        bit = self.accept_bit()
+        if bit is None:
+            self.fail("expected 0, 1 or none in label atom")
+        if kind != BOOL:
+            self.fail(f"{name!r} is pid-typed; labels may only test it against none", tok)
+        return SharedEq(slot, bit)
 
 
 def parse_program(text, name="<input>"):

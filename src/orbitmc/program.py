@@ -97,6 +97,7 @@ class StateCodec:
     """
 
     def __init__(self, n, num_shared, pid_slots, num_locals, num_pcs, max_shared):
+        self._layout = (n, num_shared, pid_slots, num_locals, num_pcs, max_shared)
         self.n = n
         self.num_shared = num_shared
         self.pid_slots = pid_slots
@@ -111,6 +112,9 @@ class StateCodec:
         self._whole = Struct(f">{num_shared}{self.shared_fmt}{n}{self.code_fmt}")
         self._record_of = {}
         self._code_of = {}
+
+    def __reduce__(self):  # copies and pickles share the codec of the layout
+        return _codec, self._layout
 
     @staticmethod
     def for_program(program):

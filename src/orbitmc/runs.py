@@ -39,6 +39,9 @@ class RunCodec:
         self._ranks = {}
         self._heads = {}
 
+    def __reduce__(self):  # copies and pickles share the run codec of the codec
+        return run_codec, (self.codec,)
+
     def _struct(self, pins, size):
         """The fields of a ``size``-byte key with ``pins`` pinned records."""
         fields = self._structs.get((pins, size))

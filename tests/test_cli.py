@@ -178,6 +178,23 @@ def test_argparse_usage_exit_code():
     assert err.value.code == 2
 
 
+def test_successive_configs_are_independent(capsys):
+    first = build_config(["check", "--builtin", "mutex:3", "--prop", "AG !bad", "--json",
+                          "--mode", "counter", "--bound", "7"])
+    second = build_config(["check", "--builtin", "mutex:3", "--prop", "EF bad"])
+    assert (first.fmt, first.mode, first.bound) == ("json", "counter", 7)
+    assert (second.fmt, second.mode, second.bound, second.prop) == ("text", "full", None, "EF bad")
+    with pytest.raises(SystemExit) as err:
+        build_config(["compare", "--builtin", "mutex:3", "--format", "xml"])
+    assert err.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    after = build_config(["compare", "--builtin", "mutex:3"])
+    assert (after.command, after.fmt, after.bound, after.mode) == ("compare", "text", None, "full")
+    assert build_config(["compare", "--model", "m.om", "--json"]).fmt == "json"
+    assert build_config(["reach", "--builtin", "mutex:2", "--stop-at-bad"]).stop_at_bad
+    assert not build_config(["reach", "--builtin", "mutex:2"]).stop_at_bad
+
+
 def test_model_file_roundtrip(tmp_path):
     model = tmp_path / "cycle.gcl"
     model.write_text(

@@ -7,7 +7,9 @@ it came from, byte order of keys is the order of ``GlobalState.encode``
 without changing any report.
 """
 
+import copy
 import io
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from orbitmc import (
     GlobalState,
     LabelSymmetryError,
+    build_counter_structure,
+    build_full_structure,
     build_quotient,
     builtin_example,
     labeling,
@@ -240,3 +244,53 @@ def test_two_byte_pid_values_in_the_quotient():
     assert (code, err) == (0, "")
     assert "verdict: holds\n" in out
     assert "  states_reached: 601\n  edges: 1199\n" in out
+
+
+# -- copies and pickles --------------------------------------------------------
+
+
+def _structures():
+    """A full, a Sym(n) quotient, a pid-typed quotient and a counter structure."""
+    quotient = build_quotient(builtin_example("mutex", 4))
+    pid_quotient = build_quotient(builtin_example("allocator", 3))
+    return [
+        build_full_structure(builtin_example("allocator", 3)),
+        quotient.structure,
+        pid_quotient.structure,
+        build_counter_structure(builtin_example("mutex", 4)),
+    ], [quotient, pid_quotient]
+
+
+def _contents(structure):
+    return (
+        [structure.payload(sid) for sid in structure.states()],
+        [structure.label_of(sid) for sid in structure.states()],
+        list(structure.edges()),
+        structure.init,
+    )
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+def test_structures_deepcopy_and_pickle(copy_of):
+    structures, quotients = _structures()
+    for structure in structures:
+        copied = copy_of(structure)
+        assert _contents(copied) == _contents(structure)
+        sid = max(structure.states())
+        assert copied.has_state(structure.payload(sid))
+    for quotient in quotients:
+        copied = copy_of(quotient)
+        assert _contents(copied.structure) == _contents(quotient.structure)
+        assert copied.orbit_sizes == quotient.orbit_sizes
+        state = quotient.program.initial_state()
+        assert copied.rep(state) == quotient.rep(state)
+
+
+def test_copied_codecs_are_the_shared_codecs():
+    program = builtin_example("allocator", 3)
+    codec = program.table.codec
+    for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert copy_of(codec) is codec
+        assert copy_of(program.table.runs) is program.table.runs
