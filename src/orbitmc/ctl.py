@@ -80,10 +80,18 @@ class EG(Value):
 
 
 def atoms(f):
-    """Names of the atomic propositions a formula mentions."""
-    if isinstance(f, Atom):
-        return {f.name}
-    return set().union(*map(atoms, f._values))
+    """Names of the atomic propositions a formula mentions, visiting each
+    node once however often the formula shares it."""
+    names, seen, stack = set(), set(), [f]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            if isinstance(f, Atom):
+                names.add(f.name)
+            else:
+                stack.extend(f._values)
+    return names
 
 
 def neg(f):
@@ -110,7 +118,8 @@ def af(f):
 
 
 def au(f, g):
-    return neg(Or(EU(neg(g), And(neg(f), neg(g))), EG(neg(g))))
+    not_g = neg(g)  # one node in three places, evaluated once (``sat_set``)
+    return neg(Or(EU(not_g, And(neg(f), not_g)), EG(not_g)))
 
 
 # --------------------------------------------------------------------------
@@ -175,42 +184,45 @@ def sat_set(structure, formula, *, _memo=None):
     """States satisfying ``formula``, by the standard explicit fixpoints.
 
     The structure must be total (CTL talks about infinite paths) and
-    every atom must exist in its AP set.  ``_memo``, a dict from
-    subformula to sat set, lets ``check`` read a subformula's set from
-    the same evaluation.
+    every atom must exist in its AP set.  ``_memo``, a dict from the id
+    of a subformula node to its sat set, lets ``check`` read a
+    subformula's set from the same evaluation; keyed by identity, a node
+    that the formula shares is evaluated once, and no lookup hashes a
+    subtree.
     """
     if not structure.is_total():
         raise ValueError("structure is not total; run totalize() first")
-    memo = {} if _memo is None else _memo
+    return _sat(structure, formula, {} if _memo is None else _memo)
 
-    def sat(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, TrueF):
-            out = frozenset(structure.states())
-        elif isinstance(f, FalseF):
-            out = frozenset()
-        elif isinstance(f, Atom):
-            out = frozenset(structure.sat_atom(f.name))
-        elif isinstance(f, Not):
-            out = frozenset(structure.states()) - sat(f.inner)
-        elif isinstance(f, And):
-            out = sat(f.left) & sat(f.right)
-        elif isinstance(f, Or):
-            out = sat(f.left) | sat(f.right)
-        elif isinstance(f, EX):
-            out = frozenset(structure.preimage(sat(f.inner)))
-        elif isinstance(f, EU):
-            out = _sat_eu(structure, sat(f.left), sat(f.right))
-        elif isinstance(f, EG):
-            out = _sat_eg(structure, sat(f.inner))
-        else:
-            raise ValueError(f"not a formula: {f!r}")
-        memo[f] = out
-        return out
 
-    return sat(formula)
+def _sat(structure, f, memo):
+    # module-level recursion: a self-referring closure would form a cycle
+    # that keeps the structure alive until the next full collection
+    got = memo.get(id(f))
+    if got is not None:
+        return got
+    if isinstance(f, TrueF):
+        out = frozenset(structure.states())
+    elif isinstance(f, FalseF):
+        out = frozenset()
+    elif isinstance(f, Atom):
+        out = frozenset(structure.sat_atom(f.name))
+    elif isinstance(f, Not):
+        out = frozenset(structure.states()) - _sat(structure, f.inner, memo)
+    elif isinstance(f, And):
+        out = _sat(structure, f.left, memo) & _sat(structure, f.right, memo)
+    elif isinstance(f, Or):
+        out = _sat(structure, f.left, memo) | _sat(structure, f.right, memo)
+    elif isinstance(f, EX):
+        out = frozenset(structure.preimage(_sat(structure, f.inner, memo)))
+    elif isinstance(f, EU):
+        out = _sat_eu(structure, _sat(structure, f.left, memo), _sat(structure, f.right, memo))
+    elif isinstance(f, EG):
+        out = _sat_eg(structure, _sat(structure, f.inner, memo))
+    else:
+        raise ValueError(f"not a formula: {f!r}")
+    memo[id(f)] = out
+    return out
 
 
 def _sat_eu(structure, left, right):
@@ -321,11 +333,11 @@ def check(structure, formula, init=None):
     counterexample = None
     target = _invariant_target(formula)
     if target is not None and not holds:
-        counterexample = shortest_path(structure, init, memo[target])
+        counterexample = shortest_path(structure, init, memo[id(target)])
     else:
         target = _reachability_target(formula)
         if target is not None and holds and init:
-            counterexample = shortest_path(structure, init, memo[target])
+            counterexample = shortest_path(structure, init, memo[id(target)])
     return CheckResult(holds, sat, counterexample)
 
 

@@ -5,16 +5,24 @@ is a no-op that returns the original id.  A structure given a ``codec``
 stores each payload as the codec's ``bytes`` key and speaks payloads at
 its interface: ``add_state`` takes either form, ``payload`` decodes,
 ``state_of`` and ``has_state`` encode.  The transition relation is kept
-once per direction as int-indexed adjacency lists: ``(action, target)``
-pairs per source and ``(source, action)`` pairs per target, deduplicated
-per source, with an edge counter.  On top of them sit the set-valued
-image/preimage operators, which is everything the CTL fixpoint routines
-need.  The module also hosts the deterministic worklist builder that the
-full, quotient and counter explorations all share.
+as int-indexed successor lists of ``(action, target)`` pairs, deduplicated
+per source, with an edge counter.  The ``(source, action)`` lists per
+target are derived from them in one pass on the first reverse read
+(``predecessors``, ``preimage``, ``in_degree``) and kept in sync from then
+on, so a structure that is only explored forwards (``reach``, ``compare``,
+a check whose backward fixpoints start empty) never stores an edge twice.
+A target's predecessors are ordered by source id, then by the source's
+edge order; an edge added after the first reverse read comes after them.
+On top of the lists sit the set-valued image/preimage operators, which
+is everything the CTL fixpoint routines need.  The module also hosts the
+deterministic worklist builder that the full, quotient and counter
+explorations all share.
 
 Structures are built single-writer and are safe for concurrent read-only
-use afterwards; no operation mutates after construction except
-``totalize``, which is part of construction.
+use afterwards: the reverse lists are built into a local and published
+by one assignment, so concurrent first readers at worst build them twice.
+No operation mutates after construction except ``totalize``, which is
+part of construction.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ class KripkeStructure:
         self._index = {}
         self._labels = []
         self._succ = []  # per source: (action, target) pairs, each at most once
-        self._pred = []  # per target: (source, action) pairs
+        self._pred = None  # per target: (source, action) pairs, once a reverse read built them
         self._num_edges = 0
         self.init = set()
 
@@ -141,7 +149,8 @@ class KripkeStructure:
             self._index[payload] = sid
             self._labels.append(labels)
             self._succ.append([])
-            self._pred.append([])
+            if self._pred is not None:
+                self._pred.append([])
         elif self._labels[sid] != labels:
             raise ValueError(
                 f"payload re-added with different labels: {labels} vs {self._labels[sid]}"
@@ -217,7 +226,8 @@ class KripkeStructure:
         if step in out:
             return
         out.append(step)
-        self._pred[dst].append((src, action))
+        if self._pred is not None:
+            self._pred[dst].append((src, action))
         self._num_edges += 1
 
     def has_edge(self, src, action, dst):
@@ -236,8 +246,10 @@ class KripkeStructure:
         return list(self._succ[sid])
 
     def predecessors(self, sid):
+        """(source, action) pairs into ``sid``, in the order of the module
+        docstring."""
         self._check_id(sid)
-        return list(self._pred[sid])
+        return list((self._pred or self._reverse())[sid])
 
     def out_degree(self, sid):
         self._check_id(sid)
@@ -245,7 +257,16 @@ class KripkeStructure:
 
     def in_degree(self, sid):
         self._check_id(sid)
-        return len(self._pred[sid])
+        return len((self._pred or self._reverse())[sid])
+
+    def _reverse(self):
+        """The predecessor lists, built from the successor lists in one pass."""
+        pred = [[] for _ in self._succ]
+        for src, out in enumerate(self._succ):
+            for action, dst in out:
+                pred[dst].append((src, action))
+        self._pred = pred
+        return pred
 
     # -- set-valued operators --------------------------------------------------
 
@@ -259,10 +280,11 @@ class KripkeStructure:
 
     def preimage(self, state_set):
         """Predecessor set of ``state_set`` under one transition."""
+        pred = self._pred or self._reverse()
         out = set()
         for sid in state_set:
             self._check_id(sid)
-            out.update(src for src, _ in self._pred[sid])
+            out.update(src for src, _ in pred[sid])
         return out
 
     # -- totalization -----------------------------------------------------------

@@ -95,6 +95,9 @@ _OTHERS_ATOMS = {"all_others": ("!=", AllOthersNotAt), "exists_other": ("==", Ex
 # How deep one expression may nest; see the module docstring.
 MAX_DEPTH = 64
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+# The longest integer literal: CPython's default bound on ``int(str)``, so
+# every literal converts, on interpreters with and without that bound.
+MAX_DIGITS = 4300
 
 # One lexeme per match, tried in order: a newline, other whitespace, a
 # comment, an integer, a word, a symbol (two-character ones first), and
@@ -128,6 +131,8 @@ def _tokenize(text):
             value, col = match.group(), match.start() - start + 1
             if kind == "bad" or kind == "id" and not (value[0].isalpha() or value[0] == "_"):
                 raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            if kind == "int" and len(value) > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
             tokens.append(_Token(kind, int(value) if kind == "int" else value, line, col))
     # a comment takes no columns, so eof sits at a comment that ends the text
     tokens.append(_Token("eof", None, line, len(text[start:].partition("#")[0]) + 1))
