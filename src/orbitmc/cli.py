@@ -36,7 +36,14 @@ from .errors import (
 from .explore import MODES, compare_modes, explore
 from .kripke import DEFAULT_STATE_BOUND, Path
 from .program import atomic_props, render_state
-from .parser import BUILTIN_NAMES, builtin_example, builtin_source, parse_program
+from .parser import (
+    BUILTIN_NAMES,
+    MAX_DIGITS,
+    MAX_PROCESSES,
+    builtin_example,
+    builtin_source,
+    parse_program,
+)
 from .value import Value
 
 BOUND_ENV_VAR = "ORBITMC_BOUND"
@@ -123,17 +130,25 @@ class UsageError(CheckerError):
     pass
 
 
+def _decimal(text):
+    """The value of a decimal numeral that ``int`` converts, else None."""
+    return int(text) if text.isdecimal() and len(text) <= MAX_DIGITS else None
+
+
 def load_program(config):
     """The program plus its display name for reports."""
     if config.builtin is not None:
         name, sep, count = config.builtin.partition(":")
-        if not sep or not count.isdecimal() or int(count) < 1:
-            raise UsageError(f"builtin models are NAME:N with N >= 1, got {config.builtin!r}")
+        n = _decimal(count) if sep else None
+        if n is None or not 1 <= n <= MAX_PROCESSES:
+            raise UsageError(
+                f"--builtin takes NAME:N with 1 <= N <= {MAX_PROCESSES}, got {config.builtin!r}"
+            )
         if name not in BUILTIN_NAMES:
             raise UsageError(
                 f"unknown builtin {name!r} (have {', '.join(BUILTIN_NAMES)})"
             )
-        return builtin_example(name, int(count)), config.builtin
+        return builtin_example(name, n), config.builtin
     try:
         with open(config.model_path, encoding="utf-8") as handle:
             text = handle.read()
@@ -149,9 +164,13 @@ def effective_bound(config):
         return config.bound
     env = os.environ.get(BOUND_ENV_VAR)
     if env:
-        if not env.isdecimal() or int(env) < 1:
-            raise UsageError(f"{BOUND_ENV_VAR} must be a positive integer, got {env!r}")
-        return int(env)
+        bound = _decimal(env)
+        if bound is None or bound < 1:
+            raise UsageError(
+                f"{BOUND_ENV_VAR} must be a positive integer of at most {MAX_DIGITS} digits,"
+                f" got {env!r}"
+            )
+        return bound
     return DEFAULT_STATE_BOUND
 
 
@@ -281,8 +300,8 @@ def run_export_dot(config, out):
 
 
 def run_examples(config, out):
-    if config.examples_n < 1:
-        raise UsageError("--n must be >= 1")
+    if not 1 <= config.examples_n <= MAX_PROCESSES:
+        raise UsageError(f"--n must be between 1 and {MAX_PROCESSES}")
     for name in BUILTIN_NAMES:
         print(f"# ---- {name} ----", file=out)
         print(builtin_source(name, config.examples_n), file=out)

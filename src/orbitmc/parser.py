@@ -24,7 +24,8 @@ the table ``_Parser.BINARY``, and differ only in their atoms, so all
 three parse into the same connective nodes.  Labels may not take the
 names ``PROPERTY_KEYWORDS`` reserves for formulas.  An expression nests
 at most ``MAX_DEPTH`` levels, one per ``!``, ``(``, binary and temporal
-operator, so no recursion over a parsed tree can overflow.
+operator, so no recursion over a parsed tree can overflow.  A program
+runs at most ``MAX_PROCESSES`` processes.
 
 The ``init`` list must assign the pc and every declared variable exactly
 once; pid variables can only start at ``none``, so the single initial
@@ -98,6 +99,10 @@ _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 # The longest integer literal: CPython's default bound on ``int(str)``, so
 # every literal converts, on interpreters with and without that bound.
 MAX_DIGITS = 4300
+# The most processes a program may run.  Building the state codec and the
+# initial state costs O(n) before any state bound applies, so the count is
+# capped up front; the largest n the tests, demos and timings use is 3200.
+MAX_PROCESSES = 10_000
 
 # One lexeme per match, tried in order: a newline, other whitespace, a
 # comment, an integer, a word, a symbol (two-character ones first), and
@@ -227,7 +232,10 @@ class _Parser:
 
     def parse(self):
         self.expect("processes")
+        tok = self.peek()
         n = self.expect_positive("process count", "process count")
+        if n > MAX_PROCESSES:
+            self.fail(f"process count must be at most {MAX_PROCESSES}", tok)
         self.expect(";")
         while self.peek().value in ("shared", "local"):
             self.parse_decl()

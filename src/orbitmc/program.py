@@ -494,8 +494,9 @@ class CommandTable:
     guard)`` for the commands leaving ``pc`` in declaration order,
     ``effects`` memoizes ``command_branches`` (whose outcome depends only on
     ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``),
-    ``record_plan`` bundles those per record, and ``count_labels`` and
-    ``state_labels`` split the labels by how ``labeling`` evaluates them."""
+    ``record_plan`` bundles those per record for full mode, ``plans`` holds
+    the run-length kernel's, and ``count_labels`` and ``state_labels``
+    split the labels by how ``labeling`` evaluates them."""
 
     def __init__(self, program):
         self.program = program
@@ -514,7 +515,9 @@ class CommandTable:
         # labels that permuting processes may change, checked per orbit by the quotient
         self.labels_need_orbit_check = any(kind != "counts" for _, _, kind in kinds)
         self._effects = {}
-        self._plans = {}
+        self._record_plans = {}
+        # the run-length kernel's firing plans, a dict per shared valuation (``runs._plan``)
+        self.plans = {}
         # ``action_names[i][j]`` is the action "i/j"; row i stays None until
         # ``action_row(i)`` fills it, so a quotient that fires few of n
         # processes never builds the rest
@@ -551,19 +554,15 @@ class CommandTable:
             )
         return out
 
-    def record_plan(self, shared, code, i=None):
-        """The record of a code and its firing plan, kept in ``_plans``:
-        ``(guard, action, moves)`` per command ``j`` leaving the record's pc,
-        with the counter action ``"<record>/<j>"`` and ``effects(j, shared,
-        rec, i)`` as moves; only pid-typed programs, which have no counter
-        actions, pass a process index ``i``."""
-        got = self._plans.get((shared, code, i))
+    def record_plan(self, shared, code):
+        """The record of a code and its firing plan in a pid-free program:
+        ``(guard, moves)`` per command ``j`` leaving the record's pc, with
+        ``effects(j, shared, rec, None)`` as moves; memoized."""
+        got = self._record_plans.get((shared, code))
         if got is None:
             rec = self.codec.record(code)
-            label = render_local(self.program, rec) if i is None else None
-            got = self._plans[shared, code, i] = rec, tuple(
-                (guard, label and f"{label}/{j}", self.effects(j, shared, rec, i))
-                for j, guard in self.by_pc[rec[0]]
+            got = self._record_plans[shared, code] = rec, tuple(
+                (guard, self.effects(j, shared, rec, None)) for j, guard in self.by_pc[rec[0]]
             )
         return got
 
@@ -610,7 +609,7 @@ def _key_successors(table, key, processes):
         for code in set(codes):
             rec, plan = table.record_plan(shared, code)
             moves = plans[code] = []
-            for guard, _, command_moves in plan:
+            for guard, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
                     moves += command_moves
     start, width = codec.shared_size, codec.width

@@ -9,6 +9,9 @@ the shared values.  A count is as wide as n needs: 1 byte up to n = 255,
 2002) stored as a generic representative (Emerson & Wahl 2003): keys
 decode to the pinned sort of ``symmetry``, so they are canonical by
 construction, but they are not in ``GlobalState.encode`` order.
+``run_successors`` steps a key by byte splices: a move rewrites a pinned
+code, the shared values or the pinned section, and moves single units
+between runs, so no successor is sorted or packed whole.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from struct import Struct, error as StructError
 
 from .errors import InternalError
-from .program import GlobalState, _field_format
+from .program import GlobalState, _field_format, render_local
 
 
 class RunCodec:
@@ -31,12 +34,14 @@ class RunCodec:
     def __init__(self, codec):
         self.codec, self.n = codec, codec.n
         self.nfact = math.factorial(codec.n)
-        self._layout = codec.num_shared, codec.num_pcs, codec.num_locals
         count_width, self._count_fmt = _field_format(codec.n)
         self.pair_size = codec.width + count_width
-        self.pack_count = Struct(">" + self._count_fmt).pack
+        # ``count_bytes[m]`` is the packed count m, for every m in 0..n
+        self.count_bytes = tuple(map(Struct(">" + self._count_fmt).pack, range(codec.n + 1)))
         self._structs = {}
         self._ranks = {}
+        # (unpack, shared count, shared and pin count) by key length, and by
+        # shared prefix too when pid-typed
         self._heads = {}
 
     def __reduce__(self):  # copies and pickles share the run codec of the codec
@@ -55,21 +60,20 @@ class RunCodec:
             fields = self._structs[pins, size] = Struct(">" + fmt)
         return fields
 
-    def _head(self, shared, size):
-        """The fields and pin count of a ``size``-byte key with these packed shared values."""
-        pins = len(self.ranked(self.codec.shared(shared))[0])
-        got = self._heads[shared, size] = self._struct(pins, size), pins
-        return got
-
     def parts(self, key):
         """``(shared, pinned codes, run codes, run counts, per-pc occupancy)``."""
-        head = (key[: self.codec.shared_size], len(key))
-        fields, pins = self._heads.get(head) or self._head(*head)
-        fields = fields.unpack(key)
-        s, num_pcs, shift = self._layout
-        p = s + pins
+        codec = self.codec
+        head = (key[: codec.shared_size], len(key)) if codec.pid_slots else len(key)
+        got = self._heads.get(head)
+        if got is None:
+            pins = len(self.ranked(codec.shared(key))[0]) if codec.pid_slots else 0
+            s = codec.num_shared
+            got = self._heads[head] = self._struct(pins, len(key)).unpack, s, s + pins
+        unpack, s, p = got
+        fields = unpack(key)
         codes, counts = fields[p::2], fields[p + 1 :: 2]
-        occ = [0] * num_pcs
+        occ = [0] * codec.num_pcs
+        shift = codec.num_locals
         try:
             for code in fields[s:p]:
                 occ[code >> shift] += 1
@@ -95,23 +99,24 @@ class RunCodec:
         return shared, occ
 
     def ranked(self, shared):
-        """``(pins, rank, ranked shared values)`` of these shared values: the
-        processes the pid slots name, by first appearance, their ranks, and
-        the shared values with each pid value replaced by its rank; memoized."""
+        """``(pins, rank, ranked shared values, packed ranked shared values)``
+        of these shared values: the processes the pid slots name, by first
+        appearance, their ranks, and the shared values with each pid value
+        replaced by its rank; memoized."""
         got = self._ranks.get(shared)
         if got is None:
-            pins = _pins(shared, self.codec.pid_slots, self.n)
+            pins = tuple(_pins(shared, self.codec.pid_slots, self.n))
             rank = {q: r for r, q in enumerate(pins)}
             slots = self.codec.pid_slots
             ranked = tuple(rank.get(v, self.n) if s in slots else v for s, v in enumerate(shared))
-            got = self._ranks[shared] = pins, rank, ranked
+            got = self._ranks[shared] = pins, rank, ranked, self.codec.pack_shared(ranked)
         return got
 
     def canonical(self, key):
         """The run-length key of the representative of a ``StateCodec`` key:
         the pinned sort, pinned records in rank order and the rest sorted."""
         codes = self.codec.codes(key)
-        pins, rank, shared = self.ranked(self.codec.shared(key))
+        pins, rank, shared, _ = self.ranked(self.codec.shared(key))
         rest = [code for i, code in enumerate(codes) if i not in rank] if pins else codes
         pairs = [(code, rest.count(code)) for code in sorted(set(rest))]
         return self.pack(shared, [codes[q] for q in pins], pairs)
@@ -140,74 +145,143 @@ def run_codec(codec):
 
 
 def run_successors(program, key, counter=False):
-    """All (action, key) pairs one step away from a run-length key.
-
-    Each pin fires, then the head of each run, which stands for its run.
-    Without pid slots a successor is a one-unit splice of the pairs (the
-    firing run loses a unit or is dropped, the target gains one or is
-    inserted where bisection puts it); otherwise ``_reranked`` ranks the
-    pins anew.  Actions are ``"i/j"`` for the index i in the decoded
-    representative, or with ``counter`` ``"<record>/<j>"``."""
+    """All (action, key) pairs one step away from a run-length key, each a
+    splice of ``key``: each pin fires, then the head of each run, which
+    stands for its run, with the plans of ``_plan``.  A move that keeps the
+    pins rewrites the fired pin's code, or moves one unit between runs: the
+    firing run loses it or is dropped, the target gains it or is inserted
+    where bisection puts it.  Any other move writes the ranked shared
+    values and the new pinned codes, then moves the units that left or
+    joined the pins (``_repinned``).  Actions are ``"i/j"`` for the index
+    i in the decoded representative, or with ``counter`` ``"<record>/<j>"``."""
     table = program.table
     runs = table.runs
     codec = runs.codec
-    n = codec.n
+    n, w = codec.n, codec.width
     shared, pins, codes, counts, occ = runs.parts(key)
-    names, plans = table.action_names, table._plans
+    plans = table.plans.get(shared)
+    if plans is None:
+        plans = table.plans[shared] = {}
+    names = table.action_names
+    p = len(pins)
+    start = codec.shared_size + p * w  # where the runs begin
+    prefix, pinned, body = key[: codec.shared_size], key[codec.shared_size : start], key[start:]
     out = []
     append = out.append
-    if codec.pid_slots:
-        # a head is unpinned, so no pid slot names it and its index only tells
-        # the firing process apart: every head fires as process p = len(pins)
-        p = len(pins)
-        heads = zip(accumulate(counts, initial=p), codes, range(len(codes)))  # (h, code, run a)
-        for h, code, a in [*((i, code, None) for i, code in enumerate(pins)), *heads]:
-            i = h if a is None else p
-            rec, plan = plans.get((shared, code, i)) or table.record_plan(shared, code, i)
-            row = names[h] or table.action_row(h)
-            for guard, _, moves in plan:
-                if guard.eval(shared, rec, i, occ, n):
-                    for j, new_shared, _, t, _ in moves:
-                        append((row[j], _reranked(runs, new_shared, pins, codes, counts, i, a, t)))
-        return out
-    # pair a of the key is body[a * size : (a + 1) * size]
-    size, width = runs.pair_size, codec.width
-    prefix, body = key[: codec.shared_size], key[codec.shared_size :]
-    pack_count = runs.pack_count
-    one = pack_count(1)
-    k = len(codes)
-    h = at = 0
-    for c, m in zip(codes, counts):
-        rec, plan = plans.get((shared, c, None)) or table.record_plan(shared, c)
-        end = at + size
-        if plan:
-            dec = body[at : at + width] + pack_count(m - 1) if m > 1 else b""
-            row = None if counter else names[h] or table.action_row(h)
-            for guard, label, moves in plan:
-                if not guard.eval(shared, rec, None, occ, n):
-                    continue
-                for j, _, packed_shared, t, packed_t in moves:
-                    if t == c:
-                        target = body
+    for i, code in enumerate(pins):
+        rec, plan = plans.get((code, i)) or _plan(table, shared, code, i)
+        row = names[i] or table.action_row(i)
+        for guard, _, moves in plan:
+            if guard.eval(shared, rec, i, occ, n):
+                for j, t, packed_t, new_prefix, picks, left in moves:
+                    if picks is None:
+                        target = pinned[: i * w] + packed_t + pinned[i * w + w :] + body
+                        target = (new_prefix or prefix) + target
                     else:
-                        b = bisect_left(codes, t)
-                        lo = b * size
-                        if b < k and codes[b] == t:
-                            inc, hi = packed_t + pack_count(counts[b] + 1), lo + size
+                        target = _repinned(runs, new_prefix, picks, left, pins, pinned + packed_t,
+                                           body, codes, counts, None, t)
+                    append((row[j], target))
+    # a head is unpinned, so no pid slot names it and its index only tells
+    # the firing process apart: every head fires as process p (None if pid-free)
+    i, h, head = p if codec.pid_slots else None, p, prefix + pinned
+    size, count_bytes, k = runs.pair_size, runs.count_bytes, len(codes)
+    # a move that keeps the pins moves a unit from run a to t in one splice,
+    # the firing run's part made once per run: most moves are these
+    for a, (code, m) in enumerate(zip(codes, counts)):
+        rec, plan = plans.get(code) or _plan(table, shared, code, i)
+        if not plan:
+            h += m
+            continue
+        row = None if counter else names[h] or table.action_row(h)
+        at = a * size
+        end = at + size
+        dec = body[at : at + w] + count_bytes[m - 1] if m > 1 else b""
+        for guard, label, moves in plan:
+            if guard.eval(shared, rec, i, occ, n):
+                for j, t, packed_t, new_prefix, picks, left in moves:
+                    if picks is None:
+                        if t == code:
+                            target = body
                         else:
-                            inc, hi = packed_t + one, lo
-                        if at < lo:
-                            target = body[:at] + dec + body[end:lo] + inc + body[hi:]
-                        else:
-                            target = body[:lo] + inc + body[hi:at] + dec + body[end:]
-                    if packed_shared is not None:
-                        target = packed_shared + target
-                    elif prefix:
-                        target = prefix + target
+                            b = bisect_left(codes, t)
+                            lo = b * size
+                            if b < k and codes[b] == t:
+                                inc, hi = packed_t + count_bytes[counts[b] + 1], lo + size
+                            else:
+                                inc, hi = packed_t + count_bytes[1], lo
+                            if at < lo:
+                                target = body[:at] + dec + body[end:lo] + inc + body[hi:]
+                            else:
+                                target = body[:lo] + inc + body[hi:at] + dec + body[end:]
+                        target = (new_prefix + pinned if new_prefix else head) + target
+                    else:
+                        target = _repinned(runs, new_prefix, picks, left, pins, pinned + packed_t,
+                                           body, codes, counts, a, t)
                     append((label if counter else row[j], target))
         h += m
-        at = end
     return out
+
+
+def _plan(table, shared, code, i):
+    """The record of a code and its firing plan as process i (pin i, or a
+    head as the pin count, None if pid-free), kept in ``table.plans`` by
+    code for a head and by ``(code, i)`` for a pin: ``(guard, counter
+    action, moves)`` per command leaving the record's pc, each move of
+    ``table.effects`` to a code t as ``(j, t, packed t, prefix, picks,
+    left)``.  A move that keeps the pins has picks None and as prefix its
+    packed shared values if they change; any other the packed ranked ones,
+    and picks and left index the old pinned codes followed by t: picks
+    slices out the new pinned section, left the codes that join the runs."""
+    runs = table.runs
+    p, w = len(runs.ranked(shared)[0]), runs.codec.width
+    cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
+    rec = runs.codec.record(code)
+    label = None if i is not None else render_local(table.program, rec)
+    plan = []
+    for j, guard in table.by_pc[rec[0]]:
+        moves = []
+        for _, new_shared, packed_shared, t, packed_t in table.effects(j, shared, rec, i):
+            new_pins, _, _, ranked = runs.ranked(new_shared)
+            if new_pins == tuple(range(p)):
+                moves.append((j, t, packed_t, packed_shared, None, None))
+                continue
+            picks = tuple(cuts[p if q == i else q] for q in new_pins)
+            left = [p if q == i else q for q in range(p + (i == p)) if q not in new_pins]
+            moves.append((j, t, packed_t, ranked, picks, tuple((q, cuts[q]) for q in left)))
+        plan.append((guard, label and f"{label}/{j}", moves))
+    got = table.plans[shared][code if i is None or i == p else (code, i)] = rec, plan
+    return got
+
+
+def _repinned(runs, prefix, picks, left, pins, moved, body, codes, counts, a, t):
+    """The key after a move of ``_plan`` that changes the pins, ``moved``
+    being the old pinned codes and t packed: ``prefix``, the new pinned
+    codes, then the runs less a unit of run a if a head fired and plus a
+    unit of each code that left the pins."""
+    key = prefix + b"".join([moved[pick] for pick in picks])
+    if a is not None:
+        body, codes, counts = _plus(runs, body, codes, counts, codes[a], None, -1)
+    after = pins + (t,)
+    for q, pick in left:
+        body, codes, counts = _plus(runs, body, codes, counts, after[q], moved[pick], 1)
+    return key + body
+
+
+def _plus(runs, body, codes, counts, c, packed_c, d):
+    """The runs section ``body`` and its pairs after code c gains d units,
+    1 or -1: a run left empty is dropped, and a gain of a code with no run
+    inserts its run, packed ``packed_c``, where bisection puts it."""
+    size, b = runs.pair_size, bisect_left(codes, c)
+    lo = b * size
+    if b == len(codes) or codes[b] != c:
+        return (body[:lo] + packed_c + runs.count_bytes[1] + body[lo:],
+                codes[:b] + (c,) + codes[b:], counts[:b] + (1,) + counts[b:])
+    m, hi = counts[b] + d, lo + size
+    if m:  # the run keeps its code bytes and takes the new count
+        count = runs.count_bytes[m]
+        body = body[: hi - len(count)] + count + body[hi:]
+        return body, codes, counts[:b] + (m,) + counts[b + 1 :]
+    return body[:lo] + body[hi:], codes[:b] + codes[b + 1 :], counts[:b] + counts[b + 1 :]
 
 
 def _pins(shared, pid_slots, n):
@@ -217,19 +291,3 @@ def _pins(shared, pid_slots, n):
         if v != n and v not in pins:
             pins.append(v)
     return pins
-
-
-def _reranked(runs, new_shared, pins, codes, counts, i, a, new_code):
-    """The key after process i of the representative (pin i, or the head of
-    run a) took record ``new_code`` and the shared values became
-    ``new_shared``: the processes the pid slots name now are the pins."""
-    new_pins, rank, shared = runs.ranked(new_shared)
-    record = dict(enumerate(pins))  # the code of each process that may join the runs
-    record[i] = new_code
-    tally = dict(zip(codes, counts))
-    if a is not None:
-        tally[codes[a]] -= 1
-    for q in record.keys() - rank.keys():
-        tally[record[q]] = tally.get(record[q], 0) + 1
-    pairs = sorted(pair for pair in tally.items() if pair[1])
-    return runs.pack(shared, [record[q] for q in new_pins], pairs)
