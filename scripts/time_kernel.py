@@ -4,7 +4,7 @@ For each n of ``--sizes`` (default 3, 6, 9 and 12) and each model below,
 each of ``--runs`` fresh interpreters imports orbitmc, collects every
 reachable run-length key by a breadth-first search with the kernel itself
 (which also fills the program's plan tables), then steps every key once
-per pass, ``--passes`` times, and reports the best pass per state:
+per pass, ``PASSES`` times, and reports the best pass per state:
 
 * ``allocator:n`` and ``broken-allocator:n`` (the allocator without the
   ``grant == none`` entry guard) in quotient mode: pid-typed keys, whose
@@ -33,6 +33,7 @@ import sys
 import orbitmc
 
 MODELS = ("allocator", "broken-allocator", "pipeline")
+PASSES = 5  # passes over the keys per run
 
 CHILD = """
 import json, sys, time
@@ -79,19 +80,18 @@ def main(argv=None):
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 6, 9, 12])
     parser.add_argument("--runs", type=int, default=5,
                         help="fresh interpreters per model and size")
-    parser.add_argument("--passes", type=int, default=5, help="passes over the keys per run")
     args = parser.parse_args(argv)
 
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "runs": args.runs,
-        "passes": args.passes,
+        "passes": PASSES,
         "models": {},
     }
     for name in MODELS:
         for n in args.sizes:
-            runs = [one_run(name, n, args.passes) for _ in range(args.runs)]
+            runs = [one_run(name, n, PASSES) for _ in range(args.runs)]
             times = [r["us_per_state"] for r in runs]
             report["models"][f"{name}:{n}"] = {
                 "mode": "counter" if name == "pipeline" else "quotient",

@@ -300,8 +300,8 @@ def run_export_dot(config, out):
 
 
 def run_examples(config, out):
-    if not 1 <= config.examples_n <= MAX_PROCESSES:
-        raise UsageError(f"--n must be between 1 and {MAX_PROCESSES}")
+    if config.examples_n < 1:
+        raise UsageError("--n must be >= 1")
     for name in BUILTIN_NAMES:
         print(f"# ---- {name} ----", file=out)
         print(builtin_source(name, config.examples_n), file=out)

@@ -494,9 +494,9 @@ class CommandTable:
     guard)`` for the commands leaving ``pc`` in declaration order,
     ``effects`` memoizes ``command_branches`` (whose outcome depends only on
     ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``),
-    ``record_plan`` bundles those per record for full mode, ``plans`` holds
-    the run-length kernel's, and ``count_labels`` and ``state_labels``
-    split the labels by how ``labeling`` evaluates them."""
+    ``record_plan`` bundles those per record into ``plans``, and
+    ``count_labels`` and ``state_labels`` split the labels by how
+    ``labeling`` evaluates them."""
 
     def __init__(self, program):
         self.program = program
@@ -515,8 +515,7 @@ class CommandTable:
         # labels that permuting processes may change, checked per orbit by the quotient
         self.labels_need_orbit_check = any(kind != "counts" for _, _, kind in kinds)
         self._effects = {}
-        self._record_plans = {}
-        # the run-length kernel's firing plans, a dict per shared valuation (``runs._plan``)
+        # the firing plans of ``record_plan``, a dict per shared valuation
         self.plans = {}
         # ``action_names[i][j]`` is the action "i/j"; row i stays None until
         # ``action_row(i)`` fills it, so a quotient that fires few of n
@@ -554,16 +553,40 @@ class CommandTable:
             )
         return out
 
-    def record_plan(self, shared, code):
-        """The record of a code and its firing plan in a pid-free program:
-        ``(guard, moves)`` per command ``j`` leaving the record's pc, with
-        ``effects(j, shared, rec, None)`` as moves; memoized."""
-        got = self._record_plans.get((shared, code))
-        if got is None:
-            rec = self.codec.record(code)
-            got = self._record_plans[shared, code] = rec, tuple(
-                (guard, self.effects(j, shared, rec, None)) for j, guard in self.by_pc[rec[0]]
-            )
+    def record_plan(self, shared, code, i=None):
+        """The record of a code and its firing plan as process i, kept in
+        ``plans[shared]`` by code in a pid-free program (i None) or for a
+        run head (i the pin count), and by ``(code, i)`` for pin i: ``(guard,
+        counter action, moves)`` per command j leaving the record's pc, each
+        move of ``effects`` to a code t as ``(j, t, packed t, prefix)``.  The
+        prefix of a move that keeps the pins is its packed shared values,
+        None if unchanged.  Any other move has packed t None and as prefix
+        ``(packed ranked shared values, picks, left, packed t)``, where picks
+        and left index the old pinned codes followed by t: picks slices out
+        the new pinned section, left pairs each code that joins the runs
+        with its slice (``runs.run_successors``)."""
+        rec = self.codec.record(code)
+        label = render_local(self.program, rec) if i is None else None
+        if i is not None:
+            p, w = len(self.runs.ranked(shared)[0]), self.codec.width
+            cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
+        plan = []
+        for j, guard in self.by_pc[rec[0]]:
+            moves = []
+            for _, new_shared, prefix, t, packed_t in self.effects(j, shared, rec, i):
+                if i is not None:
+                    new_pins, _, _, ranked = self.runs.ranked(new_shared)
+                    if new_pins != tuple(range(p)):
+                        picks = tuple(cuts[p if q == i else q] for q in new_pins)
+                        left = [p if q == i else q for q in range(p + (i == p)) if q not in new_pins]
+                        prefix = ranked, picks, tuple((q, cuts[q]) for q in left), packed_t
+                        packed_t = None
+                moves.append((j, t, packed_t, prefix))
+            plan.append((guard, label and f"{label}/{j}", tuple(moves)))
+        plans = self.plans.get(shared)
+        if plans is None:
+            plans = self.plans[shared] = {}
+        got = plans[code if i is None or i == p else (code, i)] = rec, tuple(plan)
         return got
 
 
@@ -605,11 +628,11 @@ def _key_successors(table, key, processes):
     record = codec.record
     pid_free = table.pid_free
     if pid_free:
-        plans = {}
+        plans, known = {}, table.plans.get(shared, {})
         for code in set(codes):
-            rec, plan = table.record_plan(shared, code)
+            rec, plan = known.get(code) or table.record_plan(shared, code)
             moves = plans[code] = []
-            for guard, command_moves in plan:
+            for guard, _, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
                     moves += command_moves
     start, width = codec.shared_size, codec.width
@@ -617,23 +640,23 @@ def _key_successors(table, key, processes):
     out = []
     append = out.append
     for i in range(n) if processes is None else processes:
-        # the enabled moves of process i, as ``effects`` gives them
+        # the enabled moves of process i, as ``record_plan`` gives them
         if pid_free:
             moves = plans[codes[i]]
         else:
             rec = record(codes[i])
             moves = [
-                move
+                (j, t, packed_t, packed_shared)
                 for j, guard in table.by_pc[rec[0]]
                 if guard.eval(shared, rec, i, occ, n)
-                for move in table.effects(j, shared, rec, i)
+                for _, _, packed_shared, t, packed_t in table.effects(j, shared, rec, i)
             ]
         if not moves:
             continue
         at = start + i * width
         head, tail = key[:at], key[at + width :]
         actions = names[i] or table.action_row(i)
-        for j, _, packed_shared, _, packed_rec in moves:
+        for j, _, packed_rec, packed_shared in moves:
             if packed_shared is None:
                 append((actions[j], head + packed_rec + tail))
             else:

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from struct import Struct, error as StructError
 
 from .errors import InternalError
-from .program import GlobalState, _field_format, render_local
+from .program import GlobalState, _field_format
 
 
 class RunCodec:
@@ -147,13 +147,14 @@ def run_codec(codec):
 def run_successors(program, key, counter=False):
     """All (action, key) pairs one step away from a run-length key, each a
     splice of ``key``: each pin fires, then the head of each run, which
-    stands for its run, with the plans of ``_plan``.  A move that keeps the
-    pins rewrites the fired pin's code, or moves one unit between runs: the
-    firing run loses it or is dropped, the target gains it or is inserted
-    where bisection puts it.  Any other move writes the ranked shared
-    values and the new pinned codes, then moves the units that left or
-    joined the pins (``_repinned``).  Actions are ``"i/j"`` for the index
-    i in the decoded representative, or with ``counter`` ``"<record>/<j>"``."""
+    stands for its run, with the plans of ``CommandTable.record_plan``.  A
+    move that keeps the pins rewrites the fired pin's code, or moves one
+    unit between runs: the firing run loses it or is dropped, the target
+    gains it or is inserted where bisection puts it.  Any other move writes
+    the ranked shared values and the new pinned codes, then moves the units
+    that left or joined the pins (``_repinned``).  Actions are ``"i/j"``
+    for the index i in the decoded representative, or with ``counter``
+    ``"<record>/<j>"``."""
     table = program.table
     runs = table.runs
     codec = runs.codec
@@ -162,6 +163,7 @@ def run_successors(program, key, counter=False):
     plans = table.plans.get(shared)
     if plans is None:
         plans = table.plans[shared] = {}
+    record_plan = table.record_plan
     names = table.action_names
     p = len(pins)
     start = codec.shared_size + p * w  # where the runs begin
@@ -169,17 +171,18 @@ def run_successors(program, key, counter=False):
     out = []
     append = out.append
     for i, code in enumerate(pins):
-        rec, plan = plans.get((code, i)) or _plan(table, shared, code, i)
+        rec, plan = plans.get((code, i)) or record_plan(shared, code, i)
         row = names[i] or table.action_row(i)
         for guard, _, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
-                for j, t, packed_t, new_prefix, picks, left in moves:
-                    if picks is None:
-                        target = pinned[: i * w] + packed_t + pinned[i * w + w :] + body
-                        target = (new_prefix or prefix) + target
-                    else:
-                        target = _repinned(runs, new_prefix, picks, left, pins, pinned + packed_t,
+                for j, t, packed_t, new_prefix in moves:
+                    if packed_t is None:  # the move changes the pins
+                        ranked, picks, left, packed_t = new_prefix
+                        target = _repinned(runs, ranked, picks, left, pins, pinned + packed_t,
                                            body, codes, counts, None, t)
+                    else:
+                        pinned_t = pinned[: i * w] + packed_t + pinned[i * w + w :]
+                        target = (new_prefix or prefix) + pinned_t + body
                     append((row[j], target))
     # a head is unpinned, so no pid slot names it and its index only tells
     # the firing process apart: every head fires as process p (None if pid-free)
@@ -188,7 +191,7 @@ def run_successors(program, key, counter=False):
     # a move that keeps the pins moves a unit from run a to t in one splice,
     # the firing run's part made once per run: most moves are these
     for a, (code, m) in enumerate(zip(codes, counts)):
-        rec, plan = plans.get(code) or _plan(table, shared, code, i)
+        rec, plan = plans.get(code) or record_plan(shared, code, i)
         if not plan:
             h += m
             continue
@@ -198,8 +201,12 @@ def run_successors(program, key, counter=False):
         dec = body[at : at + w] + count_bytes[m - 1] if m > 1 else b""
         for guard, label, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
-                for j, t, packed_t, new_prefix, picks, left in moves:
-                    if picks is None:
+                for j, t, packed_t, new_prefix in moves:
+                    if packed_t is None:
+                        ranked, picks, left, packed_t = new_prefix
+                        target = _repinned(runs, ranked, picks, left, pins, pinned + packed_t,
+                                           body, codes, counts, a, t)
+                    else:
                         if t == code:
                             target = body
                         else:
@@ -214,47 +221,13 @@ def run_successors(program, key, counter=False):
                             else:
                                 target = body[:lo] + inc + body[hi:at] + dec + body[end:]
                         target = (new_prefix + pinned if new_prefix else head) + target
-                    else:
-                        target = _repinned(runs, new_prefix, picks, left, pins, pinned + packed_t,
-                                           body, codes, counts, a, t)
                     append((label if counter else row[j], target))
         h += m
     return out
 
 
-def _plan(table, shared, code, i):
-    """The record of a code and its firing plan as process i (pin i, or a
-    head as the pin count, None if pid-free), kept in ``table.plans`` by
-    code for a head and by ``(code, i)`` for a pin: ``(guard, counter
-    action, moves)`` per command leaving the record's pc, each move of
-    ``table.effects`` to a code t as ``(j, t, packed t, prefix, picks,
-    left)``.  A move that keeps the pins has picks None and as prefix its
-    packed shared values if they change; any other the packed ranked ones,
-    and picks and left index the old pinned codes followed by t: picks
-    slices out the new pinned section, left the codes that join the runs."""
-    runs = table.runs
-    p, w = len(runs.ranked(shared)[0]), runs.codec.width
-    cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
-    rec = runs.codec.record(code)
-    label = None if i is not None else render_local(table.program, rec)
-    plan = []
-    for j, guard in table.by_pc[rec[0]]:
-        moves = []
-        for _, new_shared, packed_shared, t, packed_t in table.effects(j, shared, rec, i):
-            new_pins, _, _, ranked = runs.ranked(new_shared)
-            if new_pins == tuple(range(p)):
-                moves.append((j, t, packed_t, packed_shared, None, None))
-                continue
-            picks = tuple(cuts[p if q == i else q] for q in new_pins)
-            left = [p if q == i else q for q in range(p + (i == p)) if q not in new_pins]
-            moves.append((j, t, packed_t, ranked, picks, tuple((q, cuts[q]) for q in left)))
-        plan.append((guard, label and f"{label}/{j}", moves))
-    got = table.plans[shared][code if i is None or i == p else (code, i)] = rec, plan
-    return got
-
-
 def _repinned(runs, prefix, picks, left, pins, moved, body, codes, counts, a, t):
-    """The key after a move of ``_plan`` that changes the pins, ``moved``
+    """The key after a move of ``record_plan`` that changes the pins, ``moved``
     being the old pinned codes and t packed: ``prefix``, the new pinned
     codes, then the runs less a unit of run a if a head fired and plus a
     unit of each code that left the pins."""

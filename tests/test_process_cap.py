@@ -67,12 +67,3 @@ def test_a_bound_at_the_digit_limit_is_read(monkeypatch):
     monkeypatch.setenv(BOUND_ENV_VAR, "1" * MAX_DIGITS)
     code, _, err = invoke("reach", "--builtin", "mutex:3")
     assert (code, err) == (0, "")
-
-
-@pytest.mark.parametrize("n", [MAX_PROCESSES + 1, 0])
-def test_examples_print_only_sources_that_parse(n):
-    code, out, err = invoke("examples", "--n", str(n))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: --n must be between 1 and {MAX_PROCESSES}")
-    code, out, _ = invoke("examples", "--n", str(MAX_PROCESSES))
-    assert code == 0 and f"processes {MAX_PROCESSES};" in out
