@@ -7,7 +7,9 @@ identical runs emit identical bytes (modulo the duration field).
 
 Exit codes: 0 success / property holds; 1 property fails or stop-at-bad
 triggered; 2 usage or input error; 3 resource limit exceeded; 4 internal
-error.  Input errors are raised as ``UsageError``, ``ParseError`` or
+error; 141 (128 + SIGPIPE) the reader closed standard output, which ends
+the run silently, as a shell reports a writer ended by a closed pipe.
+Input errors are raised as ``UsageError``, ``ParseError`` or
 ``UnsupportedModelError``; a ``ValueError`` that reaches ``run`` is a
 broken internal precondition, not bad input, and also exits 4, as does any
 other exception that reaches it.
@@ -25,7 +27,7 @@ import time
 
 from . import __version__
 from .counter import from_counter
-from .ctl import atoms, check, lift_counterexample, parse_ctl
+from .ctl import atoms, check, decided_by_tree, lift_counterexample, parse_ctl
 from .errors import (
     CheckerError,
     InternalError,
@@ -53,6 +55,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141
 
 _DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
 
@@ -236,7 +239,7 @@ def run_check(config, out):
     if unknown:
         raise UsageError(f"unknown atomic proposition {unknown[0]!r}")
     started = time.perf_counter()
-    structure, stats = explore(program, config.mode, bound)
+    structure, stats = explore(program, config.mode, bound, _tree=decided_by_tree(formula))
     structure.totalize("self-loop")
     result = check(structure, formula)
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
@@ -323,6 +326,11 @@ def run(config, out=None, err=None):
     err = err or sys.stderr
     try:
         return _RUNNERS[config.command](config, out)
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # what is still buffered goes nowhere, so the exit flush cannot raise again
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return EXIT_CLOSED_PIPE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=err)
         return EXIT_RESOURCE

@@ -109,7 +109,7 @@ def counter_successors(program, cstate):
     return [(a, view.decode(k)) for a, k in run_successors(program, view.encode(cstate), True)]
 
 
-def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
+def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, tree=False):
     _require_pid_free(program)
     runs = program.table.runs
     return breadth_first_build(
@@ -120,6 +120,7 @@ def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
         codec=CounterView(program),
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
+        tree=tree,
     )
 
 

@@ -17,7 +17,11 @@ whether it came from the full, quotient or counter exploration.
 
 Counterexamples are produced for top-level invariant-style failures
 (anything of the shape "no reachable state hits X") and witnesses for
-top-level reachability; both are shortest by construction.  A path found
+top-level reachability; both are shortest by construction.  When X is
+free of temporal operators, both the verdict and the path depend only on
+which states are reachable and on the edge that first reached each one,
+so ``decided_by_tree`` lets the CLI check these formulas on the
+breadth-first discovery tree (``kripke.breadth_first_build``).  A path found
 in the quotient is lifted to a concrete execution by walking concrete
 successors and matching representatives, which must always succeed when
 the symmetry machinery is sound.
@@ -50,6 +54,7 @@ __all__ = [
     "sat_set",
     "check",
     "CheckResult",
+    "decided_by_tree",
     "lift_counterexample",
 ]
 
@@ -79,19 +84,21 @@ class EG(Value):
     __slots__ = ("inner",)
 
 
-def atoms(f):
-    """Names of the atomic propositions a formula mentions, visiting each
-    node once however often the formula shares it."""
-    names, seen, stack = set(), set(), [f]
+def _nodes(f):
+    """The nodes of a formula, each once however often the formula shares it."""
+    seen, stack = set(), [f]
     while stack:
         f = stack.pop()
         if id(f) not in seen:
             seen.add(id(f))
-            if isinstance(f, Atom):
-                names.add(f.name)
-            else:
+            yield f
+            if not isinstance(f, Atom):
                 stack.extend(f._values)
-    return names
+
+
+def atoms(f):
+    """Names of the atomic propositions a formula mentions."""
+    return {g.name for g in _nodes(f) if isinstance(g, Atom)}
 
 
 def neg(f):
@@ -288,6 +295,24 @@ def _reachability_target(formula):
     if isinstance(formula, EU) and isinstance(formula.left, TrueF):
         return formula.right
     return None
+
+
+def decided_by_tree(formula):
+    """True iff ``check`` reads the same result for ``formula`` off the
+    breadth-first discovery tree of a structure as off the whole structure.
+
+    That holds for ``AG p`` and ``EF p`` with ``p`` free of temporal
+    operators, given one initial state: the verdict asks only whether a
+    ``p``-state (a ``!p``-state) is reachable, every reachable state is in
+    the tree, and ``shortest_path`` follows the tree's edges, the first
+    edge into each state in breadth-first order.  With more initial states
+    ``EF p`` would need the whole structure, since a state first reached
+    from one initial state is also reachable from another.
+    """
+    target = _invariant_target(formula)
+    if target is None:
+        target = _reachability_target(formula)
+    return target is not None and not any(isinstance(g, (EX, EU, EG)) for g in _nodes(target))
 
 
 def shortest_path(structure, sources, targets):

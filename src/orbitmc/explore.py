@@ -26,16 +26,19 @@ MODES = tuple(_BUILDERS)
 ExplorationStats = BuildStats
 
 
-def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False):
+def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, *, _tree=False):
     """Build the structure of one representation; returns (structure, stats).
 
     ``stats.bad_reached`` says whether a state labeled ``bad`` was
     inserted.  With ``stop_at_bad`` the worklist halts at the first such
-    state and the structure is the partial one seen so far.
+    state and the structure is the partial one seen so far.  ``_tree``,
+    for the CLI's checks only, keeps just the discovery tree's edges
+    (``kripke.breadth_first_build``); the stats stay those of the full
+    structure.
     """
     if mode not in _BUILDERS:
         raise ValueError(f"unknown mode {mode!r} (have {', '.join(MODES)})")
-    structure, stats = _BUILDERS[mode](program, state_bound, stop_at_bad)
+    structure, stats = _BUILDERS[mode](program, state_bound, stop_at_bad, tree=_tree)
     stats.mode = mode
     return structure, stats
 

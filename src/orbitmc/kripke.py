@@ -16,7 +16,12 @@ edge order; an edge added after the first reverse read comes after them.
 On top of the lists sit the set-valued image/preimage operators, which
 is everything the CTL fixpoint routines need.  The module also hosts the
 deterministic worklist builder that the full, quotient and counter
-explorations all share.
+explorations all share.  For a check of ``AG p`` or ``EF p`` with a
+propositional ``p`` it stores only the breadth-first discovery tree, one
+edge per state, while counting every edge for the stats: the initial set
+is a singleton, so every reachable state hangs in that one tree, and
+reachability and shortest paths from the initial state read the same on
+the tree as on the full structure.
 
 Structures are built single-writer and are safe for concurrent read-only
 use afterwards: the reverse lists are built into a local and published
@@ -354,6 +359,7 @@ def breadth_first_build(
     state_bound=DEFAULT_STATE_BOUND,
     stop_at_bad=False,
     bad_label="bad",
+    tree=False,
 ):
     """Worklist construction of a structure, breadth first and deterministic.
 
@@ -369,12 +375,21 @@ def breadth_first_build(
     even when exploration cycles back to an initial state.  With a
     ``codec`` the payloads handed in and out are its keys, and the
     structure stores them as they are (see ``KripkeStructure``).
+
+    With ``tree`` the structure keeps only the edge that discovered each
+    state, still through ``add_edge``, while ``stats.edges`` counts each
+    expansion's distinct (action, target) pairs, so the stats, partial
+    ones included, are those of the full build.  A tree build takes one
+    initial payload and no ``stop_at_bad``; ``ctl.decided_by_tree`` says
+    which checks read the same result off it.
     """
     if state_bound < 1:
         raise ValueError("state_bound must be >= 1")
     started = time.perf_counter()
     initial_payloads = list(initial_payloads)
     initial_set = set(initial_payloads)
+    if tree and (len(initial_set) != 1 or stop_at_bad):
+        raise ValueError("a tree build needs one initial payload and no stop_at_bad")
     structure = KripkeStructure(props, codec)
     if initial_set and not structure.has_prop(INIT_PROP.name):
         structure.add_prop(INIT_PROP)
@@ -414,22 +429,34 @@ def breadth_first_build(
     stats.frontier_peak = len(queue)
 
     add_edge = structure.add_edge
-    while queue and not (stop_at_bad and stats.bad_reached):
-        sid = queue.popleft()
-        succs = expand(payloads[sid])
-        if not succs:
-            stats.deadlocks += 1
-        for action, target in succs:
-            tid = index.get(target)
-            if tid is None:
-                tid = insert(target)
-            add_edge(sid, action, tid)
-            if stop_at_bad and stats.bad_reached:
-                break
-        if len(queue) > stats.frontier_peak:
-            stats.frontier_peak = len(queue)
+    counted = 0  # with ``tree``: the edges of the states expanded so far
+    try:
+        while queue and not (stop_at_bad and stats.bad_reached):
+            sid = queue.popleft()
+            succs = expand(payloads[sid])
+            if not succs:
+                stats.deadlocks += 1
+            for action, target in succs:
+                tid = index.get(target)
+                if tid is None:
+                    tid = insert(target)
+                elif tree:
+                    continue
+                add_edge(sid, action, tid)
+                if stop_at_bad and stats.bad_reached:
+                    break
+            if tree:
+                counted += len(set(succs))
+            if len(queue) > stats.frontier_peak:
+                stats.frontier_peak = len(queue)
+    except ResourceLimitError as exc:
+        if tree:
+            # the full build stored the pairs before the one that overran
+            done = next(k for k, (_, target) in enumerate(succs) if target not in index)
+            exc.partial_stats.edges = counted + len(set(succs[:done]))
+        raise
 
     stats.states_reached = structure.num_states
-    stats.edges = structure.num_edges
+    stats.edges = counted if tree else structure.num_edges
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return structure, stats

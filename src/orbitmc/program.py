@@ -396,25 +396,29 @@ def _resolve_value(expr, n, shared, rec, i):
     raise ValueError(f"unknown value expression tag {expr.tag!r}")
 
 
-def command_branches(program, cmd, shared, rec, i):
+def command_branches(program, cmd, shared, rec, i, branches):
     """All (new shared, new local record) outcomes of firing ``cmd``.
 
     All right-hand sides read the pre-state; ``*`` assignments branch, with
     branches enumerated in increasing binary order of the assigned bits
     (star bits keyed by update position).  ``i`` is the acting process
     index, only consulted by ``self`` values; the counter abstraction
-    passes None.
+    passes None.  ``branches`` lists the star bits of each branch in that
+    order, as ``CommandTable`` computes them once per command.
     """
+    updates = cmd.updates
+    resolved = [
+        None if u.value.tag == V_STAR else _resolve_value(u.value, program.n, shared, rec, i)
+        for u in updates
+    ]
     outcomes = []
-    for bits in product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)):
+    for bits in branches:
         star_bits = iter(bits)
         new_shared, new_rec = list(shared), list(rec)
         new_rec[0] = cmd.to_pc
-        for u in cmd.updates:
+        for u, value in zip(updates, resolved):
             if u.value.tag == V_STAR:
                 value = next(star_bits)
-            else:
-                value = _resolve_value(u.value, program.n, shared, rec, i)
             if u.target == "shared":
                 new_shared[u.slot] = value
             else:
@@ -509,6 +513,10 @@ class CommandTable:
         self._assigns_self = tuple(
             any(u.value.tag == V_SELF for u in cmd.updates) for cmd in program.commands
         )
+        self._branches = tuple(
+            tuple(product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)))
+            for cmd in program.commands
+        )
         kinds = [(name, expr, _label_kind(program, expr)) for name, expr in program.label_defs]
         self.count_labels = tuple((name, expr) for name, expr, kind in kinds if kind != "state")
         self.state_labels = tuple((name, expr) for name, expr, kind in kinds if kind == "state")
@@ -549,7 +557,9 @@ class CommandTable:
                     code := codec.code(new_rec),
                     code.to_bytes(codec.width, "big"),
                 )
-                for new_shared, new_rec in command_branches(self.program, cmd, shared, rec, i)
+                for new_shared, new_rec in command_branches(
+                    self.program, cmd, shared, rec, i, self._branches[j]
+                )
             )
         return out
 
@@ -744,7 +754,7 @@ def render_state(program, state):
 # --------------------------------------------------------------------------
 
 
-def _build_full(program, state_bound, stop_at_bad=False):
+def _build_full(program, state_bound, stop_at_bad=False, tree=False):
     codec = program.table.codec
     return breadth_first_build(
         atomic_props(program),
@@ -754,6 +764,7 @@ def _build_full(program, state_bound, stop_at_bad=False):
         codec=codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
+        tree=tree,
     )
 
 

@@ -79,7 +79,8 @@ def orbit_size_sorted(program, state):
 
 
 def _build_quotient(
-    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None
+    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None,
+    tree=False,
 ):
     """Explore the quotient; (structure, stats).  ``group`` defaults to Sym(n)
     and ``rep_fn``, which canonicalizes the initial state, to its
@@ -111,6 +112,7 @@ def _build_quotient(
         codec=codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
+        tree=tree,
     )
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -351,6 +353,35 @@ def test_examples_with_n():
     code, out, _ = invoke("examples", "--n", "7")
     assert code == 0
     assert "processes 7;" in out
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("examples", "--n", "20000"),
+        ("check", "--builtin", "broken-mutex:3", "--prop", "AG !bad"),
+        ("export-dot", "--builtin", "mutex:3"),
+    ],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    err = io.StringIO()
+    assert run(build_config(list(argv)), out=ClosedPipe(), err=err) == 141
+    assert err.getvalue() == ""
+
+
+def test_closed_stdout_points_stdout_at_devnull(monkeypatch):
+    closed = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", closed)
+    err = io.StringIO()
+    assert run(build_config(["examples"]), err=err) == 141
+    assert err.getvalue() == ""
+    assert sys.stdout is not closed and sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 # -- golden counter-mode output: action order and action text ----------------------
