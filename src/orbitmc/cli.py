@@ -325,7 +325,9 @@ def run(config, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        return _RUNNERS[config.command](config, out)
+        code = _RUNNERS[config.command](config, out)
+        out.flush()  # a reader that closed early shows here, not in the exit flush
+        return code
     except BrokenPipeError:
         if out is sys.stdout:
             # what is still buffered goes nowhere, so the exit flush cannot raise again

@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import orbitmc
 from orbitmc.cli import BOUND_ENV_VAR, build_config, run
 
 
@@ -382,6 +384,36 @@ def test_closed_stdout_points_stdout_at_devnull(monkeypatch):
     assert err.getvalue() == ""
     assert sys.stdout is not closed and sys.stdout.name == os.devnull
     sys.stdout.close()
+
+
+class ClosedAtFlush(io.StringIO):
+    """A buffered stream whose reader left: writes succeed, the flush fails."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_seen_at_the_flush_exits_141():
+    err = io.StringIO()
+    argv = ["check", "--builtin", "mutex:3", "--prop", "AG !bad"]
+    assert run(build_config(argv), out=ClosedAtFlush(), err=err) == 141
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_ends_the_process_with_141(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(orbitmc.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitmc", "check", "--builtin", "mutex:3", "--prop", "AG !bad"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the child has started, so its first write fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 # -- golden counter-mode output: action order and action text ----------------------
