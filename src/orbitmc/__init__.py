@@ -3,7 +3,7 @@
 The package explores a concurrent program of n symmetric processes three
 ways: the full interleaved state graph, its quotient under permutations
 of process indices (canonical representatives), and the occupancy-count
-abstraction that is isomorphic to the quotient for pid-free programs.
+abstraction, which presents the Sym(n) quotient of a pid-free program.
 CTL properties are checked by set-valued fixpoints on any of the three,
 and abstract counterexamples are lifted back to concrete executions.
 """

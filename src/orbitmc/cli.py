@@ -222,7 +222,7 @@ def _emit(config, report, out):
             print(f"{key}: {value}", file=out)
 
 
-def _concretize_path(program, mode, structure, path):
+def _concretize_path(program, mode, path):
     """Render a structure path as a concrete execution, lifting if needed."""
     if mode == "full":
         return path
@@ -250,7 +250,7 @@ def run_check(config, out):
     report["verdict"] = result.verdict
     report["stats"] = _stats_dict(stats)
     if result.counterexample is not None:
-        concrete = _concretize_path(program, config.mode, structure, result.counterexample)
+        concrete = _concretize_path(program, config.mode, result.counterexample)
         report["counterexample"] = {
             "states": [render_state(program, s) for s in concrete.states],
             "actions": list(concrete.actions),

@@ -2,13 +2,12 @@
 
 A counter state keeps the shared valuation plus, sparsely, how many
 processes sit in each local record.  Without pid-typed shared variables
-that is the full-symmetry quotient under other names, and one structure
-with it: the run-length keys of ``runs.RunCodec`` (the shared values,
-then one ``(record code, count)`` pair per distinct record, codes
-increasing, each count 1 byte wide up to n = 255 and 2 bytes past that),
-stepped by ``runs.run_successors`` as a one-unit splice of the pairs.
-Counter mode names actions ``"<record>/<j>"`` and decodes payloads to
-``CounterState`` (``CounterView``).
+that is the full-symmetry quotient under other names, and counter mode
+is its build (``quotient._build_quotient``): the run-length keys of
+``runs.RunCodec`` (the shared values, then one ``(record code, count)``
+pair per distinct record, codes increasing), stepped by
+``runs.run_successors``, with actions named ``"<record>/<j>"`` and
+payloads decoded to ``CounterState`` (``CounterView``).
 
 The classic pitfall is the self-exclusion of "other process" guard atoms:
 all_others(pc != C) must not count the firing process.  The one guard
@@ -21,8 +20,9 @@ from __future__ import annotations
 from itertools import groupby
 
 from .errors import UnsupportedModelError
-from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
-from .program import GlobalState, atomic_props, labeling
+from .kripke import DEFAULT_STATE_BOUND
+from .program import GlobalState
+from .quotient import _build_quotient
 from .runs import run_successors
 from .value import Value, _init2
 
@@ -66,8 +66,8 @@ class CounterView:
         self.runs = program.table.runs
 
     def encode(self, cstate):
-        if type(cstate) is not CounterState:
-            raise ValueError(f"{cstate!r} is not a counter state")
+        if type(cstate) is not CounterState or cstate.n != self.runs.n:
+            raise ValueError(f"{cstate!r} is not a counter state of {self.runs.n} processes")
         code = self.runs.codec.code
         return self.runs.pack(cstate.shared, (), tuple((code(rec), c) for rec, c in cstate.counts))
 
@@ -111,17 +111,9 @@ def counter_successors(program, cstate):
 
 def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, tree=False):
     _require_pid_free(program)
-    runs = program.table.runs
-    return breadth_first_build(
-        atomic_props(program),
-        [runs.encode(program.initial_state())],
-        lambda key: counter_successors(program, key),
-        lambda key: labeling(program, key, runs),
-        codec=CounterView(program),
-        state_bound=state_bound,
-        stop_at_bad=stop_at_bad,
-        tree=tree,
-    )
+    expand = lambda key: counter_successors(program, key)
+    return _build_quotient(program, state_bound, stop_at_bad, tree=tree,
+                           view=CounterView(program), expand=expand)
 
 
 def build_counter_structure(program, state_bound=DEFAULT_STATE_BOUND):

@@ -5,16 +5,16 @@ breadth-first exploration in the chosen representation and returns the
 structure with its stats, a ``kripke.BuildStats`` (also importable as
 ``ExplorationStats``).  Every CLI subcommand builds through it.
 ``reach`` wraps it for callers that want the reached payloads;
-``compare_modes`` runs every applicable mode on one program and reports
-the state-count reduction the canonicalized modes achieve over the
+``compare_modes`` reports the state-count reduction of the Sym(n)
+structure, which the quotient and counter modes share, over the
 unreduced graph.  Everything is sequential and deterministic:
 identical inputs give identical structures and counts.
 """
 
 from __future__ import annotations
 
-from .counter import _build_counter
-from .errors import InternalError, UnsupportedModelError
+from .counter import _build_counter, _require_pid_free
+from .errors import UnsupportedModelError
 from .kripke import DEFAULT_STATE_BOUND, BuildStats
 from .program import _build_full
 from .quotient import _build_quotient
@@ -56,31 +56,17 @@ class ModeComparison(Value, frozen=False):
 
 
 def compare_modes(program, state_bound=DEFAULT_STATE_BOUND):
-    """Run every applicable mode and compare their state counts.
-
-    The quotient and counter explorations must agree exactly on state
-    and edge count whenever both run, since the quotient fires one
-    process per distinct record as the counter abstraction does; the
-    reduction factor is full over quotient.
-    """
-    stats = {}
+    """Explore full mode and the Sym(n) quotient once each and report the
+    reduction factor, full over quotient.  Counter mode is the quotient's
+    build under other names, so a pid-free program's counter row is the
+    quotient's, and a pid-typed one's is unsupported."""
+    stats = {mode: explore(program, mode, state_bound)[1] for mode in ("full", "quotient")}
     unsupported = {}
-    for mode in MODES:
-        try:
-            _, mode_stats = explore(program, mode, state_bound)
-        except UnsupportedModelError as exc:
-            unsupported[mode] = str(exc)
-            continue
-        stats[mode] = mode_stats
-    if "quotient" in stats and "counter" in stats:
-        for field in ("states_reached", "edges"):
-            counter_count = getattr(stats["counter"], field)
-            quotient_count = getattr(stats["quotient"], field)
-            if counter_count != quotient_count:
-                raise InternalError(
-                    f"counter and quotient explorations disagree on {field}: "
-                    f"{counter_count} vs {quotient_count}"
-                )
+    try:
+        _require_pid_free(program)
+        stats["counter"] = stats["quotient"]._replace(mode="counter")
+    except UnsupportedModelError as exc:
+        unsupported["counter"] = str(exc)
     factor = stats["full"].states_reached / stats["quotient"].states_reached
     for mode in ("quotient", "counter"):
         if mode in stats:

@@ -15,8 +15,8 @@ A target's predecessors are ordered by source id, then by the source's
 edge order; an edge added after the first reverse read comes after them.
 On top of the lists sit the set-valued image/preimage operators, which
 is everything the CTL fixpoint routines need.  The module also hosts the
-deterministic worklist builder that the full, quotient and counter
-explorations all share.  For a check of ``AG p`` or ``EF p`` with a
+deterministic worklist builder that full mode and the Sym(n) build of
+the quotient and counter modes call.  For a check of ``AG p`` or ``EF p`` with a
 propositional ``p`` it stores only the breadth-first discovery tree, one
 edge per state, while counting every edge for the stats: the initial set
 is a singleton, so every reachable state hangs in that one tree, and

@@ -525,10 +525,12 @@ class CommandTable:
         self._effects = {}
         # the firing plans of ``record_plan``, a dict per shared valuation
         self.plans = {}
-        # ``action_names[i][j]`` is the action "i/j"; row i stays None until
-        # ``action_row(i)`` fills it, so a quotient that fires few of n
-        # processes never builds the rest
+        # ``action_names[i][j]`` is the action "i/j" and ``counter_names[code][j]``
+        # the action "<record>/<j>"; ``action_row`` and ``counter_row`` fill a
+        # row on first use, so a quotient that fires few of n processes never
+        # builds the rest
         self.action_names = [None] * program.n
+        self.counter_names = {}
 
     @cached_property
     def runs(self):
@@ -538,6 +540,11 @@ class CommandTable:
 
     def action_row(self, i):
         row = self.action_names[i] = _action_row(i, len(self.program.commands))
+        return row
+
+    def counter_row(self, code):
+        label = render_local(self.program, self.codec.record(code))
+        row = self.counter_names[code] = _action_row(label, len(self.program.commands))
         return row
 
     def effects(self, j, shared, rec, i):
@@ -567,8 +574,8 @@ class CommandTable:
         """The record of a code and its firing plan as process i, kept in
         ``plans[shared]`` by code in a pid-free program (i None) or for a
         run head (i the pin count), and by ``(code, i)`` for pin i: ``(guard,
-        counter action, moves)`` per command j leaving the record's pc, each
-        move of ``effects`` to a code t as ``(j, t, packed t, prefix)``.  The
+        moves)`` per command j leaving the record's pc, each move of
+        ``effects`` to a code t as ``(j, t, packed t, prefix)``.  The
         prefix of a move that keeps the pins is its packed shared values,
         None if unchanged.  Any other move has packed t None and as prefix
         ``(packed ranked shared values, picks, left, packed t)``, where picks
@@ -576,7 +583,6 @@ class CommandTable:
         the new pinned section, left pairs each code that joins the runs
         with its slice (``runs.run_successors``)."""
         rec = self.codec.record(code)
-        label = render_local(self.program, rec) if i is None else None
         if i is not None:
             p, w = len(self.runs.ranked(shared)[0]), self.codec.width
             cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
@@ -592,7 +598,7 @@ class CommandTable:
                         prefix = ranked, picks, tuple((q, cuts[q]) for q in left), packed_t
                         packed_t = None
                 moves.append((j, t, packed_t, prefix))
-            plan.append((guard, label and f"{label}/{j}", tuple(moves)))
+            plan.append((guard, tuple(moves)))
         plans = self.plans.get(shared)
         if plans is None:
             plans = self.plans[shared] = {}
@@ -601,8 +607,8 @@ class CommandTable:
 
 
 @lru_cache(maxsize=None)
-def _action_row(i, commands):
-    return tuple(f"{i}/{j}" for j in range(commands))
+def _action_row(name, commands):
+    return tuple(f"{name}/{j}" for j in range(commands))
 
 
 def initial_states(program):
@@ -642,7 +648,7 @@ def _key_successors(table, key, processes):
         for code in set(codes):
             rec, plan = known.get(code) or table.record_plan(shared, code)
             moves = plans[code] = []
-            for guard, _, command_moves in plan:
+            for guard, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
                     moves += command_moves
     start, width = codec.shared_size, codec.width

@@ -10,11 +10,12 @@ Under Sym(n) each state is its run-length key (``runs.RunCodec``), a
 representative by construction: the shared values, the pinned records
 in pin-rank order, then one ``(record code, count)`` pair per distinct
 unpinned record, each count 1 byte wide up to n = 255 and 2 bytes past
-that.  ``runs.run_successors``, the counter abstraction's kernel too,
-fires each pin and each run head, so the edges are the counter
-abstraction's; actions ``"i/j"`` name the head by its index in the
-representative.  A generated subgroup keeps positional keys, fires every
-process and canonicalizes each successor (``symmetry.canonical_key_fn``).
+that.  ``runs.run_successors`` fires each pin and each run head;
+actions ``"i/j"`` name the head by its index in the representative.
+Counter mode is this build with records naming the actions and keys
+decoding to ``counter.CounterState``.  A generated subgroup keeps
+positional keys, fires every process and canonicalizes each successor
+(``symmetry.canonical_key_fn``).
 """
 
 from __future__ import annotations
@@ -79,22 +80,23 @@ def orbit_size_sorted(program, state):
 
 
 def _build_quotient(
-    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, rep_fn=None,
-    tree=False,
+    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, tree=False,
+    view=None, expand=None,
 ):
-    """Explore the quotient; (structure, stats).  ``group`` defaults to Sym(n)
-    and ``rep_fn``, which canonicalizes the initial state, to its
-    ``representative_fn``.  Labels that permutations may change are checked
-    on each decoded representative against its images under the generators."""
+    """Explore the quotient under ``group``, by default Sym(n); (structure,
+    stats).  Labels that permutations may change are checked on each
+    decoded representative against its images under the generators.  Counter
+    mode is this build with its ``view`` of the keys as payloads and its
+    ``expand``, which names actions by record."""
     if group is None:
         group = full_symmetric(program.n)
-    if rep_fn is None:
-        rep_fn, _ = representative_fn(program, group)
+    rep_fn, _ = representative_fn(program, group)
     codec, canon = canonical_key_fn(program, group)
-    if group.kind == "full-symmetric":
-        expand = lambda key: run_successors(program, key)
-    else:
-        expand = lambda key: [(action, canon(t)) for action, t in successors(program, key)]
+    if expand is None:
+        if group.kind == "full-symmetric":
+            expand = lambda key: run_successors(program, key)
+        else:
+            expand = lambda key: [(action, canon(t)) for action, t in successors(program, key)]
 
     check = program.table.labels_need_orbit_check
 
@@ -109,7 +111,7 @@ def _build_quotient(
         [codec.encode(rep_fn(program.initial_state()))],
         expand,
         labeler,
-        codec=codec,
+        codec=view or codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
         tree=tree,
@@ -137,9 +139,9 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     docstring), with orbit sizes from ``_orbit_sizes``."""
     if group is None:
         group = full_symmetric(program.n)
-    rep_fn, rep_mode = representative_fn(program, group)
-    structure, _ = _build_quotient(program, state_bound, group=group, rep_fn=rep_fn)
+    structure, _ = _build_quotient(program, state_bound, group=group)
     sizes = _orbit_sizes(program, structure, group)
+    rep_mode = representative_fn(program, group)[1]
     return QuotientStructure(structure, sizes, rep_mode, program, group)
 
 

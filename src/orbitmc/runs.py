@@ -154,7 +154,7 @@ def run_successors(program, key, counter=False):
     the ranked shared values and the new pinned codes, then moves the units
     that left or joined the pins (``_repinned``).  Actions are ``"i/j"``
     for the index i in the decoded representative, or with ``counter``
-    ``"<record>/<j>"``."""
+    ``"<record>/<j>"`` (``CommandTable.counter_row``)."""
     table = program.table
     runs = table.runs
     codec = runs.codec
@@ -164,7 +164,7 @@ def run_successors(program, key, counter=False):
     if plans is None:
         plans = table.plans[shared] = {}
     record_plan = table.record_plan
-    names = table.action_names
+    names, counter_names = table.action_names, table.counter_names
     p = len(pins)
     start = codec.shared_size + p * w  # where the runs begin
     prefix, pinned, body = key[: codec.shared_size], key[codec.shared_size : start], key[start:]
@@ -173,7 +173,7 @@ def run_successors(program, key, counter=False):
     for i, code in enumerate(pins):
         rec, plan = plans.get((code, i)) or record_plan(shared, code, i)
         row = names[i] or table.action_row(i)
-        for guard, _, moves in plan:
+        for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
                 for j, t, packed_t, new_prefix in moves:
                     if packed_t is None:  # the move changes the pins
@@ -195,11 +195,14 @@ def run_successors(program, key, counter=False):
         if not plan:
             h += m
             continue
-        row = None if counter else names[h] or table.action_row(h)
+        if counter:
+            row = counter_names.get(code) or table.counter_row(code)
+        else:
+            row = names[h] or table.action_row(h)
         at = a * size
         end = at + size
         dec = body[at : at + w] + count_bytes[m - 1] if m > 1 else b""
-        for guard, label, moves in plan:
+        for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
                 for j, t, packed_t, new_prefix in moves:
                     if packed_t is None:
@@ -221,7 +224,7 @@ def run_successors(program, key, counter=False):
                             else:
                                 target = body[:lo] + inc + body[hi:at] + dec + body[end:]
                         target = (new_prefix + pinned if new_prefix else head) + target
-                    append((label if counter else row[j], target))
+                    append((row[j], target))
         h += m
     return out
 

@@ -101,6 +101,18 @@ def test_counter_state_validation_reports_a_zero_count_first():
         CounterState((), (((1,), 1), ((0,), 1), ((2,), 0)))
 
 
+def test_counter_states_of_another_process_count_are_refused():
+    # like a positional key that does not fit the layout: no key, so no
+    # successors, and no state of the structure
+    program = builtin_example("mutex", 3)
+    structure = build_counter_structure(program)
+    assert structure.has_state(counts((0, 3)))
+    for total in (1, 5):
+        with pytest.raises(ValueError, match="3 processes"):
+            counter_successors(program, counts((0, total)))
+        assert not structure.has_state(counts((0, total)))
+
+
 # -- the one-unit splice -----------------------------------------------------------
 
 MOVER = "processes {n}; shared g : bool; pc {{A,B,C,D}}; init pc=A, g=0; {cmds}"
@@ -122,7 +134,7 @@ def test_splice_shared_only_command_keeps_counts():
 
 def test_splice_drops_the_entry_of_the_last_leaving_unit():
     program = mover("B -> C")
-    assert counter_successors(program, counts((B, 1), (C, 1), shared=(0,))) == [
+    assert counter_successors(mover("B -> C", n=2), counts((B, 1), (C, 1), shared=(0,))) == [
         ("B/0", counts((C, 2), shared=(0,)))
     ]
     assert counter_successors(program, counts((A, 1), (B, 1), (D, 1), shared=(0,))) == [
@@ -135,7 +147,7 @@ def test_splice_inserts_a_new_record_at_the_front():
     assert counter_successors(program, counts((B, 1), (D, 2), shared=(0,))) == [
         ("D/0", counts((A, 1), (B, 1), (D, 1), shared=(0,)))
     ]
-    assert counter_successors(program, counts((C, 1), (D, 1), shared=(0,))) == [
+    assert counter_successors(mover("D -> A", n=2), counts((C, 1), (D, 1), shared=(0,))) == [
         ("D/0", counts((A, 1), (C, 1), shared=(0,)))
     ]
 

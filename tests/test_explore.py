@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import orbitmc.kripke
 from orbitmc import (
     ResourceLimitError,
     UnsupportedModelError,
@@ -167,6 +170,23 @@ def test_compare_modes_allocator_marks_counter_unsupported():
     assert "counter" in comparison.unsupported
     assert "full" in comparison.stats and "quotient" in comparison.stats
     assert comparison.reduction_factor > 1.0
+
+
+@pytest.mark.parametrize("name, n", [("mutex", 4), ("allocator", 3)])
+def test_compare_modes_builds_full_and_sym_once_each(monkeypatch, name, n):
+    # counter mode is the quotient's build, so its row needs no third one
+    builds = []
+    real = orbitmc.kripke.breadth_first_build
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("orbitmc") and hasattr(module, "breadth_first_build"):
+            monkeypatch.setattr(module, "breadth_first_build", counted)
+    compare_modes(builtin_example(name, n))
+    assert len(builds) == 2
 
 
 def test_orbit_accounting_through_compare():

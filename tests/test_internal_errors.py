@@ -16,7 +16,6 @@ from orbitmc import (
     build_counter_structure,
     build_quotient,
     builtin_example,
-    compare_modes,
     lift_counterexample,
 )
 from orbitmc.cli import EXIT_INTERNAL, build_config, run
@@ -27,30 +26,6 @@ from test_quotient import asymmetric_mutex
 def break_orbit_sizes(monkeypatch):
     # 4 does not divide 3! = 6
     monkeypatch.setattr("orbitmc.quotient.orbit_size_sorted", lambda program, state: 4)
-
-
-def break_counter_count(monkeypatch):
-    real_explore = orbitmc.explore.explore
-
-    def explore(program, mode, state_bound):
-        structure, stats = real_explore(program, mode, state_bound)
-        if mode == "counter":
-            stats.states_reached += 1
-        return structure, stats
-
-    monkeypatch.setattr("orbitmc.explore.explore", explore)
-
-
-def break_counter_edges(monkeypatch):
-    real_explore = orbitmc.explore.explore
-
-    def explore(program, mode, state_bound):
-        structure, stats = real_explore(program, mode, state_bound)
-        if mode == "counter":
-            stats.edges += 1
-        return structure, stats
-
-    monkeypatch.setattr("orbitmc.explore.explore", explore)
 
 
 def mismatch_permutation_degree(monkeypatch):
@@ -66,12 +41,10 @@ def lose_a_process(monkeypatch):
     # the counter build steps run-length keys; the fault drops one unit of
     # the first run and hands the key kernel's caller that key
     def counter_successors(program, key):
-        view = orbitmc.counter.CounterView(program)
-        cstate = view.decode(key)
-        (rec, count), *rest = cstate.counts
-        fewer = ((rec, count - 1),) if count > 1 else ()
-        vanished = orbitmc.counter.CounterState(cstate.shared, fewer + tuple(rest))
-        return [("p0:vanish", view.encode(vanished))]
+        runs = program.table.runs
+        shared, pins, codes, counts, _ = runs.parts(key)
+        pairs = [(codes[0], counts[0] - 1)] if counts[0] > 1 else []
+        return [("p0:vanish", runs.pack(shared, pins, pairs + list(zip(codes, counts))[1:]))]
 
     monkeypatch.setattr("orbitmc.counter.counter_successors", counter_successors)
 
@@ -106,18 +79,6 @@ def test_orbit_size_not_dividing_n_factorial(monkeypatch):
         build_quotient(builtin_example("mutex", 3))
 
 
-def test_quotient_and_counter_state_counts_disagree(monkeypatch):
-    break_counter_count(monkeypatch)
-    with pytest.raises(InternalError, match="disagree"):
-        compare_modes(builtin_example("mutex", 3))
-
-
-def test_quotient_and_counter_edge_counts_disagree(monkeypatch):
-    break_counter_edges(monkeypatch)
-    with pytest.raises(InternalError, match="disagree on edges"):
-        compare_modes(builtin_example("mutex", 3))
-
-
 def test_counter_state_losing_a_process(monkeypatch):
     lose_a_process(monkeypatch)
     with pytest.raises(InternalError, match="lost a process"):
@@ -135,9 +96,10 @@ def test_lift_without_a_matching_concrete_successor():
     [
         (["export-dot", "--builtin", "mutex:3", "--mode", "quotient"],
          mismatch_permutation_degree),
-        (["compare", "--builtin", "mutex:3"], break_counter_count),
+        (["compare", "--builtin", "mutex:3"], mismatch_permutation_degree),
         (["reach", "--builtin", "mutex:3", "--mode", "counter"], lose_a_process),
-        (["compare", "--builtin", "mutex:3"], break_counter_edges),
+        (["check", "--builtin", "mutex:3", "--mode", "counter", "--prop", "AG !first_critical"],
+         label_process_zero),
         (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
          mismatch_permutation_degree),
         (["check", "--builtin", "mutex:3", "--prop", "AG !bad"],
@@ -162,7 +124,6 @@ from orbitmc import (
     build_counter_structure,
     build_quotient,
     builtin_example,
-    compare_modes,
     lift_counterexample,
 )
 import test_internal_errors as t
@@ -177,7 +138,6 @@ if sys.flags.optimize < 1:
 program = builtin_example("mutex", 2)
 cases = [
     lambda: lift_counterexample(program, t.unmatched_quotient_path(program)),
-    lambda: (t.break_counter_count(Patch()), compare_modes(builtin_example("mutex", 3))),
     lambda: (t.break_orbit_sizes(Patch()), build_quotient(builtin_example("mutex", 3))),
     lambda: (t.lose_a_process(Patch()), build_counter_structure(builtin_example("mutex", 3))),
 ]

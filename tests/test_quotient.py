@@ -193,6 +193,8 @@ def test_injected_asymmetric_label_is_reported():
 def test_quotient_build_detects_asymmetric_labels():
     with pytest.raises(LabelSymmetryError):
         build_quotient(asymmetric_mutex(3))
+    with pytest.raises(LabelSymmetryError):
+        build_counter_structure(asymmetric_mutex(3))
 
 
 # -- bisimulation ------------------------------------------------------------
