@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from .counter import (
     CounterState,
-    IsomorphismReport,
     build_counter_structure,
-    check_isomorphism,
     counter_successors,
     from_counter,
     to_counter,
@@ -94,10 +92,8 @@ from .symmetry import (
     is_automorphism,
     orbit,
     pinned_processes,
-    processes_to_fire,
     rep_min,
     rep_sort,
-    representative_fn,
     rotation,
     transposition,
 )

@@ -7,7 +7,10 @@ is its build (``quotient._build_quotient``): the run-length keys of
 ``runs.RunCodec`` (the shared values, then one ``(record code, count)``
 pair per distinct record, codes increasing), stepped by
 ``runs.run_successors``, with actions named ``"<record>/<j>"`` and
-payloads decoded to ``CounterState`` (``CounterView``).
+payloads decoded to ``CounterState`` (``CounterView``).  A program's
+counter structure and its quotient are thus one graph, the same keys,
+labels and edges in the same order, and ``from_counter`` of a counter
+payload is the quotient's payload of that id.
 
 The classic pitfall is the self-exclusion of "other process" guard atoms:
 all_others(pc != C) must not count the firing process.  The one guard
@@ -120,52 +123,3 @@ def build_counter_structure(program, state_bound=DEFAULT_STATE_BOUND):
     """Worklist construction of the counter structure."""
     structure, _ = _build_counter(program, state_bound)
     return structure
-
-
-class IsomorphismReport(Value, frozen=False):
-    __slots__ = ("ok", "discrepancy")
-    _defaults = (None,)
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_isomorphism(counter_structure, quotient):
-    """Verify counter and quotient structures are the same graph, under the
-    map from a counter state to its sorted concretization: a bijection onto
-    the quotient payloads that keeps initial states, labels and edges both
-    ways (actions disregarded).  Returns a truthy report, or a falsy one
-    naming the first discrepancy."""
-    qstruct = quotient.structure
-    mapping = {}
-    for cid in counter_structure.states():
-        concrete = from_counter(counter_structure.payload(cid))
-        if not qstruct.has_state(concrete):
-            return IsomorphismReport(
-                False, f"counter state {counter_structure.payload(cid)} has no quotient twin"
-            )
-        mapping[cid] = qstruct.state_of(concrete)
-    if len(set(mapping.values())) != len(mapping):
-        return IsomorphismReport(False, "concretization is not injective")
-    if len(mapping) != qstruct.num_states:
-        return IsomorphismReport(
-            False,
-            f"state counts differ: {counter_structure.num_states} counter"
-            f" vs {qstruct.num_states} quotient",
-        )
-    if {mapping[cid] for cid in counter_structure.init} != set(qstruct.init):
-        return IsomorphismReport(False, "initial states do not correspond")
-    for cid, qid in mapping.items():
-        if counter_structure.label_of(cid) != qstruct.label_of(qid):
-            return IsomorphismReport(
-                False,
-                f"labels differ on {counter_structure.payload(cid)}: "
-                f"{set(counter_structure.label_of(cid))} vs {set(qstruct.label_of(qid))}",
-            )
-    counter_edges = {(mapping[s], mapping[t]) for s, _, t in counter_structure.edges()}
-    quotient_edges = {(s, t) for s, _, t in qstruct.edges()}
-    for edge in sorted(counter_edges - quotient_edges):
-        return IsomorphismReport(False, f"counter edge {edge} missing from quotient")
-    for edge in sorted(quotient_edges - counter_edges):
-        return IsomorphismReport(False, f"quotient edge {edge} missing from counter")
-    return IsomorphismReport(True)

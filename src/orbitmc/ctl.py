@@ -35,7 +35,7 @@ from .errors import InternalError
 from .kripke import Path
 from .parser import PROPERTY_KEYWORDS, PROPERTY_PREFIXES, _Parser
 from .program import GAnd, GFalse, GNot, GOr, GTrue, successors
-from .symmetry import canonical_key_fn, representative_fn
+from .symmetry import canonical_key_fn, full_symmetric, rep_min
 from .value import Value
 
 __all__ = [
@@ -375,9 +375,9 @@ def lift_counterexample(program, quotient_path, group=None):
     means the quotient was not built from an automorphism group: an
     internal bug (``InternalError``), not an input error.
     """
-    rep_fn, _ = representative_fn(program, group)
+    group = group or full_symmetric(program.n)
     current = program.initial_state()
-    if rep_fn(current) != quotient_path.states[0]:
+    if rep_min(group, current, witness=False)[0] != quotient_path.states[0]:
         raise ValueError("path does not start at the representative of the initial state")
     codec = program.table.codec
     stored, canon = canonical_key_fn(program, group)

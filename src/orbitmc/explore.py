@@ -68,7 +68,4 @@ def compare_modes(program, state_bound=DEFAULT_STATE_BOUND):
     except UnsupportedModelError as exc:
         unsupported["counter"] = str(exc)
     factor = stats["full"].states_reached / stats["quotient"].states_reached
-    for mode in ("quotient", "counter"):
-        if mode in stats:
-            stats[mode].reduction_factor = factor
     return ModeComparison(stats, unsupported, factor)

@@ -341,12 +341,11 @@ class KripkeStructure:
 
 
 class BuildStats(Value, frozen=False):
-    """Counters gathered while a structure is explored.  ``explore`` sets
-    ``mode``; ``reduction_factor`` only appears in comparison reports."""
+    """Counters gathered while a structure is explored; ``explore`` sets ``mode``."""
 
     __slots__ = ("states_reached", "edges", "deadlocks", "frontier_peak", "bad_reached",
-                 "duration_ms", "mode", "reduction_factor")
-    _defaults = (0, 0, 0, 0, False, 0.0, None, None)
+                 "duration_ms", "mode")
+    _defaults = (0, 0, 0, 0, False, 0.0, None)
 
 
 def breadth_first_build(
@@ -358,7 +357,6 @@ def breadth_first_build(
     codec=None,
     state_bound=DEFAULT_STATE_BOUND,
     stop_at_bad=False,
-    bad_label="bad",
     tree=False,
 ):
     """Worklist construction of a structure, breadth first and deterministic.
@@ -366,9 +364,9 @@ def breadth_first_build(
     ``expand(payload)`` must return (action, payload) successor pairs in a
     deterministic order; insertion order then fixes state numbering, so
     two runs over the same inputs produce identical structures.
-    ``stats.bad_reached`` records whether a state carrying ``bad_label``
-    was inserted; with ``stop_at_bad`` the loop halts at the first such
-    state, leaving a partial structure.
+    ``stats.bad_reached`` records whether a state labeled ``bad`` was
+    inserted; with ``stop_at_bad`` the loop halts at the first such state,
+    leaving a partial structure.
 
     Initial payloads get the designated ``init`` label on top of whatever
     ``labeler`` assigns, keeping labels a pure function of the payload
@@ -417,7 +415,7 @@ def breadth_first_build(
         labels = label_sets.setdefault(labels, labels)
         sid = structure.add_state(payload, labels, initial=initial)
         queue.append(sid)
-        if bad_label in labels:
+        if "bad" in labels:
             stats.bad_reached = True
         return sid
 

@@ -616,22 +616,22 @@ def initial_states(program):
     return frozenset({program.initial_state()})
 
 
-def successors(program, state, processes=None):
+def successors(program, state):
     """All (action, state) pairs one interleaved step away, processes in
-    index order (only ``processes`` if given) and commands in declaration
-    order; the action is ``"<process>/<command>"`` and an empty result is a
-    deadlock.  ``state`` is a key of the program's codec, and so are the
+    index order and commands in declaration order; the action is
+    ``"<process>/<command>"`` and an empty result is a deadlock.
+    ``state`` is a key of the program's codec, and so are the
     successors; given a ``GlobalState``, they are decoded ones."""
     if isinstance(state, GlobalState):
         codec = program.table.codec
         return [
             (action, codec.decode(key))
-            for action, key in _key_successors(program.table, codec.encode(state), processes)
+            for action, key in _key_successors(program.table, codec.encode(state))
         ]
-    return _key_successors(program.table, state, processes)
+    return _key_successors(program.table, state)
 
 
-def _key_successors(table, key, processes):
+def _key_successors(table, key):
     """The successor rule on keys.  A successor is the key with one record
     field replaced (and the shared prefix too when the command writes
     shared state).  In a pid-free program no guard or effect reads the
@@ -655,7 +655,7 @@ def _key_successors(table, key, processes):
     names = table.action_names
     out = []
     append = out.append
-    for i in range(n) if processes is None else processes:
+    for i in range(n):
         # the enabled moves of process i, as ``record_plan`` gives them
         if pid_free:
             moves = plans[codes[i]]

@@ -15,7 +15,9 @@ actions ``"i/j"`` name the head by its index in the representative.
 Counter mode is this build with records naming the actions and keys
 decoding to ``counter.CounterState``.  A generated subgroup keeps
 positional keys, fires every process and canonicalizes each successor
-(``symmetry.canonical_key_fn``).
+(``symmetry.canonical_key_fn``).  The initial state, and any state
+handed to ``QuotientStructure.rep``, is canonicalized by
+``symmetry.rep_min``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .symmetry import (
     full_symmetric,
     orbit,
     pinned_processes,
-    representative_fn,
+    rep_min,
 )
 from .value import Value
 
@@ -43,16 +45,10 @@ BISIM_SIZE_CAP = 10**4
 class QuotientStructure(Value, frozen=False):
     """A Kripke structure whose payloads are orbit representatives."""
 
-    # orbit_sizes maps state id -> orbit size; rep_mode is "sort" or "min-over-group";
-    # _rep_fn, no field, is the canonicalization of the program under the group
-    __slots__ = ("structure", "orbit_sizes", "rep_mode", "program", "group", "_rep_fn")
-
-    def __init__(self, structure, orbit_sizes, rep_mode, program, group):
-        Value.__init__(self, structure, orbit_sizes, rep_mode, program, group)
-        self._rep_fn = representative_fn(program, group)[0]
+    __slots__ = ("structure", "orbit_sizes", "program", "group")  # orbit_sizes: id -> size
 
     def rep(self, state):
-        return self._rep_fn(state)
+        return rep_min(self.group, state, witness=False)[0]
 
     def total_covered(self):
         """Number of concrete states the representatives stand for."""
@@ -90,7 +86,6 @@ def _build_quotient(
     ``expand``, which names actions by record."""
     if group is None:
         group = full_symmetric(program.n)
-    rep_fn, _ = representative_fn(program, group)
     codec, canon = canonical_key_fn(program, group)
     if expand is None:
         if group.kind == "full-symmetric":
@@ -108,7 +103,7 @@ def _build_quotient(
 
     return breadth_first_build(
         atomic_props(program),
-        [codec.encode(rep_fn(program.initial_state()))],
+        [codec.encode(rep_min(group, program.initial_state(), witness=False)[0])],
         expand,
         labeler,
         codec=view or codec,
@@ -140,9 +135,7 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
     if group is None:
         group = full_symmetric(program.n)
     structure, _ = _build_quotient(program, state_bound, group=group)
-    sizes = _orbit_sizes(program, structure, group)
-    rep_mode = representative_fn(program, group)[1]
-    return QuotientStructure(structure, sizes, rep_mode, program, group)
+    return QuotientStructure(structure, _orbit_sizes(program, structure, group), program, group)
 
 
 def check_symmetric_labeling(program, sample, group=None):

@@ -6,12 +6,14 @@ least element under the byte encoding documented in ``program``.  Under
 the full symmetric group that is a *pinned sort* (the scalarset normal
 form), O(n log n): the processes named by non-``none`` pid slots are
 pinned and renumbered 0, 1, ... in order of first appearance, their
-records go first, and the others follow sorted, ties in index order
-(``rep_sort``, ``rep_min`` with a witness permutation).  Exploration
-stores it as a run-length key (``runs.RunCodec.canonical``): the shared
-values, the pinned records, then one ``(record code, count)`` pair per
-run of the sorted rest, each count 1 byte wide up to n = 255 and 2 bytes
-past that.  Generated subgroups are enumerated, capped, once per group.
+records go first, and the others follow sorted, ties in index order.
+``rep_min`` is the one canonicalization of a ``GlobalState``, for every
+group, with a witness permutation on request; without pins it is
+``rep_sort``.  Exploration stores the representative as a run-length key
+(``runs.RunCodec.canonical``): the shared values, the pinned records,
+then one ``(record code, count)`` pair per run of the sorted rest, each
+count 1 byte wide up to n = 255 and 2 bytes past that.  Generated
+subgroups are enumerated, capped, once per group.
 """
 
 from __future__ import annotations
@@ -215,16 +217,20 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
     """Least orbit element by byte encoding, plus a permutation reaching it
     (``apply(perm, state) == rep``).
 
-    Full symmetric groups apply the permutation of the pinned sort (old
-    index -> new); generated groups are enumerated outright, once per group
-    and capped at ``enum_cap``.  With ``witness=False`` a full symmetric
-    group skips validating the permutation and returns None in its place.
+    The one canonicalization of states.  Full symmetric groups apply the
+    permutation of the pinned sort (old index -> new); generated groups are
+    enumerated outright, once per group and capped at ``enum_cap``.  With
+    ``witness=False`` a full symmetric group returns None in place of the
+    permutation: a pid-free state is then ``rep_sort``ed, and a pid-typed
+    one skips validating the permutation.
     """
     if group.degree != state.n:
         raise ValueError("group degree does not match state")
     if group.kind == "generated":
         images = ((apply(g, state), g) for g in _sorted_elements(group, enum_cap))
         return min(images, key=lambda image: image[0].encode())
+    if not (witness or state.pid_slots):
+        return rep_sort(state), None
     pins = pinned_processes(state)
     rest = (i for i in range(state.n) if i not in pins)
     order = pins + sorted(rest, key=state.locals.__getitem__)
@@ -233,19 +239,6 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
         return apply(_Bijection(mapping), state), None
     perm = Permutation(mapping)
     return apply(perm, state), perm
-
-
-def representative_fn(program, group=None):
-    """Pick the canonicalization for a program, as (function, mode name):
-    under the full symmetric group ``rep_sort`` ("sort") for a pid-free
-    program, otherwise ``rep_min`` without its witness ("min-over-group")."""
-    if group is None:
-        group = full_symmetric(program.n)
-    if group.degree != program.n:
-        raise ValueError("group degree does not match program")
-    if group.kind == "full-symmetric" and not program.pid_slots:
-        return rep_sort, "sort"
-    return (lambda s: rep_min(group, s, witness=False)[0]), "min-over-group"
 
 
 def canonical_key_fn(program, group=None):
@@ -261,21 +254,6 @@ def canonical_key_fn(program, group=None):
         return program.table.runs, program.table.runs.canonical
     codec = program.table.codec
     return codec, lambda key: codec.encode(rep_min(group, codec.decode(key), witness=False)[0])
-
-
-def processes_to_fire(group, state):
-    """Indices of one process per class of interchangeable processes: under
-    the full symmetric group the pinned processes plus the first of each
-    run of equal records among the others (the transposition of two such
-    processes fixes the state), which on a representative is the firing
-    rule of ``runs.run_successors``; under a generated subgroup every one.
-    """
-    if group.kind != "full-symmetric":
-        return range(state.n)
-    pins, locs = pinned_processes(state), state.locals
-    rest = [i for i in range(state.n) if i not in pins]
-    heads = [i for i, prev in zip(rest, [None] + rest) if prev is None or locs[prev] != locs[i]]
-    return sorted(pins + heads)
 
 
 def is_automorphism(perm, program, sample):

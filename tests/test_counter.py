@@ -6,13 +6,11 @@ import pytest
 from orbitmc import (
     CounterState,
     GlobalState,
-    KripkeStructure,
     UnsupportedModelError,
     build_counter_structure,
     build_full_structure,
     build_quotient,
     builtin_example,
-    check_isomorphism,
     counter_successors,
     from_counter,
     parse_program,
@@ -21,6 +19,7 @@ from orbitmc import (
 )
 
 from oracles import all_permutations, random_state
+from test_differential import assert_counter_is_quotient
 from orbitmc.symmetry import apply
 
 FREE_CYCLE = "processes {n}; pc {{A,B,C}}; init pc=A; A->B:true/; B->C:true/; C->A:true/;"
@@ -264,7 +263,7 @@ def test_single_process_counter_is_isomorphic_to_full():
     quotient = build_quotient(program)
     full = build_full_structure(program)
     assert counter.num_states == full.num_states
-    assert check_isomorphism(counter, quotient)
+    assert_counter_is_quotient(counter, quotient)
 
 
 def test_conservation_on_every_reachable_state():
@@ -312,14 +311,16 @@ def test_counter_build_is_deterministic():
 # -- isomorphism with the quotient ------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
 def test_counter_isomorphic_to_quotient_mutex(n):
     program = builtin_example("mutex", n)
-    counter = build_counter_structure(program)
-    quotient = build_quotient(program)
-    report = check_isomorphism(counter, quotient)
-    assert report
-    assert report.discrepancy is None
+    assert_counter_is_quotient(build_counter_structure(program), build_quotient(program))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_counter_isomorphic_to_quotient_broken_mutex(n):
+    program = builtin_example("broken-mutex", n)
+    assert_counter_is_quotient(build_counter_structure(program), build_quotient(program))
 
 
 def test_counter_isomorphic_to_quotient_with_shared_and_stars():
@@ -330,25 +331,4 @@ def test_counter_isomorphic_to_quotient_with_shared_and_stars():
         " B -> A : exists_other(pc == B) | g == 1 / g := *, x := 0;"
         " label busy := g == 1;"
     )
-    counter = build_counter_structure(program)
-    quotient = build_quotient(program)
-    assert check_isomorphism(counter, quotient)
-
-
-def test_corrupted_counter_edge_is_reported():
-    program = builtin_example("mutex", 2)
-    counter = build_counter_structure(program)
-    quotient = build_quotient(program)
-    src, action, dst = next(iter(counter.edges()))
-    clone = KripkeStructure(counter.props().values())
-    for sid in counter.states():
-        clone.add_state(counter.payload(sid), counter.label_of(sid), initial=sid in counter.init)
-    extra_target = next(s for s in counter.states() if s != dst and s != src)
-    for s, a, d in counter.edges():
-        if (s, a, d) == (src, action, dst):
-            clone.add_edge(s, a, extra_target)  # reroute one edge
-        else:
-            clone.add_edge(s, a, d)
-    report = check_isomorphism(clone, quotient)
-    assert not report
-    assert "edge" in report.discrepancy
+    assert_counter_is_quotient(build_counter_structure(program), build_quotient(program))

@@ -156,8 +156,6 @@ def test_compare_modes_mutex10():
     assert comparison.stats["counter"].states_reached == 21
     assert comparison.reduction_factor == pytest.approx(6144 / 21)
     assert comparison.reduction_factor >= 100
-    assert comparison.stats["quotient"].reduction_factor == comparison.reduction_factor
-    assert comparison.stats["full"].reduction_factor is None
 
 
 def test_compare_modes_trivial_for_one_process():

@@ -12,7 +12,6 @@ from orbitmc import (
     build_quotient,
     builtin_example,
     check_bisimulation,
-    check_isomorphism,
     check_symmetric_labeling,
     full_symmetric,
     labeling,
@@ -23,6 +22,7 @@ from orbitmc import (
 from orbitmc.program import LabelExpr, Program
 
 from oracles import mutex_count_closed_form
+from test_differential import assert_counter_is_quotient
 
 
 def locs(*pcs):
@@ -33,7 +33,6 @@ def test_mutex2_quotient_is_the_five_multisets():
     quotient = build_quotient(builtin_example("mutex", 2))
     payloads = {quotient.structure.payload(sid) for sid in quotient.structure.states()}
     assert payloads == {locs(0, 0), locs(0, 1), locs(1, 1), locs(0, 2), locs(1, 2)}
-    assert quotient.rep_mode == "sort"
 
 
 def test_single_process_quotient_is_the_full_structure():
@@ -65,7 +64,6 @@ def test_pid_quotient_scales_by_the_closed_form_orbit_size():
     # the grant holder is pinned: 2^100 states with grant none plus 100 * 2^99
     # with one process granted, far beyond any enumeration of an orbit
     quotient = build_quotient(builtin_example("allocator", 100))
-    assert quotient.rep_mode == "min-over-group"
     assert quotient.structure.num_states == 201
     assert quotient.total_covered() == 2**100 + 100 * 2**99
 
@@ -98,7 +96,6 @@ def test_orbit_sizes_divide_group_order():
 def test_allocator_quotient_uses_orbit_minimum():
     program = builtin_example("allocator", 3)
     quotient = build_quotient(program)
-    assert quotient.rep_mode == "min-over-group"
     full = build_full_structure(program)
     assert quotient.total_covered() == full.num_states
     for sid in quotient.structure.states():
@@ -281,5 +278,4 @@ def test_quotient_edges_are_the_counter_edges_at_scale():
 
 def test_counter_isomorphism_holds_at_fifty_processes():
     program = builtin_example("mutex", 50)
-    report = check_isomorphism(build_counter_structure(program), build_quotient(program))
-    assert report, report.discrepancy
+    assert_counter_is_quotient(build_counter_structure(program), build_quotient(program))

@@ -1,6 +1,5 @@
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -23,12 +22,8 @@ from orbitmc import (
     orbit,
     orbit_size_sorted,
     pinned_processes,
-    processes_to_fire,
     rep_min,
     rep_sort,
-    representative_fn,
-    rotation,
-    successors,
     transposition,
 )
 from orbitmc.program import Guard, GuardedCommand, Program
@@ -285,18 +280,15 @@ def test_rep_min_pins_grant_holders_before_sorting():
 
 
 def test_representative_without_witness_is_the_pinned_minimum(monkeypatch):
-    # the quotient's representative function must not build (and validate)
-    # a witness permutation it would throw away
+    # the quotient's canonicalization must not build (and validate) a
+    # witness permutation it would throw away; pid-free states are sorted
     rng = random.Random(13)
     cases = []
     for n in range(1, 6):
         group = full_symmetric(n)
-        for num_pid_slots in (1, 2, 3):
-            program = SimpleNamespace(n=n, pid_slots=tuple(range(1, num_pid_slots + 1)))
-            rep_fn, mode = representative_fn(program, group)
-            assert mode == "min-over-group"
+        for num_pid_slots in (0, 1, 2, 3):
             for _ in range(12):
-                cases.append((group, rep_fn, random_pid_state(rng, n, num_pid_slots)))
+                cases.append((group, random_pid_state(rng, n, num_pid_slots)))
 
     validated = []
     real_init = Permutation.__init__
@@ -306,42 +298,15 @@ def test_representative_without_witness_is_the_pinned_minimum(monkeypatch):
         real_init(self, mapping)
 
     monkeypatch.setattr(Permutation, "__init__", counting_init)
-    results = [(rep_fn(s), rep_min(group, s, witness=False)) for group, rep_fn, s in cases]
+    results = [rep_min(group, s, witness=False) for group, s in cases]
     monkeypatch.undo()
     assert validated == []
 
-    for (group, _, s), (rep, without) in zip(cases, results):
-        assert rep == without[0] == rep_min(group, s)[0]
-        assert rep == min_image_by_full_enumeration(s)
-        assert without[1] is None
-
-
-def test_processes_to_fire_one_per_class():
-    group = full_symmetric(5)
-    # pid-free and sorted: the first process of each run of equal records
-    assert processes_to_fire(group, locs(0, 0, 1, 2, 2)) == [0, 2, 3]
-    # pinned processes always fire; the unpinned runs are (0, 0) and (2,)
-    s = GlobalState((1, 0), ((1,), (1,), (0,), (0,), (2,)), pid_slots=(0, 1))
-    assert processes_to_fire(group, s) == [0, 1, 2, 4]
-    # a generated subgroup may not swap equal records, so everything fires
-    cyclic = generated_group([rotation(5)])
-    assert list(processes_to_fire(cyclic, locs(0, 0, 1, 2, 2))) == [0, 1, 2, 3, 4]
-
-
-def test_processes_to_fire_reaches_every_canonical_successor():
-    # the stabilizer argument holds on any state, sorted or not
-    for name in ("mutex", "allocator"):
-        for n in (3, 4):
-            program = builtin_example(name, n)
-            group = full_symmetric(n)
-            rep_fn, _ = representative_fn(program, group)
-            full = build_full_structure(program)
-            for sid in full.states():
-                s = full.payload(sid)
-                fired = processes_to_fire(group, s)
-                assert {rep_fn(t) for _, t in successors(program, s, fired)} == {
-                    rep_fn(t) for _, t in successors(program, s)
-                }
+    for (group, s), (rep, perm) in zip(cases, results):
+        assert rep == rep_min(group, s)[0] == min_image_by_full_enumeration(s)
+        assert perm is None
+        if not s.pid_slots:
+            assert rep == rep_sort(s)
 
 
 def test_full_symmetric_kind_requires_its_own_generators():

@@ -17,7 +17,7 @@ import pytest
 
 import orbitmc
 from orbitmc import cli, counter, ctl, explore, kripke, program, quotient, symmetry
-from orbitmc.counter import CounterState, IsomorphismReport
+from orbitmc.counter import CounterState
 from orbitmc.ctl import Atom, CheckResult, EG, EU, EX, parse_ctl
 from orbitmc.kripke import AtomicProp, BuildStats, Path
 from orbitmc.parser import builtin_example, builtin_source, parse_program
@@ -60,7 +60,7 @@ BAD_LEADS_BACK = (
 
 BUILD_STATS = (
     "BuildStats(states_reached=0, edges=0, deadlocks=0, frontier_peak=0, bad_reached=False,"
-    " duration_ms=0.0, mode=None, reduction_factor=None)"
+    " duration_ms=0.0, mode=None)"
 )
 
 
@@ -96,12 +96,11 @@ def test_reprs_of_records():
             "CheckResult(holds=False, sat_states=frozenset({1}),"
             " counterexample=Path(states=(1, 2), actions=('a',), lasso=None))",
         ),
-        (IsomorphismReport(False, "x"), "IsomorphismReport(ok=False, discrepancy='x')"),
         (
             explore.ModeComparison({"full": BuildStats(3)}, {"counter": "no"}, 1.5),
             "ModeComparison(stats={'full': BuildStats(states_reached=3, edges=0, deadlocks=0,"
-            " frontier_peak=0, bad_reached=False, duration_ms=0.0, mode=None,"
-            " reduction_factor=None)}, unsupported={'counter': 'no'}, reduction_factor=1.5)",
+            " frontier_peak=0, bad_reached=False, duration_ms=0.0, mode=None)},"
+            " unsupported={'counter': 'no'}, reduction_factor=1.5)",
         ),
         (
             cli.RunConfig("check", builtin="mutex:4", prop="AG !bad"),
@@ -142,7 +141,7 @@ def test_repr_of_build_stats_after_a_build():
     stats.duration_ms = 1.5
     assert repr(stats) == (
         "BuildStats(states_reached=7, edges=11, deadlocks=0, frontier_peak=3, bad_reached=False,"
-        " duration_ms=1.5, mode='quotient', reduction_factor=None)"
+        " duration_ms=1.5, mode='quotient')"
     )
 
 
@@ -152,7 +151,7 @@ PROGRAM_FIELDS = (
 )
 BUILD_STATS_FIELDS = (
     *("states_reached", "edges", "deadlocks", "frontier_peak", "bad_reached"),
-    *("duration_ms", "mode", "reduction_factor"),
+    *("duration_ms", "mode"),
 )
 RUN_CONFIG_FIELDS = (
     *("command", "builtin", "model_path", "prop", "mode", "bound", "fmt"),
@@ -191,12 +190,11 @@ def samples():
         (Path, ("states", "actions", "lasso"), True, Path(("s", "t"), ("a",), 0)),
         (BuildStats, BUILD_STATS_FIELDS, False, BuildStats()),
         (CounterState, ("shared", "counts"), True, CounterState((), (((0,), 3),))),
-        (IsomorphismReport, ("ok", "discrepancy"), False, IsomorphismReport(True)),
         (Permutation, ("mapping",), True, rotation(3)),
         (PermGroup, ("degree", "generators", "kind"), True, full_symmetric(3)),
         (
             quotient.QuotientStructure,
-            ("structure", "orbit_sizes", "rep_mode", "program", "group"),
+            ("structure", "orbit_sizes", "program", "group"),
             False,
             quotient_structure,
         ),
@@ -209,7 +207,7 @@ def samples():
 
 def test_field_names_are_those_of_the_dataclasses():
     fields = {cls: names for cls, names, _, _ in samples()}
-    assert len(fields) == 32
+    assert len(fields) == 31
     for cls, names in fields.items():
         assert cls._fields == names, cls
 
