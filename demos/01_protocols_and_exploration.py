@@ -8,7 +8,6 @@ step one process fires one enabled guarded command atomically.
 from orbitmc import (
     build_full_structure,
     builtin_example,
-    initial_states,
     parse_program,
     render_state,
     successors,
@@ -19,7 +18,7 @@ from orbitmc.parser import builtin_source
 print(builtin_source("mutex", 3))
 
 program = builtin_example("mutex", 3)
-(init,) = initial_states(program)
+init = program.initial_state()
 print("initial state:", render_state(program, init))
 
 # One interleaved step: every process may take its enabled command.
@@ -45,7 +44,7 @@ terminating = parse_program(
     """
 )
 tstructure = build_full_structure(terminating)
-_, deadlocked = tstructure.totalize("self-loop")
+_, deadlocked = tstructure.totalize()
 print(f"\nterminating toy: {tstructure.num_states} states, deadlocks at {deadlocked}")
 
 # DOT export is deterministic: states by id, edges sorted.

@@ -30,8 +30,8 @@ print(f"\norbit sizes sum to {quotient.total_covered()}; full exploration sees {
 
 # The certificate: relating every state to its representative is a
 # bisimulation, so CTL verdicts transfer between the two structures.
-full.totalize("self-loop")
-quotient.structure.totalize("self-loop")
+full.totalize()
+quotient.structure.totalize()
 print("bisimulation certificate:", check_bisimulation(full, quotient))
 
 # The reduction approaches n! as the protocol grows.

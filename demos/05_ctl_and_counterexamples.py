@@ -22,7 +22,7 @@ from orbitmc import (
 # A holding invariant: the guarded mutex never doubles up.
 program = builtin_example("mutex", 4)
 quotient = build_quotient(program)
-quotient.structure.totalize("self-loop")
+quotient.structure.totalize()
 result = check(quotient.structure, parse_ctl("AG !bad"))
 print("mutex(4), quotient of 48 concrete states:", "AG !bad", result.verdict)
 
@@ -35,7 +35,7 @@ for text in ("EF bad", "AF bad", "EG !bad", "E[!bad U bad]", "AX !bad"):
 # quotient, then lift the abstract counterexample to a real run.
 broken = builtin_example("broken-mutex", 4)
 bquotient = build_quotient(broken)
-bquotient.structure.totalize("self-loop")
+bquotient.structure.totalize()
 bresult = check(bquotient.structure, parse_ctl("AG !bad"))
 print("\nbroken-mutex(4):", "AG !bad", bresult.verdict)
 
@@ -53,6 +53,6 @@ print("final state labels:", set(labeling(broken, concrete.states[-1])))
 
 # Verdict agreement with the unreduced structure, for the record.
 full = build_full_structure(broken)
-full.totalize("self-loop")
+full.totalize()
 assert check(full, parse_ctl("AG !bad")).holds == bresult.holds
 print("\nfull-structure check agrees:", check(full, parse_ctl('AG !bad')).verdict)

@@ -37,16 +37,14 @@ from .ctl import (
 )
 from .errors import (
     CheckerError,
-    DeadlockError,
     InternalError,
     LabelSymmetryError,
     ParseError,
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .explore import ExplorationStats, ModeComparison, MODES, compare_modes, reach
+from .explore import ModeComparison, MODES, compare_modes, reach
 from .kripke import (
-    AtomicProp,
     BuildStats,
     DEFAULT_STATE_BOUND,
     INIT_PROP,
@@ -67,7 +65,6 @@ from .program import (
     Program,
     atomic_props,
     build_full_structure,
-    initial_states,
     labeling,
     render_state,
     successors,

@@ -235,12 +235,12 @@ def run_check(config, out):
     program, model_name = load_program(config)
     bound = effective_bound(config)
     formula = parse_ctl(config.prop)
-    unknown = sorted(atoms(formula) - {prop.name for prop in atomic_props(program)})
+    unknown = sorted(atoms(formula) - set(atomic_props(program)))
     if unknown:
         raise UsageError(f"unknown atomic proposition {unknown[0]!r}")
     started = time.perf_counter()
     structure, stats = explore(program, config.mode, bound, _tree=decided_by_tree(formula))
-    structure.totalize("self-loop")
+    structure.totalize()
     result = check(structure, formula)
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
 

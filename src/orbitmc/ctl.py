@@ -302,12 +302,11 @@ def decided_by_tree(formula):
     breadth-first discovery tree of a structure as off the whole structure.
 
     That holds for ``AG p`` and ``EF p`` with ``p`` free of temporal
-    operators, given one initial state: the verdict asks only whether a
-    ``p``-state (a ``!p``-state) is reachable, every reachable state is in
-    the tree, and ``shortest_path`` follows the tree's edges, the first
-    edge into each state in breadth-first order.  With more initial states
-    ``EF p`` would need the whole structure, since a state first reached
-    from one initial state is also reachable from another.
+    operators: the verdict asks only whether a ``p``-state (a
+    ``!p``-state) is reachable from the one initial state, every
+    reachable state is in the tree rooted there, and ``shortest_path``
+    follows the tree's edges, the first edge into each state in
+    breadth-first order.
     """
     target = _invariant_target(formula)
     if target is None:
@@ -345,13 +344,12 @@ def shortest_path(structure, sources, targets):
     return None
 
 
-def check(structure, formula, init=None):
-    """Model-check ``formula``; holds iff every initial state satisfies it.
-
-    ``init`` overrides the structure's initial set (an empty set holds
-    vacuously).  Counterexamples/witnesses are attached per CheckResult.
+def check(structure, formula):
+    """Model-check ``formula``; holds iff every state of ``structure.init``
+    satisfies it, so an empty initial set holds vacuously.
+    Counterexamples/witnesses are attached per CheckResult.
     """
-    init = set(structure.init) if init is None else set(init)
+    init = structure.init
     memo = {}
     sat = sat_set(structure, formula, _memo=memo)
     holds = init <= sat

@@ -38,14 +38,6 @@ class UnsupportedModelError(CheckerError):
     """
 
 
-class DeadlockError(CheckerError):
-    """Totalization under the reject policy found deadlocked states."""
-
-    def __init__(self, states):
-        self.states = sorted(states)
-        super().__init__(f"deadlocked states: {self.states}")
-
-
 class LabelSymmetryError(CheckerError):
     """A state labeling turned out not to be permutation invariant."""
 

@@ -2,8 +2,8 @@
 
 ``explore`` is the one place a mode name picks a builder: it runs one
 breadth-first exploration in the chosen representation and returns the
-structure with its stats, a ``kripke.BuildStats`` (also importable as
-``ExplorationStats``).  Every CLI subcommand builds through it.
+structure with its stats, a ``kripke.BuildStats``.  Every CLI
+subcommand builds through it.
 ``reach`` wraps it for callers that want the reached payloads;
 ``compare_modes`` reports the state-count reduction of the Sym(n)
 structure, which the quotient and counter modes share, over the
@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from .counter import _build_counter, _require_pid_free
 from .errors import UnsupportedModelError
-from .kripke import DEFAULT_STATE_BOUND, BuildStats
+from .kripke import DEFAULT_STATE_BOUND
 from .program import _build_full
 from .quotient import _build_quotient
 from .value import Value
 
 _BUILDERS = {"full": _build_full, "quotient": _build_quotient, "counter": _build_counter}
 MODES = tuple(_BUILDERS)
-
-ExplorationStats = BuildStats
 
 
 def explore(program, mode, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, *, _tree=False):

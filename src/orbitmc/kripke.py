@@ -1,7 +1,9 @@
 """Explicit Kripke structures with labeled transitions.
 
 States are opaque payloads keyed by value, so re-adding an existing payload
-is a no-op that returns the original id.  A structure given a ``codec``
+is a no-op that returns the original id.  Atomic propositions are names:
+a structure holds a fixed set of them, each state's label is a subset,
+and ``init`` marks the initial set.  A structure given a ``codec``
 stores each payload as the codec's ``bytes`` key and speaks payloads at
 its interface: ``add_state`` takes either form, ``payload`` decodes,
 ``state_of`` and ``has_state`` encode.  The transition relation is kept
@@ -16,12 +18,12 @@ edge order; an edge added after the first reverse read comes after them.
 On top of the lists sit the set-valued image/preimage operators, which
 is everything the CTL fixpoint routines need.  The module also hosts the
 deterministic worklist builder that full mode and the Sym(n) build of
-the quotient and counter modes call.  For a check of ``AG p`` or ``EF p`` with a
-propositional ``p`` it stores only the breadth-first discovery tree, one
-edge per state, while counting every edge for the stats: the initial set
-is a singleton, so every reachable state hangs in that one tree, and
-reachability and shortest paths from the initial state read the same on
-the tree as on the full structure.
+the quotient and counter modes call, from one initial state.  For a
+check of ``AG p`` or ``EF p`` with a propositional ``p`` it stores only
+the breadth-first discovery tree, one edge per state, while counting
+every edge for the stats: every reachable state hangs in the one tree
+rooted at the initial state, and reachability and shortest paths from
+it read the same on the tree as on the full structure.
 
 Structures are built single-writer and are safe for concurrent read-only
 use afterwards: the reverse lists are built into a local and published
@@ -35,34 +37,13 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from .errors import DeadlockError, ResourceLimitError
+from .errors import ResourceLimitError
 from .value import Value
 
 STUTTER_ACTION = "stutter"
 DEFAULT_STATE_BOUND = 10**6
 
-_AP_KINDS = ("shared-literal", "count-threshold", "designated-label")
-
-
-class AtomicProp(Value):
-    """A named boolean observation on states.
-
-    ``kind`` is one of ``shared-literal``, ``count-threshold`` or
-    ``designated-label``.  Count thresholds carry their (pc value, k)
-    pair in ``detail``, shared literals the (variable, value) pair.
-    """
-
-    __slots__ = ("name", "kind", "detail")
-
-    def __init__(self, name, kind, detail=()):
-        if kind not in _AP_KINDS:
-            raise ValueError(f"unknown atomic proposition kind: {kind!r}")
-        if kind == "count-threshold" and (len(detail) != 2 or int(detail[1]) < 1):
-            raise ValueError("count-threshold props carry (pc value, k >= 1)")
-        Value.__init__(self, name, kind, detail)
-
-
-INIT_PROP = AtomicProp("init", "designated-label")
+INIT_PROP = "init"
 
 
 class Path(Value):
@@ -108,9 +89,7 @@ class KripkeStructure:
 
     def __init__(self, props=(), codec=None):
         self._codec = codec
-        self._props = {}
-        for p in props:
-            self.add_prop(p)
+        self._props = frozenset(props)
         self._payloads = []
         self._index = {}
         self._labels = []
@@ -121,16 +100,9 @@ class KripkeStructure:
 
     # -- atomic propositions ------------------------------------------------
 
-    def add_prop(self, prop):
-        if prop.name in self._props and self._props[prop.name] != prop:
-            raise ValueError(f"conflicting redefinition of prop {prop.name!r}")
-        self._props[prop.name] = prop
-
     def props(self):
-        return dict(self._props)
-
-    def has_prop(self, name):
-        return name in self._props
+        """The names of the atomic propositions, a frozenset."""
+        return self._props
 
     # -- states --------------------------------------------------------------
 
@@ -142,9 +114,8 @@ class KripkeStructure:
         this structure is built from.
         """
         labels = frozenset(labels)
-        for name in labels:
-            if name not in self._props:
-                raise ValueError(f"label {name!r} is not in the AP set")
+        if not labels <= self._props:
+            raise ValueError(f"label {min(labels - self._props)!r} is not in the AP set")
         if self._codec is not None and not isinstance(payload, bytes):
             payload = self._codec.encode(payload)
         sid = self._index.get(payload)
@@ -300,22 +271,13 @@ class KripkeStructure:
     def is_total(self):
         return not self.deadlocked_states()
 
-    def totalize(self, policy="self-loop"):
-        """Make the transition relation total; returns (self, deadlock ids).
-
-        The self-loop policy adds one stutter loop per deadlocked state;
-        the reject policy raises if any deadlock exists.
-        """
+    def totalize(self):
+        """Make the transition relation total by one stutter loop per
+        deadlocked state; returns (self, deadlock ids)."""
         dead = self.deadlocked_states()
-        if policy == "self-loop":
-            for sid in dead:
-                self.add_edge(sid, STUTTER_ACTION, sid)
-            return self, dead
-        if policy == "reject":
-            if dead:
-                raise DeadlockError(dead)
-            return self, []
-        raise ValueError(f"unknown totalization policy {policy!r}")
+        for sid in dead:
+            self.add_edge(sid, STUTTER_ACTION, sid)
+        return self, dead
 
     # -- export --------------------------------------------------------------
 
@@ -350,7 +312,7 @@ class BuildStats(Value, frozen=False):
 
 def breadth_first_build(
     props,
-    initial_payloads,
+    initial,
     expand,
     labeler,
     *,
@@ -359,7 +321,8 @@ def breadth_first_build(
     stop_at_bad=False,
     tree=False,
 ):
-    """Worklist construction of a structure, breadth first and deterministic.
+    """Worklist construction of a structure from the one payload
+    ``initial``, breadth first and deterministic.
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
     deterministic order; insertion order then fixes state numbering, so
@@ -368,29 +331,26 @@ def breadth_first_build(
     inserted; with ``stop_at_bad`` the loop halts at the first such state,
     leaving a partial structure.
 
-    Initial payloads get the designated ``init`` label on top of whatever
-    ``labeler`` assigns, keeping labels a pure function of the payload
-    even when exploration cycles back to an initial state.  With a
-    ``codec`` the payloads handed in and out are its keys, and the
+    The structure's propositions are ``props`` and ``init``.  The initial
+    state is the first one inserted, state 0, and it alone gets the
+    ``init`` label on top of whatever ``labeler`` assigns, keeping labels a
+    pure function of the payload even when exploration cycles back to it.
+    With a ``codec`` the payloads handed in and out are its keys, and the
     structure stores them as they are (see ``KripkeStructure``).
 
     With ``tree`` the structure keeps only the edge that discovered each
     state, still through ``add_edge``, while ``stats.edges`` counts each
     expansion's distinct (action, target) pairs, so the stats, partial
-    ones included, are those of the full build.  A tree build takes one
-    initial payload and no ``stop_at_bad``; ``ctl.decided_by_tree`` says
-    which checks read the same result off it.
+    ones included, are those of the full build.  A tree build takes no
+    ``stop_at_bad``; ``ctl.decided_by_tree`` says which checks read the
+    same result off it.
     """
     if state_bound < 1:
         raise ValueError("state_bound must be >= 1")
+    if tree and stop_at_bad:
+        raise ValueError("a tree build takes no stop_at_bad")
     started = time.perf_counter()
-    initial_payloads = list(initial_payloads)
-    initial_set = set(initial_payloads)
-    if tree and (len(initial_set) != 1 or stop_at_bad):
-        raise ValueError("a tree build needs one initial payload and no stop_at_bad")
-    structure = KripkeStructure(props, codec)
-    if initial_set and not structure.has_prop(INIT_PROP.name):
-        structure.add_prop(INIT_PROP)
+    structure = KripkeStructure({*props, INIT_PROP}, codec)
     stats = BuildStats()
     queue = deque()
     index = structure._index
@@ -409,9 +369,9 @@ def breadth_first_build(
                 partial_stats=stats,
             )
         labels = frozenset(labeler(payload))
-        initial = payload in initial_set
+        initial = not payloads
         if initial:
-            labels |= {INIT_PROP.name}
+            labels |= {INIT_PROP}
         labels = label_sets.setdefault(labels, labels)
         sid = structure.add_state(payload, labels, initial=initial)
         queue.append(sid)
@@ -419,12 +379,8 @@ def breadth_first_build(
             stats.bad_reached = True
         return sid
 
-    for payload in initial_payloads:
-        if payload not in index:
-            insert(payload)
-            if stop_at_bad and stats.bad_reached:
-                break
-    stats.frontier_peak = len(queue)
+    insert(initial)
+    stats.frontier_peak = 1
 
     add_edge = structure.add_edge
     counted = 0  # with ``tree``: the edges of the states expanded so far

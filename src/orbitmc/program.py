@@ -38,7 +38,7 @@ from itertools import product
 from struct import Struct, error as StructError
 
 from .errors import UnsupportedModelError
-from .kripke import AtomicProp, DEFAULT_STATE_BOUND, breadth_first_build
+from .kripke import DEFAULT_STATE_BOUND, INIT_PROP, breadth_first_build
 from .value import Value, _keep
 
 BOOL = "bool"
@@ -350,10 +350,6 @@ class CountAtLeast(Guard, Value):
         return occ[self.pc] >= self.k
 
 
-# ``LSharedEq`` and ``LPidIsNone`` name the same atoms for callers importing the label names
-LSharedEq, LPidIsNone = SharedEq, PidEqNone
-
-
 # --------------------------------------------------------------------------
 # Updates.
 # --------------------------------------------------------------------------
@@ -611,11 +607,6 @@ def _action_row(name, commands):
     return tuple(f"{name}/{j}" for j in range(commands))
 
 
-def initial_states(program):
-    """The initial set; a singleton because all processes start identical."""
-    return frozenset({program.initial_state()})
-
-
 def successors(program, state):
     """All (action, state) pairs one interleaved step away, processes in
     index order and commands in declaration order; the action is
@@ -699,27 +690,10 @@ def labeling(program, state, codec=None):
     return frozenset(out)
 
 
-_DESIGNATED_NAMES = ("init", "bad", "good")
-
-
 def atomic_props(program):
-    """The AP set a structure built from this program carries."""
-    props = [AtomicProp("init", "designated-label")]
-    for name, expr in program.label_defs:
-        if name in _DESIGNATED_NAMES:
-            kind = "designated-label"
-            detail = ()
-        elif isinstance(expr, CountAtLeast):
-            kind = "count-threshold"
-            detail = (program.pc_names[expr.pc], expr.k)
-        elif isinstance(expr, SharedEq):
-            kind = "shared-literal"
-            detail = (program.shared_names[expr.slot], expr.value)
-        else:
-            kind = "designated-label"
-            detail = ()
-        props.append(AtomicProp(name, kind, detail))
-    return tuple(props)
+    """The proposition names a structure built from this program carries:
+    ``init``, then the label names in declaration order."""
+    return (INIT_PROP, *(name for name, _ in program.label_defs))
 
 
 # --------------------------------------------------------------------------
@@ -764,7 +738,7 @@ def _build_full(program, state_bound, stop_at_bad=False, tree=False):
     codec = program.table.codec
     return breadth_first_build(
         atomic_props(program),
-        sorted(map(codec.encode, initial_states(program))),
+        codec.encode(program.initial_state()),
         lambda key: successors(program, key),
         lambda key: labeling(program, key),
         codec=codec,
@@ -777,8 +751,8 @@ def _build_full(program, state_bound, stop_at_bad=False, tree=False):
 def build_full_structure(program, state_bound=DEFAULT_STATE_BOUND):
     """BFS the full state graph into a Kripke structure.
 
-    State ids follow BFS discovery order; initial states carry the
-    designated ``init`` label.  Exceeding ``state_bound`` raises a
+    State ids follow BFS discovery order; the initial state, id 0, carries
+    the ``init`` label.  Exceeding ``state_bound`` raises a
     resource error that reports the frontier size.
     """
     structure, _ = _build_full(program, state_bound)

@@ -103,7 +103,7 @@ def _build_quotient(
 
     return breadth_first_build(
         atomic_props(program),
-        [codec.encode(rep_min(group, program.initial_state(), witness=False)[0])],
+        codec.encode(rep_min(group, program.initial_state(), witness=False)[0]),
         expand,
         labeler,
         codec=view or codec,

@@ -18,8 +18,6 @@ from orbitmc.program import (
     GNot,
     GOr,
     GTrue,
-    LPidIsNone,
-    LSharedEq,
     LocalEq,
     PidEqNone,
     PidEqSelf,
@@ -167,9 +165,9 @@ def label_by_definition(expr, state):
         return _OR[label_by_definition(expr.left, state), label_by_definition(expr.right, state)]
     if kind is CountAtLeast:
         return sum(1 for rec in state.locals if rec[0] == expr.pc) >= expr.k
-    if kind is LSharedEq:
+    if kind is SharedEq:
         return state.shared[expr.slot] == expr.value
-    if kind is LPidIsNone:
+    if kind is PidEqNone:
         return state.shared[expr.slot] == len(state.locals)
     raise TypeError(f"no definition for label {expr!r}")
 

@@ -130,8 +130,8 @@ def test_criterion_5_bisimulation():
             program = builtin_example(name, n)
             full = build_full_structure(program)
             quotient = build_quotient(program)
-            full.totalize("self-loop")
-            quotient.structure.totalize("self-loop")
+            full.totalize()
+            quotient.structure.totalize()
             assert check_bisimulation(full, quotient), (name, n)
 
 
@@ -184,14 +184,14 @@ def test_criterion_6_verdict_agreement():
             program = labeled_builtin(name, n)
             structures = {}
             full = build_full_structure(program)
-            full.totalize("self-loop")
+            full.totalize()
             structures["full"] = full
             quotient = build_quotient(program)
-            quotient.structure.totalize("self-loop")
+            quotient.structure.totalize()
             structures["quotient"] = quotient.structure
             if not program.pid_slots:
                 counter = build_counter_structure(program)
-                counter.totalize("self-loop")
+                counter.totalize()
                 structures["counter"] = counter
             atoms = [label for label, _ in program.label_defs]
             pool = formula_pool(rng, atoms)
@@ -215,7 +215,7 @@ def test_criterion_7_counterexamples():
     for n in (2, 3, 4):
         program = builtin_example("broken-mutex", n)
         quotient = build_quotient(program)
-        quotient.structure.totalize("self-loop")
+        quotient.structure.totalize()
         result = check(quotient.structure, parse_ctl("AG !bad"))
         assert not result.holds
         lifted = lift_counterexample(program, result.counterexample)

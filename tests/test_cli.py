@@ -235,6 +235,21 @@ def test_check_model_file_with_custom_labels(tmp_path):
     assert report["counterexample"]["states"][-1].startswith("on=1")
 
 
+@pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
+def test_stop_at_bad_on_a_bad_initial_state(tmp_path, mode):
+    # the build stops at its first state, before expanding anything
+    model = tmp_path / "bad_init.gcl"
+    model.write_text(
+        "processes 3; pc {T, C}; init pc=T; T -> C : true / ; C -> T : true / ;\n"
+        "label bad := count(pc=T) >= 1;\n"
+    )
+    code, report = invoke_json("reach", "--model", str(model), "--mode", mode, "--stop-at-bad", "--json")
+    stats = report["stats"]
+    assert code == 1
+    assert (stats["states_reached"], stats["edges"], stats["frontier_peak"]) == (1, 0, 1)
+    assert stats["bad_reached"]
+
+
 def test_malformed_model_file_reports_position(tmp_path):
     model = tmp_path / "broken.gcl"
     model.write_text("processes 2;\npc {A};\ninit pc=A;\nA -> Z : true / ;\n")

@@ -26,7 +26,7 @@ from orbitmc import (
     successors,
 )
 from orbitmc.cli import build_config, run
-from orbitmc.program import LSharedEq, StateCodec
+from orbitmc.program import SharedEq, StateCodec
 
 from test_differential import random_pid_program, random_program
 
@@ -137,7 +137,7 @@ def test_a_label_reading_a_pid_value_is_still_checked_per_orbit():
     # only a harness can build this label: the parser lets labels test a
     # pid-typed variable against none alone
     base = builtin_example("allocator", 3)
-    program = base._replace(label_defs=base.label_defs + (("granted_to_0", LSharedEq(0, 0)),))
+    program = base._replace(label_defs=base.label_defs + (("granted_to_0", SharedEq(0, 0)),))
     assert program.table.labels_need_orbit_check
     with pytest.raises(LabelSymmetryError):
         build_quotient(program)

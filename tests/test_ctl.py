@@ -3,7 +3,6 @@ import random
 import pytest
 
 from orbitmc import (
-    AtomicProp,
     KripkeStructure,
     ParseError,
     build_full_structure,
@@ -78,7 +77,7 @@ def test_nested_until_forms():
 
 def test_init_is_a_checkable_atom():
     structure = build_full_structure(builtin_example("mutex", 2))
-    structure.totalize("self-loop")
+    structure.totalize()
     assert sat_set(structure, Atom("init")) == frozenset(structure.init)
     assert check(structure, parse_ctl("EF init")).holds
 
@@ -93,7 +92,7 @@ def test_parse_errors(text):
 
 
 def two_cycle_with_bad():
-    k = KripkeStructure([AtomicProp("bad", "designated-label")])
+    k = KripkeStructure(["bad"])
     s = k.add_state("s", initial=True)
     t = k.add_state("t", {"bad"})
     k.add_edge(s, "a", t)
@@ -133,7 +132,7 @@ def test_unknown_atom_rejected():
 
 def random_structure(rng, size):
     k = KripkeStructure(
-        [AtomicProp("p", "designated-label"), AtomicProp("q", "designated-label")]
+        ["p", "q"]
     )
     for sid in range(size):
         labels = set()
@@ -146,7 +145,7 @@ def random_structure(rng, size):
         for dst in range(size):
             if rng.random() < 2.0 / size:
                 k.add_edge(src, f"{src}->{dst}", dst)
-    k.totalize("self-loop")
+    k.totalize()
     return k
 
 
@@ -261,7 +260,7 @@ def test_eg_matches_cycle_oracle():
 
 def totalized_full(name, n):
     structure = build_full_structure(builtin_example(name, n))
-    structure.totalize("self-loop")
+    structure.totalize()
     return structure
 
 
@@ -283,15 +282,16 @@ def test_check_on_quotient_agrees_with_full():
         for n in (2, 3):
             full = totalized_full(name, n)
             quotient = build_quotient(builtin_example(name, n))
-            quotient.structure.totalize("self-loop")
+            quotient.structure.totalize()
             formula = parse_ctl("AG !bad")
             assert check(full, formula).holds == check(quotient.structure, formula).holds
 
 
 def test_empty_init_holds_vacuously():
     k, _, _ = two_cycle_with_bad()
-    assert check(k, parse_ctl("AG bad"), init=set()).holds
-    assert check(k, parse_ctl("false"), init=set()).holds
+    k.init.clear()
+    assert check(k, parse_ctl("AG bad")).holds
+    assert check(k, parse_ctl("false")).holds
 
 
 def test_counterexample_is_shortest():
@@ -355,7 +355,7 @@ def test_no_counterexample_for_other_shapes():
 def quotient_counterexample(name, n):
     program = builtin_example(name, n)
     quotient = build_quotient(program)
-    quotient.structure.totalize("self-loop")
+    quotient.structure.totalize()
     result = check(quotient.structure, parse_ctl("AG !bad"))
     assert not result.holds
     return program, result.counterexample
@@ -439,7 +439,7 @@ def count_reads(structure):
 def chain(n, gap):
     """States 0..n-1 in a line, the last one looping; p everywhere but ``gap``, q at the end."""
     k = KripkeStructure(
-        [AtomicProp("p", "designated-label"), AtomicProp("q", "designated-label")]
+        ["p", "q"]
     )
     for sid in range(n):
         labels = set() if sid == gap else {"p"}
@@ -448,7 +448,7 @@ def chain(n, gap):
         k.add_state(sid, labels, initial=(sid == 0))
     for sid in range(n - 1):
         k.add_edge(sid, "step", sid + 1)
-    k.totalize("self-loop")
+    k.totalize()
     return k
 
 
@@ -494,7 +494,7 @@ def test_eg_and_eu_reads_are_linear_on_random_structures():
 
 def test_eg_counts_parallel_edges_per_edge():
     # a reaches b by two actions and also loops on itself; b leaves p for good
-    k = KripkeStructure([AtomicProp("p", "designated-label")])
+    k = KripkeStructure(["p"])
     a = k.add_state("a", {"p"})
     b = k.add_state("b", {"p"})
     c = k.add_state("c")
@@ -502,7 +502,7 @@ def test_eg_counts_parallel_edges_per_edge():
     k.add_edge(a, "y", b)
     k.add_edge(a, "w", a)
     k.add_edge(b, "z", c)
-    k.totalize("self-loop")
+    k.totalize()
     assert sat_set(k, parse_ctl("EG p")) == {a}
     assert sat_set(k, parse_ctl("AF !p")) == {b, c}
 

@@ -46,8 +46,7 @@ from orbitmc.program import (
     GTrue,
     GuardedCommand,
     LocalEq,
-    LPidIsNone,
-    LSharedEq,
+    PidEqNone,
     Program,
     SharedEq,
     Update,
@@ -128,7 +127,7 @@ def random_program(rng, n):
         )
     label_defs = [("bad", CountAtLeast(rng.randrange(num_pcs), rng.randint(1, n)))]
     if num_shared:
-        label_defs.append(("good", LSharedEq(rng.randrange(num_shared), rng.randint(0, 1))))
+        label_defs.append(("good", SharedEq(rng.randrange(num_shared), rng.randint(0, 1))))
     return Program(
         n=n,
         shared_names=tuple(f"s{k}" for k in range(num_shared)),
@@ -173,9 +172,9 @@ def test_three_representations_agree_on_random_programs(seed):
 
     assert_counter_is_quotient(counter, quotient)
 
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
-    counter.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
+    counter.totalize()
     assert check_bisimulation(full, quotient), (seed, program)
 
     for text in FORMULAS:
@@ -219,7 +218,7 @@ def test_random_ctl_formulas_agree_across_modes(seed):
     quotient = build_quotient(program, state_bound=50_000).structure
     counter = build_counter_structure(program, state_bound=50_000)
     for structure in (full, quotient, counter):
-        structure.totalize("self-loop")
+        structure.totalize()
     full_reps = {sid: rep_sort(full.payload(sid)) for sid in full.states()}
     counter_reps = {cid: from_counter(counter.payload(cid)) for cid in counter.states()}
 
@@ -262,8 +261,8 @@ def test_pid_program_counterexample_lifts_through_orbit_minimum():
     quotient = build_quotient(program)
     full = build_full_structure(program)
     assert quotient.total_covered() == full.num_states == 53
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient)
 
     result = check(quotient.structure, parse_ctl("AG !bad"))
@@ -297,8 +296,8 @@ def test_quotient_under_cyclic_subgroup():
         payload = quotient.structure.payload(sid)
         assert len(orbit(cyclic, payload)) == quotient.orbit_sizes[sid]
 
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient)
 
     formula = parse_ctl("AG !bad")
@@ -414,8 +413,8 @@ def test_fired_subset_on_random_pid_programs(seed):
 
     full = build_full_structure(program, state_bound=50_000)
     assert quotient.total_covered() == full.num_states
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient), seed
     for text in FORMULAS:
         formula = parse_ctl(text)
@@ -429,8 +428,8 @@ def test_fired_subset_quotient_is_bisimilar_at_five_processes(name, n):
     program = builtin_example(name, n)
     quotient = assert_fired_subset_gives_every_canonical_successor(program)
     full = build_full_structure(program)
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient)
 
 
@@ -442,8 +441,8 @@ def test_generated_subgroup_still_fires_every_process(seed):
     cyclic = generated_group([rotation(program.n)])
     quotient = assert_fired_subset_gives_every_canonical_successor(program, cyclic)
     full = build_full_structure(program, state_bound=50_000)
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient), seed
 
 
@@ -490,8 +489,8 @@ def test_random_subgroup_quotients_are_bisimilar_to_full(seed):
         rep = quotient.structure.payload(sid)
         assert quotient.orbit_sizes[sid] == len(orbit(group, rep))
         assert rep_min(group, rep, witness=False)[0] == rep
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     assert check_bisimulation(full, quotient), seed
 
 
@@ -517,8 +516,8 @@ def test_random_ctl_formulas_agree_on_random_pid_programs(seed):
     program = random_pid_program(rng, rng.randint(2, 3))
     full = build_full_structure(program, state_bound=50_000)
     quotient = build_quotient(program, state_bound=50_000).structure
-    full.totalize("self-loop")
-    quotient.totalize("self-loop")
+    full.totalize()
+    quotient.totalize()
     group = full_symmetric(program.n)
     full_reps = {sid: rep_min(group, full.payload(sid))[0] for sid in full.states()}
 
@@ -560,12 +559,12 @@ def random_labels(rng, program):
     bools = [k for k, kind in enumerate(program.shared_kinds) if kind == "bool"]
     pids = [k for k, kind in enumerate(program.shared_kinds) if kind == "pid"]
     if bools:
-        leaves.append(lambda: LSharedEq(rng.choice(bools), rng.randint(0, 1)))
+        leaves.append(lambda: SharedEq(rng.choice(bools), rng.randint(0, 1)))
     if pids:
-        leaves.append(lambda: LPidIsNone(rng.choice(pids)))
+        leaves.append(lambda: PidEqNone(rng.choice(pids)))
     wanted = {GTrue, GFalse, GNot, GAnd, GOr, CountAtLeast}
-    wanted |= {LSharedEq} if bools else set()
-    wanted |= {LPidIsNone} if pids else set()
+    wanted |= {SharedEq} if bools else set()
+    wanted |= {PidEqNone} if pids else set()
     while True:
         labels = [random_label(rng, leaves, 3) for _ in range(4)]
         if set().union(*map(node_types, labels)) == wanted:
@@ -594,7 +593,7 @@ def test_random_labels_match_definition_and_agree_across_modes(seed, pid_typed):
     if not pid_typed:
         structures.append(build_counter_structure(program, state_bound=50_000))
     for structure in structures:
-        structure.totalize("self-loop")
+        structure.totalize()
     for name, _ in labels:
         for text in (f"AG !{name}", f"EF {name}"):
             formula = parse_ctl(text)

@@ -4,8 +4,10 @@ import pytest
 
 import orbitmc.kripke
 from orbitmc import (
+    MODES,
     ResourceLimitError,
     UnsupportedModelError,
+    atomic_props,
     builtin_example,
     compare_modes,
     labeling,
@@ -15,6 +17,7 @@ from orbitmc import (
     reach,
 )
 from orbitmc import build_quotient, check
+from orbitmc.explore import explore
 
 from oracles import mutex_count_closed_form
 
@@ -105,7 +108,7 @@ def test_stop_at_bad_is_backed_by_a_replayable_path():
     _, stats = reach(program, "quotient", stop_at_bad=True)
     assert stats.bad_reached
     quotient = build_quotient(program)
-    quotient.structure.totalize("self-loop")
+    quotient.structure.totalize()
     result = check(quotient.structure, parse_ctl("AG !bad"))
     lifted = lift_counterexample(program, result.counterexample)
     assert "bad" in labeling(program, lifted.states[-1])
@@ -193,3 +196,21 @@ def test_orbit_accounting_through_compare():
         quotient = build_quotient(program)
         full_states = reach(program, "full")[1].states_reached
         assert quotient.total_covered() == full_states
+
+
+@pytest.mark.parametrize("name", ["mutex", "broken-mutex", "allocator"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_one_initial_state_in_every_mode(name, n):
+    program = builtin_example(name, n)
+    for mode in MODES:
+        try:
+            structure, _ = explore(program, mode)
+        except UnsupportedModelError:  # counter mode refuses pid-typed programs
+            assert (mode, name) == ("counter", "allocator")
+            continue
+        assert structure.init == {0}
+        # the initial state alone carries init, also where the structure cycles back to it
+        assert [sid for sid in structure.states() if "init" in structure.label_of(sid)] == [0]
+        if name == "mutex":
+            assert structure.in_degree(0) > 0
+        assert structure.props() == frozenset(atomic_props(program))

@@ -6,7 +6,6 @@ from orbitmc import (
     ResourceLimitError,
     build_full_structure,
     builtin_example,
-    initial_states,
     labeling,
     parse_program,
     successors,
@@ -161,13 +160,13 @@ def test_parse_error_position():
 
 def test_initial_states_mutex3():
     program = builtin_example("mutex", 3)
-    assert initial_states(program) == {state(0, 0, 0)}
+    assert program.initial_state() == state(0, 0, 0)
 
 
 def test_initial_states_singleton_and_sorted():
     for name, n in [("mutex", 1), ("mutex", 4), ("allocator", 3)]:
         program = builtin_example(name, n)
-        (init,) = initial_states(program)
+        init = program.initial_state()
         assert init.locals == tuple(sorted(init.locals))
 
 

@@ -20,7 +20,7 @@ from orbitmc import BUILTIN_NAMES, ResourceLimitError, builtin_example, check, p
 from orbitmc.cli import build_config, run
 from orbitmc.ctl import decided_by_tree
 from orbitmc.explore import MODES, explore
-from orbitmc.kripke import STUTTER_ACTION, breadth_first_build
+from orbitmc.kripke import STUTTER_ACTION
 from orbitmc.parser import parse_program
 
 from test_differential import random_pid_program, random_program
@@ -68,7 +68,7 @@ def counts(stats):
 def checked(program, mode, formula, tree):
     structure, stats = explore(program, mode, _tree=tree)
     stored = structure.num_edges
-    structure.totalize("self-loop")
+    structure.totalize()
     result = check(structure, formula)
     return result.holds, result.counterexample, counts(stats), stored
 
@@ -224,8 +224,6 @@ def test_tree_build_needs_one_initial_payload_and_no_stop_at_bad():
     program = builtin_example("mutex", 2)
     with pytest.raises(ValueError):
         explore(program, "full", stop_at_bad=True, _tree=True)
-    with pytest.raises(ValueError):
-        breadth_first_build((), [1, 2], lambda p: [], lambda p: (), tree=True)
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,19 +3,16 @@ import random
 import pytest
 
 from orbitmc import (
-    AtomicProp,
-    DeadlockError,
     KripkeStructure,
     ResourceLimitError,
     build_full_structure,
     builtin_example,
-    initial_states,
     parse_program,
     successors,
 )
 from orbitmc.kripke import breadth_first_build
 
-BAD = AtomicProp("bad", "designated-label")
+BAD = "bad"
 
 
 def two_cycle():
@@ -115,7 +112,7 @@ def test_image_monotone_and_distributes_over_union():
 def test_degrees_on_self_loop():
     k = KripkeStructure()
     s = k.add_state("s")
-    k.totalize("self-loop")
+    k.totalize()
     assert k.out_degree(s) == 1
     assert k.in_degree(s) == 1
 
@@ -143,7 +140,7 @@ def test_degree_unknown_state():
 def test_totalize_noop_without_deadlocks():
     k, _, _ = two_cycle()
     edges_before = set(k.edges())
-    _, dead = k.totalize("self-loop")
+    _, dead = k.totalize()
     assert dead == []
     assert set(k.edges()) == edges_before
 
@@ -151,7 +148,7 @@ def test_totalize_noop_without_deadlocks():
 def test_totalize_single_state():
     k = KripkeStructure()
     s = k.add_state("s")
-    _, dead = k.totalize("self-loop")
+    _, dead = k.totalize()
     assert dead == [s]
     assert k.has_edge(s, "stutter", s)
     assert k.is_total()
@@ -164,23 +161,15 @@ def test_totalize_matches_independent_deadlock_scan():
     expected = sum(
         1 for sid in structure.states() if not successors(program, structure.payload(sid))
     )
-    _, dead = structure.totalize("self-loop")
+    _, dead = structure.totalize()
     assert len(dead) == expected == 1
     assert structure.is_total()
-
-
-def test_totalize_reject_policy():
-    k = KripkeStructure()
-    k.add_state("s")
-    with pytest.raises(DeadlockError) as err:
-        k.totalize("reject")
-    assert err.value.states == [0]
 
 
 def test_min_out_degree_after_totalize():
     program = builtin_example("mutex", 3)
     structure = build_full_structure(program)
-    structure.totalize("self-loop")
+    structure.totalize()
     assert all(structure.out_degree(s) >= 1 for s in structure.states())
 
 
@@ -227,7 +216,7 @@ def test_payload_keying_preserves_state_count():
     program = builtin_example("mutex", 2)
     structure = build_full_structure(program)
     count = structure.num_states
-    init = next(iter(initial_states(program)))
+    init = program.initial_state()
     structure.add_state(init, structure.label_of(structure.state_of(init)))
     assert structure.num_states == count
 
@@ -301,7 +290,7 @@ def test_build_labels_each_state_once_and_keeps_init():
     def expand(payload):
         return [("inc", (payload + 1) % 4), ("back", 0), ("back", 0)]
 
-    structure, stats = breadth_first_build([BAD], [0, 0], expand, labeler)
+    structure, stats = breadth_first_build([BAD], 0, expand, labeler)
     assert structure.num_states == stats.states_reached == 4
     assert sorted(labeled) == [0, 1, 2, 3]
     assert structure.init == {0}
@@ -317,12 +306,12 @@ def test_build_state_bound_and_stop_at_bad():
     def labeler(payload):
         return {"bad"} if payload == 2 else set()
 
-    structure, _ = breadth_first_build([BAD], [0], expand, labeler, state_bound=6)
+    structure, _ = breadth_first_build([BAD], 0, expand, labeler, state_bound=6)
     assert structure.num_states == 6
     with pytest.raises(ResourceLimitError) as err:
-        breadth_first_build([BAD], [0], expand, labeler, state_bound=5)
+        breadth_first_build([BAD], 0, expand, labeler, state_bound=5)
     assert err.value.partial_stats.states_reached == 5
-    structure, stats = breadth_first_build([BAD], [0], expand, labeler, stop_at_bad=True)
+    structure, stats = breadth_first_build([BAD], 0, expand, labeler, stop_at_bad=True)
     assert stats.bad_reached
     assert structure.num_states == 3
 
@@ -334,8 +323,8 @@ def test_build_reports_bad_without_stopping():
     def labeler(payload):
         return {"bad"} if payload == 2 else set()
 
-    structure, stats = breadth_first_build([BAD], [0], expand, labeler)
+    structure, stats = breadth_first_build([BAD], 0, expand, labeler)
     assert stats.bad_reached
     assert structure.num_states == stats.states_reached == 6
-    _, stats = breadth_first_build([BAD], [0], expand, lambda payload: set())
+    _, stats = breadth_first_build([BAD], 0, expand, lambda payload: set())
     assert not stats.bad_reached

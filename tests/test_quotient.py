@@ -201,8 +201,8 @@ def totalized_pair(name, n):
     program = builtin_example(name, n)
     full = build_full_structure(program)
     quotient = build_quotient(program)
-    full.totalize("self-loop")
-    quotient.structure.totalize("self-loop")
+    full.totalize()
+    quotient.structure.totalize()
     return full, quotient
 
 
@@ -222,7 +222,7 @@ def test_bisimulation_trivial_for_one_process():
 
 def copy_structure_without_pair(structure, src, dst):
     """Rebuild the structure with every src->dst edge removed."""
-    clone = KripkeStructure(structure.props().values())
+    clone = KripkeStructure(structure.props())
     for sid in structure.states():
         clone.add_state(
             structure.payload(sid), structure.label_of(sid), initial=sid in structure.init
@@ -252,9 +252,9 @@ def test_bisimulation_requires_totalized_structures():
     program = builtin_example("mutex", 2)
     full = build_full_structure(program)
     quotient = build_quotient(program)
-    quotient.structure.totalize("self-loop")
+    quotient.structure.totalize()
     # mutex has no deadlocks, so drop totalization by rebuilding an edgeless full
-    bare = KripkeStructure(full.props().values())
+    bare = KripkeStructure(full.props())
     bare.add_state(full.payload(0), full.label_of(0), initial=True)
     with pytest.raises(ValueError):
         check_bisimulation(bare, quotient)

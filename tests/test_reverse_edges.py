@@ -16,11 +16,11 @@ import weakref
 
 import pytest
 
-from orbitmc import AtomicProp, KripkeStructure, builtin_example, check, parse_ctl
+from orbitmc import KripkeStructure, builtin_example, check, parse_ctl
 from orbitmc.explore import explore
 from orbitmc.kripke import STUTTER_ACTION
 
-BAD = AtomicProp("bad", "designated-label")
+BAD = "bad"
 
 
 def reversed_edges(structure):

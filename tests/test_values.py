@@ -19,7 +19,7 @@ import orbitmc
 from orbitmc import cli, counter, ctl, explore, kripke, program, quotient, symmetry
 from orbitmc.counter import CounterState
 from orbitmc.ctl import Atom, CheckResult, EG, EU, EX, parse_ctl
-from orbitmc.kripke import AtomicProp, BuildStats, Path
+from orbitmc.kripke import BuildStats, Path
 from orbitmc.parser import builtin_example, builtin_source, parse_program
 from orbitmc.program import (
     AllOthersNotAt,
@@ -85,10 +85,6 @@ def test_reprs_of_records():
         (
             Path(("s", "t", "u"), ("a", "b"), lasso=1),
             "Path(states=('s', 't', 'u'), actions=('a', 'b'), lasso=1)",
-        ),
-        (
-            AtomicProp("bad", "count-threshold", ("crit", 2)),
-            "AtomicProp(name='bad', kind='count-threshold', detail=('crit', 2))",
         ),
         (BuildStats(), BUILD_STATS),
         (
@@ -186,7 +182,6 @@ def samples():
         (EU, ("left", "right"), True, EU(GTrue(), Atom("bad"))),
         (EG, ("inner",), True, EG(Atom("bad"))),
         (CheckResult, ("holds", "sat_states", "counterexample"), False, CheckResult(True, {0})),
-        (AtomicProp, ("name", "kind", "detail"), True, AtomicProp("init", "designated-label")),
         (Path, ("states", "actions", "lasso"), True, Path(("s", "t"), ("a",), 0)),
         (BuildStats, BUILD_STATS_FIELDS, False, BuildStats()),
         (CounterState, ("shared", "counts"), True, CounterState((), (((0,), 3),))),
@@ -207,7 +202,7 @@ def samples():
 
 def test_field_names_are_those_of_the_dataclasses():
     fields = {cls: names for cls, names, _, _ in samples()}
-    assert len(fields) == 31
+    assert len(fields) == 30
     for cls, names in fields.items():
         assert cls._fields == names, cls
 
@@ -268,8 +263,6 @@ def test_validation_still_raises():
         CounterState((), (((1,), 1), ((0,), 1)))
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation((0, 0, 1))
-    with pytest.raises(ValueError, match="unknown atomic proposition kind"):
-        AtomicProp("p", "nonsense")
     with pytest.raises(ValueError, match="at least one state"):
         Path((), ())
     with pytest.raises(ValueError, match="generator degree mismatch"):
