@@ -38,7 +38,6 @@ from .ctl import (
 from .errors import (
     CheckerError,
     InternalError,
-    LabelSymmetryError,
     ParseError,
     ResourceLimitError,
     UnsupportedModelError,
@@ -73,7 +72,6 @@ from .quotient import (
     QuotientStructure,
     build_quotient,
     check_bisimulation,
-    check_symmetric_labeling,
     orbit_size_sorted,
 )
 from .symmetry import (

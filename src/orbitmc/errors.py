@@ -38,10 +38,6 @@ class UnsupportedModelError(CheckerError):
     """
 
 
-class LabelSymmetryError(CheckerError):
-    """A state labeling turned out not to be permutation invariant."""
-
-
 class InternalError(CheckerError):
     """An internal invariant of the checker failed: a bug, not an input error.
 

@@ -239,17 +239,6 @@ class Guard:
         raise NotImplementedError
 
 
-class LabelExpr:
-    """A label node from outside the package: it implements ``eval(state)``
-    on a decoded ``GlobalState``.  A label definition holding one is
-    evaluated that way as a whole, so the node must be the definition's
-    root: package nodes derive from ``Guard`` alone, and the connectives
-    evaluate their operands as guards."""
-
-    def eval(self, state):
-        raise NotImplementedError
-
-
 class GTrue(Guard, Value):
     __slots__ = ()
 
@@ -432,12 +421,11 @@ def command_branches(program, cmd, shared, rec, i, branches):
 _LABEL_ATOMS = (CountAtLeast, SharedEq, PidEqNone)
 
 
-def _label_kind(program, expr):
-    """How a label definition is evaluated: ``"counts"`` when it is built
-    from the package's nodes, ``"asymmetric"`` when one of those tests a
-    pid-typed slot against a value (only a harness builds that), and
-    ``"state"`` when it holds a node from outside the package."""
-    nodes, atoms, foreign = [expr], [], False
+def _check_label(program, name, expr):
+    """Refuse a label definition that permuting processes could change: a
+    node other than the connectives and ``_LABEL_ATOMS``, or a ``SharedEq``
+    on a pid-typed slot.  The parser writes neither; a harness can."""
+    nodes = [expr]
     while nodes:
         node = nodes.pop()
         kind = type(node)
@@ -445,15 +433,13 @@ def _label_kind(program, expr):
             nodes.append(node.inner)
         elif kind in (GAnd, GOr):
             nodes += (node.left, node.right)
-        elif kind in _LABEL_ATOMS:
-            atoms.append(node)
-        elif kind not in (GTrue, GFalse):
-            foreign = True
-    if foreign:
-        return "state"
-    if any(type(a) is SharedEq and program.shared_kinds[a.slot] == PID for a in atoms):
-        return "asymmetric"
-    return "counts"
+        elif kind is SharedEq and program.shared_kinds[node.slot] == PID:
+            var = program.shared_names[node.slot]
+            raise ValueError(
+                f"label {name!r}: {var!r} is pid-typed; labels may only test it against none"
+            )
+        elif kind not in _LABEL_ATOMS and kind not in (GTrue, GFalse):
+            raise ValueError(f"label {name!r}: {kind.__name__} is no label atom or connective")
 
 
 # --------------------------------------------------------------------------
@@ -494,9 +480,10 @@ class CommandTable:
     guard)`` for the commands leaving ``pc`` in declaration order,
     ``effects`` memoizes ``command_branches`` (whose outcome depends only on
     ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``),
-    ``record_plan`` bundles those per record into ``plans``, and
-    ``count_labels`` and ``state_labels`` split the labels by how
-    ``labeling`` evaluates them."""
+    and ``record_plan`` bundles those per record into ``plans``.  Building
+    the table refuses, with a ``ValueError``, a label definition that
+    permuting processes could change (``_check_label``), so every mode may
+    take labels to be symmetric without checking a state."""
 
     def __init__(self, program):
         self.program = program
@@ -513,11 +500,8 @@ class CommandTable:
             tuple(product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)))
             for cmd in program.commands
         )
-        kinds = [(name, expr, _label_kind(program, expr)) for name, expr in program.label_defs]
-        self.count_labels = tuple((name, expr) for name, expr, kind in kinds if kind != "state")
-        self.state_labels = tuple((name, expr) for name, expr, kind in kinds if kind == "state")
-        # labels that permuting processes may change, checked per orbit by the quotient
-        self.labels_need_orbit_check = any(kind != "counts" for _, _, kind in kinds)
+        for name, expr in program.label_defs:
+            _check_label(program, name, expr)
         self._effects = {}
         # the firing plans of ``record_plan``, a dict per shared valuation
         self.plans = {}
@@ -672,10 +656,10 @@ def _key_successors(table, key):
 
 
 def labeling(program, state, codec=None):
-    """Evaluate every label definition on ``state``: a ``GlobalState``, or
-    a key of ``codec`` (by default the program's ``StateCodec``).  Package
-    label nodes read only the shared values and per-pc totals; a definition
-    holding a label class from outside the package gets the decoded state.
+    """The names of the label definitions that hold in ``state``: a
+    ``GlobalState``, or a key of ``codec`` (by default the program's
+    ``StateCodec``).  Every label reads only the shared values and per-pc
+    totals, as the program's ``CommandTable`` made sure when it was built.
     """
     table = program.table
     if isinstance(state, GlobalState):
@@ -683,11 +667,9 @@ def labeling(program, state, codec=None):
     codec = codec or table.codec
     shared, occ = codec.census(state)
     n = program.n
-    out = [name for name, expr in table.count_labels if expr.eval(shared, None, None, occ, n)]
-    if table.state_labels:
-        decoded = codec.decode(state)
-        out += [name for name, expr in table.state_labels if expr.eval(decoded)]
-    return frozenset(out)
+    return frozenset(
+        [name for name, expr in program.label_defs if expr.eval(shared, None, None, occ, n)]
+    )
 
 
 def atomic_props(program):

@@ -2,9 +2,11 @@
 
 The quotient is built on the fly: only representatives are ever expanded,
 and every successor is canonical before insertion.  That is sound
-because process permutations commute with the successor relation, which
-the frontend's guard restrictions guarantee and ``check_bisimulation``
-certifies at desk scale.
+because process permutations commute with the successor relation and
+leave every label as it is.  The frontend's guard restrictions guarantee
+the first, the program's ``CommandTable`` refuses any label that breaks
+the second when it is built, and ``check_bisimulation`` certifies both at
+desk scale, so no state's orbit is checked during a build.
 
 Under Sym(n) each state is its run-length key (``runs.RunCodec``), a
 representative by construction: the shared values, the pinned records
@@ -25,18 +27,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import InternalError, LabelSymmetryError, ResourceLimitError
+from .errors import InternalError, ResourceLimitError
 from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
 from .program import atomic_props, labeling, successors
 from .runs import run_successors
-from .symmetry import (
-    apply,
-    canonical_key_fn,
-    full_symmetric,
-    orbit,
-    pinned_processes,
-    rep_min,
-)
+from .symmetry import canonical_key_fn, full_symmetric, orbit, pinned_processes, rep_min
 from .value import Value
 
 BISIM_SIZE_CAP = 10**4
@@ -80,10 +75,10 @@ def _build_quotient(
     view=None, expand=None,
 ):
     """Explore the quotient under ``group``, by default Sym(n); (structure,
-    stats).  Labels that permutations may change are checked on each
-    decoded representative against its images under the generators.  Counter
-    mode is this build with its ``view`` of the keys as payloads and its
-    ``expand``, which names actions by record."""
+    stats).  Each representative is labeled by ``labeling`` on its stored
+    key, as every state of its orbit would be.  Counter mode is this build
+    with its ``view`` of the keys as payloads and its ``expand``, which
+    names actions by record."""
     if group is None:
         group = full_symmetric(program.n)
     codec, canon = canonical_key_fn(program, group)
@@ -93,19 +88,11 @@ def _build_quotient(
         else:
             expand = lambda key: [(action, canon(t)) for action, t in successors(program, key)]
 
-    check = program.table.labels_need_orbit_check
-
-    def labeler(key):
-        if check:
-            for rep, g, _, _ in check_symmetric_labeling(program, [codec.decode(key)], group)[:1]:
-                raise LabelSymmetryError(f"labels differ in one orbit: {rep} vs {apply(g, rep)}")
-        return labeling(program, key, codec)
-
     return breadth_first_build(
         atomic_props(program),
         codec.encode(rep_min(group, program.initial_state(), witness=False)[0]),
         expand,
-        labeler,
+        lambda key: labeling(program, key, codec),
         codec=view or codec,
         state_bound=state_bound,
         stop_at_bad=stop_at_bad,
@@ -136,22 +123,6 @@ def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
         group = full_symmetric(program.n)
     structure, _ = _build_quotient(program, state_bound, group=group)
     return QuotientStructure(structure, _orbit_sizes(program, structure, group), program, group)
-
-
-def check_symmetric_labeling(program, sample, group=None):
-    """Violations of label invariance under the group generators, as
-    (state, permutation, labels, permuted labels) tuples; empty means the
-    labeling is symmetric on the sample."""
-    if group is None:
-        group = full_symmetric(program.n)
-    violations = []
-    for s in sorted(sample, key=lambda x: x.encode()):
-        base = labeling(program, s)
-        for g in group.generators:
-            permuted = labeling(program, apply(g, s))
-            if permuted != base:
-                violations.append((s, g, base, permuted))
-    return violations
 
 
 def check_bisimulation(full, quotient, size_cap=BISIM_SIZE_CAP):

@@ -2,13 +2,15 @@
 
 Everything here computes expected values by enumeration, closed forms or
 plain graph search over an already-built structure, never through the
-code paths under test.
+code paths under test.  The last section holds a harness piece instead:
+``asymmetric_mutex``, a program with a label that the package must
+refuse.
 """
 
 from collections import deque
 from itertools import permutations, product
 
-from orbitmc import GlobalState, Permutation, apply
+from orbitmc import GlobalState, Permutation, apply, builtin_example
 from orbitmc.program import (
     AllOthersNotAt,
     CountAtLeast,
@@ -263,3 +265,20 @@ def quotient_by_rep_min(program, state_bound=50_000):
         "actions": actions,
         "counter_edges": counter_edges,
     }
+
+
+# -- harness pieces -------------------------------------------------------------
+
+
+class FirstProcessAt:
+    """A label node only a harness can build, and no evaluator reads: process
+    0 sits at this pc value, which permuting processes changes."""
+
+    def __init__(self, pc):
+        self.pc = pc
+
+
+def asymmetric_mutex(n):
+    """The mutex builtin plus ``first_critical``, a ``FirstProcessAt`` label."""
+    base = builtin_example("mutex", n)
+    return base._replace(label_defs=base.label_defs + (("first_critical", FirstProcessAt(2)),))

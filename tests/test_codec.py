@@ -16,7 +16,6 @@ import pytest
 
 from orbitmc import (
     GlobalState,
-    LabelSymmetryError,
     build_counter_structure,
     build_full_structure,
     build_quotient,
@@ -26,8 +25,18 @@ from orbitmc import (
     successors,
 )
 from orbitmc.cli import build_config, run
-from orbitmc.program import SharedEq, StateCodec
+from orbitmc.program import (
+    CountAtLeast,
+    GAnd,
+    GFalse,
+    GNot,
+    GOr,
+    PidEqNone,
+    SharedEq,
+    StateCodec,
+)
 
+from oracles import FirstProcessAt
 from test_differential import random_pid_program, random_program
 
 
@@ -133,14 +142,34 @@ def test_keys_that_do_not_fit_raise_value_errors():
         )
 
 
-def test_a_label_reading_a_pid_value_is_still_checked_per_orbit():
-    # only a harness can build this label: the parser lets labels test a
-    # pid-typed variable against none alone
-    base = builtin_example("allocator", 3)
-    program = base._replace(label_defs=base.label_defs + (("granted_to_0", SharedEq(0, 0)),))
-    assert program.table.labels_need_orbit_check
-    with pytest.raises(LabelSymmetryError):
-        build_quotient(program)
+# labels only a harness builds: the parser tests a pid-typed variable
+# against none alone and writes no node from outside the package; the last,
+# ``count(pc=T) >= 0``, it cannot write either, but no permutation changes it
+LABEL_CASES = [
+    ("allocator", "granted_to_0", SharedEq(0, 0), True),
+    ("allocator", "not_granted_to_0", GNot(SharedEq(0, 0)), True),
+    ("allocator", "free_and_granted_to_0", GAnd(PidEqNone(0), SharedEq(0, 0)), True),
+    ("mutex", "first_critical", GOr(GFalse(), FirstProcessAt(2)), True),
+    ("mutex", "always", CountAtLeast(0, 0), False),
+]
+
+
+@pytest.mark.parametrize(
+    "model, name, label, refused", LABEL_CASES, ids=[case[1] for case in LABEL_CASES]
+)
+def test_labels_are_checked_once_when_the_table_is_built(model, name, label, refused):
+    base = builtin_example(model, 3)
+    builds = [lambda program: program.table, build_full_structure, build_quotient]
+    if not base.pid_slots:
+        builds.append(build_counter_structure)
+    for build in builds:
+        # a fresh program per build, so each build is the first to ask for the table
+        program = base._replace(label_defs=base.label_defs + ((name, label),))
+        if refused:
+            with pytest.raises(ValueError, match=f"label '{name}'"):
+                build(program)
+        else:
+            build(program)
 
 
 def run_cli(argv):

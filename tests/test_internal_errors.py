@@ -20,7 +20,7 @@ from orbitmc import (
 )
 from orbitmc.cli import EXIT_INTERNAL, build_config, run
 
-from test_quotient import asymmetric_mutex
+from oracles import asymmetric_mutex
 
 
 def break_orbit_sizes(monkeypatch):
@@ -61,8 +61,8 @@ def raise_from(target, exc):
 
 
 def label_process_zero(monkeypatch):
-    # mutex with a label that permuting processes changes: the quotient
-    # build raises LabelSymmetryError
+    # mutex with a label that permuting processes changes: building the
+    # program's table raises ValueError, in every mode
     monkeypatch.setattr("orbitmc.cli.builtin_example", lambda name, n: asymmetric_mutex(n))
 
 
@@ -108,6 +108,7 @@ def test_lift_without_a_matching_concrete_successor():
          raise_from("orbitmc.program.labeling", TypeError("no label protocol"))),
         (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
          label_process_zero),
+        (["check", "--builtin", "mutex:3", "--prop", "AG !first_critical"], label_process_zero),
     ],
 )
 def test_cli_reports_internal_errors_with_exit_4(monkeypatch, argv, breaker):

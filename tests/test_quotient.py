@@ -5,23 +5,19 @@ import pytest
 from orbitmc import (
     GlobalState,
     KripkeStructure,
-    LabelSymmetryError,
     ResourceLimitError,
     build_counter_structure,
     build_full_structure,
     build_quotient,
     builtin_example,
     check_bisimulation,
-    check_symmetric_labeling,
     full_symmetric,
-    labeling,
     orbit,
     orbit_size_sorted,
     parse_program,
 )
-from orbitmc.program import LabelExpr, Program
 
-from oracles import mutex_count_closed_form
+from oracles import asymmetric_mutex, mutex_count_closed_form
 from test_differential import assert_counter_is_quotient
 
 
@@ -135,70 +131,28 @@ def test_quotient_respects_bound():
 # -- label symmetry ------------------------------------------------------------
 
 
-def reachable_payloads(program):
-    structure = build_full_structure(program)
-    return [structure.payload(sid) for sid in structure.states()]
-
-
-def test_check_symmetric_labeling_clean_on_mutex():
-    program = builtin_example("mutex", 3)
-    assert check_symmetric_labeling(program, reachable_payloads(program)) == []
-
-
-def test_count_threshold_labels_always_symmetric():
-    program = parse_program(
-        "processes 3; pc {A,B}; init pc=A; A -> B : true / ; B -> A : true / ;"
-        " label most := count(pc=B) >= 2; label some := count(pc=A) >= 1;"
-    )
-    assert check_symmetric_labeling(program, reachable_payloads(program)) == []
-
-
-class _FirstProcessAt(LabelExpr):
-    """Asymmetric label only a harness can build: pc of process 0."""
-
-    def __init__(self, pc):
-        self.pc = pc
-
-    def eval(self, state):
-        return state.locals[0][0] == self.pc
-
-
-def asymmetric_mutex(n):
-    base = builtin_example("mutex", n)
-    return Program(
-        n=base.n,
-        shared_names=base.shared_names,
-        shared_kinds=base.shared_kinds,
-        pc_names=base.pc_names,
-        local_names=base.local_names,
-        commands=base.commands,
-        label_defs=base.label_defs + (("first_critical", _FirstProcessAt(2)),),
-        init_shared=base.init_shared,
-        init_pc=base.init_pc,
-        init_locals=base.init_locals,
-    )
-
-
-def test_injected_asymmetric_label_is_reported():
-    program = asymmetric_mutex(3)
-    violations = check_symmetric_labeling(program, reachable_payloads(program))
-    assert violations
-    state, perm, before, after = violations[0]
-    assert before != after
-
-
 def test_quotient_build_detects_asymmetric_labels():
-    with pytest.raises(LabelSymmetryError):
-        build_quotient(asymmetric_mutex(3))
-    with pytest.raises(LabelSymmetryError):
-        build_counter_structure(asymmetric_mutex(3))
+    # building the program's table refuses the label, in every mode
+    for build in (build_full_structure, build_quotient, build_counter_structure):
+        with pytest.raises(ValueError, match="'first_critical'"):
+            build(asymmetric_mutex(3))
 
 
 # -- bisimulation ------------------------------------------------------------
 
 
+# a model whose labels are count thresholds alone
+THRESHOLDS = (
+    "processes {n}; pc {{A,B}}; init pc=A; A -> B : true / ; B -> A : true / ;"
+    " label most := count(pc=B) >= 2; label some := count(pc=A) >= 1;"
+)
+
+
 def totalized_pair(name, n):
-    program = builtin_example(name, n)
+    if name == "thresholds":
+        program = parse_program(THRESHOLDS.format(n=n))
+    else:
+        program = builtin_example(name, n)
     full = build_full_structure(program)
     quotient = build_quotient(program)
     full.totalize()
@@ -208,7 +162,8 @@ def totalized_pair(name, n):
 
 @pytest.mark.parametrize(
     "name, n",
-    [(name, n) for name in ("mutex", "broken-mutex", "allocator") for n in (2, 3, 4)],
+    [(name, n) for name in ("mutex", "broken-mutex", "allocator") for n in (2, 3, 4)]
+    + [("thresholds", 3)],
 )
 def test_bisimulation_certificate(name, n):
     full, quotient = totalized_pair(name, n)
