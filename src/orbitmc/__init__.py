@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .counter import (
     CounterState,
-    build_counter_structure,
     counter_successors,
     from_counter,
     to_counter,
@@ -42,7 +41,15 @@ from .errors import (
     ResourceLimitError,
     UnsupportedModelError,
 )
-from .explore import ModeComparison, MODES, compare_modes, reach
+from .explore import (
+    ModeComparison,
+    MODES,
+    build_counter_structure,
+    build_full_structure,
+    build_quotient,
+    compare_modes,
+    reach,
+)
 from .kripke import (
     BuildStats,
     DEFAULT_STATE_BOUND,
@@ -63,14 +70,12 @@ from .program import (
     GuardedCommand,
     Program,
     atomic_props,
-    build_full_structure,
     labeling,
     render_state,
     successors,
 )
 from .quotient import (
     QuotientStructure,
-    build_quotient,
     check_bisimulation,
     orbit_size_sorted,
 )

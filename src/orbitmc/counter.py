@@ -3,7 +3,7 @@
 A counter state keeps the shared valuation plus, sparsely, how many
 processes sit in each local record.  Without pid-typed shared variables
 that is the full-symmetry quotient under other names, and counter mode
-is its build (``quotient._build_quotient``): the run-length keys of
+is its build (``explore.explore``): the run-length keys of
 ``runs.RunCodec`` (the shared values, then one ``(record code, count)``
 pair per distinct record, codes increasing), stepped by
 ``runs.run_successors``, with actions named ``"<record>/<j>"`` and
@@ -23,9 +23,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .errors import UnsupportedModelError
-from .kripke import DEFAULT_STATE_BOUND
 from .program import GlobalState
-from .quotient import _build_quotient
 from .runs import run_successors
 from .value import Value, _init2
 
@@ -110,16 +108,3 @@ def counter_successors(program, cstate):
         return run_successors(program, cstate, counter=True)
     view = CounterView(program)
     return [(a, view.decode(k)) for a, k in run_successors(program, view.encode(cstate), True)]
-
-
-def _build_counter(program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, tree=False):
-    _require_pid_free(program)
-    expand = lambda key: counter_successors(program, key)
-    return _build_quotient(program, state_bound, stop_at_bad, tree=tree,
-                           view=CounterView(program), expand=expand)
-
-
-def build_counter_structure(program, state_bound=DEFAULT_STATE_BOUND):
-    """Worklist construction of the counter structure."""
-    structure, _ = _build_counter(program, state_bound)
-    return structure

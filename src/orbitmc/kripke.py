@@ -17,13 +17,13 @@ A target's predecessors are ordered by source id, then by the source's
 edge order; an edge added after the first reverse read comes after them.
 On top of the lists sit the set-valued image/preimage operators, which
 is everything the CTL fixpoint routines need.  The module also hosts the
-deterministic worklist builder that full mode and the Sym(n) build of
-the quotient and counter modes call, from one initial state.  For a
-check of ``AG p`` or ``EF p`` with a propositional ``p`` it stores only
-the breadth-first discovery tree, one edge per state, while counting
-every edge for the stats: every reachable state hangs in the one tree
-rooted at the initial state, and reachability and shortest paths from
-it read the same on the tree as on the full structure.
+deterministic worklist builder, from one initial state, that ``explore``
+calls for every mode.  For a check of ``AG p`` or ``EF p`` with a
+propositional ``p`` it stores only the breadth-first discovery tree, one
+edge per state, while counting every edge for the stats: every reachable
+state hangs in the one tree rooted at the initial state, and
+reachability and shortest paths from it read the same on the tree as on
+the full structure.
 
 Structures are built single-writer and are safe for concurrent read-only
 use afterwards: the reverse lists are built into a local and published
@@ -303,11 +303,11 @@ class KripkeStructure:
 
 
 class BuildStats(Value, frozen=False):
-    """Counters gathered while a structure is explored; ``explore`` sets ``mode``."""
+    """Counters gathered while a structure is explored."""
 
     __slots__ = ("states_reached", "edges", "deadlocks", "frontier_peak", "bad_reached",
-                 "duration_ms", "mode")
-    _defaults = (0, 0, 0, 0, False, 0.0, None)
+                 "duration_ms")
+    _defaults = (0, 0, 0, 0, False, 0.0)
 
 
 def breadth_first_build(

@@ -29,6 +29,8 @@ up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 without
 pid-typed variables), record fields up to ``local_domain_size() - 1``.
 Fixed widths make byte order of keys the order of ``GlobalState.encode``.
 Under the full symmetric group keys are run-length (``runs.RunCodec``).
+This module gives exploration its parts, ``successors`` and ``labeling``
+over keys; ``explore`` puts them together into a build.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from itertools import product
 from struct import Struct, error as StructError
 
 from .errors import UnsupportedModelError
-from .kripke import DEFAULT_STATE_BOUND, INIT_PROP, breadth_first_build
+from .kripke import INIT_PROP
 from .value import Value, _keep
 
 BOOL = "bool"
@@ -709,33 +711,3 @@ def render_state(program, state):
         parts.append(shared)
     parts.append("[" + ",".join(render_local(program, rec) for rec in state.locals) + "]")
     return " ".join(parts)
-
-
-# --------------------------------------------------------------------------
-# Full (unreduced) exploration.
-# --------------------------------------------------------------------------
-
-
-def _build_full(program, state_bound, stop_at_bad=False, tree=False):
-    codec = program.table.codec
-    return breadth_first_build(
-        atomic_props(program),
-        codec.encode(program.initial_state()),
-        lambda key: successors(program, key),
-        lambda key: labeling(program, key),
-        codec=codec,
-        state_bound=state_bound,
-        stop_at_bad=stop_at_bad,
-        tree=tree,
-    )
-
-
-def build_full_structure(program, state_bound=DEFAULT_STATE_BOUND):
-    """BFS the full state graph into a Kripke structure.
-
-    State ids follow BFS discovery order; the initial state, id 0, carries
-    the ``init`` label.  Exceeding ``state_bound`` raises a
-    resource error that reports the frontier size.
-    """
-    structure, _ = _build_full(program, state_bound)
-    return structure

@@ -1,12 +1,13 @@
 """Quotient structures over canonical orbit representatives.
 
-The quotient is built on the fly: only representatives are ever expanded,
-and every successor is canonical before insertion.  That is sound
-because process permutations commute with the successor relation and
-leave every label as it is.  The frontend's guard restrictions guarantee
-the first, the program's ``CommandTable`` refuses any label that breaks
-the second when it is built, and ``check_bisimulation`` certifies both at
-desk scale, so no state's orbit is checked during a build.
+``explore.build_quotient`` builds one (see ``explore``): only
+representatives are ever expanded, and every successor is canonical
+before insertion.  That is sound because process permutations commute
+with the successor relation and leave every label as it is.  The
+frontend's guard restrictions guarantee the first, the program's
+``CommandTable`` refuses any label that breaks the second when it is
+built, and ``check_bisimulation`` certifies both at desk scale, so no
+state's orbit is checked during a build.
 
 Under Sym(n) each state is its run-length key (``runs.RunCodec``), a
 representative by construction: the shared values, the pinned records
@@ -19,7 +20,9 @@ decoding to ``counter.CounterState``.  A generated subgroup keeps
 positional keys, fires every process and canonicalizes each successor
 (``symmetry.canonical_key_fn``).  The initial state, and any state
 handed to ``QuotientStructure.rep``, is canonicalized by
-``symmetry.rep_min``.
+``symmetry.rep_min``.  This module holds what a quotient adds to its
+structure: orbit sizes (``orbit_size_sorted``, ``_orbit_sizes``) and the
+bisimulation certificate.
 """
 
 from __future__ import annotations
@@ -28,10 +31,7 @@ import math
 from collections import Counter
 
 from .errors import InternalError, ResourceLimitError
-from .kripke import DEFAULT_STATE_BOUND, breadth_first_build
-from .program import atomic_props, labeling, successors
-from .runs import run_successors
-from .symmetry import canonical_key_fn, full_symmetric, orbit, pinned_processes, rep_min
+from .symmetry import orbit, pinned_processes, rep_min
 from .value import Value
 
 BISIM_SIZE_CAP = 10**4
@@ -70,36 +70,6 @@ def orbit_size_sorted(program, state):
     return size
 
 
-def _build_quotient(
-    program, state_bound=DEFAULT_STATE_BOUND, stop_at_bad=False, group=None, tree=False,
-    view=None, expand=None,
-):
-    """Explore the quotient under ``group``, by default Sym(n); (structure,
-    stats).  Each representative is labeled by ``labeling`` on its stored
-    key, as every state of its orbit would be.  Counter mode is this build
-    with its ``view`` of the keys as payloads and its ``expand``, which
-    names actions by record."""
-    if group is None:
-        group = full_symmetric(program.n)
-    codec, canon = canonical_key_fn(program, group)
-    if expand is None:
-        if group.kind == "full-symmetric":
-            expand = lambda key: run_successors(program, key)
-        else:
-            expand = lambda key: [(action, canon(t)) for action, t in successors(program, key)]
-
-    return breadth_first_build(
-        atomic_props(program),
-        codec.encode(rep_min(group, program.initial_state(), witness=False)[0]),
-        expand,
-        lambda key: labeling(program, key, codec),
-        codec=view or codec,
-        state_bound=state_bound,
-        stop_at_bad=stop_at_bad,
-        tree=tree,
-    )
-
-
 def _orbit_sizes(program, structure, group):
     """Orbit size per state id: the closed form of ``orbit_size_sorted``
     on each run-length key under Sym(n), the orbit itself under a generated
@@ -114,15 +84,6 @@ def _orbit_sizes(program, structure, group):
             raise InternalError(f"orbit size {size} does not divide {program.n}!")
         sizes[sid] = size
     return sizes
-
-
-def build_quotient(program, group=None, state_bound=DEFAULT_STATE_BOUND):
-    """Worklist construction of the quotient structure (see the module
-    docstring), with orbit sizes from ``_orbit_sizes``."""
-    if group is None:
-        group = full_symmetric(program.n)
-    structure, _ = _build_quotient(program, state_bound, group=group)
-    return QuotientStructure(structure, _orbit_sizes(program, structure, group), program, group)
 
 
 def check_bisimulation(full, quotient, size_cap=BISIM_SIZE_CAP):

@@ -9,11 +9,15 @@ from orbitmc import (
     build_quotient,
     builtin_example,
     check,
+    generated_group,
     labeling,
     lift_counterexample,
     parse_ctl,
+    rep_min,
+    rotation,
     sat_set,
     successors,
+    transposition,
 )
 from orbitmc.ctl import And, Atom, EG, EU, EX, FalseF, Not, Or, TrueF, neg
 
@@ -389,6 +393,25 @@ def test_lift_tracks_representatives():
     lifted = lift_counterexample(program, qpath)
     for concrete, rep in zip(lifted.states, qpath.states):
         assert rep_sort(concrete) == rep
+
+
+@pytest.mark.parametrize("name, n, text, steps", [
+    ("broken-mutex", 3, "AG !bad", 4),
+    ("broken-mutex", 4, "AG !bad", 4),
+    ("allocator", 3, "AG init", 1),
+])
+@pytest.mark.parametrize("generator", [rotation, lambda n: transposition(n, 0, 1)])
+def test_lift_under_a_generated_subgroup(name, n, text, steps, generator):
+    program = builtin_example(name, n)
+    group = generated_group([generator(n)])
+    quotient = build_quotient(program, group=group)
+    result = check(quotient.structure, parse_ctl(text))
+    assert not result.holds and result.counterexample.steps == steps
+    lifted = lift_counterexample(program, result.counterexample, group)
+    assert lifted.steps == steps
+    assert lifted.is_path_of(build_full_structure(program))
+    reps = [rep_min(group, state, witness=False)[0] for state in lifted.states]
+    assert reps == list(result.counterexample.states)
 
 
 def test_lift_single_enabled_move():

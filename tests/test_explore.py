@@ -25,7 +25,6 @@ from oracles import mutex_count_closed_form
 def test_full_reach_counts():
     reached, stats = reach(builtin_example("mutex", 2), "full")
     assert stats.states_reached == len(reached) == 8
-    assert stats.mode == "full"
     assert stats.deadlocks == 0
     assert stats.frontier_peak >= 1
     assert not stats.bad_reached

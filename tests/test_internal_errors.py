@@ -46,7 +46,7 @@ def lose_a_process(monkeypatch):
         pairs = [(codes[0], counts[0] - 1)] if counts[0] > 1 else []
         return [("p0:vanish", runs.pack(shared, pins, pairs + list(zip(codes, counts))[1:]))]
 
-    monkeypatch.setattr("orbitmc.counter.counter_successors", counter_successors)
+    monkeypatch.setattr("orbitmc.explore.counter_successors", counter_successors)
 
 
 def raise_from(target, exc):
@@ -105,7 +105,7 @@ def test_lift_without_a_matching_concrete_successor():
         (["check", "--builtin", "mutex:3", "--prop", "AG !bad"],
          raise_from("orbitmc.ctl.sat_set", KeyError(7))),
         (["reach", "--builtin", "mutex:3"],
-         raise_from("orbitmc.program.labeling", TypeError("no label protocol"))),
+         raise_from("orbitmc.explore.labeling", TypeError("no label protocol"))),
         (["check", "--builtin", "mutex:3", "--mode", "quotient", "--prop", "AG !bad"],
          label_process_zero),
         (["check", "--builtin", "mutex:3", "--prop", "AG !first_critical"], label_process_zero),

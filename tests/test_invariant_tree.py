@@ -62,7 +62,7 @@ label done := count(pc=p2) >= 3;
 
 def counts(stats):
     return (stats.states_reached, stats.edges, stats.deadlocks, stats.frontier_peak,
-            stats.bad_reached, stats.mode)
+            stats.bad_reached)
 
 
 def checked(program, mode, formula, tree):
@@ -149,14 +149,14 @@ def test_check_reports_match_a_full_build(monkeypatch, name, n):
 def spy_builds(monkeypatch):
     """Records (tree flag, structure, stored edges) of every build."""
     built = []
-    for mode, builder in list(explore_module._BUILDERS.items()):
+    build = explore_module.breadth_first_build
 
-        def spy(*args, tree, builder=builder):
-            structure, stats = builder(*args, tree=tree)
-            built.append((tree, structure, structure.num_edges))
-            return structure, stats
+    def spy(*args, tree, **kwargs):
+        structure, stats = build(*args, tree=tree, **kwargs)
+        built.append((tree, structure, structure.num_edges))
+        return structure, stats
 
-        monkeypatch.setitem(explore_module._BUILDERS, mode, spy)
+    monkeypatch.setattr(explore_module, "breadth_first_build", spy)
     return built
 
 

@@ -12,9 +12,11 @@ from orbitmc import (
     builtin_example,
     check_bisimulation,
     full_symmetric,
+    generated_group,
     orbit,
     orbit_size_sorted,
     parse_program,
+    rotation,
 )
 
 from oracles import asymmetric_mutex, mutex_count_closed_form
@@ -126,6 +128,12 @@ def test_quotient_bad_reachability_matches_full():
 def test_quotient_respects_bound():
     with pytest.raises(ResourceLimitError):
         build_quotient(builtin_example("mutex", 6), state_bound=3)
+
+
+@pytest.mark.parametrize("group", [full_symmetric(4), generated_group([rotation(4)])])
+def test_quotient_refuses_a_group_of_another_degree(group):
+    with pytest.raises(ValueError, match="degree"):
+        build_quotient(builtin_example("mutex", 3), group=group)
 
 
 # -- label symmetry ------------------------------------------------------------

@@ -60,7 +60,7 @@ BAD_LEADS_BACK = (
 
 BUILD_STATS = (
     "BuildStats(states_reached=0, edges=0, deadlocks=0, frontier_peak=0, bad_reached=False,"
-    " duration_ms=0.0, mode=None)"
+    " duration_ms=0.0)"
 )
 
 
@@ -95,7 +95,7 @@ def test_reprs_of_records():
         (
             explore.ModeComparison({"full": BuildStats(3)}, {"counter": "no"}, 1.5),
             "ModeComparison(stats={'full': BuildStats(states_reached=3, edges=0, deadlocks=0,"
-            " frontier_peak=0, bad_reached=False, duration_ms=0.0, mode=None)},"
+            " frontier_peak=0, bad_reached=False, duration_ms=0.0)},"
             " unsupported={'counter': 'no'}, reduction_factor=1.5)",
         ),
         (
@@ -137,7 +137,7 @@ def test_repr_of_build_stats_after_a_build():
     stats.duration_ms = 1.5
     assert repr(stats) == (
         "BuildStats(states_reached=7, edges=11, deadlocks=0, frontier_peak=3, bad_reached=False,"
-        " duration_ms=1.5, mode='quotient')"
+        " duration_ms=1.5)"
     )
 
 
@@ -147,7 +147,7 @@ PROGRAM_FIELDS = (
 )
 BUILD_STATS_FIELDS = (
     *("states_reached", "edges", "deadlocks", "frontier_peak", "bad_reached"),
-    *("duration_ms", "mode"),
+    "duration_ms",
 )
 RUN_CONFIG_FIELDS = (
     *("command", "builtin", "model_path", "prop", "mode", "bound", "fmt"),
@@ -158,7 +158,7 @@ RUN_CONFIG_FIELDS = (
 def samples():
     """(class, field names, frozen, one instance) for every record class of the package."""
     mutex = builtin_example("mutex", 3)
-    quotient_structure = quotient.build_quotient(mutex)
+    quotient_structure = explore.build_quotient(mutex)
     rows = [
         (GlobalState, ("shared", "locals", "pid_slots"), True, mutex.initial_state()),
         (GTrue, (), True, GTrue()),
@@ -309,7 +309,7 @@ def test_keywords_defaults_and_replace():
 
 def test_a_copied_quotient_keeps_its_canonicalization():
     allocator = builtin_example("allocator", 3)
-    built = quotient.build_quotient(allocator)
+    built = explore.build_quotient(allocator)
     state = GlobalState((2,), ((0,), (1,), (2,)), allocator.pid_slots)
     assert copy.copy(built).rep(state) == built.rep(state) != state
 
