@@ -30,7 +30,10 @@ pid-typed variables), record fields up to ``local_domain_size() - 1``.
 Fixed widths make byte order of keys the order of ``GlobalState.encode``.
 Under the full symmetric group keys are run-length (``runs.RunCodec``).
 This module gives exploration its parts, ``successors`` and ``labeling``
-over keys; ``explore`` puts them together into a build.
+over keys; ``explore`` puts them together into a build.  Commands fire
+through one memo, ``CommandTable.record_plan``, into moves that name the
+new record code and shared values but no key layout, so the successor
+rules over both kinds of key read the same plans.
 """
 
 from __future__ import annotations
@@ -352,6 +355,7 @@ V_SELF = "self"
 V_NONE = "none"
 V_SHARED = "shared"
 V_LOCAL = "local"
+_VALUE_TAGS = (V_CONST, V_STAR, V_SELF, V_NONE, V_SHARED, V_LOCAL)
 
 
 class ValueExpr(Value):
@@ -367,51 +371,6 @@ class Update(Value):
 
 class GuardedCommand(Value):
     __slots__ = ("from_pc", "to_pc", "guard", "updates")
-
-
-def _resolve_value(expr, n, shared, rec, i):
-    if expr.tag == V_CONST:
-        return expr.arg
-    if expr.tag == V_SELF:
-        return i
-    if expr.tag == V_NONE:
-        return n
-    if expr.tag == V_SHARED:
-        return shared[expr.arg]
-    if expr.tag == V_LOCAL:
-        return rec[1 + expr.arg]
-    raise ValueError(f"unknown value expression tag {expr.tag!r}")
-
-
-def command_branches(program, cmd, shared, rec, i, branches):
-    """All (new shared, new local record) outcomes of firing ``cmd``.
-
-    All right-hand sides read the pre-state; ``*`` assignments branch, with
-    branches enumerated in increasing binary order of the assigned bits
-    (star bits keyed by update position).  ``i`` is the acting process
-    index, only consulted by ``self`` values; the counter abstraction
-    passes None.  ``branches`` lists the star bits of each branch in that
-    order, as ``CommandTable`` computes them once per command.
-    """
-    updates = cmd.updates
-    resolved = [
-        None if u.value.tag == V_STAR else _resolve_value(u.value, program.n, shared, rec, i)
-        for u in updates
-    ]
-    outcomes = []
-    for bits in branches:
-        star_bits = iter(bits)
-        new_shared, new_rec = list(shared), list(rec)
-        new_rec[0] = cmd.to_pc
-        for u, value in zip(updates, resolved):
-            if u.value.tag == V_STAR:
-                value = next(star_bits)
-            if u.target == "shared":
-                new_shared[u.slot] = value
-            else:
-                new_rec[1 + u.slot] = value
-        outcomes.append((tuple(new_shared), tuple(new_rec)))
-    return outcomes
 
 
 # --------------------------------------------------------------------------
@@ -442,6 +401,17 @@ def _check_label(program, name, expr):
             )
         elif kind not in _LABEL_ATOMS and kind not in (GTrue, GFalse):
             raise ValueError(f"label {name!r}: {kind.__name__} is no label atom or connective")
+
+
+def _check_updates(j, cmd):
+    """Refuse an update of command j that writes neither a shared nor a
+    local slot, or whose value has an unknown tag.  The parser writes
+    neither; a harness can."""
+    for u in cmd.updates:
+        if u.target not in ("shared", "local"):
+            raise ValueError(f"command {j}: update target {u.target!r} is neither shared nor local")
+        if u.value.tag not in _VALUE_TAGS:
+            raise ValueError(f"command {j}: unknown value expression tag {u.value.tag!r}")
 
 
 # --------------------------------------------------------------------------
@@ -479,13 +449,13 @@ class Program(Value):
 class CommandTable:
     """Per-program lookups for successor generation: ``codec`` and ``runs``
     pack states into keys and run-length keys, ``by_pc[pc]`` lists ``(j,
-    guard)`` for the commands leaving ``pc`` in declaration order,
-    ``effects`` memoizes ``command_branches`` (whose outcome depends only on
-    ``(j, shared, rec)``, plus ``i`` for commands that assign ``self``),
-    and ``record_plan`` bundles those per record into ``plans``.  Building
+    guard)`` for the commands leaving ``pc`` in declaration order, and
+    ``record_plan`` fires each command once per shared valuation, record
+    and acting process into ``plans``, the one memo of firing.  Building
     the table refuses, with a ``ValueError``, a label definition that
-    permuting processes could change (``_check_label``), so every mode may
-    take labels to be symmetric without checking a state."""
+    permuting processes could change (``_check_label``) and an update the
+    firing rule cannot read (``_check_updates``), so no mode checks a
+    label or an update per state."""
 
     def __init__(self, program):
         self.program = program
@@ -495,16 +465,14 @@ class CommandTable:
             tuple((j, cmd.guard) for j, cmd in enumerate(program.commands) if cmd.from_pc == pc)
             for pc in range(len(program.pc_names))
         )
-        self._assigns_self = tuple(
-            any(u.value.tag == V_SELF for u in cmd.updates) for cmd in program.commands
-        )
+        for name, expr in program.label_defs:
+            _check_label(program, name, expr)
+        for j, cmd in enumerate(program.commands):
+            _check_updates(j, cmd)
         self._branches = tuple(
             tuple(product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)))
             for cmd in program.commands
         )
-        for name, expr in program.label_defs:
-            _check_label(program, name, expr)
-        self._effects = {}
         # the firing plans of ``record_plan``, a dict per shared valuation
         self.plans = {}
         # ``action_names[i][j]`` is the action "i/j" and ``counter_names[code][j]``
@@ -529,62 +497,42 @@ class CommandTable:
         row = self.counter_names[code] = _action_row(label, len(self.program.commands))
         return row
 
-    def effects(self, j, shared, rec, i):
-        """``command_branches`` of command ``j``, computed once per key, as
-        ``(j, new shared, packed shared, new code, packed code)``; the packed
-        shared values are None when the command leaves them unchanged."""
-        key = (j, shared, rec, i) if self._assigns_self[j] else (j, shared, rec)
-        out = self._effects.get(key)
-        if out is None:
-            cmd = self.program.commands[j]
-            codec = self.codec
-            out = self._effects[key] = tuple(
-                (
-                    j,
-                    new_shared,
-                    None if new_shared == shared else codec.pack_shared(new_shared),
-                    code := codec.code(new_rec),
-                    code.to_bytes(codec.width, "big"),
-                )
-                for new_shared, new_rec in command_branches(
-                    self.program, cmd, shared, rec, i, self._branches[j]
-                )
-            )
-        return out
-
     def record_plan(self, shared, code, i=None):
-        """The record of a code and its firing plan as process i, kept in
-        ``plans[shared]`` by code in a pid-free program (i None) or for a
-        run head (i the pin count), and by ``(code, i)`` for pin i: ``(guard,
-        moves)`` per command j leaving the record's pc, each move of
-        ``effects`` to a code t as ``(j, t, packed t, prefix)``.  The
-        prefix of a move that keeps the pins is its packed shared values,
-        None if unchanged.  Any other move has packed t None and as prefix
-        ``(packed ranked shared values, picks, left, packed t)``, where picks
-        and left index the old pinned codes followed by t: picks slices out
-        the new pinned section, left pairs each code that joins the runs
-        with its slice (``runs.run_successors``)."""
-        rec = self.codec.record(code)
-        if i is not None:
-            p, w = len(self.runs.ranked(shared)[0]), self.codec.width
-            cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
+        """The record of a code and its firing plan as process i (None in a
+        pid-free program), kept in ``plans[shared]`` by code if i is None and
+        by ``(code, i)`` otherwise: ``(guard, moves)`` per command j leaving
+        the record's pc, one move ``(j, t, packed t, packed shared values)``
+        per outcome, the packed shared values None if the command leaves
+        them unchanged.  Every right-hand side reads the pre-state, and the
+        ``*`` assignments branch in increasing binary order of the assigned
+        bits.  A plan depends only on the shared values, the record and i,
+        since guards and updates compare pid values only with i and
+        ``none``, so it holds for any key layout: the full-mode plan of
+        process p is the run-length plan of a run head at rank p."""
+        codec, n = self.codec, self.program.n
+        rec = codec.record(code)
         plan = []
         for j, guard in self.by_pc[rec[0]]:
+            cmd = self.program.commands[j]
             moves = []
-            for _, new_shared, prefix, t, packed_t in self.effects(j, shared, rec, i):
-                if i is not None:
-                    new_pins, _, _, ranked = self.runs.ranked(new_shared)
-                    if new_pins != tuple(range(p)):
-                        picks = tuple(cuts[p if q == i else q] for q in new_pins)
-                        left = [p if q == i else q for q in range(p + (i == p)) if q not in new_pins]
-                        prefix = ranked, picks, tuple((q, cuts[q]) for q in left), packed_t
-                        packed_t = None
-                moves.append((j, t, packed_t, prefix))
+            for bits in self._branches[j]:
+                stars = iter(bits)
+                new_shared, new_rec = list(shared), [cmd.to_pc, *rec[1:]]
+                for u in cmd.updates:
+                    tag, arg = u.value.tag, u.value.arg
+                    value = (next(stars) if tag == V_STAR else arg if tag == V_CONST
+                             else i if tag == V_SELF else n if tag == V_NONE
+                             else shared[arg] if tag == V_SHARED else rec[1 + arg])
+                    if u.target == "shared":
+                        new_shared[u.slot] = value
+                    else:
+                        new_rec[1 + u.slot] = value
+                new_shared, t = tuple(new_shared), codec.code(tuple(new_rec))
+                packed_shared = None if new_shared == shared else codec.pack_shared(new_shared)
+                moves.append((j, t, t.to_bytes(codec.width, "big"), packed_shared))
             plan.append((guard, tuple(moves)))
-        plans = self.plans.get(shared)
-        if plans is None:
-            plans = self.plans[shared] = {}
-        got = plans[code if i is None or i == p else (code, i)] = rec, tuple(plan)
+        plans = self.plans.setdefault(shared, {})
+        got = plans[code if i is None else (code, i)] = rec, tuple(plan)
         return got
 
 
@@ -611,20 +559,22 @@ def successors(program, state):
 def _key_successors(table, key):
     """The successor rule on keys.  A successor is the key with one record
     field replaced (and the shared prefix too when the command writes
-    shared state).  In a pid-free program no guard or effect reads the
-    process index, so each distinct record is planned once per state
-    (``record_plan``) and every process holding it reuses the plan."""
+    shared state), as the plans of ``record_plan`` give them: process i
+    fires the plan of ``(code, i)``.  In a pid-free program no guard or
+    effect reads the process index, so each distinct record is planned
+    and its guards evaluated once per state, and every process holding it
+    reuses the moves."""
     codec = table.codec
     n = codec.n
     shared, occ = codec.census(key)
     codes = codec.codes(key)
-    record = codec.record
     pid_free = table.pid_free
+    record_plan, known = table.record_plan, table.plans.get(shared) or {}
     if pid_free:
-        plans, known = {}, table.plans.get(shared, {})
+        enabled = {}
         for code in set(codes):
-            rec, plan = known.get(code) or table.record_plan(shared, code)
-            moves = plans[code] = []
+            rec, plan = known.get(code) or record_plan(shared, code)
+            moves = enabled[code] = []
             for guard, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
                     moves += command_moves
@@ -633,16 +583,15 @@ def _key_successors(table, key):
     out = []
     append = out.append
     for i in range(n):
-        # the enabled moves of process i, as ``record_plan`` gives them
         if pid_free:
-            moves = plans[codes[i]]
+            moves = enabled[codes[i]]
         else:
-            rec = record(codes[i])
+            rec, plan = known.get((codes[i], i)) or record_plan(shared, codes[i], i)
             moves = [
-                (j, t, packed_t, packed_shared)
-                for j, guard in table.by_pc[rec[0]]
+                move
+                for guard, command_moves in plan
                 if guard.eval(shared, rec, i, occ, n)
-                for _, _, packed_shared, t, packed_t in table.effects(j, shared, rec, i)
+                for move in command_moves
             ]
         if not moves:
             continue

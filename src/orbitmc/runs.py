@@ -11,7 +11,10 @@ decode to the pinned sort of ``symmetry``, so they are canonical by
 construction, but they are not in ``GlobalState.encode`` order.
 ``run_successors`` steps a key by byte splices: a move rewrites a pinned
 code, the shared values or the pinned section, and moves single units
-between runs, so no successor is sorted or packed whole.
+between runs, so no successor is sorted or packed whole.  The moves come
+from the firing plans of ``program.CommandTable.record_plan``, which
+know nothing of this layout: the rewrite of the pinned section is
+``RunCodec.repin``'s alone.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class RunCodec:
         self.count_bytes = tuple(map(Struct(">" + self._count_fmt).pack, range(codec.n + 1)))
         self._structs = {}
         self._ranks = {}
+        # ``repin`` is ``_repin`` memoized: the kernel asks it for every move that
+        # writes shared values
+        self.repin = lru_cache(maxsize=None)(self._repin)
         # (unpack, shared count, shared and pin count) by key length, and by
         # shared prefix too when pid-typed
         self._heads = {}
@@ -112,6 +118,24 @@ class RunCodec:
             got = self._ranks[shared] = pins, rank, ranked, self.codec.pack_shared(ranked)
         return got
 
+    def _repin(self, p, i, packed_shared):
+        """``repin(p, i, packed_shared)``: how a move of pin i, or of a head
+        if i is p, that writes ``packed_shared`` rewrites the pinned section
+        of a key with p pins.  None if the pid slots still name the pins
+        0..p-1 in order, else ``(packed ranked shared values, picks,
+        left)`` for ``_repinned``, picks and left indexing the old pinned
+        codes followed by the moved code: picks slices out the new pinned
+        section, and left pairs each code that joins the runs with its
+        slice."""
+        new_pins, _, _, ranked = self.ranked(self.codec.shared(packed_shared))
+        if new_pins == tuple(range(p)):
+            return None
+        w = self.codec.width
+        cuts = [slice(q * w, q * w + w) for q in range(p + 1)]
+        picks = tuple(cuts[p if q == i else q] for q in new_pins)
+        left = [p if q == i else q for q in range(p + (i == p)) if q not in new_pins]
+        return ranked, picks, tuple((q, cuts[q]) for q in left)
+
     def canonical(self, key):
         """The run-length key of the representative of a ``StateCodec`` key:
         the pinned sort, pinned records in rank order and the rest sorted."""
@@ -146,9 +170,11 @@ def run_codec(codec):
 
 def run_successors(program, key, counter=False):
     """All (action, key) pairs one step away from a run-length key, each a
-    splice of ``key``: each pin fires, then the head of each run, which
-    stands for its run, with the plans of ``CommandTable.record_plan``.  A
-    move that keeps the pins rewrites the fired pin's code, or moves one
+    splice of ``key``: each pin i fires with the plan of ``(code, i)``,
+    then the head of each run, which stands for its run, with the plan of
+    ``(code, p)`` for p pins (of the code if pid-free), as
+    ``CommandTable.record_plan`` gives them.  A move that keeps the pins
+    (``RunCodec.repin`` None) rewrites the fired pin's code, or moves one
     unit between runs: the firing run loses it or is dropped, the target
     gains it or is inserted where bisection puts it.  Any other move writes
     the ranked shared values and the new pinned codes, then moves the units
@@ -160,10 +186,8 @@ def run_successors(program, key, counter=False):
     codec = runs.codec
     n, w = codec.n, codec.width
     shared, pins, codes, counts, occ = runs.parts(key)
-    plans = table.plans.get(shared)
-    if plans is None:
-        plans = table.plans[shared] = {}
-    record_plan = table.record_plan
+    plans = table.plans.get(shared) or {}
+    record_plan, repin = table.record_plan, runs.repin
     names, counter_names = table.action_names, table.counter_names
     p = len(pins)
     start = codec.shared_size + p * w  # where the runs begin
@@ -175,14 +199,14 @@ def run_successors(program, key, counter=False):
         row = names[i] or table.action_row(i)
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
-                for j, t, packed_t, new_prefix in moves:
-                    if packed_t is None:  # the move changes the pins
-                        ranked, picks, left, packed_t = new_prefix
-                        target = _repinned(runs, ranked, picks, left, pins, pinned + packed_t,
+                for j, t, packed_t, packed_shared in moves:
+                    new_pins = packed_shared and repin(p, i, packed_shared)
+                    if new_pins:
+                        target = _repinned(runs, new_pins, pins, pinned + packed_t,
                                            body, codes, counts, None, t)
                     else:
                         pinned_t = pinned[: i * w] + packed_t + pinned[i * w + w :]
-                        target = (new_prefix or prefix) + pinned_t + body
+                        target = (packed_shared or prefix) + pinned_t + body
                     append((row[j], target))
     # a head is unpinned, so no pid slot names it and its index only tells
     # the firing process apart: every head fires as process p (None if pid-free)
@@ -191,7 +215,7 @@ def run_successors(program, key, counter=False):
     # a move that keeps the pins moves a unit from run a to t in one splice,
     # the firing run's part made once per run: most moves are these
     for a, (code, m) in enumerate(zip(codes, counts)):
-        rec, plan = plans.get(code) or record_plan(shared, code, i)
+        rec, plan = plans.get(code if i is None else (code, i)) or record_plan(shared, code, i)
         if not plan:
             h += m
             continue
@@ -204,10 +228,10 @@ def run_successors(program, key, counter=False):
         dec = body[at : at + w] + count_bytes[m - 1] if m > 1 else b""
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
-                for j, t, packed_t, new_prefix in moves:
-                    if packed_t is None:
-                        ranked, picks, left, packed_t = new_prefix
-                        target = _repinned(runs, ranked, picks, left, pins, pinned + packed_t,
+                for j, t, packed_t, packed_shared in moves:
+                    new_pins = packed_shared and repin(p, i, packed_shared)
+                    if new_pins:
+                        target = _repinned(runs, new_pins, pins, pinned + packed_t,
                                            body, codes, counts, a, t)
                     else:
                         if t == code:
@@ -223,17 +247,19 @@ def run_successors(program, key, counter=False):
                                 target = body[:at] + dec + body[end:lo] + inc + body[hi:]
                             else:
                                 target = body[:lo] + inc + body[hi:at] + dec + body[end:]
-                        target = (new_prefix + pinned if new_prefix else head) + target
+                        target = (packed_shared + pinned if packed_shared else head) + target
                     append((row[j], target))
         h += m
     return out
 
 
-def _repinned(runs, prefix, picks, left, pins, moved, body, codes, counts, a, t):
-    """The key after a move of ``record_plan`` that changes the pins, ``moved``
-    being the old pinned codes and t packed: ``prefix``, the new pinned
-    codes, then the runs less a unit of run a if a head fired and plus a
-    unit of each code that left the pins."""
+def _repinned(runs, new_pins, pins, moved, body, codes, counts, a, t):
+    """The key after a move that changes the pins, ``new_pins`` being its
+    ``RunCodec.repin`` and ``moved`` the old pinned codes and t packed: the
+    ranked shared values, the new pinned codes, then the runs less a unit
+    of run a if a head fired and plus a unit of each code that left the
+    pins."""
+    prefix, picks, left = new_pins
     key = prefix + b"".join([moved[pick] for pick in picks])
     if a is not None:
         body, codes, counts = _plus(runs, body, codes, counts, codes[a], None, -1)

@@ -25,7 +25,10 @@ from orbitmc import (
     successors,
 )
 from orbitmc.cli import build_config, run
+from orbitmc.explore import explore
 from orbitmc.program import (
+    V_CONST,
+    V_NONE,
     CountAtLeast,
     GAnd,
     GFalse,
@@ -34,6 +37,8 @@ from orbitmc.program import (
     PidEqNone,
     SharedEq,
     StateCodec,
+    Update,
+    ValueExpr,
 )
 
 from oracles import FirstProcessAt
@@ -169,6 +174,34 @@ def test_labels_are_checked_once_when_the_table_is_built(model, name, label, ref
             with pytest.raises(ValueError, match=f"label '{name}'"):
                 build(program)
         else:
+            build(program)
+
+
+# updates only a harness builds: the parser writes each target as "shared"
+# or "local" and each value with one of the six tags
+UPDATE_CASES = [
+    ("mutex", Update("global", 0, ValueExpr(V_CONST, 1)), "update target 'global'"),
+    ("allocator", Update("pc", 0, ValueExpr(V_NONE)), "update target 'pc'"),
+    ("mutex", Update("local", 0, ValueExpr("s")), "value expression tag 's'"),
+    ("allocator", Update("shared", 0, ValueExpr("pid")), "value expression tag 'pid'"),
+]
+
+
+@pytest.mark.parametrize(
+    "model, update, message", UPDATE_CASES, ids=[case[2] for case in UPDATE_CASES]
+)
+def test_malformed_updates_are_refused_when_the_table_is_built(model, update, message):
+    base = builtin_example(model, 3)
+    # command 1 leaves the second pc, which the initial state does not fire,
+    # so the refusal is the table's and not that of a firing
+    command = base.commands[1]._replace(updates=(update,))
+    builds = [lambda program: program.table]
+    builds += [lambda program, mode=mode: explore(program, mode) for mode in ("full", "quotient")]
+    if not base.pid_slots:
+        builds.append(lambda program: explore(program, "counter"))
+    for build in builds:
+        program = base._replace(commands=(base.commands[0], command, *base.commands[2:]))
+        with pytest.raises(ValueError, match=f"command 1: .*{message}"):
             build(program)
 
 

@@ -662,7 +662,7 @@ label bad := count(pc=B) >= 3;
 def test_effect_memo_neither_aliases_nor_leaks_between_processes():
     program = parse_program(STAR_AND_SELF, name="star-and-self:3")
     first = build_full_structure(program)
-    # the second build reads every effect from the memo the first one filled
+    # the second build reads every firing plan from the memo the first one filled
     second = build_full_structure(program)
     fresh = build_full_structure(parse_program(STAR_AND_SELF, name="star-and-self:3"))
     payloads = [first.payload(s) for s in first.states()]

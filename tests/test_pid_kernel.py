@@ -6,15 +6,16 @@ and with the same ``"h/j"`` actions, the language definition's successors
 of the decoded representative, firing the same processes in the kernel's
 order (pins by rank, then the first process of each run), each
 canonicalized by the pinned sort written out below.  Hand-built keys pin
-down each class of move on its own.
+down each class of move on its own.  The firing plans both kernels share
+must not depend on which layout filled them first.
 """
 
 import random
 
 import pytest
 
-from orbitmc import GlobalState, InternalError, builtin_example, parse_program
-from orbitmc.parser import builtin_source
+from orbitmc import GlobalState, InternalError, builtin_example, parse_program, successors
+from orbitmc.parser import BUILTIN_NAMES, builtin_source
 from orbitmc.runs import run_successors
 
 from oracles import successors_by_definition
@@ -84,6 +85,48 @@ def test_allocators_match_the_definition_list_for_list(n):
 def test_random_pid_programs_match_the_definition_list_for_list(seed):
     rng = random.Random(16000 + seed)
     assert_kernel_matches_definition(random_pid_program(rng, 2 + seed % 5))
+
+
+# -- one plan memo for both key layouts -----------------------------------
+
+
+def reachable(step, first):
+    keys, seen = [first], {first}
+    for key in keys:
+        for _, target in step(key):
+            if target not in seen:
+                seen.add(target)
+                keys.append(target)
+    return keys
+
+
+LAYOUT_CASES = [builtin_example(name, n) for name in BUILTIN_NAMES for n in (2, 3, 4)]
+LAYOUT_CASES += [random_pid_program(random.Random(18000 + seed), 2 + seed % 3) for seed in range(20)]
+
+
+@pytest.mark.parametrize(
+    "program", LAYOUT_CASES, ids=[f"{p.name}-{k}" for k, p in enumerate(LAYOUT_CASES)]
+)
+def test_plans_do_not_depend_on_the_key_layout(program):
+    # each expected list comes from a fresh table that only one layout filled
+    full, quotient = program._replace(), program._replace()
+    full_keys = reachable(lambda key: successors(full, key),
+                          full.table.codec.encode(full.initial_state()))
+    run_keys = reachable(lambda key: run_successors(quotient, key),
+                         quotient.table.runs.canonical(full_keys[0]))
+    # full mode on plans a quotient build made first, and the other way round
+    mixed = program._replace()
+    for key in run_keys:
+        run_successors(mixed, key)
+    assert [successors(mixed, key) for key in full_keys] == [
+        successors(full, key) for key in full_keys
+    ]
+    mixed = program._replace()
+    for key in full_keys:
+        successors(mixed, key)
+    assert [run_successors(mixed, key) for key in run_keys] == [
+        run_successors(quotient, key) for key in run_keys
+    ]
 
 
 # -- one hand-built key per class of move ---------------------------------
