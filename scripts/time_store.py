@@ -1,25 +1,34 @@
-"""Time and size the full-mode structure store as n grows.
+"""Time and size the structure store as n grows, in full and counter mode.
 
-For each ``mutex:n`` of ``--sizes`` (default 10, 11 and 12), each of
-``--runs`` fresh interpreters imports orbitmc, explores ``mutex:n`` in
-full mode once and reads every state's predecessors once, and reports:
+Each of ``--runs`` fresh interpreters per row imports orbitmc, parses the
+row's program and reports ``import_rss_mb``, the process's peak resident
+set then (``ru_maxrss``); every later peak is read the same way, so its
+difference from this one is what the structure held at its peak.
 
-* ``explore_ms``: wall time of ``explore(program, "full")``;
-* ``explore_rss_mb``: the process's peak resident set after the
-  exploration (``ru_maxrss``), and ``import_rss_mb`` the same before it,
-  after the import and the program's parse, so the difference is what
-  the build held at its peak;
-* ``reverse_ms`` and ``reverse_rss_mb``: the same for one
-  ``predecessors`` read per state after the exploration, the reads a
-  backward fixpoint (EU, EG) makes over a whole structure.
+* ``mutex:n`` full rows, for each n of ``--sizes`` (default 10, 11 and
+  12): ``explore(program, "full")`` once, then one ``predecessors`` read
+  per state, the reads a backward fixpoint (EU, EG) makes over a whole
+  structure; ``explore_ms`` and ``explore_rss_mb`` after the first,
+  ``reverse_ms`` and ``reverse_rss_mb`` after the second.
+* ``pipeline:n`` counter rows, for each n of ``--pipeline-sizes``
+  (default 12 and 24): the text of the benchmark's pipeline family (n
+  processes walk six phases ``p0`` to ``p5`` in a line, once, and
+  ``done`` says that all of them are at ``p5``) explored in counter mode
+  and totalized, then a ``check`` of ``AF done``, whose EG reads
+  successors and predecessors of every state; ``explore_ms`` and
+  ``explore_rss_mb`` after the first, ``check_ms`` and ``check_rss_mb``
+  after the second.
 
 Times are given as the least and the median over the runs, peaks as the
-median.  ``states`` and ``edges`` are the structure's counts.  Only
-``explore`` and ``KripkeStructure.predecessors`` are called, so one copy
-of this file measures any two versions of the package that have them.
-Prints one JSON object.
+median.  ``states`` and ``edges`` are the structure's counts, totalized
+in the counter rows.  Only ``parse_program``, ``builtin_example``,
+``explore``, ``parse_ctl``, ``check`` and ``KripkeStructure``'s
+``predecessors`` and ``totalize`` are called, so one copy of this file
+measures any two versions of the package that have them.  Prints one
+JSON object.
 
-Usage: PYTHONPATH=src python scripts/time_store.py [--sizes 10 11 12] [--runs 5]
+Usage: PYTHONPATH=src python scripts/time_store.py [--sizes 10 11 12]
+       [--pipeline-sizes 12 24] [--runs 5]
 """
 
 import argparse
@@ -32,46 +41,75 @@ import sys
 
 import orbitmc
 
+PHASES = 6
+
 CHILD = """
 import json, resource, sys, time
-from orbitmc import builtin_example
+from orbitmc import builtin_example, check, parse_ctl, parse_program
 from orbitmc.explore import explore
 
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-program = builtin_example("mutex", int(sys.argv[1]))
-imported = peak_mb()
+family, n, source = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+program = builtin_example("mutex", n) if family == "mutex" else parse_program(source)
+row = {"import_rss_mb": peak_mb()}
 started = time.perf_counter()
-structure, _ = explore(program, "full")
-explored = time.perf_counter()
-explore_rss = peak_mb()
-for sid in structure.states():
-    structure.predecessors(sid)
-reversed_ = time.perf_counter()
-print(json.dumps({
-    "states": structure.num_states,
-    "edges": structure.num_edges,
-    "explore_ms": (explored - started) * 1000.0,
-    "reverse_ms": (reversed_ - explored) * 1000.0,
-    "import_rss_mb": imported,
-    "explore_rss_mb": explore_rss,
-    "reverse_rss_mb": peak_mb(),
-}))
+structure, _ = explore(program, "full" if family == "mutex" else "counter")
+if family == "mutex":
+    explored = time.perf_counter()
+    row["explore_rss_mb"] = peak_mb()
+    for sid in structure.states():
+        structure.predecessors(sid)
+    row["reverse_ms"] = (time.perf_counter() - explored) * 1000.0
+    row["reverse_rss_mb"] = peak_mb()
+else:
+    structure.totalize()
+    explored = time.perf_counter()
+    row["explore_rss_mb"] = peak_mb()
+    if check(structure, parse_ctl("AF done")).holds is not True:
+        sys.exit("AF done fails on the pipeline")
+    row["check_ms"] = (time.perf_counter() - explored) * 1000.0
+    row["check_rss_mb"] = peak_mb()
+row.update(states=structure.num_states, edges=structure.num_edges,
+           explore_ms=(explored - started) * 1000.0)
+print(json.dumps(row))
 """
 
 
-def one_run(n):
+def pipeline_text(n):
+    """The pipeline family at n processes, with its roles as names."""
+    phases = [f"p{k}" for k in range(PHASES)]
+    lines = [f"processes {n};", f"pc {{{', '.join(phases)}}};", "init pc=p0;"]
+    lines += [f"{a} -> {b} : true / ;" for a, b in zip(phases, phases[1:])]
+    lines += [f"label done := count(pc={phases[-1]}) >= {n};", "label bad := false;"]
+    return "\n".join(lines) + "\n"
+
+
+def one_run(family, n):
     environ = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitmc.__file__)))
-    argv = [sys.executable, "-c", CHILD, str(n)]
+    source = pipeline_text(n) if family == "pipeline" else ""
+    argv = [sys.executable, "-c", CHILD, family, str(n), source]
     done = subprocess.run(argv, env=environ, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+def summary(runs):
+    row = {"states": runs[0]["states"], "edges": runs[0]["edges"]}
+    for key in runs[0]:
+        values = [r[key] for r in runs]
+        if key.endswith("_ms"):
+            row[key] = {"min": round(min(values), 2), "median": round(statistics.median(values), 2)}
+        elif key.endswith("_rss_mb"):
+            row[key] = round(statistics.median(values), 2)
+    return row
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[10, 11, 12])
-    parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per size")
+    parser.add_argument("--pipeline-sizes", type=int, nargs="+", default=[12, 24])
+    parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per row")
     args = parser.parse_args(argv)
 
     report = {
@@ -80,16 +118,10 @@ def main(argv=None):
         "runs": args.runs,
         "sizes": {},
     }
-    for n in args.sizes:
-        runs = [one_run(n) for _ in range(args.runs)]
-        row = {"states": runs[0]["states"], "edges": runs[0]["edges"]}
-        for key in ("explore_ms", "reverse_ms"):
-            values = [r[key] for r in runs]
-            row[key] = {"min": round(min(values), 2),
-                        "median": round(statistics.median(values), 2)}
-        for key in ("import_rss_mb", "explore_rss_mb", "reverse_rss_mb"):
-            row[key] = round(statistics.median(r[key] for r in runs), 2)
-        report["sizes"][f"mutex:{n}"] = row
+    rows = [("mutex", n) for n in args.sizes] + [("pipeline", n) for n in args.pipeline_sizes]
+    for family, n in rows:
+        runs = [one_run(family, n) for _ in range(args.runs)]
+        report["sizes"][f"{family}:{n}"] = summary(runs)
     print(json.dumps(report, indent=2))
 
 

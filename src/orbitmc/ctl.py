@@ -238,7 +238,7 @@ def _sat_eu(structure, left, right):
     queue = deque(sat)
     while queue:
         t = queue.popleft()
-        for s, _ in structure.predecessors(t):
+        for s in structure.predecessors(t):
             if s in left and s not in sat:
                 sat.add(s)
                 queue.append(s)
@@ -249,11 +249,11 @@ def _sat_eg(structure, inner):
     # greatest fixpoint Z = inner ∩ pre(Z): count[s] is the number of edges
     # from s into Z (per edge, so parallel edges count and uncount alike);
     # a state whose count drops to 0 leaves Z and uncounts its in-edges
-    count = {s: sum(t in inner for _, t in structure.successors(s)) for s in inner}
+    count = {s: sum(t in inner for t in structure.successor_ids(s)) for s in inner}
     queue = deque(s for s, c in count.items() if c == 0)
     while queue:
         t = queue.popleft()
-        for s, _ in structure.predecessors(t):
+        for s in structure.predecessors(t):
             c = count.get(s)
             if c:
                 count[s] = c - 1
@@ -317,9 +317,11 @@ def decided_by_tree(formula):
 def shortest_path(structure, sources, targets):
     """Deterministic BFS shortest path; None if no target is reachable.
 
-    Sources are seeded in id order and successors expanded in stored
+    Sources are seeded in id order and successor ids expanded in stored
     order, so ties always break the same way.  The path is read back from
-    the target and reversed once, in time linear in its length.
+    the target and reversed once, in time linear in its length, and each
+    step is named by the first action of its source's edges to its target,
+    the edge that discovered the target.
     """
     targets = set(targets)
     parent = {}
@@ -331,15 +333,18 @@ def shortest_path(structure, sources, targets):
     while queue:
         sid = queue.popleft()
         if sid in targets:
-            states, actions = [sid], []
+            states = [sid]
             while parent[states[-1]] is not None:
-                prev, action = parent[states[-1]]
-                states.append(prev)
-                actions.append(action)
-            return Path(tuple(map(structure.payload, reversed(states))), tuple(reversed(actions)))
-        for action, dst in structure.successors(sid):
+                states.append(parent[states[-1]])
+            states.reverse()
+            actions = [
+                next(action for action, dst in structure.successors(src) if dst == nxt)
+                for src, nxt in zip(states, states[1:])
+            ]
+            return Path(tuple(map(structure.payload, states)), tuple(actions))
+        for dst in structure.successor_ids(sid):
             if dst not in parent:
-                parent[dst] = (sid, action)
+                parent[dst] = sid
                 queue.append(dst)
     return None
 

@@ -6,36 +6,60 @@ a structure holds a fixed set of them, each state's label is a subset,
 and ``init`` marks the initial set.  A structure given a ``codec``
 stores each payload as the codec's ``bytes`` key and speaks payloads at
 its interface: ``add_state`` takes either form, ``payload`` decodes,
-``state_of`` and ``has_state`` encode.  The transition relation is kept
-as int-indexed successor lists of ``(action, target)`` pairs, deduplicated
-per source, with an edge counter.  The ``(source, action)`` lists per
-target are derived from them in one pass on the first reverse read
-(``predecessors``, ``preimage``, ``in_degree``) and kept in sync from then
-on, so a structure that is only explored forwards (``reach``, ``compare``,
-a check whose backward fixpoints start empty) never stores an edge twice.
+``state_of`` and ``has_state`` encode.
+
+The transition relation is stored as flat ``array``s in compressed
+sparse rows: the edges of state s are the positions ``offsets[s]`` to
+``offsets[s + 1]`` of ``targets`` (target ids) and ``actions`` (ids into
+the structure's table of action names, each name interned once), kept in
+the order they were added, each (action, target) at most once per source.
+A writer that adds each source's edges as one block, sources in
+increasing id order, appends them in place and dedupes within the open
+block: ``breadth_first_build`` expands states in id order, so it always
+does.  Targets and actions are appended to lists, which the first read
+turns into arrays; an edge added out of source order (a hand-built
+structure) waits in a pending list that the same read merges in by one
+counting pass, so every read sees one representation.  The reverse
+relation, ``predecessors``, ``preimage`` and ``in_degree``, is built on
+the first reverse read by a counting sort into two more arrays, offsets
+and source ids, and rebuilt on the first reverse read after a write, so
+a structure that is only explored forwards (``reach``, ``compare``, a
+check whose backward fixpoints start empty) never stores an edge twice.
 A target's predecessors are ordered by source id, then by the source's
-edge order; an edge added after the first reverse read comes after them.
-On top of the lists sit the set-valued image/preimage operators, which
-is everything the CTL fixpoint routines need.  The module also hosts the
-deterministic worklist builder, from one initial state, that ``explore``
-calls for every mode.  For a check of ``AG p`` or ``EF p`` with a
-propositional ``p`` it stores only the breadth-first discovery tree, one
-edge per state, while counting every edge for the stats: every reachable
-state hangs in the one tree rooted at the initial state, and
-reachability and shortest paths from it read the same on the tree as on
-the full structure.
+edge order.
+
+``totalize`` stores no edge.  It records the states it found deadlocked,
+and every read shows each of them with one stutter self-loop ahead of its
+stored edges, as if that loop were stored: a state that was dead when
+``totalize`` ran keeps its loop when edges are added to it later.  The
+reads that fixpoints and searches make speak ids: ``successor_ids`` and
+``predecessors`` give one state id per edge, and only ``successors``,
+``edges`` and ``has_edge`` name actions.  On top sit the set-valued
+image/preimage operators, which is everything the CTL fixpoint routines
+need.  The module also hosts the deterministic worklist builder, from one
+initial state, that ``explore`` calls for every mode.  For a check of
+``AG p`` or ``EF p`` with a propositional ``p`` it stores only the
+breadth-first discovery tree, one edge per state, while counting every
+edge for the stats: every reachable state hangs in the one tree rooted at
+the initial state, and reachability and shortest paths from it read the
+same on the tree as on the full structure.
 
 Structures are built single-writer and are safe for concurrent read-only
-use afterwards: the reverse lists are built into a local and published
-by one assignment, so concurrent first readers at worst build them twice.
-No operation mutates after construction except ``totalize``, which is
-part of construction.
+use afterwards: the first read after a write only appends to the offsets
+and the dead flags what every reader appends alike, and builds the rest
+of its read form (the arrays, pending edges merged in, and the reverse
+arrays) into locals that it publishes by one assignment each, so
+concurrent first readers at worst build it twice.  No operation mutates after construction except
+``totalize``, which is part of construction.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
+from itertools import accumulate, compress, repeat
+from operator import add, eq, itemgetter
 
 from .errors import ResourceLimitError
 from .value import Value
@@ -44,6 +68,9 @@ STUTTER_ACTION = "stutter"
 DEFAULT_STATE_BOUND = 10**6
 
 INIT_PROP = "init"
+
+# array typecodes: state and action ids, and offsets into the edge arrays
+_ID, _OFFSET = "i", "q"
 
 
 class Path(Value):
@@ -78,8 +105,7 @@ class Path(Value):
             if not structure.has_edge(ids[k], self.actions[k], ids[k + 1]):
                 return False
         if self.lasso is not None:
-            src, dst = ids[-1], ids[self.lasso]
-            if not any(d == dst for _, d in structure.successors(src)):
+            if ids[self.lasso] not in structure.successor_ids(ids[-1]):
                 return False
         return True
 
@@ -93,9 +119,22 @@ class KripkeStructure:
         self._payloads = []
         self._index = {}
         self._labels = []
-        self._succ = []  # per source: (action, target) pairs, each at most once
-        self._pred = None  # per target: (source, action) pairs, once a reverse read built them
-        self._num_edges = 0
+        # the writer's edges: (offsets, targets, actions, pending).  The block of
+        # the last source in ``offsets``, the open one, runs to the end of
+        # ``targets``; ``pending`` holds out-of-order (source, action id, target)
+        # triples as dict keys, in the order they were added.  The first three
+        # are lists until the first read makes them arrays, since a list
+        # appends in a fraction of an array's time
+        self._edges = ([0], [], [], {})
+        # the open block's target ids, each to the first action id stored; None
+        # while the block holds one edge, which is then all a tree build stores
+        self._open = {}
+        self._action_ids = {}
+        self._action_names = []
+        self._dead = bytearray()  # 1 for each state ``totalize`` found deadlocked
+        # derived on read and dropped by writes: (offsets, targets, actions, dead)
+        # over every state, the reverse (offsets, sources), and the deadlocks
+        self._rows = self._pred = self._deadlocks = None
         self.init = set()
 
     # -- atomic propositions ------------------------------------------------
@@ -124,9 +163,7 @@ class KripkeStructure:
             self._payloads.append(payload)
             self._index[payload] = sid
             self._labels.append(labels)
-            self._succ.append([])
-            if self._pred is not None:
-                self._pred.append([])
+            self._rows = self._pred = self._deadlocks = None
         elif self._labels[sid] != labels:
             raise ValueError(
                 f"payload re-added with different labels: {labels} vs {self._labels[sid]}"
@@ -141,7 +178,8 @@ class KripkeStructure:
 
     @property
     def num_edges(self):
-        return self._num_edges
+        _, targets, _, pending = self._edges
+        return len(targets) + len(pending) + self._dead.count(1)
 
     def states(self):
         return range(len(self._payloads))
@@ -190,93 +228,218 @@ class KripkeStructure:
     # -- edges ---------------------------------------------------------------
 
     def add_edge(self, src, action, dst):
-        succ = self._succ
-        count = len(succ)
+        count = len(self._payloads)
         # the ids a builder passes are plain ints it has just issued; anything
         # else takes the full check, which raises KeyError on an unknown id
         if not (type(src) is type(dst) is int and 0 <= src < count and 0 <= dst < count):
             self._check_id(src)
             self._check_id(dst)
-        out = succ[src]
-        step = (action, dst)
-        if step in out:
+        aid = self._action_ids.get(action)
+        if aid is None:
+            aid = self._action_ids[action] = len(self._action_names)
+            self._action_names.append(action)
+        offsets, targets, actions, _ = self._edges
+        head = len(offsets) - 1
+        if src != head:
+            if src < head:
+                self._add_pending(src, aid, dst)
+                return
+            # close the open block, and an empty one per source between
+            end = len(targets)
+            if src == head + 1:
+                offsets.append(end)
+            else:
+                offsets.extend([end] * (src - head))
+            self._open = None
+        else:
+            seen = self._open
+            if seen is None:  # the block's second edge: index its first
+                start = offsets[src]
+                seen = self._open = {targets[start]: actions[start]}
+            first = seen.get(dst)
+            if first is None:
+                seen[dst] = aid
+            elif first == aid or _holds(targets, actions, offsets[src], len(targets), aid, dst):
+                return
+        targets.append(dst)
+        actions.append(aid)
+
+    def _add_pending(self, src, aid, dst):
+        """An edge from a source whose block is closed, unless it is stored."""
+        offsets, targets, actions, pending = self._edges
+        dead = self._dead
+        if (
+            (src, aid, dst) in pending
+            or (src == dst and src < len(dead) and dead[src]
+                and self._action_names[aid] == STUTTER_ACTION)
+            or _holds(targets, actions, offsets[src], offsets[src + 1], aid, dst)
+        ):
             return
-        out.append(step)
-        if self._pred is not None:
-            self._pred[dst].append((src, action))
-        self._num_edges += 1
+        pending[src, aid, dst] = None
+        self._rows = self._pred = self._deadlocks = None
+
+    def _read(self):
+        """The read form ``(offsets, targets, actions, dead)`` over every
+        state: the open block closed, the edges in arrays with pending ones
+        merged in source order by one counting pass, one dead flag per
+        state."""
+        n = len(self._payloads)
+        offsets, targets, actions, pending = self._edges
+        if len(offsets) <= n:
+            offsets.extend(repeat(len(targets), n + 1 - len(offsets)))
+        if type(targets) is list or pending:
+            offsets = array(_OFFSET, offsets)
+            targets, actions = array(_ID, targets), array(_ID, actions)
+            if pending:
+                offsets, targets, actions = _merged(n, offsets, targets, actions, pending)
+            self._edges = (offsets, targets, actions, {})
+        self._open = {}
+        dead = self._dead
+        if len(dead) < n:
+            dead.extend(bytes(n - len(dead)))
+        rows = self._rows = (offsets, targets, actions, dead)
+        return rows
 
     def has_edge(self, src, action, dst):
-        if not isinstance(src, int) or not 0 <= src < len(self._succ):
+        if not isinstance(src, int) or not 0 <= src < len(self._payloads):
             return False
-        return (action, dst) in self._succ[src]
+        offsets, targets, actions, dead = self._rows or self._read()
+        if dead[src] and dst == src and action == STUTTER_ACTION:
+            return True
+        aid = self._action_ids.get(action)
+        return aid is not None and _holds(targets, actions, offsets[src], offsets[src + 1], aid, dst)
 
     def edges(self):
         """All (source, action, target) triples in deterministic order."""
+        offsets, targets, actions, dead = self._rows or self._read()
+        names = self._action_names
         for src in self.states():
-            for action, dst in self._succ[src]:
-                yield (src, action, dst)
+            if dead[src]:
+                yield (src, STUTTER_ACTION, src)
+            for k in range(offsets[src], offsets[src + 1]):
+                yield (src, names[actions[k]], targets[k])
 
     def successors(self, sid):
+        """(action, target) pairs out of ``sid``, in edge order."""
         self._check_id(sid)
-        return list(self._succ[sid])
+        offsets, targets, actions, dead = self._rows or self._read()
+        a, b = offsets[sid], offsets[sid + 1]
+        out = list(zip(map(self._action_names.__getitem__, actions[a:b]), targets[a:b]))
+        if dead[sid]:
+            out.insert(0, (STUTTER_ACTION, sid))
+        return out
+
+    # the two reads that fixpoints and searches make per state: each returns
+    # an ``array`` slice, and checks the id inline, calling ``_check_id`` only
+    # to raise
+
+    def successor_ids(self, sid):
+        """Target ids out of ``sid``, one per edge in edge order, as an
+        ``array``."""
+        if type(sid) is not int or not 0 <= sid < len(self._payloads):
+            self._check_id(sid)
+        offsets, targets, _, dead = self._rows or self._read()
+        out = targets[offsets[sid] : offsets[sid + 1]]
+        if dead[sid]:
+            out[:0] = array(_ID, (sid,))
+        return out
 
     def predecessors(self, sid):
-        """(source, action) pairs into ``sid``, in the order of the module
-        docstring."""
-        self._check_id(sid)
-        return list((self._pred or self._reverse())[sid])
+        """Source ids into ``sid``, one per edge in the order of the module
+        docstring, as an ``array``."""
+        if type(sid) is not int or not 0 <= sid < len(self._payloads):
+            self._check_id(sid)
+        starts, sources = self._pred or self._reverse()
+        return sources[starts[sid] : starts[sid + 1]]
 
     def out_degree(self, sid):
         self._check_id(sid)
-        return len(self._succ[sid])
+        offsets, _, _, dead = self._rows or self._read()
+        return offsets[sid + 1] - offsets[sid] + dead[sid]
 
     def in_degree(self, sid):
         self._check_id(sid)
-        return len((self._pred or self._reverse())[sid])
+        starts, _ = self._pred or self._reverse()
+        return starts[sid + 1] - starts[sid]
 
     def _reverse(self):
-        """The predecessor lists, built from the successor lists in one pass."""
-        pred = [[] for _ in self._succ]
-        for src, out in enumerate(self._succ):
-            for action, dst in out:
-                pred[dst].append((src, action))
-        self._pred = pred
+        """The reverse relation ``(offsets, sources)``, by a counting sort of
+        the edges on their targets: count each target's edges, then place
+        each source's stutter loop and stored edges, sources in id order."""
+        offsets, targets, _, dead = self._rows or self._read()
+        n = len(self._payloads)
+        counts = [0] * (n + 1)
+        for dst in targets:
+            counts[dst + 1] += 1
+        for sid in compress(range(n), dead):
+            counts[sid + 1] += 1
+        fill = list(accumulate(counts))
+        starts = array(_OFFSET, fill)
+        sources = [0] * fill[n]  # a list while it is filled, for its fast stores
+        src, end = -1, 0
+        for k, dst in enumerate(targets):
+            while k >= end:  # on to the next source, whose edges end at end
+                src += 1
+                end = offsets[src + 1]
+                if dead[src]:
+                    sources[fill[src]] = src
+                    fill[src] += 1
+            at = fill[dst]
+            sources[at] = src
+            fill[dst] = at + 1
+        for sid in compress(range(src + 1, n), dead[src + 1 : n]):  # past the last edge
+            sources[fill[sid]] = sid
+        pred = self._pred = (starts, array(_ID, sources))
         return pred
 
     # -- set-valued operators --------------------------------------------------
 
     def image(self, state_set):
         """Successor set of ``state_set`` under one transition."""
+        offsets, targets, _, dead = self._rows or self._read()
         out = set()
         for sid in state_set:
             self._check_id(sid)
-            out.update(dst for _, dst in self._succ[sid])
+            out.update(targets[offsets[sid] : offsets[sid + 1]])
+            if dead[sid]:
+                out.add(sid)
         return out
 
     def preimage(self, state_set):
         """Predecessor set of ``state_set`` under one transition."""
-        pred = self._pred or self._reverse()
+        starts, sources = self._pred or self._reverse()
         out = set()
         for sid in state_set:
             self._check_id(sid)
-            out.update(src for src, _ in pred[sid])
+            out.update(sources[starts[sid] : starts[sid + 1]])
         return out
 
     # -- totalization -----------------------------------------------------------
 
     def deadlocked_states(self):
-        return [sid for sid in self.states() if not self._succ[sid]]
+        """States with no edge, stored or stutter, in id order."""
+        if self._deadlocks is None:
+            offsets, _, _, dead = self._rows or self._read()
+            empty = compress(self.states(), map(eq, offsets, offsets[1:]))
+            self._deadlocks = [sid for sid in empty if not dead[sid]]
+        return list(self._deadlocks)
 
     def is_total(self):
-        return not self.deadlocked_states()
+        if self._deadlocks is None:
+            self.deadlocked_states()
+        return not self._deadlocks
 
     def totalize(self):
         """Make the transition relation total by one stutter loop per
-        deadlocked state; returns (self, deadlock ids)."""
+        deadlocked state, which reads show and nothing stores; returns
+        (self, deadlock ids)."""
         dead = self.deadlocked_states()
-        for sid in dead:
-            self.add_edge(sid, STUTTER_ACTION, sid)
+        if dead:
+            flags = self._dead
+            for sid in dead:
+                flags[sid] = 1
+            self._pred = None
+        self._deadlocks = []
         return self, dead
 
     # -- export --------------------------------------------------------------
@@ -300,6 +463,32 @@ class KripkeStructure:
             lines.append(f'  {src} -> {dst} [label="{action}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _merged(n, offsets, targets, actions, pending):
+    """The arrays with the ``pending`` edges of an n-state structure merged
+    in by one counting pass: a source's block moves up by the pending edges
+    of the sources before it, and its own follow its block."""
+    shift = [0] * (n + 1)
+    for src, _, _ in pending:
+        shift[src + 1] += 1
+    merged = array(_OFFSET, map(add, offsets, accumulate(shift)))
+    new_targets, new_actions, done = array(_ID), array(_ID), 0
+    for src, aid, dst in sorted(pending, key=itemgetter(0)):
+        end = offsets[src + 1]
+        new_targets += targets[done:end]
+        new_actions += actions[done:end]
+        new_targets.append(dst)
+        new_actions.append(aid)
+        done = end
+    new_targets += targets[done:]
+    new_actions += actions[done:]
+    return merged, new_targets, new_actions
+
+
+def _holds(targets, actions, start, end, aid, dst):
+    """True iff positions ``start`` to ``end`` hold the edge (aid, dst)."""
+    return any(targets[k] == dst and actions[k] == aid for k in range(start, end))
 
 
 class BuildStats(Value, frozen=False):

@@ -473,7 +473,8 @@ class CommandTable:
             tuple(product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)))
             for cmd in program.commands
         )
-        # the firing plans of ``record_plan``, a dict per shared valuation
+        # the firing plans of ``record_plan``: per shared valuation, per acting
+        # process (None in a pid-free program), by record code
         self.plans = {}
         # ``action_names[i][j]`` is the action "i/j" and ``counter_names[code][j]``
         # the action "<record>/<j>"; ``action_row`` and ``counter_row`` fill a
@@ -499,11 +500,12 @@ class CommandTable:
 
     def record_plan(self, shared, code, i=None):
         """The record of a code and its firing plan as process i (None in a
-        pid-free program), kept in ``plans[shared]`` by code if i is None and
-        by ``(code, i)`` otherwise: ``(guard, moves)`` per command j leaving
-        the record's pc, one move ``(j, t, packed t, packed shared values)``
-        per outcome, the packed shared values None if the command leaves
-        them unchanged.  Every right-hand side reads the pre-state, and the
+        pid-free program), kept in ``plans[shared][i][code]``, so a reader
+        finds one acting process's plans once per state and each code's
+        without making a tuple: ``(guard, moves)`` per command j leaving the
+        record's pc, one move ``(j, t, packed t, packed shared values)`` per
+        outcome, the packed shared values None if the command leaves them
+        unchanged.  Every right-hand side reads the pre-state, and the
         ``*`` assignments branch in increasing binary order of the assigned
         bits.  A plan depends only on the shared values, the record and i,
         since guards and updates compare pid values only with i and
@@ -531,8 +533,7 @@ class CommandTable:
                 packed_shared = None if new_shared == shared else codec.pack_shared(new_shared)
                 moves.append((j, t, t.to_bytes(codec.width, "big"), packed_shared))
             plan.append((guard, tuple(moves)))
-        plans = self.plans.setdefault(shared, {})
-        got = plans[code if i is None else (code, i)] = rec, tuple(plan)
+        got = self.plans.setdefault(shared, {}).setdefault(i, {})[code] = rec, tuple(plan)
         return got
 
 
@@ -560,7 +561,7 @@ def _key_successors(table, key):
     """The successor rule on keys.  A successor is the key with one record
     field replaced (and the shared prefix too when the command writes
     shared state), as the plans of ``record_plan`` give them: process i
-    fires the plan of ``(code, i)``.  In a pid-free program no guard or
+    fires its plan of its code.  In a pid-free program no guard or
     effect reads the process index, so each distinct record is planned
     and its guards evaluated once per state, and every process holding it
     reuses the moves."""
@@ -572,8 +573,9 @@ def _key_successors(table, key):
     record_plan, known = table.record_plan, table.plans.get(shared) or {}
     if pid_free:
         enabled = {}
+        by_code = known.get(None) or {}
         for code in set(codes):
-            rec, plan = known.get(code) or record_plan(shared, code)
+            rec, plan = by_code.get(code) or record_plan(shared, code)
             moves = enabled[code] = []
             for guard, command_moves in plan:
                 if guard.eval(shared, rec, None, occ, n):
@@ -586,7 +588,7 @@ def _key_successors(table, key):
         if pid_free:
             moves = enabled[codes[i]]
         else:
-            rec, plan = known.get((codes[i], i)) or record_plan(shared, codes[i], i)
+            rec, plan = (known.get(i) or {}).get(codes[i]) or record_plan(shared, codes[i], i)
             moves = [
                 move
                 for guard, command_moves in plan

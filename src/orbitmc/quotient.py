@@ -115,13 +115,13 @@ def check_bisimulation(full, quotient, size_cap=BISIM_SIZE_CAP):
 
     quotient_edges = {(src, dst) for src, _, dst in qstruct.edges()}
     for sid in full.states():
-        succ_reps = {rep_of[dst] for _, dst in full.successors(sid)}
+        succ_reps = {rep_of[dst] for dst in full.successor_ids(sid)}
         # forth: each concrete move exists in the quotient
         for qdst in succ_reps:
             if (rep_of[sid], qdst) not in quotient_edges:
                 return False
         # back: each quotient move from rep(s) is matched from s itself
-        for _, qdst in qstruct.successors(rep_of[sid]):
+        for qdst in qstruct.successor_ids(rep_of[sid]):
             if qdst not in succ_reps:
                 return False
     return True

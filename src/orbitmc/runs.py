@@ -170,9 +170,9 @@ def run_codec(codec):
 
 def run_successors(program, key, counter=False):
     """All (action, key) pairs one step away from a run-length key, each a
-    splice of ``key``: each pin i fires with the plan of ``(code, i)``,
-    then the head of each run, which stands for its run, with the plan of
-    ``(code, p)`` for p pins (of the code if pid-free), as
+    splice of ``key``: each pin i fires with its plan of its code as process
+    i, then the head of each run, which stands for its run, with the plan
+    of its code as process p for p pins (None if pid-free), as
     ``CommandTable.record_plan`` gives them.  A move that keeps the pins
     (``RunCodec.repin`` None) rewrites the fired pin's code, or moves one
     unit between runs: the firing run loses it or is dropped, the target
@@ -195,7 +195,7 @@ def run_successors(program, key, counter=False):
     out = []
     append = out.append
     for i, code in enumerate(pins):
-        rec, plan = plans.get((code, i)) or record_plan(shared, code, i)
+        rec, plan = (plans.get(i) or {}).get(code) or record_plan(shared, code, i)
         row = names[i] or table.action_row(i)
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
@@ -212,10 +212,11 @@ def run_successors(program, key, counter=False):
     # the firing process apart: every head fires as process p (None if pid-free)
     i, h, head = p if codec.pid_slots else None, p, prefix + pinned
     size, count_bytes, k = runs.pair_size, runs.count_bytes, len(codes)
+    by_code = plans.get(i) or {}
     # a move that keeps the pins moves a unit from run a to t in one splice,
     # the firing run's part made once per run: most moves are these
     for a, (code, m) in enumerate(zip(codes, counts)):
-        rec, plan = plans.get(code if i is None else (code, i)) or record_plan(shared, code, i)
+        rec, plan = by_code.get(code) or record_plan(shared, code, i)
         if not plan:
             h += m
             continue

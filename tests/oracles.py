@@ -93,7 +93,7 @@ def backward_bfs(structure, targets):
     queue = deque(seen)
     while queue:
         t = queue.popleft()
-        for s, _ in structure.predecessors(t):
+        for s in structure.predecessors(t):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)

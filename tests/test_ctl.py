@@ -245,7 +245,7 @@ def backward_bfs_within(structure, targets, allowed):
     frontier = list(targets)
     while frontier:
         t = frontier.pop()
-        for s, _ in structure.predecessors(t):
+        for s in structure.predecessors(t):
             if s in allowed and s not in seen:
                 seen.add(s)
                 frontier.append(s)
@@ -443,7 +443,7 @@ def test_lift_rejects_wrong_start():
 
 
 def count_reads(structure):
-    """Count successor/predecessor reads on one instance: calls plus pairs returned."""
+    """Count successor/predecessor reads on one instance: calls plus edges returned."""
     reads = [0]
 
     def counted(method):
@@ -455,6 +455,7 @@ def count_reads(structure):
         return read
 
     structure.successors = counted(structure.successors)
+    structure.successor_ids = counted(structure.successor_ids)
     structure.predecessors = counted(structure.predecessors)
     return reads
 

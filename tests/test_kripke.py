@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +13,11 @@ from orbitmc import (
     parse_program,
     successors,
 )
-from orbitmc.kripke import breadth_first_build
+from orbitmc.explore import explore
+from orbitmc.kripke import STUTTER_ACTION, breadth_first_build
 
 BAD = "bad"
+DATA = Path(__file__).parent / "data"
 
 
 def two_cycle():
@@ -221,7 +226,7 @@ def test_payload_keying_preserves_state_count():
     assert structure.num_states == count
 
 
-# -- store contract: one adjacency list per direction, deduplicated per source --
+# -- store contract: flat arrays per direction, deduplicated per source --
 
 
 def test_repeated_add_edge_is_a_no_op():
@@ -230,7 +235,7 @@ def test_repeated_add_edge_is_a_no_op():
     assert k.num_edges == 2
     assert k.out_degree(s) == k.in_degree(t) == 1
     assert k.successors(s) == [("a", t)]
-    assert k.predecessors(t) == [(s, "a")]
+    assert list(k.predecessors(t)) == [s]
 
 
 def test_same_endpoints_with_two_actions_are_two_edges():
@@ -263,6 +268,92 @@ def test_unknown_ids_raise_key_error():
         with pytest.raises(KeyError):
             k.preimage({bad})
     assert k.num_edges == 2
+
+
+def test_out_of_order_and_repeated_writes_read_in_source_order():
+    k = KripkeStructure()
+    for name in "abcd":
+        k.add_state(name)
+    k.add_edge(2, "x", 3)  # opens the block of 2, closing those of 0 and 1 empty
+    k.add_edge(2, "y", 3)
+    k.add_edge(2, "x", 3)  # a repeat within the open block
+    k.add_edge(0, "x", 1)  # out of order: waits until the next read
+    k.add_edge(3, "x", 0)
+    k.add_edge(0, "x", 1)  # a repeat of a waiting edge
+    k.add_edge(2, "z", 0)  # out of order, after the block of 2
+    k.add_edge(2, "y", 3)  # a repeat of an edge in a closed block
+    assert k.num_edges == 5
+    assert list(k.edges()) == [
+        (0, "x", 1), (2, "x", 3), (2, "y", 3), (2, "z", 0), (3, "x", 0)
+    ]
+    assert [list(k.predecessors(s)) for s in k.states()] == [[2, 3], [0], [], [2, 2]]
+    k.add_edge(1, "w", 2)  # after the reads, every write is out of order
+    k.add_edge(0, "x", 1)
+    assert k.num_edges == 6
+    assert k.successors(1) == [("w", 2)] and list(k.predecessors(2)) == [1]
+    assert list(k.successor_ids(2)) == [3, 3, 0]
+
+
+def test_a_dead_state_reads_one_stutter_loop_from_totalize_on():
+    k = KripkeStructure()
+    s, t = k.add_state("s"), k.add_state("t")
+    k.add_edge(s, "a", t)
+    assert k.successors(t) == [] and k.out_degree(t) == 0
+    assert not k.has_edge(t, STUTTER_ACTION, t) and not k.is_total()
+    assert k.deadlocked_states() == [t]
+    _, dead = k.totalize()
+    assert dead == [t] and k.is_total() and k.deadlocked_states() == []
+    assert k.successors(t) == [(STUTTER_ACTION, t)] and list(k.successor_ids(t)) == [t]
+    assert k.has_edge(t, STUTTER_ACTION, t) and k.num_edges == 2
+    assert list(k.predecessors(t)) == [s, t] and k.in_degree(t) == 2
+    assert k.image({t}) == {t} and k.preimage({t}) == {s, t}
+    assert list(k.edges()) == [(s, "a", t), (t, STUTTER_ACTION, t)]
+    k.add_edge(t, STUTTER_ACTION, t)  # the loop reads as stored: a repeat adds nothing
+    k.add_edge(t, "b", s)  # the loop stays, ahead of the later edge
+    assert k.successors(t) == [(STUTTER_ACTION, t), ("b", s)] and k.num_edges == 3
+    assert list(k.predecessors(s)) == [t] and k.out_degree(t) == 2
+    assert k.totalize()[1] == [] and k.num_edges == 3
+    u = k.add_state("u")  # a state added after totalize is a new deadlock
+    assert not k.is_total() and k.deadlocked_states() == [u]
+    assert k.totalize()[1] == [u] and k.successors(u) == [(STUTTER_ACTION, u)]
+
+
+def test_a_tree_build_stores_no_edge_for_its_leaves():
+    program = builtin_example("mutex", 4)
+    structure, _ = explore(program, "full", _tree=True)
+    _, dead = structure.totalize()
+    assert len(dead) > structure.num_states // 4  # every leaf of the tree is dead in it
+    stored = structure._edges[1]  # the target ids of the stored edges
+    assert len(stored) == structure.num_states - 1  # one tree edge into each state but 0
+    assert structure.num_edges == len(stored) + len(dead)
+    assert all(structure.successors(sid) == [(STUTTER_ACTION, sid)] for sid in dead)
+
+
+def test_structures_hold_a_few_bytes_per_edge():
+    """Edges cost a few bytes each, in both directions: the bytes a counter
+    build of pipeline:8 holds after its totalize and a predecessors read of
+    every state, less those of its discovery tree, per extra edge.  An
+    ``(action, id)`` tuple per edge in each direction holds about 110 bytes
+    per edge here, so the bound catches their return."""
+    program = parse_program((DATA / "pipeline_8.gcl").read_text())
+    explore(program, "counter")  # fills the firing plans, which both builds share
+
+    def held(tree):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            structure, _ = explore(program, "counter", _tree=tree)
+            structure.totalize()
+            for sid in structure.states():
+                structure.predecessors(sid)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], structure.num_edges
+        finally:
+            tracemalloc.stop()
+
+    (tree_bytes, tree_edges), (full_bytes, full_edges) = held(True), held(False)
+    assert (tree_edges, full_edges) == (1616, 3961)
+    assert (full_bytes - tree_bytes) / (full_edges - tree_edges) < 40
 
 
 def test_export_dot_edges_sorted_on_mutex3():

@@ -1,17 +1,23 @@
-"""Reverse edges built on the first reverse read, and structures freed by
-reference counting once a check returns.
+"""Reverse edges built on the first reverse read, every read against a
+list reference, and structures freed by reference counting once a check
+returns.
 
-``KripkeStructure`` stores successor lists only; ``predecessors``,
-``preimage`` and ``in_degree`` read lists derived from them, so every
-read here is compared with ``edges()`` reversed, whatever the writes
-before and after the first read.  The first read orders each target's
-pairs as ``edges()`` does; edges added later follow in insertion order.
+``KripkeStructure`` stores each source's edges as a block of flat arrays
+and derives the reverse arrays on the first reverse read (``predecessors``,
+``preimage``, ``in_degree``).  ``ListReference`` states the same contract
+as plain lists, per source its (action, target) pairs in the order first
+added and a stutter loop for each state dead when ``totalize`` ran, so
+every read here, forward and reverse, is compared with it whatever the
+order of the writes before and after the reads.  Predecessors come in
+``edges()`` order: by source id, then by the source's edge order.
 """
 
 import copy
 import gc
 import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -23,54 +29,80 @@ from orbitmc.kripke import STUTTER_ACTION
 BAD = "bad"
 
 
-def reversed_edges(structure):
-    """Per target, its (source, action) pairs in ``edges()`` order."""
-    expected = {sid: [] for sid in structure.states()}
-    for src, action, dst in structure.edges():
-        expected[dst].append((src, action))
-    return expected
+class ListReference:
+    """A structure as per-source lists of (action, target) pairs."""
+
+    def __init__(self):
+        self.structure = KripkeStructure([BAD])
+        self.out = []
+
+    def add_state(self, payload, labels=()):
+        sid = self.structure.add_state(payload, labels)
+        if sid == len(self.out):
+            self.out.append([])
+        return sid
+
+    def add_edge(self, src, action, dst):
+        self.structure.add_edge(src, action, dst)
+        if (action, dst) not in self.out[src]:
+            self.out[src].append((action, dst))
+
+    def totalize(self):
+        _, dead = self.structure.totalize()
+        assert dead == [sid for sid, out in enumerate(self.out) if not out]
+        for sid in dead:
+            self.out[sid].append((STUTTER_ACTION, sid))
+
+    def assert_reads(self, rng):
+        k, out = self.structure, self.out
+        edges = [(src, action, dst) for src, pairs in enumerate(out) for action, dst in pairs]
+        assert list(k.edges()) == edges
+        assert k.num_edges == len(edges)
+        assert k.is_total() == all(out)
+        assert k.deadlocked_states() == [sid for sid, pairs in enumerate(out) if not pairs]
+        for sid in k.states():
+            assert k.successors(sid) == out[sid]
+            assert list(k.successor_ids(sid)) == [dst for _, dst in out[sid]]
+            assert list(k.predecessors(sid)) == [src for src, _, dst in edges if dst == sid]
+            assert k.out_degree(sid) == len(out[sid])
+            assert k.in_degree(sid) == sum(dst == sid for _, _, dst in edges)
+            for action, dst in out[sid]:
+                assert k.has_edge(sid, action, dst)
+            assert not k.has_edge(sid, "never", sid)
+        for _ in range(3):
+            chosen = rng.sample(list(k.states()), rng.randint(0, k.num_states))
+            assert k.image(chosen) == {dst for src in chosen for _, dst in out[src]}
+            assert k.preimage(chosen) == {src for src, _, dst in edges if dst in chosen}
+        assert k.export_dot().count(" -> ") == len(edges)
 
 
-def assert_reverse_reads(structure, rng, first=False):
-    """Every reverse read against ``edges()`` reversed: in its order on a
-    first read, as a set after (a (source, action) pair enters a target once)."""
-    expected = reversed_edges(structure)
-    for sid in structure.states():
-        got = structure.predecessors(sid)
-        assert got == expected[sid] if first else sorted(got) == sorted(expected[sid])
-        assert structure.in_degree(sid) == len(expected[sid])
-    for _ in range(3):
-        chosen = rng.sample(list(structure.states()), rng.randint(0, structure.num_states))
-        assert structure.preimage(chosen) == {s for t in chosen for s, _ in expected[t]}
-    assert sum(map(structure.in_degree, structure.states())) == structure.num_edges
-
-
-def random_structure(rng, states, edges):
-    k = KripkeStructure([BAD])
+def random_reference(rng, states, edges):
+    ref = ListReference()
     for i in range(states):
-        k.add_state(i, {"bad"} if rng.random() < 0.2 else ())
+        ref.add_state(i, {"bad"} if rng.random() < 0.2 else ())
     for _ in range(edges):
-        k.add_edge(rng.randrange(states), rng.choice("abc"), rng.randrange(states))
-    return k
+        ref.add_edge(rng.randrange(states), rng.choice("abc"), rng.randrange(states))
+    return ref
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_reverse_reads_interleaved_with_writes(seed):
     rng = random.Random(seed)
-    k = random_structure(rng, rng.randint(1, 8), rng.randint(0, 12))
-    first = True
+    ref = random_reference(rng, rng.randint(1, 8), rng.randint(0, 12))
     for _ in range(30):
         op = rng.random()
+        n = ref.structure.num_states
         if op < 0.2:
-            k.add_state(("extra", rng.randrange(4)))  # sometimes one already present
+            ref.add_state(("extra", rng.randrange(4)))  # sometimes one already present
+        elif op < 0.6:
+            ref.add_edge(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+        elif op < 0.65:
+            ref.add_edge(rng.randrange(n), STUTTER_ACTION, rng.randrange(n))
         elif op < 0.7:
-            k.add_edge(rng.randrange(k.num_states), rng.choice("ab"), rng.randrange(k.num_states))
-        elif op < 0.75:
-            k.totalize()
+            ref.totalize()
         else:
-            assert_reverse_reads(k, rng, first)
-            first = False
-    assert_reverse_reads(k, rng, first)
+            ref.assert_reads(rng)
+    ref.assert_reads(rng)
 
 
 def test_predecessors_order_is_by_source_then_edge_order():
@@ -81,23 +113,28 @@ def test_predecessors_order_is_by_source_then_edge_order():
     k.add_edge(1, "y", 0)
     k.add_edge(1, "x", 0)
     k.add_edge(2, "z", 0)
-    k.totalize()  # the deadlock 0 gets a stutter loop, added last
-    assert k.predecessors(0) == [(0, STUTTER_ACTION), (1, "y"), (1, "x"), (2, "z"), (3, "x")]
+    k.totalize()  # the deadlock 0 reads as having a stutter loop, ahead of any later edge
+    assert list(k.predecessors(0)) == [0, 1, 1, 2, 3]
     k.add_edge(0, "w", 0)
     k.add_edge(2, "w", 0)
-    assert k.predecessors(0)[-2:] == [(0, "w"), (2, "w")]  # after the first read, writes append
+    assert list(k.predecessors(0)) == [0, 0, 1, 1, 2, 2, 3]  # later writes merge into source order
+    assert k.successors(0) == [(STUTTER_ACTION, 0), ("w", 0)]
+    assert k.successors(2) == [("z", 0), ("w", 0)]
 
 
 def test_reads_after_the_first_see_new_states_and_edges():
     k = KripkeStructure()
     s = k.add_state("s")
-    assert k.predecessors(s) == [] and k.in_degree(s) == 0
+    assert list(k.predecessors(s)) == [] and k.in_degree(s) == 0
     t = k.add_state("t")
     k.add_edge(s, "a", t)
     k.add_edge(s, "a", t)  # a repeat stores nothing in either direction
-    assert k.predecessors(t) == [(s, "a")]
+    assert list(k.predecessors(t)) == [s]
     assert k.preimage({s, t}) == {s}
     assert k.in_degree(t) == 1
+    u = k.add_state("u")
+    k.add_edge(u, "b", s)
+    assert list(k.predecessors(s)) == [u] and k.successors(u) == [("b", s)]
 
 
 @pytest.mark.parametrize(
@@ -106,18 +143,65 @@ def test_reads_after_the_first_see_new_states_and_edges():
 @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
 def test_copies_before_and_after_the_first_reverse_read(copy_of, read_first):
     rng = random.Random(7)
-    original = random_structure(rng, 9, 20)
+    original = random_reference(rng, 9, 20)
     if read_first:
-        assert_reverse_reads(original, rng, first=True)
+        original.assert_reads(rng)
     copied = copy_of(original)
-    assert list(copied.edges()) == list(original.edges())
-    assert_reverse_reads(copied, rng, first=True)
-    copied.add_edge(0, "new", 8)  # the copy owns its lists
-    assert not original.has_edge(0, "new", 8)
-    assert (0, "new") not in original.predecessors(8)
-    assert copied.predecessors(8)[-1] == (0, "new")
-    assert_reverse_reads(original, rng)
-    assert_reverse_reads(copied, rng)
+    assert list(copied.structure.edges()) == list(original.structure.edges())
+    copied.assert_reads(rng)
+    before = list(original.structure.predecessors(8))
+    copied.add_edge(0, "new", 8)  # the copy owns its arrays
+    assert not original.structure.has_edge(0, "new", 8)
+    assert list(original.structure.predecessors(8)) == before
+    assert list(copied.structure.predecessors(8)) == sorted(before + [0])
+    original.assert_reads(rng)
+    copied.assert_reads(rng)
+
+
+def test_a_shallow_copy_reads_the_same():
+    rng = random.Random(8)
+    ref = random_reference(rng, 9, 20)
+    shallow = copy.copy(ref.structure)
+    assert list(shallow.edges()) == list(ref.structure.edges())
+    assert [list(shallow.predecessors(s)) for s in shallow.states()] == [
+        list(ref.structure.predecessors(s)) for s in shallow.states()
+    ]
+    ref.assert_reads(rng)
+
+
+def test_concurrent_first_reads_agree():
+    """Threads that all make the first reads of a structure with edges
+    still pending, so each may merge them and build the reverse arrays
+    itself, all read what the list reference says."""
+    rng = random.Random(9)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ref = random_reference(rng, 300, 1200)
+            ref.totalize()
+            for _ in range(300):  # after totalize's read, every edge waits for the next one
+                ref.add_edge(rng.randrange(300), rng.choice("ab"), rng.randrange(300))
+            ids = list(ref.structure.states())
+            want = (
+                [[dst for _, dst in ref.out[sid]] for sid in ids],
+                [[src for src in ids for _, dst in ref.out[src] if dst == sid] for sid in ids],
+            )
+            got = []
+
+            def read(k=copy.deepcopy(ref.structure)):
+                forward = [list(k.successor_ids(sid)) for sid in ids]
+                got.append((forward, [list(k.predecessors(sid)) for sid in ids]))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert got == [want] * len(threads)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
