@@ -15,8 +15,10 @@ initial key and a successor rule over keys:
   ``symmetry.canonical_key_fn``.
 
 A quotient's initial key is the one of ``symmetry.rep_min`` of the
-initial state, and every state is labeled by ``program.labeling`` on its
-key.  The result is the structure with its stats, a ``kripke.BuildStats``.
+initial state, and every state is labeled when expanded, by
+``program.labeling`` on its key, which reads back the parse the
+successor rule just made of it (``RunCodec.parts``, ``StateCodec.census``).
+The result is the structure with its stats, a ``kripke.BuildStats``.
 Every CLI subcommand builds through ``explore``; ``build_full_structure``,
 ``build_quotient`` and ``build_counter_structure`` are its one-line public
 forms.  ``reach`` wraps it for callers that want the reached payloads;

@@ -37,7 +37,8 @@ reads that fixpoints and searches make speak ids: ``successor_ids`` and
 ``edges`` and ``has_edge`` name actions.  On top sit the set-valued
 image/preimage operators, which is everything the CTL fixpoint routines
 need.  The module also hosts the deterministic worklist builder, from one
-initial state, that ``explore`` calls for every mode.  For a check of
+initial state, that ``explore`` calls for every mode; it labels each
+state when it expands it, right after its successors.  For a check of
 ``AG p`` or ``EF p`` with a propositional ``p`` it stores only the
 breadth-first discovery tree, one edge per state, while counting every
 edge for the stats: every reachable state hangs in the one tree rooted at
@@ -323,10 +324,10 @@ class KripkeStructure:
         """(action, target) pairs out of ``sid``, in edge order."""
         self._check_id(sid)
         offsets, targets, actions, dead = self._rows or self._read()
-        a, b = offsets[sid], offsets[sid + 1]
-        out = list(zip(map(self._action_names.__getitem__, actions[a:b]), targets[a:b]))
-        if dead[sid]:
-            out.insert(0, (STUTTER_ACTION, sid))
+        names = self._action_names
+        out = [(STUTTER_ACTION, sid)] if dead[sid] else []
+        for k in range(offsets[sid], offsets[sid + 1]):  # no slices: most rows are short
+            out.append((names[actions[k]], targets[k]))
         return out
 
     # the two reads that fixpoints and searches make per state: each returns
@@ -515,10 +516,15 @@ def breadth_first_build(
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
     deterministic order; insertion order then fixes state numbering, so
-    two runs over the same inputs produce identical structures.
+    two runs over the same inputs produce identical structures.  Each
+    state is labeled when expanded, by ``labeler`` on the payload that
+    ``expand`` was just given, so a labeler that reads back the parse its
+    successor rule made of that payload reads each state once.  With
+    ``stop_at_bad`` states are labeled when inserted instead, and the loop
+    halts at the first one labeled ``bad``, leaving a partial structure.
     ``stats.bad_reached`` records whether a state labeled ``bad`` was
-    inserted; with ``stop_at_bad`` the loop halts at the first such state,
-    leaving a partial structure.
+    inserted; a state bound overrun labels the unexpanded frontier before
+    it raises, so the partial stats say the same.
 
     The structure's propositions are ``props`` and ``init``.  The initial
     state is the first one inserted, state 0, and it alone gets the
@@ -542,14 +548,30 @@ def breadth_first_build(
     structure = KripkeStructure({*props, INIT_PROP}, codec)
     stats = BuildStats()
     queue = deque()
-    index = structure._index
-    payloads = structure._payloads
+    # the builder appends states to the structure's own lists; only the
+    # initial state goes through ``add_state``
+    index, payloads, labeled = structure._index, structure._payloads, structure._labels
 
     label_sets = {}  # one frozenset per distinct label set, shared by its states
+
+    def label(payload):
+        # the state's labels as the one frozenset of its label set; a set is
+        # checked, and read for ``bad``, when its first state is labeled
+        labels = frozenset(labeler(payload))
+        shared = label_sets.get(labels)
+        if shared is None:
+            if not labels <= structure._props:
+                raise ValueError(f"label {min(labels - structure._props)!r} is not in the AP set")
+            shared = label_sets[labels] = labels
+            if "bad" in labels:
+                stats.bad_reached = True
+        labeled.append(shared)
 
     def insert(payload):
         # only for payloads not yet in the index: the callers look them up
         if len(payloads) >= state_bound:
+            for key in payloads[len(labeled) :]:
+                label(key)
             stats.states_reached = structure.num_states
             stats.edges = structure.num_edges
             stats.frontier_peak = max(stats.frontier_peak, len(queue))
@@ -557,18 +579,16 @@ def breadth_first_build(
                 f"state bound {state_bound} exceeded; frontier size {len(queue)}",
                 partial_stats=stats,
             )
-        labels = frozenset(labeler(payload))
-        initial = not payloads
-        if initial:
-            labels |= {INIT_PROP}
-        labels = label_sets.setdefault(labels, labels)
-        sid = structure.add_state(payload, labels, initial=initial)
+        sid = index[payload] = len(payloads)
+        payloads.append(payload)
         queue.append(sid)
-        if "bad" in labels:
-            stats.bad_reached = True
+        if stop_at_bad:
+            label(payload)
         return sid
 
-    insert(initial)
+    labels = frozenset(labeler(initial)) | {INIT_PROP}
+    queue.append(structure.add_state(initial, labels, initial=True))
+    stats.bad_reached = "bad" in labels
     stats.frontier_peak = 1
 
     add_edge = structure.add_edge
@@ -576,7 +596,10 @@ def breadth_first_build(
     try:
         while queue and not (stop_at_bad and stats.bad_reached):
             sid = queue.popleft()
-            succs = expand(payloads[sid])
+            key = payloads[sid]
+            succs = expand(key)
+            if len(labeled) == sid:  # not labeled when inserted
+                label(key)
             if not succs:
                 stats.deadlocks += 1
             for action, target in succs:

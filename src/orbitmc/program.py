@@ -117,6 +117,7 @@ class StateCodec:
         self._whole = Struct(f">{num_shared}{self.shared_fmt}{n}{self.code_fmt}")
         self._record_of = {}
         self._code_of = {}
+        self._last = object(), None  # ``census``' last key and its census
 
     def __reduce__(self):  # copies and pickles share the codec of the layout
         return _codec, self._layout
@@ -199,14 +200,24 @@ class StateCodec:
             raise ValueError(f"shared values {values} out of range: {exc}") from None
 
     def census(self, key):
-        """The shared values and per-pc process counts of a key."""
+        """The shared values and per-pc process counts of a key, as tuples.
+        The last key read and its census are kept, as one tuple, and a call
+        on that same key object returns them again: the builder labels a
+        state right after the successor rule read it.  Threads sharing the
+        codec at worst read a key again."""
+        last = self._last
+        if last[0] is key:
+            return last[1]
         codes = self.codes(key)
         if not self.num_locals:
-            return self.shared(key), list(map(codes.count, range(self.num_pcs)))
-        occ = [0] * self.num_pcs
-        for code in set(codes):
-            occ[code >> self.num_locals] += codes.count(code)
-        return self.shared(key), occ
+            occ = list(map(codes.count, range(self.num_pcs)))
+        else:
+            occ = [0] * self.num_pcs
+            for code in set(codes):
+                occ[code >> self.num_locals] += codes.count(code)
+        got = self.shared(key), tuple(occ)
+        self._last = key, got
+        return got
 
 
 @lru_cache(maxsize=None)

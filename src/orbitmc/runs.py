@@ -49,6 +49,7 @@ class RunCodec:
         # (unpack, shared count, shared and pin count) by key length, and by
         # shared prefix too when pid-typed
         self._heads = {}
+        self._last = object(), None  # ``parts``' last key and its parts
 
     def __reduce__(self):  # copies and pickles share the run codec of the codec
         return run_codec, (self.codec,)
@@ -67,7 +68,14 @@ class RunCodec:
         return fields
 
     def parts(self, key):
-        """``(shared, pinned codes, run codes, run counts, per-pc occupancy)``."""
+        """``(shared, pinned codes, run codes, run counts, per-pc occupancy)``,
+        all tuples.  The last key parsed and its parts are kept, as one
+        tuple, and a call on that same key object returns them again: the
+        builder labels a state (``census``) right after the kernel parsed
+        it.  Threads sharing the codec at worst parse a key again."""
+        last = self._last
+        if last[0] is key:
+            return last[1]
         codec = self.codec
         head = (key[: codec.shared_size], len(key)) if codec.pid_slots else len(key)
         got = self._heads.get(head)
@@ -87,7 +95,9 @@ class RunCodec:
                 occ[code >> shift] += m
         except IndexError:
             raise ValueError(f"run-length key {key!r} holds a record code of no pc") from None
-        return fields[:s], fields[s:p], codes, counts, occ
+        got = fields[:s], fields[s:p], codes, counts, tuple(occ)
+        self._last = key, got
+        return got
 
     def pack(self, shared, pins, pairs):
         """The key of shared values, pinned codes and ``(code, count)`` pairs."""

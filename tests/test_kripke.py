@@ -419,3 +419,73 @@ def test_build_reports_bad_without_stopping():
     assert structure.num_states == stats.states_reached == 6
     _, stats = breadth_first_build([BAD], 0, expand, lambda payload: set())
     assert not stats.bad_reached
+
+
+def test_build_labels_a_state_after_its_expansion():
+    # each state's labeler call comes right after its successors, state 0's
+    # (labeled when inserted) before them
+    calls = []
+
+    def expand(payload):
+        calls.append(("expand", payload))
+        return [("inc", payload + 1)] if payload < 3 else []
+
+    def labeler(payload):
+        calls.append(("label", payload))
+        return set()
+
+    breadth_first_build([BAD], 0, expand, labeler)
+    assert calls == [("label", 0), ("expand", 0)] + [
+        (step, k) for k in (1, 2, 3) for step in ("expand", "label")
+    ]
+    calls.clear()
+    breadth_first_build([BAD], 0, expand, labeler, stop_at_bad=True)
+    assert calls == [("label", 0)] + [
+        step for k in (0, 1, 2) for step in (("expand", k), ("label", k + 1))
+    ] + [("expand", 3)]
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_bound_overrun_reports_a_bad_state_it_inserted_last(tree):
+    def expand(payload):
+        return [("inc", payload + 1), ("inc", payload + 2)]
+
+    def labeler(payload):
+        return {BAD} if payload == 4 else set()
+
+    # states 0..4 fit, 4 inserted last and never expanded
+    with pytest.raises(ResourceLimitError) as err:
+        breadth_first_build([BAD], 0, expand, labeler, state_bound=5, tree=tree)
+    assert err.value.partial_stats.states_reached == 5
+    assert err.value.partial_stats.bad_reached
+    with pytest.raises(ResourceLimitError) as err:
+        breadth_first_build([BAD], 0, expand, labeler, state_bound=4, tree=tree)
+    assert not err.value.partial_stats.bad_reached
+
+
+def test_build_checks_each_label_set_against_the_props():
+    def expand(payload):
+        return [("inc", payload + 1)] if payload < 3 else []
+
+    with pytest.raises(ValueError, match="'odd' is not in the AP set"):
+        breadth_first_build([BAD], 0, expand, lambda p: {"odd"} if p % 2 else set())
+    structure, _ = breadth_first_build([BAD], 0, expand, lambda p: {BAD} if p % 2 else set())
+    # the states of one label set share its one frozenset
+    assert structure.label_of(1) is structure.label_of(3) == frozenset({BAD})
+
+
+def test_successors_read_as_the_edges_of_their_source():
+    k = KripkeStructure()
+    for name in "abc":
+        k.add_state(name)
+    k.add_edge(1, "x", 2)
+    k.add_edge(1, "y", 0)
+    k.add_edge(0, "x", 1)  # out of order
+    k.totalize()  # c is dead
+    _, mutex = mutex_full(3)
+    counter, _ = explore(builtin_example("broken-mutex", 4), "counter")
+    counter.totalize()
+    for structure in (k, mutex, counter):
+        edges = list(structure.edges())
+        for sid in structure.states():
+            assert structure.successors(sid) == [(a, t) for s, a, t in edges if s == sid]
