@@ -1,13 +1,14 @@
 """Time ``explore`` per state, split into the kernel, labeling and the rest.
 
 Each row is ``family:n:mode``, by default ``pipeline:12:counter``,
-``mutex:10:full`` and ``mutex:100:quotient``.  ``pipeline:n`` is the
-benchmark's pipeline family (n processes walk six phases ``p0`` to
-``p5`` in a line, once; ``done`` says that all of them are at ``p5``),
-``mutex:n`` the builtin.  Each of ``--runs`` fresh interpreters per row
-builds the row's structure once, which fills the firing plans and codec
-memos, and collects every state's key.  It then times ``--passes``
-rounds of three passes, keeping the best of each:
+``mutex:10:full`` and ``mutex:100:quotient``.  ``pipeline:n`` is
+``time_store.pipeline_text``, the benchmark's pipeline family (n
+processes walk six phases ``p0`` to ``p5`` in a line, once; ``done``
+says that all of them are at ``p5``), ``mutex:n`` the builtin.  Each of
+``--runs`` fresh interpreters per row builds the row's structure once,
+which fills the firing plans and codec memos, and collects every state's
+key.  It then times ``PASSES`` rounds of three passes, keeping the best
+of each:
 
 * ``kernel_us``: the mode's successor rule on every key
   (``program.successors``, ``runs.run_successors`` or
@@ -20,44 +21,35 @@ rounds of three passes, keeping the best of each:
 
 Each is microseconds per state, ``explore_us`` the whole, and the
 reported figure is the least and the median over the runs.  Only
-``builtin_example``, ``parse_program``, ``explore``, the three kernels,
+``builtin_source``, ``parse_program``, ``explore``, the three kernels,
 ``labeling``, ``KripkeStructure.key`` and the program's ``table.codec``
 and ``table.runs`` are called, so one copy of this file times any two
 versions of the package that have them.  Prints one JSON object.
 
 Usage: PYTHONPATH=src python scripts/time_build.py [--rows pipeline:12:counter ...]
-       [--runs 5] [--passes 5]
+       [--runs 5]
 """
 
 import argparse
 import json
-import os
 import platform
-import statistics
-import subprocess
-import sys
 
-import orbitmc
+from orbitmc.parser import builtin_source
+from time_store import least_and_median, pipeline_text, run_child
 
 ROWS = ("pipeline:12:counter", "mutex:10:full", "mutex:100:quotient")
+PASSES = 5  # timed rounds per run
 
 CHILD = """
 import json, sys, time
-from orbitmc import builtin_example, parse_program
 from orbitmc.counter import counter_successors
 from orbitmc.explore import explore
+from orbitmc.parser import parse_program
 from orbitmc.program import labeling, successors
 from orbitmc.runs import run_successors
 
-family, n, mode, passes = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-if family == "pipeline":
-    phases = [f"p{k}" for k in range(6)]
-    source = f"processes {n};\\npc {{{', '.join(phases)}}};\\ninit pc=p0;\\n"
-    source += "".join(f"{a} -> {b} : true / ;\\n" for a, b in zip(phases, phases[1:]))
-    source += f"label done := count(pc=p5) >= {n};\\nlabel bad := false;\\n"
-    program = parse_program(source, name=f"pipeline:{n}")
-else:
-    program = builtin_example(family, n)
+source, mode, passes = sys.argv[1], sys.argv[2], int(sys.argv[3])
+program = parse_program(source)
 structure, _ = explore(program, mode)
 keys = [structure.key(sid) for sid in structure.states()]
 codec = program.table.codec if mode == "full" else program.table.runs
@@ -88,35 +80,27 @@ print(json.dumps({"states": len(keys), "explore_us": us["explore"], "kernel_us":
 """
 
 
-def one_run(row, passes):
-    family, n, mode = row.split(":")
-    environ = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitmc.__file__)))
-    argv = [sys.executable, "-c", CHILD, family, n, mode, str(passes)]
-    done = subprocess.run(argv, env=environ, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", nargs="+", default=list(ROWS), help="family:n:mode")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per row")
-    parser.add_argument("--passes", type=int, default=5, help="timed rounds per interpreter")
     args = parser.parse_args(argv)
 
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "runs": args.runs,
-        "passes": args.passes,
+        "passes": PASSES,
         "rows": {},
     }
     for row in args.rows:
-        runs = [one_run(row, args.passes) for _ in range(args.runs)]
+        family, n, mode = row.split(":")
+        n = int(n)
+        source = pipeline_text(n) if family == "pipeline" else builtin_source(family, n)
+        runs = [run_child(CHILD, source, mode, PASSES) for _ in range(args.runs)]
         summary = {"states": runs[0]["states"]}
         for key in ("explore_us", "kernel_us", "labeling_us", "rest_us"):
-            values = [r[key] for r in runs]
-            summary[key] = {"min": round(min(values), 2),
-                            "median": round(statistics.median(values), 2)}
+            summary[key] = least_and_median([r[key] for r in runs])
         report["rows"][row] = summary
     print(json.dumps(report, indent=2))
 

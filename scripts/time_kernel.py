@@ -11,30 +11,27 @@ filled memos and keeps the best of these warm passes:
 * ``allocator:n`` and ``broken-allocator:n`` (the allocator without the
   ``grant == none`` entry guard) in quotient mode: pid-typed keys, whose
   moves take, keep or release the pinned grant holder;
-* ``pipeline:n`` (six phases, each process steps through them once) in
-  counter mode: pid-free keys.
+* ``pipeline:n``, ``time_store.pipeline_text`` (six phases, each process
+  steps through them once), in counter mode: pid-free keys.
 
 ``us_per_state`` is the best warm pass per state in microseconds, and
 ``cold_us_per_state`` the cold pass per state, each the least and the
 median over the runs; ``states`` and ``successors`` count the keys and
 the pairs one pass returns.  Only ``run_successors``, the program's
 ``table.runs`` codec, the ``program._codec`` and ``runs.run_codec``
-memos and ``parse_program`` are called, so one copy of this file times
-any two versions of the package that have them.  Prints one
-JSON object.
+memos, ``builtin_source`` and ``parse_program`` are called, so one copy
+of this file times any two versions of the package that have them.
+Prints one JSON object.
 
 Usage: PYTHONPATH=src python scripts/time_kernel.py [--sizes 3 6 9 12] [--runs 5]
 """
 
 import argparse
 import json
-import os
 import platform
-import statistics
-import subprocess
-import sys
 
-import orbitmc
+from orbitmc.parser import builtin_source
+from time_store import least_and_median, pipeline_text, run_child
 
 MODELS = ("allocator", "broken-allocator", "pipeline")
 PASSES = 5  # passes over the keys per run
@@ -42,20 +39,11 @@ PASSES = 5  # passes over the keys per run
 CHILD = """
 import json, sys, time
 from orbitmc import program as program_module, runs as runs_module
-from orbitmc.parser import builtin_source, parse_program
+from orbitmc.parser import parse_program
 from orbitmc.runs import run_successors
 
-name, n, passes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-if name == "pipeline":
-    phases = [f"p{k}" for k in range(6)]
-    source = f"processes {n};\\npc {{{', '.join(phases)}}};\\ninit pc=p0;\\n"
-    source += "".join(f"{a} -> {b} : true / ;\\n" for a, b in zip(phases, phases[1:]))
-else:
-    source = builtin_source("allocator", n)
-    if name == "broken-allocator":
-        source = source.replace("grant == none / grant := self", "true / grant := self")
-program = parse_program(source, name=f"{name}:{n}")
-counter = name == "pipeline"
+source, counter, passes = sys.argv[1], sys.argv[2] == "counter", int(sys.argv[3])
+program = parse_program(source)
 first = program.table.runs.encode(program.initial_state())
 keys, seen = [first], {first}
 for key in keys:
@@ -65,7 +53,7 @@ for key in keys:
             keys.append(target)
 program_module._codec.cache_clear()
 runs_module.run_codec.cache_clear()
-program = parse_program(source, name=f"{name}:{n}")
+program = parse_program(source)
 started = time.perf_counter()
 for key in keys:
     run_successors(program, key, counter)
@@ -81,11 +69,13 @@ print(json.dumps({"states": len(keys), "successors": successors,
 """
 
 
-def one_run(name, n, passes):
-    environ = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitmc.__file__)))
-    argv = [sys.executable, "-c", CHILD, name, str(n), str(passes)]
-    done = subprocess.run(argv, env=environ, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
+def model_text(name, n):
+    if name == "pipeline":
+        return pipeline_text(n)
+    source = builtin_source("allocator", n)
+    if name == "broken-allocator":
+        source = source.replace("grant == none / grant := self", "true / grant := self")
+    return source
 
 
 def main(argv=None):
@@ -104,17 +94,14 @@ def main(argv=None):
     }
     for name in MODELS:
         for n in args.sizes:
-            runs = [one_run(name, n, PASSES) for _ in range(args.runs)]
-            times = [r["us_per_state"] for r in runs]
-            cold = [r["cold_us_per_state"] for r in runs]
+            mode = "counter" if name == "pipeline" else "quotient"
+            runs = [run_child(CHILD, model_text(name, n), mode, PASSES) for _ in range(args.runs)]
             report["models"][f"{name}:{n}"] = {
-                "mode": "counter" if name == "pipeline" else "quotient",
+                "mode": mode,
                 "states": runs[0]["states"],
                 "successors": runs[0]["successors"],
-                "us_per_state": {"min": round(min(times), 3),
-                                 "median": round(statistics.median(times), 3)},
-                "cold_us_per_state": {"min": round(min(cold), 3),
-                                      "median": round(statistics.median(cold), 3)},
+                "us_per_state": least_and_median([r["us_per_state"] for r in runs], 3),
+                "cold_us_per_state": least_and_median([r["cold_us_per_state"] for r in runs], 3),
             }
     print(json.dumps(report, indent=2))
 

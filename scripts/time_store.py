@@ -86,12 +86,21 @@ def pipeline_text(n):
     return "\n".join(lines) + "\n"
 
 
-def one_run(family, n):
+def run_child(child, *args):
+    """The JSON object that the program text ``child`` prints when run on
+    ``args`` in a fresh interpreter that imports this copy of orbitmc."""
     environ = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitmc.__file__)))
-    source = pipeline_text(n) if family == "pipeline" else ""
-    argv = [sys.executable, "-c", CHILD, family, str(n), source]
+    argv = [sys.executable, "-c", child, *map(str, args)]
     done = subprocess.run(argv, env=environ, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+def least_and_median(values, digits=2):
+    return {"min": round(min(values), digits), "median": round(statistics.median(values), digits)}
+
+
+def one_run(family, n):
+    return run_child(CHILD, family, n, pipeline_text(n) if family == "pipeline" else "")
 
 
 def summary(runs):
@@ -99,7 +108,7 @@ def summary(runs):
     for key in runs[0]:
         values = [r[key] for r in runs]
         if key.endswith("_ms"):
-            row[key] = {"min": round(min(values), 2), "median": round(statistics.median(values), 2)}
+            row[key] = least_and_median(values)
         elif key.endswith("_rss_mb"):
             row[key] = round(statistics.median(values), 2)
     return row

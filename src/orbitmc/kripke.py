@@ -160,17 +160,24 @@ class KripkeStructure:
             payload = self._codec.encode(payload)
         sid = self._index.get(payload)
         if sid is None:
-            sid = len(self._payloads)
-            self._payloads.append(payload)
-            self._index[payload] = sid
+            sid = self._append(payload)
             self._labels.append(labels)
-            self._rows = self._pred = self._deadlocks = None
         elif self._labels[sid] != labels:
             raise ValueError(
                 f"payload re-added with different labels: {labels} vs {self._labels[sid]}"
             )
         if initial:
             self.init.add(sid)
+        return sid
+
+    def _append(self, payload):
+        # store a new stored-form payload and return its id: the one place a
+        # state's index entry and payload are written.  Its label slot is the
+        # caller's to append, in id order: ``add_state`` does so at once,
+        # ``breadth_first_build`` when it expands the state
+        sid = self._index[payload] = len(self._payloads)
+        self._payloads.append(payload)
+        self._rows = self._pred = self._deadlocks = None
         return sid
 
     @property
@@ -548,9 +555,10 @@ def breadth_first_build(
     structure = KripkeStructure({*props, INIT_PROP}, codec)
     stats = BuildStats()
     queue = deque()
-    # the builder appends states to the structure's own lists; only the
-    # initial state goes through ``add_state``
-    index, payloads, labeled = structure._index, structure._payloads, structure._labels
+    # only the initial state goes through ``add_state``: the builder stores
+    # the others by ``_append`` and fills their label slots itself
+    append, index, payloads = structure._append, structure._index, structure._payloads
+    labeled = structure._labels
 
     label_sets = {}  # one frozenset per distinct label set, shared by its states
 
@@ -579,8 +587,7 @@ def breadth_first_build(
                 f"state bound {state_bound} exceeded; frontier size {len(queue)}",
                 partial_stats=stats,
             )
-        sid = index[payload] = len(payloads)
-        payloads.append(payload)
+        sid = append(payload)
         queue.append(sid)
         if stop_at_bad:
             label(payload)
