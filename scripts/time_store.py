@@ -14,8 +14,9 @@ difference from this one is what the structure held at its peak.
   (default 12 and 24): the text of the benchmark's pipeline family (n
   processes walk six phases ``p0`` to ``p5`` in a line, once, and
   ``done`` says that all of them are at ``p5``) explored in counter mode
-  and totalized, then a ``check`` of ``AF done``, whose EG reads
-  successors and predecessors of every state; ``explore_ms`` and
+  and totalized, then a ``check`` of ``AF done``, whose EG counts
+  every edge forwards and reads the predecessors of every state it
+  removes; ``explore_ms`` and
   ``explore_rss_mb`` after the first, ``check_ms`` and ``check_rss_mb``
   after the second.
 

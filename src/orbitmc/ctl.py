@@ -6,14 +6,21 @@ label connectives, with right-associative ``->`` on top.
 
 The core is EX / E[_ U _] / EG; everything else normalizes into it at
 parse time through the standard dualities, so there are exactly three
-fixpoint routines.  EU is a least fixpoint computed as backward
-saturation; EG is a greatest fixpoint computed with a successor-count
-worklist: each candidate counts its edges into the candidate set, and a
-state whose count reaches zero is removed and decrements its
-predecessors (Clarke, Emerson & Sistla 1986).  Both read each state and
-edge a bounded number of times, so every fixpoint runs in time linear in
-the structure.  All of it runs on any totalized Kripke structure,
-whether it came from the full, quotient or counter exploration.
+fixpoint routines.  State ids are dense (0 ... N-1), so evaluation marks
+each state with the subformulas that hold there as the labeling
+algorithm does (Clarke, Emerson & Sistla 1986): every subformula is
+``bytes`` of one flag per state id.  An atom is one pass over the label
+slots, ``!`` one ``bytes.translate``, ``&`` and ``|`` one bitwise
+operation on the flags read as ints, and EX one count of each state's
+edges into the flagged states.  EU is a least fixpoint computed as
+backward saturation over a ``bytearray``; EG is a greatest fixpoint
+computed with a successor-count worklist: each candidate's count of
+edges into the candidate set comes from one bulk pass over the forward
+edges, and a state whose count reaches zero is removed and decrements
+its predecessors.  Both read each state and edge a bounded number of
+times, so every fixpoint runs in time linear in the structure.  All of
+it runs on any totalized Kripke structure, whether it came from the
+full, quotient or counter exploration.
 
 Counterexamples are produced for top-level invariant-style failures
 (anything of the shape "no reachable state hits X") and witnesses for
@@ -30,6 +37,8 @@ the symmetry machinery is sound.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
+from operator import gt, mul
 
 from .errors import InternalError
 from .kripke import Path
@@ -188,18 +197,24 @@ def parse_ctl(text):
 
 
 def sat_set(structure, formula, *, _memo=None):
-    """States satisfying ``formula``, by the standard explicit fixpoints.
+    """States satisfying ``formula``, as a frozenset of state ids.
 
     The structure must be total (CTL talks about infinite paths) and
-    every atom must exist in its AP set.  ``_memo``, a dict from the id
-    of a subformula node to its sat set, lets ``check`` read a
-    subformula's set from the same evaluation; keyed by identity, a node
-    that the formula shares is evaluated once, and no lookup hashes a
-    subtree.
+    every atom must exist in its AP set.  Every subformula is evaluated
+    to ``bytes`` of one flag per state id, 1 where it holds, and only the
+    result is turned into a set.  ``_memo``, a dict from the id of a
+    subformula node to its flags, lets ``check`` read a subformula's
+    flags from the same evaluation; keyed by identity, a node that the
+    formula shares is evaluated once, and no lookup hashes a subtree.
     """
     if not structure.is_total():
         raise ValueError("structure is not total; run totalize() first")
-    return _sat(structure, formula, {} if _memo is None else _memo)
+    flags = _sat(structure, formula, {} if _memo is None else _memo)
+    return frozenset(compress(structure.states(), flags))
+
+
+# ``bytes.translate`` table of ``!``: flag 0 to 1 and 1 to 0
+_FLIP = bytes((1, 0)) + bytes(254)
 
 
 def _sat(structure, f, memo):
@@ -208,20 +223,22 @@ def _sat(structure, f, memo):
     got = memo.get(id(f))
     if got is not None:
         return got
+    n = structure.num_states
     if isinstance(f, TrueF):
-        out = frozenset(structure.states())
+        out = b"\1" * n
     elif isinstance(f, FalseF):
-        out = frozenset()
+        out = bytes(n)
     elif isinstance(f, Atom):
-        out = frozenset(structure.sat_atom(f.name))
+        out = structure.label_flags(f.name)
     elif isinstance(f, Not):
-        out = frozenset(structure.states()) - _sat(structure, f.inner, memo)
-    elif isinstance(f, And):
-        out = _sat(structure, f.left, memo) & _sat(structure, f.right, memo)
-    elif isinstance(f, Or):
-        out = _sat(structure, f.left, memo) | _sat(structure, f.right, memo)
+        out = _sat(structure, f.inner, memo).translate(_FLIP)
+    elif isinstance(f, (And, Or)):
+        # flags of 0 and 1 combine bytewise as the bits of two ints
+        left = int.from_bytes(_sat(structure, f.left, memo), "little")
+        right = int.from_bytes(_sat(structure, f.right, memo), "little")
+        out = (left & right if isinstance(f, And) else left | right).to_bytes(n, "little")
     elif isinstance(f, EX):
-        out = frozenset(structure.preimage(_sat(structure, f.inner, memo)))
+        out = bytes(map(bool, structure.edge_counts(_sat(structure, f.inner, memo))))
     elif isinstance(f, EU):
         out = _sat_eu(structure, _sat(structure, f.left, memo), _sat(structure, f.right, memo))
     elif isinstance(f, EG):
@@ -234,32 +251,31 @@ def _sat(structure, f, memo):
 
 def _sat_eu(structure, left, right):
     # least fixpoint Z = right ∪ (left ∩ pre(Z)), by backward saturation
-    sat = set(right)
-    queue = deque(sat)
+    sat = bytearray(right)
+    queue = deque(compress(structure.states(), right))
     while queue:
-        t = queue.popleft()
-        for s in structure.predecessors(t):
-            if s in left and s not in sat:
-                sat.add(s)
+        for s in structure.predecessors(queue.popleft()):
+            if left[s] and not sat[s]:
+                sat[s] = 1
                 queue.append(s)
-    return frozenset(sat)
+    return bytes(sat)
 
 
 def _sat_eg(structure, inner):
     # greatest fixpoint Z = inner ∩ pre(Z): count[s] is the number of edges
-    # from s into Z (per edge, so parallel edges count and uncount alike);
-    # a state whose count drops to 0 leaves Z and uncounts its in-edges
-    count = {s: sum(t in inner for t in structure.successor_ids(s)) for s in inner}
-    queue = deque(s for s, c in count.items() if c == 0)
+    # from s into Z (per edge, so parallel edges count and uncount alike),
+    # 0 off ``inner``; a state whose count drops to 0 leaves Z and uncounts
+    # its in-edges
+    count = list(map(mul, structure.edge_counts(inner), inner))
+    queue = deque(compress(structure.states(), map(gt, inner, count)))
     while queue:
-        t = queue.popleft()
-        for s in structure.predecessors(t):
-            c = count.get(s)
+        for s in structure.predecessors(queue.popleft()):
+            c = count[s]
             if c:
                 count[s] = c - 1
                 if c == 1:
                     queue.append(s)
-    return frozenset(s for s, c in count.items() if c)
+    return bytes(map(bool, count))
 
 
 # --------------------------------------------------------------------------
@@ -317,25 +333,34 @@ def decided_by_tree(formula):
 def shortest_path(structure, sources, targets):
     """Deterministic BFS shortest path; None if no target is reachable.
 
+    ``targets`` is either ``bytes`` (or a ``bytearray``) of one flag per
+    state id, as the fixpoints make them, or any collection of state ids.
     Sources are seeded in id order and successor ids expanded in stored
-    order, so ties always break the same way.  The path is read back from
-    the target and reversed once, in time linear in its length, and each
-    step is named by the first action of its source's edges to its target,
-    the edge that discovered the target.
+    order, so ties always break the same way.  Each reached state's BFS
+    parent is kept in a list by state id; the path is read back from the
+    target and reversed once, in time linear in its length, and each step
+    is named by the first action of its source's edges to its target, the
+    edge that discovered the target.
     """
-    targets = set(targets)
-    parent = {}
+    n = structure.num_states
+    if not isinstance(targets, (bytes, bytearray)):
+        flags = bytearray(n)
+        for sid in targets:
+            flags[sid] = 1
+        targets = flags
+    parent = [-1] * n  # a source is its own parent
     queue = deque()
     for sid in sorted(sources):
-        if sid not in parent:
-            parent[sid] = None
+        if parent[sid] < 0:
+            parent[sid] = sid
             queue.append(sid)
     while queue:
         sid = queue.popleft()
-        if sid in targets:
+        if targets[sid]:
             states = [sid]
-            while parent[states[-1]] is not None:
-                states.append(parent[states[-1]])
+            while parent[sid] != sid:
+                sid = parent[sid]
+                states.append(sid)
             states.reverse()
             actions = [
                 next(action for action, dst in structure.successors(src) if dst == nxt)
@@ -343,7 +368,7 @@ def shortest_path(structure, sources, targets):
             ]
             return Path(tuple(map(structure.payload, states)), tuple(actions))
         for dst in structure.successor_ids(sid):
-            if dst not in parent:
+            if parent[dst] < 0:
                 parent[dst] = sid
                 queue.append(dst)
     return None
@@ -357,7 +382,7 @@ def check(structure, formula):
     init = structure.init
     memo = {}
     sat = sat_set(structure, formula, _memo=memo)
-    holds = init <= sat
+    holds = all(map(memo[id(formula)].__getitem__, init))
     counterexample = None
     target = _invariant_target(formula)
     if target is not None and not holds:

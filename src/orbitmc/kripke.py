@@ -34,9 +34,12 @@ stored edges, as if that loop were stored: a state that was dead when
 ``totalize`` ran keeps its loop when edges are added to it later.  The
 reads that fixpoints and searches make speak ids: ``successor_ids`` and
 ``predecessors`` give one state id per edge, and only ``successors``,
-``edges`` and ``has_edge`` name actions.  On top sit the set-valued
-image/preimage operators, which is everything the CTL fixpoint routines
-need.  The module also hosts the deterministic worklist builder, from one
+``edges`` and ``has_edge`` name actions.  Two bulk reads serve the CTL
+fixpoints, which speak ``bytes`` of one flag per state id:
+``label_flags`` flags the states that carry a proposition, and
+``edge_counts`` counts each state's edges into a flagged set, both
+linear in states plus edges.  On top sit the set-valued image/preimage
+operators.  The module also hosts the deterministic worklist builder, from one
 initial state, that ``explore`` calls for every mode; it labels each
 state when it expands it, right after its successors.  For a check of
 ``AG p`` or ``EF p`` with a propositional ``p`` it stores only the
@@ -59,8 +62,8 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
-from itertools import accumulate, compress, repeat
-from operator import add, eq, itemgetter
+from itertools import accumulate, compress, islice, repeat
+from operator import add, and_, contains, eq, itemgetter
 
 from .errors import ResourceLimitError
 from .value import Value
@@ -223,11 +226,16 @@ class KripkeStructure:
         self._check_id(sid)
         return self._labels[sid]
 
-    def sat_atom(self, name):
-        """All states labeled with the named proposition."""
+    def label_flags(self, name):
+        """One flag per state id, 1 where the state is labeled with the
+        named proposition, as ``bytes``: one pass over the label slots."""
         if name not in self._props:
             raise ValueError(f"unknown atomic proposition {name!r}")
-        return {sid for sid in self.states() if name in self._labels[sid]}
+        return bytes(map(contains, self._labels, repeat(name)))
+
+    def sat_atom(self, name):
+        """All states labeled with the named proposition."""
+        return set(compress(self.states(), self.label_flags(name)))
 
     def _check_id(self, sid):
         if not isinstance(sid, int) or not 0 <= sid < len(self._payloads):
@@ -365,6 +373,16 @@ class KripkeStructure:
         offsets, _, _, dead = self._rows or self._read()
         return offsets[sid + 1] - offsets[sid] + dead[sid]
 
+    def edge_counts(self, flags):
+        """The number of edges out of each state into the states that
+        ``flags`` marks (one flag per state id), as a list by state id: one
+        hit byte per edge, then a count per row, a stutter loop counted as
+        the edge it reads as."""
+        offsets, targets, _, dead = self._rows or self._read()
+        hits = bytes(map(flags.__getitem__, targets))
+        rows = map(hits.count, repeat(1), offsets, islice(offsets, 1, None))
+        return list(map(add, rows, map(and_, dead, flags)))
+
     def in_degree(self, sid):
         self._check_id(sid)
         starts, _ = self._pred or self._reverse()
@@ -381,9 +399,9 @@ class KripkeStructure:
             counts[dst + 1] += 1
         for sid in compress(range(n), dead):
             counts[sid + 1] += 1
-        fill = list(accumulate(counts))
+        fill = list(accumulate(counts))  # a list, for its fast stores
         starts = array(_OFFSET, fill)
-        sources = [0] * fill[n]  # a list while it is filled, for its fast stores
+        sources = array(_ID, (0,)) * fill[n]
         src, end = -1, 0
         for k, dst in enumerate(targets):
             while k >= end:  # on to the next source, whose edges end at end
@@ -397,7 +415,7 @@ class KripkeStructure:
             fill[dst] = at + 1
         for sid in compress(range(src + 1, n), dead[src + 1 : n]):  # past the last edge
             sources[fill[sid]] = sid
-        pred = self._pred = (starts, array(_ID, sources))
+        pred = self._pred = (starts, sources)
         return pred
 
     # -- set-valued operators --------------------------------------------------

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,15 +16,20 @@ from orbitmc import (
     labeling,
     lift_counterexample,
     parse_ctl,
+    parse_program,
     rep_min,
     rotation,
     sat_set,
+    shortest_path,
     successors,
     transposition,
 )
 from orbitmc.ctl import And, Atom, EG, EU, EX, FalseF, Not, Or, TrueF, neg
+from orbitmc.explore import explore
 
 from oracles import backward_bfs, shortest_distance
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- parsing and normalization ---------------------------------------------------
@@ -257,6 +265,81 @@ def test_eg_matches_cycle_oracle():
     for _ in range(25):
         k = random_structure(rng, rng.randint(2, 10))
         assert sat_set(k, parse_ctl("EG p")) == eg_oracle(k, k.sat_atom("p"))
+
+
+# -- one flag per state: edge cases and set oracles -------------------------------
+
+
+def labeled_with(structure, name):
+    return frozenset(s for s in structure.states() if name in structure.label_of(s))
+
+
+@pytest.mark.parametrize("text", FORMULA_POOL + ["AF p", "AX !q", "A[p U q]", "true"])
+def test_sat_on_an_empty_structure(text):
+    k = KripkeStructure(["p", "q"])
+    k.totalize()
+    assert sat_set(k, parse_ctl(text)) == frozenset()
+    result = check(k, parse_ctl(text))
+    assert result.holds and result.sat_states == frozenset()
+    assert result.counterexample is None
+
+
+@pytest.mark.parametrize("stored_loop", [False, True])
+@pytest.mark.parametrize("labels", [set(), {"p"}, {"q"}, {"p", "q"}])
+def test_sat_on_a_one_state_structure(labels, stored_loop):
+    # the one state's only path stays put, so every temporal operator reads
+    # the state's own labels
+    k = KripkeStructure(["p", "q"])
+    k.add_state("s", labels, initial=True)
+    if stored_loop:
+        k.add_edge(0, "loop", 0)
+    k.totalize()
+    p, q = "p" in labels, "q" in labels
+    expected = {
+        "p": p, "!p": not p, "p & q": p and q, "p | !q": p or not q,
+        "EX p": p, "EF q": q, "EG p": p, "E[p U q]": q, "AF p": p, "AX !q": not q,
+    }
+    for text, holds in expected.items():
+        assert sat_set(k, parse_ctl(text)) == (frozenset({0}) if holds else frozenset()), text
+        assert check(k, parse_ctl(text)).holds == holds, text
+
+
+def test_boolean_and_ex_flags_match_set_oracles():
+    rng = random.Random(35)
+    for size in list(range(1, 20)) + [63, 64, 65, 300]:
+        k = random_structure(rng, size)
+        everything = frozenset(k.states())
+        p, q = labeled_with(k, "p"), labeled_with(k, "q")
+
+        def ex(inner):
+            return frozenset(s for s in k.states() if set(k.successor_ids(s)) & inner)
+
+        expected = {
+            "!p": everything - p,
+            "p & q": p & q,
+            "p | q": p | q,
+            "!(p & !q)": everything - (p - q),
+            "EX p": ex(p),
+            "EX !q": ex(everything - q),
+            "EX (p | q)": ex(p | q),
+            "!EX (p & q)": everything - ex(p & q),
+        }
+        for text, want in expected.items():
+            got = sat_set(k, parse_ctl(text))
+            assert type(got) is frozenset
+            assert got == want, (size, text)
+
+
+def test_shortest_path_takes_flags_or_any_collection_of_ids():
+    structure = totalized_full("broken-mutex", 2)
+    bad = structure.sat_atom("bad")
+    flags = bytes(s in bad for s in structure.states())
+    expected = shortest_path(structure, structure.init, bad)
+    assert expected is not None and expected.is_path_of(structure)
+    for targets in (flags, bytearray(flags), frozenset(bad), sorted(bad), iter(bad)):
+        assert shortest_path(structure, structure.init, targets) == expected
+    assert shortest_path(structure, structure.init, bytes(structure.num_states)) is None
+    assert shortest_path(structure, structure.init, ()) is None
 
 
 # -- verdicts on the protocols ---------------------------------------------------
@@ -545,3 +628,27 @@ def test_ef_witness_on_a_long_chain():
     assert result.holds
     assert result.counterexample.states == tuple(range(n))
     assert result.counterexample.actions == ("step",) * (n - 1)
+
+
+def test_check_holds_a_few_bytes_per_state():
+    """The tracemalloc peak of ``check`` over the totalized counter
+    structure of pipeline:8, per state, for a few formulas of the liveness
+    shapes.  One flag per state id per subformula keeps it near 180 bytes;
+    a frozenset of ids per subformula held about 350, so the bound catches
+    a return of per-state sets."""
+    program = parse_program((DATA / "pipeline_8.gcl").read_text())
+    for text in ("AF done", "EF done", "AG !bad", "AX AF done"):
+        structure, _ = explore(program, "counter")
+        structure.totalize()
+        formula = parse_ctl(text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = check(structure, formula)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.holds, text
+        assert structure.num_states == 1287
+        assert peak / structure.num_states < 250, (text, peak / structure.num_states)

@@ -329,6 +329,32 @@ def test_a_tree_build_stores_no_edge_for_its_leaves():
     assert all(structure.successors(sid) == [(STUTTER_ACTION, sid)] for sid in dead)
 
 
+def test_label_flags_mark_each_labeled_state_and_sat_atom_reads_them():
+    k = KripkeStructure(["p", "q"])
+    for name, labels in (("a", {"p"}), ("b", set()), ("c", {"p", "q"})):
+        k.add_state(name, labels)
+    assert k.label_flags("p") == b"\1\0\1" and k.label_flags("q") == b"\0\0\1"
+    assert k.sat_atom("p") == {0, 2} and k.sat_atom("q") == {2}
+    with pytest.raises(ValueError):
+        k.label_flags("r")
+    assert KripkeStructure(["p"]).label_flags("p") == b""
+
+
+def test_edge_counts_count_parallel_edges_and_stutter_loops_per_edge():
+    k = KripkeStructure()
+    a, b, c, d = (k.add_state(name) for name in "abcd")
+    k.add_edge(a, "x", b)
+    k.add_edge(a, "y", b)
+    k.add_edge(a, "z", c)
+    k.add_edge(b, "x", a)
+    k.add_edge(c, "x", c)
+    k.totalize()  # d reads one stutter loop
+    assert k.edge_counts(b"\0\1\1\1") == [3, 0, 1, 1]
+    assert k.edge_counts(b"\1\0\0\0") == [0, 1, 0, 0]
+    assert k.edge_counts(bytes(4)) == [0, 0, 0, 0]
+    assert KripkeStructure().edge_counts(b"") == []
+
+
 def test_structures_hold_a_few_bytes_per_edge():
     """Edges cost a few bytes each, in both directions: the bytes a counter
     build of pipeline:8 holds after its totalize and a predecessors read of
