@@ -13,30 +13,30 @@ sparse rows: the edges of state s are the positions ``offsets[s]`` to
 ``offsets[s + 1]`` of ``targets`` (target ids) and ``actions`` (ids into
 the structure's table of action names, each name interned once), kept in
 the order they were added, each (action, target) at most once per source.
-A writer that adds each source's edges as one block, sources in
-increasing id order, appends them in place and dedupes within the open
-block: ``breadth_first_build`` expands states in id order, so it always
-does.  Targets and actions are appended to lists, which the first read
-turns into arrays; an edge added out of source order (a hand-built
-structure) waits in a pending list that the same read merges in by one
-counting pass, so every read sees one representation.  The reverse
-relation, ``predecessors``, ``preimage`` and ``in_degree``, is built on
-the first reverse read by a counting sort into two more arrays, offsets
-and source ids, and rebuilt on the first reverse read after a write, so
-a structure that is only explored forwards (``reach``, ``compare``, a
-check whose backward fixpoints start empty) never stores an edge twice.
-A target's predecessors are ordered by source id, then by the source's
-edge order.
+A structure is written once, then read.  Its writer adds each source's
+edges as one block, sources in increasing id order, all before the first
+read; ``breadth_first_build`` expands states in id order, so it always
+does.  Each edge is appended in place, and a repeat within the open
+block stores nothing.  Adding a source's block closes every block before
+it, and the first read closes them all: it turns the writer's lists into
+arrays with an offset past every state.  From then on ``add_edge`` raises
+``ValueError``, as it does for an edge into any closed block, and so does
+``add_state`` for a new payload.  The reverse relation,
+``predecessors``, ``preimage`` and ``in_degree``, is built on the first
+reverse read by a counting sort into two more arrays, offsets and source
+ids, so a structure that is only explored forwards (``reach``,
+``compare``, a check whose backward fixpoints start empty) never stores
+an edge twice.  A target's predecessors are ordered by source id, then
+by the source's edge order.
 
-``totalize`` stores no edge.  It records the states it found deadlocked,
-and every read shows each of them with one stutter self-loop ahead of its
-stored edges, as if that loop were stored: a state that was dead when
-``totalize`` ran keeps its loop when edges are added to it later.  The
-reads that fixpoints and searches make speak ids: ``successor_ids`` and
-``predecessors`` give one state id per edge, and only ``successors``,
-``edges`` and ``has_edge`` name actions.  Two bulk reads serve the CTL
-fixpoints, which speak ``bytes`` of one flag per state id:
-``label_flags`` flags the states that carry a proposition, and
+``totalize`` stores no edge, and since it reads, no edge follows it.  It
+records the states it found deadlocked, and every read shows each of
+them with one stutter self-loop ahead of its stored edges, as if that
+loop were stored.  The reads that fixpoints and searches make speak ids:
+``successor_ids`` and ``predecessors`` give one state id per edge, and
+only ``successors``, ``edges`` and ``has_edge`` name actions.  Two bulk
+reads serve the CTL fixpoints, which speak ``bytes`` of one flag per
+state id: ``label_flags`` flags the states that carry a proposition, and
 ``edge_counts`` counts each state's edges into a flagged set, both
 linear in states plus edges.  On top sit the set-valued image/preimage
 operators.  The module also hosts the deterministic worklist builder, from one
@@ -48,13 +48,9 @@ edge for the stats: every reachable state hangs in the one tree rooted at
 the initial state, and reachability and shortest paths from it read the
 same on the tree as on the full structure.
 
-Structures are built single-writer and are safe for concurrent read-only
-use afterwards: the first read after a write only appends to the offsets
-and the dead flags what every reader appends alike, and builds the rest
-of its read form (the arrays, pending edges merged in, and the reverse
-arrays) into locals that it publishes by one assignment each, so
-concurrent first readers at worst build it twice.  No operation mutates after construction except
-``totalize``, which is part of construction.
+A built structure is safe for concurrent reads: a first read builds its
+read form into new arrays and publishes it by one assignment, so
+concurrent first readers at worst build it twice.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import time
 from array import array
 from collections import deque
 from itertools import accumulate, compress, islice, repeat
-from operator import add, and_, contains, eq, itemgetter
+from operator import add, and_, contains, eq
 
 from .errors import ResourceLimitError
 from .value import Value
@@ -123,21 +119,19 @@ class KripkeStructure:
         self._payloads = []
         self._index = {}
         self._labels = []
-        # the writer's edges: (offsets, targets, actions, pending).  The block of
-        # the last source in ``offsets``, the open one, runs to the end of
-        # ``targets``; ``pending`` holds out-of-order (source, action id, target)
-        # triples as dict keys, in the order they were added.  The first three
+        # the edges: (offsets, targets, actions).  The block of the last source
+        # in ``offsets``, the open one, runs to the end of ``targets``.  They
         # are lists until the first read makes them arrays, since a list
         # appends in a fraction of an array's time
-        self._edges = ([0], [], [], {})
+        self._edges = ([0], [], [])
         # the open block's target ids, each to the first action id stored; None
         # while the block holds one edge, which is then all a tree build stores
         self._open = {}
         self._action_ids = {}
         self._action_names = []
-        self._dead = bytearray()  # 1 for each state ``totalize`` found deadlocked
-        # derived on read and dropped by writes: (offsets, targets, actions, dead)
-        # over every state, the reverse (offsets, sources), and the deadlocks
+        # derived on read: (offsets, targets, actions, dead) over every state,
+        # dead holding 1 for each state ``totalize`` found deadlocked; the
+        # reverse (offsets, sources); and the deadlocks
         self._rows = self._pred = self._deadlocks = None
         self.init = set()
 
@@ -154,7 +148,8 @@ class KripkeStructure:
 
         Re-adding an existing payload with a different label set is
         rejected, since labels are a function of the payload everywhere
-        this structure is built from.
+        this structure is built from, and so is a new payload after the
+        first read.
         """
         labels = frozenset(labels)
         if not labels <= self._props:
@@ -163,6 +158,8 @@ class KripkeStructure:
             payload = self._codec.encode(payload)
         sid = self._index.get(payload)
         if sid is None:
+            if self._rows is not None:
+                raise ValueError("a structure takes no new state after its first read")
             sid = self._append(payload)
             self._labels.append(labels)
         elif self._labels[sid] != labels:
@@ -180,7 +177,6 @@ class KripkeStructure:
         # ``breadth_first_build`` when it expands the state
         sid = self._index[payload] = len(self._payloads)
         self._payloads.append(payload)
-        self._rows = self._pred = self._deadlocks = None
         return sid
 
     @property
@@ -189,8 +185,8 @@ class KripkeStructure:
 
     @property
     def num_edges(self):
-        _, targets, _, pending = self._edges
-        return len(targets) + len(pending) + self._dead.count(1)
+        rows = self._rows
+        return len(self._edges[1]) + (rows[3].count(1) if rows else 0)
 
     def states(self):
         return range(len(self._payloads))
@@ -254,12 +250,14 @@ class KripkeStructure:
         if aid is None:
             aid = self._action_ids[action] = len(self._action_names)
             self._action_names.append(action)
-        offsets, targets, actions, _ = self._edges
+        offsets, targets, actions = self._edges
         head = len(offsets) - 1
         if src != head:
-            if src < head:
-                self._add_pending(src, aid, dst)
-                return
+            if src < head:  # after the first read, every block is closed
+                raise ValueError(
+                    f"edge out of state {src} after its block closed: a structure takes"
+                    " each source's edges as one block, in id order, before its first read"
+                )
             # close the open block, and an empty one per source between
             end = len(targets)
             if src == head + 1:
@@ -280,40 +278,16 @@ class KripkeStructure:
         targets.append(dst)
         actions.append(aid)
 
-    def _add_pending(self, src, aid, dst):
-        """An edge from a source whose block is closed, unless it is stored."""
-        offsets, targets, actions, pending = self._edges
-        dead = self._dead
-        if (
-            (src, aid, dst) in pending
-            or (src == dst and src < len(dead) and dead[src]
-                and self._action_names[aid] == STUTTER_ACTION)
-            or _holds(targets, actions, offsets[src], offsets[src + 1], aid, dst)
-        ):
-            return
-        pending[src, aid, dst] = None
-        self._rows = self._pred = self._deadlocks = None
-
     def _read(self):
         """The read form ``(offsets, targets, actions, dead)`` over every
-        state: the open block closed, the edges in arrays with pending ones
-        merged in source order by one counting pass, one dead flag per
-        state."""
+        state: the edges in new arrays, with an offset past every state's
+        block, and one dead flag per state."""
         n = len(self._payloads)
-        offsets, targets, actions, pending = self._edges
-        if len(offsets) <= n:
-            offsets.extend(repeat(len(targets), n + 1 - len(offsets)))
-        if type(targets) is list or pending:
-            offsets = array(_OFFSET, offsets)
-            targets, actions = array(_ID, targets), array(_ID, actions)
-            if pending:
-                offsets, targets, actions = _merged(n, offsets, targets, actions, pending)
-            self._edges = (offsets, targets, actions, {})
-        self._open = {}
-        dead = self._dead
-        if len(dead) < n:
-            dead.extend(bytes(n - len(dead)))
-        rows = self._rows = (offsets, targets, actions, dead)
+        offsets, targets, actions = self._edges
+        offsets = array(_OFFSET, offsets)
+        offsets.extend(repeat(len(targets), n + 1 - len(offsets)))
+        edges = self._edges = (offsets, array(_ID, targets), array(_ID, actions))
+        rows = self._rows = (*edges, bytearray(n))
         return rows
 
     def has_edge(self, src, action, dst):
@@ -461,7 +435,7 @@ class KripkeStructure:
         (self, deadlock ids)."""
         dead = self.deadlocked_states()
         if dead:
-            flags = self._dead
+            flags = self._rows[3]
             for sid in dead:
                 flags[sid] = 1
             self._pred = None
@@ -489,27 +463,6 @@ class KripkeStructure:
             lines.append(f'  {src} -> {dst} [label="{action}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _merged(n, offsets, targets, actions, pending):
-    """The arrays with the ``pending`` edges of an n-state structure merged
-    in by one counting pass: a source's block moves up by the pending edges
-    of the sources before it, and its own follow its block."""
-    shift = [0] * (n + 1)
-    for src, _, _ in pending:
-        shift[src + 1] += 1
-    merged = array(_OFFSET, map(add, offsets, accumulate(shift)))
-    new_targets, new_actions, done = array(_ID), array(_ID), 0
-    for src, aid, dst in sorted(pending, key=itemgetter(0)):
-        end = offsets[src + 1]
-        new_targets += targets[done:end]
-        new_actions += actions[done:end]
-        new_targets.append(dst)
-        new_actions.append(aid)
-        done = end
-    new_targets += targets[done:]
-    new_actions += actions[done:]
-    return merged, new_targets, new_actions
 
 
 def _holds(targets, actions, start, end, aid, dst):

@@ -226,21 +226,30 @@ def test_payload_keying_preserves_state_count():
     assert structure.num_states == count
 
 
-# -- store contract: flat arrays per direction, deduplicated per source --
+# -- store contract: flat arrays per direction, deduplicated per source, --
+# -- each source's block written once, in id order, before the first read --
 
 
 def test_repeated_add_edge_is_a_no_op():
-    k, s, t = two_cycle()
+    k = KripkeStructure()
+    s, t = k.add_state("s"), k.add_state("t")
     k.add_edge(s, "a", t)
-    assert k.num_edges == 2
-    assert k.out_degree(s) == k.in_degree(t) == 1
-    assert k.successors(s) == [("a", t)]
+    k.add_edge(s, "b", s)
+    k.add_edge(s, "a", t)  # a repeat within the open block
+    k.add_edge(t, "b", s)
+    k.add_edge(t, "b", s)
+    assert k.num_edges == 3
+    assert k.out_degree(s) == 2 and k.in_degree(t) == 1
+    assert k.successors(s) == [("a", t), ("b", s)]
     assert list(k.predecessors(t)) == [s]
 
 
 def test_same_endpoints_with_two_actions_are_two_edges():
-    k, s, t = two_cycle()
+    k = KripkeStructure()
+    s, t = k.add_state("s"), k.add_state("t")
+    k.add_edge(s, "a", t)
     k.add_edge(s, "c", t)
+    k.add_edge(t, "b", s)
     assert k.num_edges == 3
     assert k.out_degree(s) == k.in_degree(t) == 2
     assert k.has_edge(s, "a", t) and k.has_edge(s, "c", t)
@@ -258,6 +267,8 @@ def test_has_edge_on_unknown_ids():
 
 def test_unknown_ids_raise_key_error():
     k, s, _ = two_cycle()
+    # the block of s is closed, and from the second round on every block is:
+    # an unknown id is a KeyError before the order is checked
     for bad in (2, -1, "s"):
         with pytest.raises(KeyError):
             k.add_edge(s, "a", bad)
@@ -277,21 +288,49 @@ def test_out_of_order_and_repeated_writes_read_in_source_order():
     k.add_edge(2, "x", 3)  # opens the block of 2, closing those of 0 and 1 empty
     k.add_edge(2, "y", 3)
     k.add_edge(2, "x", 3)  # a repeat within the open block
-    k.add_edge(0, "x", 1)  # out of order: waits until the next read
+    for src in (0, 1):  # out of order: into a closed block
+        with pytest.raises(ValueError, match="one block, in id order"):
+            k.add_edge(src, "x", 1)
+    k.add_edge(2, "z", 0)
     k.add_edge(3, "x", 0)
-    k.add_edge(0, "x", 1)  # a repeat of a waiting edge
-    k.add_edge(2, "z", 0)  # out of order, after the block of 2
-    k.add_edge(2, "y", 3)  # a repeat of an edge in a closed block
-    assert k.num_edges == 5
-    assert list(k.edges()) == [
-        (0, "x", 1), (2, "x", 3), (2, "y", 3), (2, "z", 0), (3, "x", 0)
-    ]
-    assert [list(k.predecessors(s)) for s in k.states()] == [[2, 3], [0], [], [2, 2]]
-    k.add_edge(1, "w", 2)  # after the reads, every write is out of order
-    k.add_edge(0, "x", 1)
-    assert k.num_edges == 6
-    assert k.successors(1) == [("w", 2)] and list(k.predecessors(2)) == [1]
-    assert list(k.successor_ids(2)) == [3, 3, 0]
+    with pytest.raises(ValueError, match="block"):
+        k.add_edge(2, "y", 3)  # a repeat of an edge in a closed block
+    assert k.num_edges == 4
+    assert list(k.edges()) == [(2, "x", 3), (2, "y", 3), (2, "z", 0), (3, "x", 0)]
+    assert [list(k.predecessors(s)) for s in k.states()] == [[2, 3], [], [], [2, 2]]
+    assert list(k.successor_ids(2)) == [3, 3, 0] and k.successors(1) == []
+
+
+@pytest.mark.parametrize("read", ["successor_ids", "predecessors", "totalize"])
+def test_no_edge_after_the_first_read(read):
+    k, s, t = two_cycle()
+    u = k.add_state("u")  # the block of t, the last one written, is still open
+    if read == "totalize":
+        k.totalize()
+    else:
+        getattr(k, read)(s)
+    for src, action, dst in ((t, "c", s), (t, "b", s), (u, "a", s), (u, STUTTER_ACTION, u)):
+        with pytest.raises(ValueError, match="block"):
+            k.add_edge(src, action, dst)
+    assert list(k.edges()) == [(s, "a", t), (t, "b", s)] + (
+        [(u, STUTTER_ACTION, u)] if read == "totalize" else []
+    )
+
+
+def test_no_new_state_after_the_first_read():
+    k = KripkeStructure([BAD])
+    s = k.add_state("s", {BAD})
+    k.add_edge(s, "a", s)
+    assert k.add_state("t") == 1  # before the first read a new state is welcome
+    k.successor_ids(s)
+    with pytest.raises(ValueError, match="first read"):
+        k.add_state("u")
+    with pytest.raises(ValueError, match="different labels"):
+        k.add_state("s")
+    assert k.add_state("s", {BAD}, initial=True) == s  # a known payload is a lookup
+    assert k.add_state("t") == 1 and k.num_states == 2 and k.init == {s}
+
+
 
 
 def test_a_dead_state_reads_one_stutter_loop_from_totalize_on():
@@ -301,6 +340,7 @@ def test_a_dead_state_reads_one_stutter_loop_from_totalize_on():
     assert k.successors(t) == [] and k.out_degree(t) == 0
     assert not k.has_edge(t, STUTTER_ACTION, t) and not k.is_total()
     assert k.deadlocked_states() == [t]
+    assert list(k.predecessors(t)) == [s]  # reverse arrays from before the loop
     _, dead = k.totalize()
     assert dead == [t] and k.is_total() and k.deadlocked_states() == []
     assert k.successors(t) == [(STUTTER_ACTION, t)] and list(k.successor_ids(t)) == [t]
@@ -308,14 +348,9 @@ def test_a_dead_state_reads_one_stutter_loop_from_totalize_on():
     assert list(k.predecessors(t)) == [s, t] and k.in_degree(t) == 2
     assert k.image({t}) == {t} and k.preimage({t}) == {s, t}
     assert list(k.edges()) == [(s, "a", t), (t, STUTTER_ACTION, t)]
-    k.add_edge(t, STUTTER_ACTION, t)  # the loop reads as stored: a repeat adds nothing
-    k.add_edge(t, "b", s)  # the loop stays, ahead of the later edge
-    assert k.successors(t) == [(STUTTER_ACTION, t), ("b", s)] and k.num_edges == 3
-    assert list(k.predecessors(s)) == [t] and k.out_degree(t) == 2
-    assert k.totalize()[1] == [] and k.num_edges == 3
-    u = k.add_state("u")  # a state added after totalize is a new deadlock
-    assert not k.is_total() and k.deadlocked_states() == [u]
-    assert k.totalize()[1] == [u] and k.successors(u) == [(STUTTER_ACTION, u)]
+    with pytest.raises(ValueError):
+        k.add_edge(t, STUTTER_ACTION, t)  # the loop reads as stored, but takes no write
+    assert k.totalize()[1] == [] and k.num_edges == 2 and k.out_degree(t) == 1
 
 
 def test_a_tree_build_stores_no_edge_for_its_leaves():
@@ -323,9 +358,9 @@ def test_a_tree_build_stores_no_edge_for_its_leaves():
     structure, _ = explore(program, "full", _tree=True)
     _, dead = structure.totalize()
     assert len(dead) > structure.num_states // 4  # every leaf of the tree is dead in it
-    stored = structure._edges[1]  # the target ids of the stored edges
-    assert len(stored) == structure.num_states - 1  # one tree edge into each state but 0
-    assert structure.num_edges == len(stored) + len(dead)
+    stored = sum(map(structure.out_degree, structure.states())) - len(dead)
+    assert stored == structure.num_states - 1  # one tree edge into each state but 0
+    assert structure.num_edges == stored + len(dead)
     assert all(structure.successors(sid) == [(STUTTER_ACTION, sid)] for sid in dead)
 
 
@@ -504,9 +539,9 @@ def test_successors_read_as_the_edges_of_their_source():
     k = KripkeStructure()
     for name in "abc":
         k.add_state(name)
+    k.add_edge(0, "x", 1)
     k.add_edge(1, "x", 2)
     k.add_edge(1, "y", 0)
-    k.add_edge(0, "x", 1)  # out of order
     k.totalize()  # c is dead
     _, mutex = mutex_full(3)
     counter, _ = explore(builtin_example("broken-mutex", 4), "counter")

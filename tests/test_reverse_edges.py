@@ -2,14 +2,16 @@
 list reference, and structures freed by reference counting once a check
 returns.
 
-``KripkeStructure`` stores each source's edges as a block of flat arrays
-and derives the reverse arrays on the first reverse read (``predecessors``,
-``preimage``, ``in_degree``).  ``ListReference`` states the same contract
-as plain lists, per source its (action, target) pairs in the order first
-added and a stutter loop for each state dead when ``totalize`` ran, so
-every read here, forward and reverse, is compared with it whatever the
-order of the writes before and after the reads.  Predecessors come in
-``edges()`` order: by source id, then by the source's edge order.
+``KripkeStructure`` stores each source's edges as a block of flat arrays,
+written once, before the first read, and derives the reverse arrays on
+the first reverse read (``predecessors``, ``preimage``, ``in_degree``).
+``ListReference`` states the same contract as plain lists, per source its
+(action, target) pairs in the order first added and a stutter loop for
+each state dead when ``totalize`` ran.  It hands its edges to the
+structure in source order, so every read here, forward and reverse, is
+compared with it whatever the order the edges were drawn in, and every
+write after the first read is refused.  Predecessors come in ``edges()``
+order: by source id, then by the source's edge order.
 """
 
 import copy
@@ -19,6 +21,7 @@ import random
 import sys
 import threading
 import weakref
+from operator import itemgetter
 
 import pytest
 
@@ -29,12 +32,21 @@ from orbitmc.kripke import STUTTER_ACTION
 BAD = "bad"
 
 
+def add_in_source_order(structure, triples):
+    """Add (source, action, target) ``triples`` to ``structure``, stably
+    sorted by source: each source's edges as one block, in id order."""
+    for src, action, dst in sorted(triples, key=itemgetter(0)):
+        structure.add_edge(src, action, dst)
+
+
 class ListReference:
-    """A structure as per-source lists of (action, target) pairs."""
+    """A structure as per-source lists of (action, target) pairs.  Its
+    edges wait in ``triples`` until ``build`` adds them all."""
 
     def __init__(self):
         self.structure = KripkeStructure([BAD])
         self.out = []
+        self.triples = []
 
     def add_state(self, payload, labels=()):
         sid = self.structure.add_state(payload, labels)
@@ -43,9 +55,13 @@ class ListReference:
         return sid
 
     def add_edge(self, src, action, dst):
-        self.structure.add_edge(src, action, dst)
+        self.triples.append((src, action, dst))
         if (action, dst) not in self.out[src]:
             self.out[src].append((action, dst))
+
+    def build(self):
+        add_in_source_order(self.structure, self.triples)
+        return self
 
     def totalize(self):
         _, dead = self.structure.totalize()
@@ -77,64 +93,71 @@ class ListReference:
 
 
 def random_reference(rng, states, edges):
+    """A built reference: its edges drawn in random source order, repeats
+    and an occasional stored stutter edge among them."""
     ref = ListReference()
     for i in range(states):
         ref.add_state(i, {"bad"} if rng.random() < 0.2 else ())
     for _ in range(edges):
-        ref.add_edge(rng.randrange(states), rng.choice("abc"), rng.randrange(states))
-    return ref
+        action = STUTTER_ACTION if rng.random() < 0.1 else rng.choice("abc")
+        ref.add_edge(rng.randrange(states), action, rng.randrange(states))
+    return ref.build()
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_reverse_reads_interleaved_with_writes(seed):
+    """After the first read every write is refused and changes no read;
+    ``totalize`` may still run, and a known payload is still a lookup."""
     rng = random.Random(seed)
     ref = random_reference(rng, rng.randint(1, 8), rng.randint(0, 12))
+    k = ref.structure
+    ref.assert_reads(rng)
     for _ in range(30):
         op = rng.random()
-        n = ref.structure.num_states
+        n = k.num_states
         if op < 0.2:
-            ref.add_state(("extra", rng.randrange(4)))  # sometimes one already present
+            with pytest.raises(ValueError):
+                k.add_state(("extra", rng.randrange(4)))
+        elif op < 0.3:
+            assert k.add_state(n - 1, k.label_of(n - 1)) == n - 1
         elif op < 0.6:
-            ref.add_edge(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
-        elif op < 0.65:
-            ref.add_edge(rng.randrange(n), STUTTER_ACTION, rng.randrange(n))
+            with pytest.raises(ValueError):
+                k.add_edge(rng.randrange(n), rng.choice([STUTTER_ACTION, "a", "b"]), rng.randrange(n))
         elif op < 0.7:
             ref.totalize()
         else:
             ref.assert_reads(rng)
+    assert k.num_states == len(ref.out)
     ref.assert_reads(rng)
 
 
 def test_predecessors_order_is_by_source_then_edge_order():
     k = KripkeStructure()
-    for name in "abcd":
+    for name in "abcde":
         k.add_state(name)
-    k.add_edge(3, "x", 0)
-    k.add_edge(1, "y", 0)
-    k.add_edge(1, "x", 0)
-    k.add_edge(2, "z", 0)
-    k.totalize()  # the deadlock 0 reads as having a stutter loop, ahead of any later edge
-    assert list(k.predecessors(0)) == [0, 1, 1, 2, 3]
-    k.add_edge(0, "w", 0)
-    k.add_edge(2, "w", 0)
-    assert list(k.predecessors(0)) == [0, 0, 1, 1, 2, 2, 3]  # later writes merge into source order
-    assert k.successors(0) == [(STUTTER_ACTION, 0), ("w", 0)]
+    add_in_source_order(k, [(3, "x", 0), (1, "y", 0), (1, "x", 0), (2, "z", 0), (2, "w", 0),
+                            (4, "v", 0)])
+    assert list(k.predecessors(0)) == [1, 1, 2, 2, 3, 4]
+    k.totalize()  # the deadlock 0 reads as having a stutter loop, its source's one edge
+    assert list(k.predecessors(0)) == [0, 1, 1, 2, 2, 3, 4]
+    assert k.successors(0) == [(STUTTER_ACTION, 0)]
     assert k.successors(2) == [("z", 0), ("w", 0)]
 
 
-def test_reads_after_the_first_see_new_states_and_edges():
+def test_reads_after_the_first_read_the_same():
     k = KripkeStructure()
-    s = k.add_state("s")
-    assert list(k.predecessors(s)) == [] and k.in_degree(s) == 0
-    t = k.add_state("t")
+    s, t, u = k.add_state("s"), k.add_state("t"), k.add_state("u")
     k.add_edge(s, "a", t)
     k.add_edge(s, "a", t)  # a repeat stores nothing in either direction
-    assert list(k.predecessors(t)) == [s]
-    assert k.preimage({s, t}) == {s}
-    assert k.in_degree(t) == 1
-    u = k.add_state("u")
     k.add_edge(u, "b", s)
-    assert list(k.predecessors(s)) == [u] and k.successors(u) == [("b", s)]
+    first = [(list(k.predecessors(x)), k.in_degree(x), k.successors(x)) for x in k.states()]
+    assert first == [([u], 1, [("a", t)]), ([s], 1, []), ([], 0, [("b", s)])]
+    assert k.preimage({s, t}) == {s, u}
+    with pytest.raises(ValueError):
+        k.add_state("v")
+    with pytest.raises(ValueError):
+        k.add_edge(u, "b", t)
+    assert [(list(k.predecessors(x)), k.in_degree(x), k.successors(x)) for x in k.states()] == first
 
 
 @pytest.mark.parametrize(
@@ -149,13 +172,13 @@ def test_copies_before_and_after_the_first_reverse_read(copy_of, read_first):
     copied = copy_of(original)
     assert list(copied.structure.edges()) == list(original.structure.edges())
     copied.assert_reads(rng)
-    before = list(original.structure.predecessors(8))
-    copied.add_edge(0, "new", 8)  # the copy owns its arrays
-    assert not original.structure.has_edge(0, "new", 8)
-    assert list(original.structure.predecessors(8)) == before
-    assert list(copied.structure.predecessors(8)) == sorted(before + [0])
-    original.assert_reads(rng)
-    copied.assert_reads(rng)
+    for ref in (original, copied):  # the copy refuses writes as the original does
+        with pytest.raises(ValueError):
+            ref.structure.add_edge(0, "new", 8)
+        assert not ref.structure.has_edge(0, "new", 8)
+        ref.assert_reads(rng)
+        with pytest.raises(ValueError):
+            ref.structure.add_state("new")
 
 
 def test_a_shallow_copy_reads_the_same():
@@ -167,21 +190,26 @@ def test_a_shallow_copy_reads_the_same():
         list(ref.structure.predecessors(s)) for s in shallow.states()
     ]
     ref.assert_reads(rng)
+    for k in (shallow, ref.structure):
+        with pytest.raises(ValueError):
+            k.add_edge(0, "new", 8)
+        with pytest.raises(ValueError):
+            k.add_state("new")
 
 
 def test_concurrent_first_reads_agree():
-    """Threads that all make the first reads of a structure with edges
-    still pending, so each may merge them and build the reverse arrays
-    itself, all read what the list reference says."""
+    """Threads that all make the first reads of a built structure, so each
+    may build its read arrays and the reverse arrays itself, all read what
+    the list reference says: every other round ``totalize`` has made the
+    first forward read, and the threads race on the reverse one only."""
     rng = random.Random(9)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
+        for round_ in range(10):
             ref = random_reference(rng, 300, 1200)
-            ref.totalize()
-            for _ in range(300):  # after totalize's read, every edge waits for the next one
-                ref.add_edge(rng.randrange(300), rng.choice("ab"), rng.randrange(300))
+            if round_ % 2:
+                ref.totalize()
             ids = list(ref.structure.states())
             want = (
                 [[dst for _, dst in ref.out[sid]] for sid in ids],
