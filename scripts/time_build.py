@@ -20,10 +20,14 @@ of each:
   worklist, interning, edge storage and the call layers.
 
 Each is microseconds per state, ``explore_us`` the whole, and the
-reported figure is the least and the median over the runs.  Only
-``builtin_source``, ``parse_program``, ``explore``, the three kernels,
-``labeling``, ``KripkeStructure.key`` and the program's ``table.codec``
-and ``table.runs`` are called, so one copy of this file times any two
+reported figure is the least and the median over the runs.  A full-mode
+row also gets ``repeat_share``, the share of its states, in id order,
+whose census (``StateCodec.census``: shared values and per-pc counts)
+equals the one before: how often the full-mode rule finds its last
+census's enabled moves in place.  Only ``builtin_source``,
+``parse_program``, ``explore``, the three kernels, ``labeling``,
+``KripkeStructure.key`` and the program's ``table.codec`` and
+``table.runs`` are called, so one copy of this file times any two
 versions of the package that have them.  Prints one JSON object.
 
 Usage: PYTHONPATH=src python scripts/time_build.py [--rows pipeline:12:counter ...]
@@ -74,9 +78,11 @@ for _ in range(passes):
         run()
         best[name] = min(best[name], time.perf_counter() - started)
 us = {name: t / len(keys) * 1e6 for name, t in best.items()}
+censuses = [codec.census(key) for key in keys] if mode == "full" else []
+repeats = sum(map(tuple.__eq__, censuses, censuses[1:]))
 print(json.dumps({"states": len(keys), "explore_us": us["explore"], "kernel_us": us["kernel"],
                   "labeling_us": us["both"] - us["kernel"],
-                  "rest_us": us["explore"] - us["both"]}))
+                  "rest_us": us["explore"] - us["both"], "repeat_share": repeats / len(keys)}))
 """
 
 
@@ -101,6 +107,8 @@ def main(argv=None):
         summary = {"states": runs[0]["states"]}
         for key in ("explore_us", "kernel_us", "labeling_us", "rest_us"):
             summary[key] = least_and_median([r[key] for r in runs])
+        if mode == "full":
+            summary["repeat_share"] = round(runs[0]["repeat_share"], 3)
         report["rows"][row] = summary
     print(json.dumps(report, indent=2))
 

@@ -493,7 +493,9 @@ def breadth_first_build(
     ``initial``, breadth first and deterministic.
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
-    deterministic order; insertion order then fixes state numbering, so
+    deterministic order, each pair at most once (the package's successor
+    rules do, as ``program._check_updates`` refuses the updates that
+    could repeat one); insertion order then fixes state numbering, so
     two runs over the same inputs produce identical structures.  Each
     state is labeled when expanded, by ``labeler`` on the payload that
     ``expand`` was just given, so a labeler that reads back the parse its
@@ -512,11 +514,10 @@ def breadth_first_build(
     structure stores them as they are (see ``KripkeStructure``).
 
     With ``tree`` the structure keeps only the edge that discovered each
-    state, still through ``add_edge``, while ``stats.edges`` counts each
-    expansion's distinct (action, target) pairs, so the stats, partial
-    ones included, are those of the full build.  A tree build takes no
-    ``stop_at_bad``; ``ctl.decided_by_tree`` says which checks read the
-    same result off it.
+    state, still through ``add_edge``, while ``stats.edges`` adds up the
+    length of each expansion's list, so the stats, partial ones included,
+    are those of the full build.  A tree build takes no ``stop_at_bad``;
+    ``ctl.decided_by_tree`` says which checks read the same result off it.
     """
     if state_bound < 1:
         raise ValueError("state_bound must be >= 1")
@@ -590,14 +591,14 @@ def breadth_first_build(
                 if stop_at_bad and stats.bad_reached:
                     break
             if tree:
-                counted += len(set(succs))
+                counted += len(succs)
             if len(queue) > stats.frontier_peak:
                 stats.frontier_peak = len(queue)
     except ResourceLimitError as exc:
         if tree:
             # the full build stored the pairs before the one that overran
             done = next(k for k, (_, target) in enumerate(succs) if target not in index)
-            exc.partial_stats.edges = counted + len(set(succs[:done]))
+            exc.partial_stats.edges = counted + done
         raise
 
     stats.states_reached = structure.num_states

@@ -414,15 +414,23 @@ def _check_label(program, name, expr):
             raise ValueError(f"label {name!r}: {kind.__name__} is no label atom or connective")
 
 
-def _check_updates(j, cmd):
+def _check_updates(program, j, cmd):
     """Refuse an update of command j that writes neither a shared nor a
-    local slot, or whose value has an unknown tag.  The parser writes
-    neither; a harness can."""
+    local slot, whose value has an unknown tag, that writes ``*`` to a
+    pid-typed slot, or whose slot an earlier update of j writes too, so
+    a command's ``*`` outcomes are distinct successors, even under a
+    quotient.  The parser writes none of these; a harness can."""
+    written = set()
     for u in cmd.updates:
         if u.target not in ("shared", "local"):
             raise ValueError(f"command {j}: update target {u.target!r} is neither shared nor local")
         if u.value.tag not in _VALUE_TAGS:
             raise ValueError(f"command {j}: unknown value expression tag {u.value.tag!r}")
+        if u.value.tag == V_STAR and u.target == "shared" and program.shared_kinds[u.slot] == PID:
+            raise ValueError(f"command {j}: '*' assigned to pid-typed shared slot {u.slot}")
+        if (u.target, u.slot) in written:
+            raise ValueError(f"command {j}: assigns {u.target} slot {u.slot} twice")
+        written.add((u.target, u.slot))
 
 
 # --------------------------------------------------------------------------
@@ -462,8 +470,10 @@ class CommandTable:
     pack states into keys and run-length keys, ``by_pc[pc]`` lists ``(j,
     guard)`` for the commands leaving ``pc`` in declaration order, and
     ``record_plan`` fires each command once per shared valuation, record
-    and acting process into ``plans``, the one memo of firing.  Building
-    the table refuses, with a ``ValueError``, a label definition that
+    and acting process into ``plans``, the one memo of firing; a pid-free
+    table also keeps the enabled moves of the last census it stepped
+    (``_key_successors``), which threads sharing it at worst plan again.
+    Building the table refuses, with a ``ValueError``, a label definition that
     permuting processes could change (``_check_label``) and an update the
     firing rule cannot read (``_check_updates``), so no mode checks a
     label or an update per state."""
@@ -479,7 +489,7 @@ class CommandTable:
         for name, expr in program.label_defs:
             _check_label(program, name, expr)
         for j, cmd in enumerate(program.commands):
-            _check_updates(j, cmd)
+            _check_updates(program, j, cmd)
         self._branches = tuple(
             tuple(product((0, 1), repeat=sum(u.value.tag == V_STAR for u in cmd.updates)))
             for cmd in program.commands
@@ -487,6 +497,7 @@ class CommandTable:
         # the firing plans of ``record_plan``: per shared valuation, per acting
         # process (None in a pid-free program), by record code
         self.plans = {}
+        self._last = None, None  # ``_key_successors``' last census and its enabled moves
         # ``action_names[i][j]`` is the action "i/j" and ``counter_names[code][j]``
         # the action "<record>/<j>"; ``action_row`` and ``counter_row`` fill a
         # row on first use, so a quotient that fires few of n processes never
@@ -573,24 +584,39 @@ def _key_successors(table, key):
     field replaced (and the shared prefix too when the command writes
     shared state), as the plans of ``record_plan`` give them: process i
     fires its plan of its code.  In a pid-free program no guard or
-    effect reads the process index, so each distinct record is planned
-    and its guards evaluated once per state, and every process holding it
-    reuses the moves."""
+    effect reads the process index, and a guard reads only the acting
+    record and the census (shared values and per-pc counts), so a
+    record's enabled moves hold for every process holding it in every
+    state of that census.  The table keeps the last census and its
+    enabled moves by record code as one entry: a state of the same
+    census reuses them, planning only the codes the entry lacks (with
+    local booleans, two states of one census can hold other records),
+    and any other census replaces the entry, so nothing grows with the
+    state space.  Threads sharing the table at worst plan again."""
     codec = table.codec
     n = codec.n
-    shared, occ = codec.census(key)
+    census = shared, occ = codec.census(key)
     codes = codec.codes(key)
     pid_free = table.pid_free
-    record_plan, known = table.record_plan, table.plans.get(shared) or {}
+    record_plan = table.record_plan
     if pid_free:
-        enabled = {}
-        by_code = known.get(None) or {}
-        for code in set(codes):
-            rec, plan = by_code.get(code) or record_plan(shared, code)
-            moves = enabled[code] = []
-            for guard, command_moves in plan:
-                if guard.eval(shared, rec, None, occ, n):
-                    moves += command_moves
+        last, enabled = table._last
+        if last != census:
+            enabled, fresh = {}, set(codes)
+        else:  # without locals, the census names every code the key holds
+            fresh = set(codes).difference(enabled) if codec.num_locals else ()
+        if fresh:
+            by_code = (table.plans.get(shared) or {}).get(None) or {}
+            for code in fresh:
+                rec, plan = by_code.get(code) or record_plan(shared, code)
+                moves = []
+                for guard, command_moves in plan:
+                    if guard.eval(shared, rec, None, occ, n):
+                        moves += command_moves
+                enabled[code] = moves
+            table._last = census, enabled
+    else:
+        known = table.plans.get(shared) or {}
     start, width = codec.shared_size, codec.width
     names = table.action_names
     out = []

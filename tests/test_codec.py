@@ -29,6 +29,8 @@ from orbitmc.explore import explore
 from orbitmc.program import (
     V_CONST,
     V_NONE,
+    V_SELF,
+    V_STAR,
     CountAtLeast,
     GAnd,
     GFalse,
@@ -178,23 +180,27 @@ def test_labels_are_checked_once_when_the_table_is_built(model, name, label, ref
 
 
 # updates only a harness builds: the parser writes each target as "shared"
-# or "local" and each value with one of the six tags
+# or "local", each value with one of the six tags, ``*`` only to booleans,
+# and each variable at most once per command
 UPDATE_CASES = [
-    ("mutex", Update("global", 0, ValueExpr(V_CONST, 1)), "update target 'global'"),
-    ("allocator", Update("pc", 0, ValueExpr(V_NONE)), "update target 'pc'"),
-    ("mutex", Update("local", 0, ValueExpr("s")), "value expression tag 's'"),
-    ("allocator", Update("shared", 0, ValueExpr("pid")), "value expression tag 'pid'"),
+    ("mutex", (Update("global", 0, ValueExpr(V_CONST, 1)),), "update target 'global'"),
+    ("allocator", (Update("pc", 0, ValueExpr(V_NONE)),), "update target 'pc'"),
+    ("mutex", (Update("local", 0, ValueExpr("s")),), "value expression tag 's'"),
+    ("allocator", (Update("shared", 0, ValueExpr("pid")),), "value expression tag 'pid'"),
+    ("allocator", (Update("shared", 0, ValueExpr(V_STAR)),), "assigned to pid-typed shared slot 0"),
+    ("allocator", (Update("shared", 0, ValueExpr(V_SELF)), Update("shared", 0, ValueExpr(V_NONE))),
+     "assigns shared slot 0 twice"),
 ]
 
 
 @pytest.mark.parametrize(
-    "model, update, message", UPDATE_CASES, ids=[case[2] for case in UPDATE_CASES]
+    "model, updates, message", UPDATE_CASES, ids=[case[2] for case in UPDATE_CASES]
 )
-def test_malformed_updates_are_refused_when_the_table_is_built(model, update, message):
+def test_malformed_updates_are_refused_when_the_table_is_built(model, updates, message):
     base = builtin_example(model, 3)
     # command 1 leaves the second pc, which the initial state does not fire,
     # so the refusal is the table's and not that of a firing
-    command = base.commands[1]._replace(updates=(update,))
+    command = base.commands[1]._replace(updates=updates)
     builds = [lambda program: program.table]
     builds += [lambda program, mode=mode: explore(program, mode) for mode in ("full", "quotient")]
     if not base.pid_slots:
