@@ -7,7 +7,7 @@ processes walk six phases ``p0`` to ``p5`` in a line, once; ``done``
 says that all of them are at ``p5``), ``mutex:n`` the builtin.  Each of
 ``--runs`` fresh interpreters per row builds the row's structure once,
 which fills the firing plans and codec memos, and collects every state's
-key.  It then times ``PASSES`` rounds of three passes, keeping the best
+key.  It then times ``PASSES`` rounds of four passes, keeping the best
 of each:
 
 * ``kernel_us``: the mode's successor rule on every key
@@ -17,18 +17,23 @@ of each:
   each key right after its successors, less the kernel pass: what
   labeling adds to a build that labels a state when it expands it;
 * ``rest_us``: ``explore`` of the whole structure, less that pass: the
-  worklist, interning, edge storage and the call layers.
+  worklist, interning, edge storage and the call layers;
+* ``tree_us``: ``explore`` with ``_tree=True``, the build of a check of
+  ``AG p`` or ``EF p``, whole.  It stores only the discovery tree, each
+  edge through ``KripkeStructure.add_edge``, where the full build writes
+  each state's block itself, so a row times both ways of storing edges.
 
-Each is microseconds per state, ``explore_us`` the whole, and the
-reported figure is the least and the median over the runs.  A full-mode
-row also gets ``repeat_share``, the share of its states, in id order,
-whose census (``StateCodec.census``: shared values and per-pc counts)
-equals the one before: how often the full-mode rule finds its last
-census's enabled moves in place.  Only ``builtin_source``,
-``parse_program``, ``explore``, the three kernels, ``labeling``,
-``KripkeStructure.key`` and the program's ``table.codec`` and
-``table.runs`` are called, so one copy of this file times any two
-versions of the package that have them.  Prints one JSON object.
+Each is microseconds per state, ``explore_us`` the full build whole,
+and the reported figure is the least and the median over the runs.  A
+full-mode row also gets ``repeat_share``, the share of its states, in id
+order, whose census (``StateCodec.census``: shared values and per-pc
+counts) equals the one before: how often the full-mode rule finds its
+last census's enabled moves in place.  Only ``builtin_source``,
+``parse_program``, ``explore`` (with and without ``_tree``), the three
+kernels, ``labeling``, ``KripkeStructure.key`` and the program's
+``table.codec`` and ``table.runs`` are called, so one copy of this file
+times any two versions of the package that have them.  Prints one JSON
+object.
 
 Usage: PYTHONPATH=src python scripts/time_build.py [--rows pipeline:12:counter ...]
        [--runs 5]
@@ -71,9 +76,12 @@ def both():
 def whole():
     explore(program, mode)
 
-best = {"kernel": float("inf"), "both": float("inf"), "explore": float("inf")}
+def tree():
+    explore(program, mode, _tree=True)
+
+best = dict.fromkeys(("kernel", "both", "explore", "tree"), float("inf"))
 for _ in range(passes):
-    for name, run in (("kernel", kernel), ("both", both), ("explore", whole)):
+    for name, run in (("kernel", kernel), ("both", both), ("explore", whole), ("tree", tree)):
         started = time.perf_counter()
         run()
         best[name] = min(best[name], time.perf_counter() - started)
@@ -82,7 +90,8 @@ censuses = [codec.census(key) for key in keys] if mode == "full" else []
 repeats = sum(map(tuple.__eq__, censuses, censuses[1:]))
 print(json.dumps({"states": len(keys), "explore_us": us["explore"], "kernel_us": us["kernel"],
                   "labeling_us": us["both"] - us["kernel"],
-                  "rest_us": us["explore"] - us["both"], "repeat_share": repeats / len(keys)}))
+                  "rest_us": us["explore"] - us["both"], "tree_us": us["tree"],
+                  "repeat_share": repeats / len(keys)}))
 """
 
 
@@ -105,7 +114,7 @@ def main(argv=None):
         source = pipeline_text(n) if family == "pipeline" else builtin_source(family, n)
         runs = [run_child(CHILD, source, mode, PASSES) for _ in range(args.runs)]
         summary = {"states": runs[0]["states"]}
-        for key in ("explore_us", "kernel_us", "labeling_us", "rest_us"):
+        for key in ("explore_us", "kernel_us", "labeling_us", "rest_us", "tree_us"):
             summary[key] = least_and_median([r[key] for r in runs])
         if mode == "full":
             summary["repeat_share"] = round(runs[0]["repeat_share"], 3)

@@ -16,18 +16,19 @@ the order they were added, each (action, target) at most once per source.
 A structure is written once, then read.  Its writer adds each source's
 edges as one block, sources in increasing id order, all before the first
 read; ``breadth_first_build`` expands states in id order, so it always
-does.  Each edge is appended in place, and a repeat within the open
-block stores nothing.  Adding a source's block closes every block before
-it, and the first read closes them all: it turns the writer's lists into
-arrays with an offset past every state.  From then on ``add_edge`` raises
-``ValueError``, as it does for an edge into any closed block, and so does
-``add_state`` for a new payload.  The reverse relation,
-``predecessors``, ``preimage`` and ``in_degree``, is built on the first
-reverse read by a counting sort into two more arrays, offsets and source
-ids, so a structure that is only explored forwards (``reach``,
-``compare``, a check whose backward fixpoints start empty) never stores
-an edge twice.  A target's predecessors are ordered by source id, then
-by the source's edge order.
+does.  ``add_edge`` appends each edge in place, and a repeat within the
+open block stores nothing; the builder writes each block whole, since
+its successor rule gives each pair once.  Adding a source's block closes
+every block before it, and the first read closes them all: it turns the
+writer's lists into arrays with an offset past every state.  From then
+on ``add_edge`` raises ``ValueError``, as it does for an edge into any
+closed block, and so does ``add_state`` for a new payload.  The reverse
+relation, ``predecessors``, ``preimage`` and ``in_degree``, is built on
+the first reverse read by a counting sort into two more arrays, offsets
+and source ids, so a structure that is only explored forwards
+(``reach``, ``compare``, a check whose backward fixpoints start empty)
+never stores an edge twice.  A target's predecessors are ordered by
+source id, then by the source's edge order.
 
 ``totalize`` stores no edge, and since it reads, no edge follows it.  It
 records the states it found deadlocked, and every read shows each of
@@ -124,9 +125,9 @@ class KripkeStructure:
         # are lists until the first read makes them arrays, since a list
         # appends in a fraction of an array's time
         self._edges = ([0], [], [])
-        # the open block's target ids, each to the first action id stored; None
-        # while the block holds one edge, which is then all a tree build stores
-        self._open = {}
+        # the open block's target ids, each to an action id stored for it; None
+        # until a repeat check of ``add_edge`` indexes the block's edges
+        self._open = None
         self._action_ids = {}
         self._action_names = []
         # derived on read: (offsets, targets, actions, dead) over every state,
@@ -248,8 +249,7 @@ class KripkeStructure:
             self._check_id(dst)
         aid = self._action_ids.get(action)
         if aid is None:
-            aid = self._action_ids[action] = len(self._action_names)
-            self._action_names.append(action)
+            aid = self._intern(action)
         offsets, targets, actions = self._edges
         head = len(offsets) - 1
         if src != head:
@@ -267,16 +267,25 @@ class KripkeStructure:
             self._open = None
         else:
             seen = self._open
-            if seen is None:  # the block's second edge: index its first
-                start = offsets[src]
-                seen = self._open = {targets[start]: actions[start]}
-            first = seen.get(dst)
-            if first is None:
+            if seen is None:  # the block's first repeat check: index its edges
+                start, end = offsets[src], len(targets)
+                if end - start == 1:  # a tree build's usual case
+                    seen = self._open = {targets[start]: actions[start]}
+                else:
+                    seen = self._open = dict(zip(targets[start:end], actions[start:end]))
+            stored = seen.get(dst)
+            if stored is None:
                 seen[dst] = aid
-            elif first == aid or _holds(targets, actions, offsets[src], len(targets), aid, dst):
+            elif stored == aid or _holds(targets, actions, offsets[src], len(targets), aid, dst):
                 return
         targets.append(dst)
         actions.append(aid)
+
+    def _intern(self, action):
+        # a new action name's id: the one place the name table grows
+        aid = self._action_ids[action] = len(self._action_names)
+        self._action_names.append(action)
+        return aid
 
     def _read(self):
         """The read form ``(offsets, targets, actions, dead)`` over every
@@ -493,10 +502,16 @@ def breadth_first_build(
     ``initial``, breadth first and deterministic.
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
-    deterministic order, each pair at most once (the package's successor
-    rules do, as ``program._check_updates`` refuses the updates that
-    could repeat one); insertion order then fixes state numbering, so
-    two runs over the same inputs produce identical structures.  Each
+    deterministic order, and must not repeat a pair (the package's
+    successor rules do not, as ``program._check_updates`` refuses the
+    updates that could); insertion order then fixes state numbering, so
+    two runs over the same inputs produce identical structures.  The
+    builder writes each expanded state's edges straight into the store's
+    open block, one offset per state, then one target id and one interned
+    action id per pair, with no ``add_edge`` call and no repeat check, so
+    a repeated pair would be stored twice.  The last expanded state's
+    block stays open, so ``add_edge`` then acts on the result as on a
+    structure it wrote itself.  Each
     state is labeled when expanded, by ``labeler`` on the payload that
     ``expand`` was just given, so a labeler that reads back the parse its
     successor rule made of that payload reads each state once.  With
@@ -514,7 +529,7 @@ def breadth_first_build(
     structure stores them as they are (see ``KripkeStructure``).
 
     With ``tree`` the structure keeps only the edge that discovered each
-    state, still through ``add_edge``, while ``stats.edges`` adds up the
+    state, stored through ``add_edge``, while ``stats.edges`` adds up the
     length of each expansion's list, so the stats, partial ones included,
     are those of the full build.  A tree build takes no ``stop_at_bad``;
     ``ctl.decided_by_tree`` says which checks read the same result off it.
@@ -571,6 +586,10 @@ def breadth_first_build(
     stats.frontier_peak = 1
 
     add_edge = structure.add_edge
+    # the block writer's view of the store: the writer's lists and name table
+    offsets, targets, actions = structure._edges
+    add_offset, add_target, add_action = offsets.append, targets.append, actions.append
+    action_ids, intern = structure._action_ids, structure._intern
     counted = 0  # with ``tree``: the edges of the states expanded so far
     try:
         while queue and not (stop_at_bad and stats.bad_reached):
@@ -581,17 +600,25 @@ def breadth_first_build(
                 label(key)
             if not succs:
                 stats.deadlocks += 1
-            for action, target in succs:
-                tid = index.get(target)
-                if tid is None:
-                    tid = insert(target)
-                elif tree:
-                    continue
-                add_edge(sid, action, tid)
-                if stop_at_bad and stats.bad_reached:
-                    break
             if tree:
+                for action, target in succs:
+                    if target not in index:
+                        add_edge(sid, action, insert(target))
                 counted += len(succs)
+            else:
+                if sid:  # open the state's block; state 0's is open from the start
+                    add_offset(len(targets))
+                for action, target in succs:
+                    tid = index.get(target)
+                    if tid is None:
+                        tid = insert(target)
+                    aid = action_ids.get(action)
+                    if aid is None:
+                        aid = intern(action)
+                    add_target(tid)
+                    add_action(aid)
+                    if stop_at_bad and stats.bad_reached:
+                        break
             if len(queue) > stats.frontier_peak:
                 stats.frontier_peak = len(queue)
     except ResourceLimitError as exc:

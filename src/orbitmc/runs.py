@@ -180,47 +180,49 @@ def run_codec(codec):
 
 def run_successors(program, key, counter=False):
     """All (action, key) pairs one step away from a run-length key, each a
-    splice of ``key``: each pin i fires with its plan of its code as process
-    i, then the head of each run, which stands for its run, with the plan
-    of its code as process p for p pins (None if pid-free), as
-    ``CommandTable.record_plan`` gives them.  A move that keeps the pins
+    splice of the whole ``key``: each pin i fires with its plan of its code
+    as process i, then the head of each run, which stands for its run,
+    with the plan of its code as process p for p pins (None if pid-free),
+    as ``CommandTable.record_plan`` gives them.  A move that keeps the pins
     (``RunCodec.repin`` None) rewrites the fired pin's code, or moves one
     unit between runs: the firing run loses it or is dropped, the target
-    gains it or is inserted where bisection puts it.  Any other move writes
-    the ranked shared values and the new pinned codes, then moves the units
-    that left or joined the pins (``_repinned``).  Actions are ``"i/j"``
-    for the index i in the decoded representative, or with ``counter``
-    ``"<record>/<j>"`` (``CommandTable.counter_row``)."""
+    gains it or is inserted where bisection puts it; if it writes shared
+    values, they replace the key's first ``shared_size`` bytes.  Any other
+    move writes the ranked shared values and the new pinned codes, then
+    moves the units that left or joined the pins (``_repinned``).  Actions
+    are ``"i/j"`` for the index i in the decoded representative, or with
+    ``counter`` ``"<record>/<j>"`` (``CommandTable.counter_row``)."""
     table = program.table
     runs = table.runs
     codec = runs.codec
-    n, w = codec.n, codec.width
+    n, w, s = codec.n, codec.width, codec.shared_size
     shared, pins, codes, counts, occ = runs.parts(key)
     plans = table.plans.get(shared) or {}
     record_plan, repin = table.record_plan, runs.repin
     names, counter_names = table.action_names, table.counter_names
     p = len(pins)
-    start = codec.shared_size + p * w  # where the runs begin
-    prefix, pinned, body = key[: codec.shared_size], key[codec.shared_size : start], key[start:]
+    start = s + p * w  # where the runs begin
     out = []
     append = out.append
     for i, code in enumerate(pins):
         rec, plan = (plans.get(i) or {}).get(code) or record_plan(shared, code, i)
         row = names[i] or table.action_row(i)
+        at = s + i * w
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
                 for j, t, packed_t, packed_shared in moves:
                     new_pins = packed_shared and repin(p, i, packed_shared)
                     if new_pins:
-                        target = _repinned(runs, new_pins, pins, pinned + packed_t,
-                                           body, codes, counts, None, t)
+                        target = _repinned(runs, new_pins, key, pins, codes, counts, None,
+                                           t, packed_t)
+                    elif packed_shared:
+                        target = packed_shared + key[s:at] + packed_t + key[at + w :]
                     else:
-                        pinned_t = pinned[: i * w] + packed_t + pinned[i * w + w :]
-                        target = (packed_shared or prefix) + pinned_t + body
+                        target = key[:at] + packed_t + key[at + w :]
                     append((row[j], target))
     # a head is unpinned, so no pid slot names it and its index only tells
     # the firing process apart: every head fires as process p (None if pid-free)
-    i, h, head = p if codec.pid_slots else None, p, prefix + pinned
+    i, h = p if codec.pid_slots else None, p
     size, count_bytes, k = runs.pair_size, runs.count_bytes, len(codes)
     by_code = plans.get(i) or {}
     # a move that keeps the pins moves a unit from run a to t in one splice,
@@ -234,50 +236,54 @@ def run_successors(program, key, counter=False):
             row = counter_names.get(code) or table.counter_row(code)
         else:
             row = names[h] or table.action_row(h)
-        at = a * size
+        at = start + a * size
         end = at + size
-        dec = body[at : at + w] + count_bytes[m - 1] if m > 1 else b""
+        dec = key[at : at + w] + count_bytes[m - 1] if m > 1 else b""
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
                 for j, t, packed_t, packed_shared in moves:
                     new_pins = packed_shared and repin(p, i, packed_shared)
                     if new_pins:
-                        target = _repinned(runs, new_pins, pins, pinned + packed_t,
-                                           body, codes, counts, a, t)
+                        target = _repinned(runs, new_pins, key, pins, codes, counts, a,
+                                           t, packed_t)
                     else:
                         if t == code:
-                            target = body
+                            target = key
                         else:
                             b = bisect_left(codes, t)
-                            lo = b * size
+                            lo = start + b * size
                             if b < k and codes[b] == t:
                                 inc, hi = packed_t + count_bytes[counts[b] + 1], lo + size
                             else:
                                 inc, hi = packed_t + count_bytes[1], lo
                             if at < lo:
-                                target = body[:at] + dec + body[end:lo] + inc + body[hi:]
+                                target = key[:at] + dec + key[end:lo] + inc + key[hi:]
                             else:
-                                target = body[:lo] + inc + body[hi:at] + dec + body[end:]
-                        target = (packed_shared + pinned if packed_shared else head) + target
+                                target = key[:lo] + inc + key[hi:at] + dec + key[end:]
+                        if packed_shared:
+                            target = packed_shared + target[s:]
                     append((row[j], target))
         h += m
     return out
 
 
-def _repinned(runs, new_pins, pins, moved, body, codes, counts, a, t):
-    """The key after a move that changes the pins, ``new_pins`` being its
-    ``RunCodec.repin`` and ``moved`` the old pinned codes and t packed: the
-    ranked shared values, the new pinned codes, then the runs less a unit
-    of run a if a head fired and plus a unit of each code that left the
-    pins."""
+def _repinned(runs, new_pins, key, pins, codes, counts, a, t, packed_t):
+    """The key after a move of ``key`` that changes the pins, ``new_pins``
+    being its ``RunCodec.repin`` and t, packed ``packed_t``, the moved
+    code: the ranked shared values, the new pinned codes, then the runs
+    less a unit of run a if a head fired and plus a unit of each code that
+    left the pins."""
     prefix, picks, left = new_pins
-    key = prefix + b"".join([moved[pick] for pick in picks])
+    s = runs.codec.shared_size
+    start = s + len(pins) * runs.codec.width  # where the runs begin
+    moved, body = key[s:start] + packed_t, key[start:]  # moved: the old pinned codes, then t
+    out = prefix + b"".join([moved[pick] for pick in picks])
     if a is not None:
         body, codes, counts = _plus(runs, body, codes, counts, codes[a], None, -1)
     after = pins + (t,)
     for q, pick in left:
         body, codes, counts = _plus(runs, body, codes, counts, after[q], moved[pick], 1)
-    return key + body
+    return out + body
 
 
 def _plus(runs, body, codes, counts, c, packed_c, d):

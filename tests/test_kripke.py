@@ -440,7 +440,7 @@ def test_build_labels_each_state_once_and_keeps_init():
         return {"bad"} if payload == 3 else set()
 
     def expand(payload):
-        return [("inc", (payload + 1) % 4), ("back", 0), ("back", 0)]
+        return [("inc", (payload + 1) % 4), ("back", 0)]
 
     structure, stats = breadth_first_build([BAD], 0, expand, labeler)
     assert structure.num_states == stats.states_reached == 4
@@ -448,7 +448,30 @@ def test_build_labels_each_state_once_and_keeps_init():
     assert structure.init == {0}
     assert structure.label_of(0) == frozenset({"init"})
     assert structure.label_of(3) == frozenset({"bad"})
-    assert structure.num_edges == stats.edges == 8  # each repeated "back" edge is stored once
+    assert structure.num_edges == stats.edges == 8
+
+
+@pytest.mark.parametrize("stop_at_bad", [False, True])
+def test_build_leaves_the_last_expanded_block_open(stop_at_bad):
+    # the builder writes its blocks without add_edge; add_edge must then act
+    # on the result as on a structure it wrote itself
+    def expand(payload):
+        return [("inc", (payload + 1) % 4), ("back", 0), ("skip", 1)]
+
+    structure, _ = breadth_first_build(
+        [BAD], 0, expand, lambda p: {BAD} if p == 3 and stop_at_bad else set(),
+        stop_at_bad=stop_at_bad,
+    )
+    last = 2 if stop_at_bad else 3  # stop_at_bad halts after the edge into 3
+    stored = structure.num_edges
+    for action, target in expand(last)[: 1 if stop_at_bad else 3]:
+        structure.add_edge(last, action, target)  # each a repeat: stores nothing
+    assert structure.num_edges == stored
+    structure.add_edge(last, "new", 2)
+    assert structure.num_edges == stored + 1
+    with pytest.raises(ValueError, match="block closed"):
+        structure.add_edge(last - 1, "new", 2)
+    assert structure.successors(last)[-1] == ("new", 2)
 
 
 def test_build_state_bound_and_stop_at_bad():
