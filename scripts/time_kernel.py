@@ -10,9 +10,12 @@ filled memos and keeps the best of these warm passes:
 
 * ``allocator:n`` and ``broken-allocator:n`` (the allocator without the
   ``grant == none`` entry guard) in quotient mode: pid-typed keys, whose
-  moves take, keep or release the pinned grant holder;
+  moves take, keep or release the pinned grant holder, so most of them
+  change the pins and rebuild the key from its fields
+  (``RunCodec.repin``);
 * ``pipeline:n``, ``time_store.pipeline_text`` (six phases, each process
-  steps through them once), in counter mode: pid-free keys.
+  steps through them once), in counter mode: pid-free keys, whose moves
+  are additions and shift-and-mask splices of the key.
 
 ``us_per_state`` is the best warm pass per state in microseconds, and
 ``cold_us_per_state`` the cold pass per state, each the least and the

@@ -20,11 +20,16 @@ difference from this one is what the structure held at its peak.
   ``explore_rss_mb`` after the first, ``check_ms`` and ``check_rss_mb``
   after the second.
 
-Times are given as the least and the median over the runs, peaks as the
-median.  ``states`` and ``edges`` are the structure's counts, totalized
+Every row also reports ``keys_mb``, the bytes of the structure's stored
+keys (``KripkeStructure.key``, by ``sys.getsizeof``, which is what each
+key object allocates): positional ``bytes`` keys in the full rows,
+run-length keys in the counter rows.
+
+Times are given as the least and the median over the runs, peaks and
+``keys_mb`` as the median.  ``states`` and ``edges`` are the structure's counts, totalized
 in the counter rows.  Only ``parse_program``, ``builtin_example``,
 ``explore``, ``parse_ctl``, ``check`` and ``KripkeStructure``'s
-``predecessors`` and ``totalize`` are called, so one copy of this file
+``key``, ``predecessors`` and ``totalize`` are called, so one copy of this file
 measures any two versions of the package that have them.  Prints one
 JSON object.
 
@@ -72,8 +77,9 @@ else:
         sys.exit("AF done fails on the pipeline")
     row["check_ms"] = (time.perf_counter() - explored) * 1000.0
     row["check_rss_mb"] = peak_mb()
+keys = sum(sys.getsizeof(structure.key(sid)) for sid in structure.states())
 row.update(states=structure.num_states, edges=structure.num_edges,
-           explore_ms=(explored - started) * 1000.0)
+           explore_ms=(explored - started) * 1000.0, keys_mb=keys / 2**20)
 print(json.dumps(row))
 """
 
@@ -110,7 +116,7 @@ def summary(runs):
         values = [r[key] for r in runs]
         if key.endswith("_ms"):
             row[key] = least_and_median(values)
-        elif key.endswith("_rss_mb"):
+        elif key.endswith("_mb"):
             row[key] = round(statistics.median(values), 2)
     return row
 

@@ -3,10 +3,10 @@
 A counter state keeps the shared valuation plus, sparsely, how many
 processes sit in each local record.  Without pid-typed shared variables
 that is the full-symmetry quotient under other names, and counter mode
-is its build (``explore.explore``): the run-length keys of
+is its build (``explore.explore``): the run-length ``int`` keys of
 ``runs.RunCodec`` (the shared values, then one ``(record code, count)``
-pair per distinct record, codes increasing), stepped by
-``runs.run_successors``, with actions named ``"<record>/<j>"`` and
+pair per distinct record, codes increasing), stepped by integer
+arithmetic in ``runs.run_successors``, with actions named ``"<record>/<j>"`` and
 payloads decoded to ``CounterState`` (``CounterView``).  A program's
 counter structure and its quotient are thus one graph, the same keys,
 labels and edges in the same order, and ``from_counter`` of a counter
@@ -63,6 +63,8 @@ class CounterView:
     codec a counter structure speaks through.  Record order is code
     order, so the pairs of a counter state are the key's runs."""
 
+    key_type = int
+
     def __init__(self, program):
         self.runs = program.table.runs
 
@@ -103,7 +105,8 @@ def counter_successors(program, cstate):
     the action ``"<record>/<j>"``.  ``cstate`` is a run-length key, and so
     are the successors; given a ``CounterState``, they are decoded ones.
     Pid-typed programs raise ``UnsupportedModelError``."""
-    _require_pid_free(program)
+    if not program.table.pid_free:
+        _require_pid_free(program)
     if not isinstance(cstate, CounterState):
         return run_successors(program, cstate, counter=True)
     view = CounterView(program)

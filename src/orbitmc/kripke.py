@@ -4,9 +4,11 @@ States are opaque payloads keyed by value, so re-adding an existing payload
 is a no-op that returns the original id.  Atomic propositions are names:
 a structure holds a fixed set of them, each state's label is a subset,
 and ``init`` marks the initial set.  A structure given a ``codec``
-stores each payload as the codec's ``bytes`` key and speaks payloads at
-its interface: ``add_state`` takes either form, ``payload`` decodes,
-``state_of`` and ``has_state`` encode.
+stores each payload as the codec's key (``bytes`` for positional keys,
+``int`` for run-length ones: the codec's ``key_type``) and speaks
+payloads at its interface: ``payload`` decodes, and ``add_state``,
+``state_of`` and ``has_state`` take a key as it is and encode any other
+payload.
 
 The transition relation is stored as flat ``array``s in compressed
 sparse rows: the edges of state s are the positions ``offsets[s]`` to
@@ -155,8 +157,7 @@ class KripkeStructure:
         labels = frozenset(labels)
         if not labels <= self._props:
             raise ValueError(f"label {min(labels - self._props)!r} is not in the AP set")
-        if self._codec is not None and not isinstance(payload, bytes):
-            payload = self._codec.encode(payload)
+        payload = self._stored(payload)
         sid = self._index.get(payload)
         if sid is None:
             if self._rows is not None:
@@ -202,21 +203,24 @@ class KripkeStructure:
         return self._codec.decode(self._payloads[sid])
 
     def _stored(self, payload):
-        """The stored form of ``payload``; KeyError if it has none."""
-        if self._codec is None:
+        """The stored form of ``payload``: itself if the structure has no
+        codec or it is of the codec's ``key_type``, else its encoding, which
+        raises ``ValueError`` on a payload that does not fit."""
+        codec = self._codec
+        if codec is None or isinstance(payload, codec.key_type):
             return payload
-        try:
-            return self._codec.encode(payload)
-        except ValueError:
-            raise KeyError(f"{payload!r} is not a state of this structure") from None
+        return codec.encode(payload)
 
     def state_of(self, payload):
-        return self._index[self._stored(payload)]
+        try:
+            return self._index[self._stored(payload)]
+        except ValueError:
+            raise KeyError(f"{payload!r} is not a state of this structure") from None
 
     def has_state(self, payload):
         try:
             return self._stored(payload) in self._index
-        except KeyError:
+        except ValueError:
             return False
 
     def label_of(self, sid):

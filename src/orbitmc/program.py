@@ -28,7 +28,8 @@ big-endian unsigned integer, as wide as its largest value needs, rounded
 up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 without
 pid-typed variables), record fields up to ``local_domain_size() - 1``.
 Fixed widths make byte order of keys the order of ``GlobalState.encode``.
-Under the full symmetric group keys are run-length (``runs.RunCodec``).
+Under the full symmetric group keys are run-length ``int``s instead
+(``runs.RunCodec``).
 This module gives exploration its parts, ``successors`` and ``labeling``
 over keys; ``explore`` puts them together into a build.  Commands fire
 through one memo, ``CommandTable.record_plan``, into moves that name the
@@ -100,6 +101,8 @@ class StateCodec:
     ``encode`` and ``decode`` raise ``ValueError`` on a misfit, so
     ``decode(encode(s)) == s``; codes and records convert through memos.
     """
+
+    key_type = bytes
 
     def __init__(self, n, num_shared, pid_slots, num_locals, num_pcs, max_shared):
         self._layout = (n, num_shared, pid_slots, num_locals, num_pcs, max_shared)

@@ -9,11 +9,11 @@ frontend's guard restrictions guarantee the first, the program's
 built, and ``check_bisimulation`` certifies both at desk scale, so no
 state's orbit is checked during a build.
 
-Under Sym(n) each state is its run-length key (``runs.RunCodec``), a
-representative by construction: the shared values, the pinned records
-in pin-rank order, then one ``(record code, count)`` pair per distinct
-unpinned record, each count 1 byte wide up to n = 255 and 2 bytes past
-that.  ``runs.run_successors`` fires each pin and each run head;
+Under Sym(n) each state is its run-length key (``runs.RunCodec``), an
+``int`` and a representative by construction: little-endian fields
+holding the shared values, the pinned records in pin-rank order, then
+one ``(record code, count)`` pair per distinct unpinned record, each
+count 1 byte wide up to n = 255 and 2 bytes past that.  ``runs.run_successors`` fires each pin and each run head;
 actions ``"i/j"`` name the head by its index in the representative.
 Counter mode is this build with records naming the actions and keys
 decoding to ``counter.CounterState``.  A generated subgroup keeps
@@ -58,7 +58,7 @@ def orbit_size_sorted(program, state):
     multiplicities m of the unpinned records: the run counts, when
     ``state`` is a run-length key of the program.
     """
-    if isinstance(state, bytes):
+    if isinstance(state, int):
         runs = program.table.runs
         size, counts = runs.nfact, runs.parts(state)[3]
     else:

@@ -9,10 +9,10 @@ pinned and renumbered 0, 1, ... in order of first appearance, their
 records go first, and the others follow sorted, ties in index order.
 ``rep_min`` is the one canonicalization of a ``GlobalState``, for every
 group, with a witness permutation on request; without pins it is
-``rep_sort``.  Exploration stores the representative as a run-length key
-(``runs.RunCodec.canonical``): the shared values, the pinned records,
-then one ``(record code, count)`` pair per run of the sorted rest, each
-count 1 byte wide up to n = 255 and 2 bytes past that.  Generated
+``rep_sort``.  Exploration stores the representative as a run-length
+``int`` key (``runs.RunCodec.canonical``): the shared values, the pinned
+records, then one ``(record code, count)`` pair per run of the sorted
+rest, each count 1 byte wide up to n = 255 and 2 bytes past that.  Generated
 subgroups are enumerated, capped, once per group.
 """
 
@@ -244,8 +244,9 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
 def canonical_key_fn(program, group=None):
     """``(codec, canon)``: the codec a quotient under ``group`` stores its
     states in, and the map from a ``StateCodec`` key to the stored key of
-    its representative: ``RunCodec.canonical`` under the full symmetric
-    group, ``rep_min`` between decode and encode under a generated one."""
+    its representative: ``RunCodec.canonical``, an ``int`` run-length key,
+    under the full symmetric group, and ``rep_min`` between decode and
+    encode, a ``bytes`` key, under a generated one."""
     if group is None:
         group = full_symmetric(program.n)
     if group.degree != program.n:

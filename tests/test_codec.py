@@ -362,3 +362,27 @@ def test_copied_codecs_are_the_shared_codecs():
     for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         assert copy_of(codec) is codec
         assert copy_of(program.table.runs) is program.table.runs
+
+
+@pytest.mark.parametrize("name", ["mutex", "allocator"])
+@pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
+def test_a_stored_key_is_a_state_of_its_structure(name, mode):
+    # a structure's stored form is its codec's key type, bytes for
+    # positional keys and int for run-length ones; any other payload is
+    # encoded, and one that does not fit is no state of it
+    program = builtin_example(name, 3)
+    if mode == "counter" and program.pid_slots:
+        return
+    structure, _ = explore(program, mode)
+    key_type = bytes if mode == "full" else int
+    for sid in structure.states():
+        key = structure.key(sid)
+        assert type(key) is key_type
+        assert structure.has_state(key) and structure.state_of(key) == sid
+        assert structure.state_of(structure.payload(sid)) == sid
+        assert structure.add_state(key, structure.label_of(sid)) == sid
+    missing = structure.key(0) + (b"\x00" if mode == "full" else 1 << 64)
+    assert not structure.has_state(missing)
+    with pytest.raises(KeyError):
+        structure.state_of(missing)
+    assert not structure.has_state(program.initial_state()._replace(shared=(9,) * 5))

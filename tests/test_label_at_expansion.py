@@ -90,8 +90,8 @@ def test_a_bound_overrun_after_a_bad_state_reports_it(mode, tree):
 
 def count_parses(monkeypatch, program, mode):
     """The keys the codec a build of ``mode`` labels through parses from now
-    on, one entry per parse: each unpack of ``RunCodec.parts``, or each
-    shared-values read of ``StateCodec.census``."""
+    on, one entry per parse: each unpack of the run codes in
+    ``RunCodec.parts``, or each shared-values read of ``StateCodec.census``."""
     parsed = []
     if mode == "full":
         codec = program.table.codec
@@ -104,13 +104,13 @@ def count_parses(monkeypatch, program, mode):
         monkeypatch.setattr(codec, "shared", counted)
         return parsed
     runs = program.table.runs
-    for head, (unpack, s, p) in list(runs._heads.items()):
+    for head, (size, fields, codes, counts, s) in list(runs._heads.items()):
 
-        def counted(key, unpack=unpack):
-            parsed.append(key)
-            return unpack(key)
+        def counted(data, codes=codes):
+            parsed.append(int.from_bytes(data, "little"))
+            return codes(data)
 
-        monkeypatch.setitem(runs._heads, head, (counted, s, p))
+        monkeypatch.setitem(runs._heads, head, (size, fields, counted, counts, s))
     return parsed
 
 
@@ -153,7 +153,9 @@ def test_a_key_the_kernel_did_not_just_parse_parses_afresh(monkeypatch, name, n)
             assert census == expected[key] and type(census[1]) is tuple
             # an equal key that is not the one last read is parsed, and so is
             # the key when read again after it
-            for again in (bytes(bytearray(key)), key):
+            other = bytes(bytearray(key)) if mode == "full" else int(str(key))
+            assert other == key and other is not key
+            for again in (other, key):
                 count = len(parsed)
                 assert codec.census(again) == expected[key] and len(parsed) == count + 1
         monkeypatch.undo()
@@ -161,7 +163,7 @@ def test_a_key_the_kernel_did_not_just_parse_parses_afresh(monkeypatch, name, n)
 
 def test_census_checks_every_key_it_reads_back():
     runs = builtin_example("mutex", 3).table.runs
-    short = bytes([0, 2])  # one process short
+    short = 2 << 8  # one run of record code 0, one process short
     assert runs.parts(short)[4] == (2, 0, 0)
     for _ in range(2):
         with pytest.raises(InternalError, match="lost a process"):

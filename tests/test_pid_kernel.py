@@ -1,7 +1,7 @@
 """The run-length kernel on pid-typed programs, list for list.
 
-``runs.run_successors`` builds every successor as a splice of its parent
-key.  For every reachable representative its list must equal, in order
+``runs.run_successors`` steps every successor from its parent key by
+arithmetic, or rebuilds it when the pins change.  For every reachable representative its list must equal, in order
 and with the same ``"h/j"`` actions, the language definition's successors
 of the decoded representative, firing the same processes in the kernel's
 order (pins by rank, then the first process of each run), each
@@ -200,5 +200,8 @@ def test_census_of_a_key_short_of_a_process_is_an_internal_error():
     program = parse_program(ONE_CELL + "A -> B : true / ;")
     runs = program.table.runs
     key = runs.encode(state((0,), (1, 0, 0, 1)))
+    shared, pins, codes, counts, _ = runs.parts(key)
+    assert counts == (2, 1)
+    short = runs.pack(shared, pins, [(codes[0], 1), (codes[1], 1)])  # the first run less one
     with pytest.raises(InternalError, match="lost a process"):
-        runs.census(key[:-1] + bytes([key[-1] - 1]))
+        runs.census(short)

@@ -1,9 +1,10 @@
 """Run-length keys (``runs.RunCodec``): round trips, canonical form, wide counts.
 
-Under the full symmetric group every state is stored as the shared
-values, the pinned records in pin-rank order and sorted ``(record code,
-count)`` pairs.  A key exists only for a representative, and each count
-is one byte wide up to n = 255 and two bytes past that.
+Under the full symmetric group every state is stored as one int: the
+shared values, the pinned records in pin-rank order and sorted ``(record
+code, count)`` pairs as fixed-width little-endian fields, lowest first.
+A key exists only for a representative, and each count is one byte wide
+up to n = 255 and two bytes past that.
 """
 
 import io
@@ -95,8 +96,16 @@ def test_keys_that_do_not_fit_raise_value_errors():
     program = builtin_example("mutex", 3)
     runs = program.table.runs
     key = runs.encode(program.initial_state())
-    assert key == bytes([0, 3])  # one run: record code 0, count 3
-    for bad in (key[:-1], key + b"\x00", bytes([7, 3])):
+    assert key == 3 << 8  # one run: record code 0, then its count 3 above it
+    misfits = (
+        key - (1 << 8),  # a process short
+        key + (1 << 8),  # a process too many
+        key + (1 << 16),  # a second run, of code 1, with no process in it
+        1 | 1 << 8 | 2 << 24,  # runs (1, 1) and (0, 2): codes out of order
+        7 | 3 << 8,  # record code 7 names no pc
+        -key,
+    )
+    for bad in misfits:
         with pytest.raises(ValueError):
             runs.decode(bad)
     with pytest.raises(ValueError):
@@ -107,7 +116,7 @@ def test_a_key_that_lost_a_process_is_an_internal_error():
     program = builtin_example("mutex", 3)
     runs = program.table.runs
     with pytest.raises(InternalError, match="lost a process"):
-        runs.census(bytes([0, 2]))
+        runs.census(2 << 8)
 
 
 def test_count_fields_widen_past_255_processes():
@@ -117,8 +126,9 @@ def test_count_fields_widen_past_255_processes():
     assert runs.pair_size == 3
     rep = GlobalState((0,), ((2,),) + ((0,),) * 150 + ((1,),) * 149, (0,))
     key = runs.encode(rep)
-    # shared value (2 bytes), the pinned record, then two (code, count) pairs
-    assert key == b"\x00\x00" + b"\x02" + b"\x00\x00\x96" + b"\x01\x00\x95"
+    # little-endian fields, lowest first: the shared value (2 bytes), the
+    # pinned record, then two (code, count) pairs, each count 2 bytes wide
+    assert key.to_bytes(9, "little") == b"\x00\x00" + b"\x02" + b"\x00\x96\x00" + b"\x01\x95\x00"
     assert runs.decode(key) == rep
 
 
