@@ -1,10 +1,11 @@
 """Time ``explore`` per state, split into the kernel, labeling and the rest.
 
 Each row is ``family:n:mode``, by default ``pipeline:12:counter``,
-``mutex:10:full`` and ``mutex:100:quotient``.  ``pipeline:n`` is
-``time_store.pipeline_text``, the benchmark's pipeline family (n
-processes walk six phases ``p0`` to ``p5`` in a line, once; ``done``
-says that all of them are at ``p5``), ``mutex:n`` the builtin.  Each of
+``mutex:10:full``, ``allocator:7:full`` (its keys carry a pid field) and
+``mutex:100:quotient``.  ``pipeline:n`` is ``time_store.pipeline_text``,
+the benchmark's pipeline family (n processes walk six phases ``p0`` to
+``p5`` in a line, once; ``done`` says that all of them are at ``p5``),
+any other family the builtin of that name.  Each of
 ``--runs`` fresh interpreters per row builds the row's structure once,
 which fills the firing plans and codec memos, and collects every state's
 key.  It then times ``PASSES`` rounds of four passes, keeping the best
@@ -46,7 +47,7 @@ import platform
 from orbitmc.parser import builtin_source
 from time_store import least_and_median, pipeline_text, run_child
 
-ROWS = ("pipeline:12:counter", "mutex:10:full", "mutex:100:quotient")
+ROWS = ("pipeline:12:counter", "mutex:10:full", "allocator:7:full", "mutex:100:quotient")
 PASSES = 5  # timed rounds per run
 
 CHILD = """

@@ -63,8 +63,6 @@ class CounterView:
     codec a counter structure speaks through.  Record order is code
     order, so the pairs of a counter state are the key's runs."""
 
-    key_type = int
-
     def __init__(self, program):
         self.runs = program.table.runs
 

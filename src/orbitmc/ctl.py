@@ -397,9 +397,10 @@ def check(structure, formula):
 def lift_counterexample(program, quotient_path, group=None):
     """Concretize a path of representatives into a real execution.
 
-    Walks the concrete successor relation on the program's positional keys,
-    at each step taking the successor whose canonical key is the next path
-    state's (least key, which is least encoding, on ties).  A missing match
+    Walks the concrete successor relation on the program's positional
+    ``int`` keys, at each step taking the successor whose canonical key is
+    the next path state's (least key, which is least ``GlobalState.encode``,
+    on ties, since int order of positional keys is that order).  A missing match
     means the quotient was not built from an automorphism group: an
     internal bug (``InternalError``), not an input error.
     """

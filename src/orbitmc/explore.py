@@ -4,7 +4,7 @@
 one caller of ``kripke.breadth_first_build``.  A mode is a codec, an
 initial key and a successor rule over keys:
 
-* full: ``program.StateCodec`` keys (``bytes``) stepped by
+* full: positional ``int`` keys (``program.StateCodec``) stepped by
   ``program.successors``;
 * quotient under Sym(n): run-length keys (``runs.RunCodec``, ``int``)
   stepped by ``runs.run_successors``;
@@ -12,7 +12,7 @@ initial key and a successor rule over keys:
   names actions by record, and read as ``counter.CounterState`` values
   through ``counter.CounterView``;
 * quotient under a generated subgroup (``build_quotient`` only):
-  positional ``bytes`` keys, each successor canonicalized by the ``canon`` of
+  positional ``int`` keys, each successor canonicalized by the ``canon`` of
   ``symmetry.canonical_key_fn``.
 
 A quotient's initial key is the one of ``symmetry.rep_min`` of the

@@ -4,11 +4,10 @@ States are opaque payloads keyed by value, so re-adding an existing payload
 is a no-op that returns the original id.  Atomic propositions are names:
 a structure holds a fixed set of them, each state's label is a subset,
 and ``init`` marks the initial set.  A structure given a ``codec``
-stores each payload as the codec's key (``bytes`` for positional keys,
-``int`` for run-length ones: the codec's ``key_type``) and speaks
-payloads at its interface: ``payload`` decodes, and ``add_state``,
-``state_of`` and ``has_state`` take a key as it is and encode any other
-payload.
+stores each payload as the codec's key, an ``int`` (positional or
+run-length), and speaks payloads at its interface: ``payload`` decodes,
+and ``add_state``, ``state_of`` and ``has_state`` take an ``int`` as a
+key and encode any other payload.
 
 The transition relation is stored as flat ``array``s in compressed
 sparse rows: the edges of state s are the positions ``offsets[s]`` to
@@ -204,10 +203,10 @@ class KripkeStructure:
 
     def _stored(self, payload):
         """The stored form of ``payload``: itself if the structure has no
-        codec or it is of the codec's ``key_type``, else its encoding, which
-        raises ``ValueError`` on a payload that does not fit."""
+        codec or it is an ``int``, a key, else its encoding, which raises
+        ``ValueError`` on a payload that does not fit."""
         codec = self._codec
-        if codec is None or isinstance(payload, codec.key_type):
+        if codec is None or isinstance(payload, int):
             return payload
         return codec.encode(payload)
 

@@ -21,20 +21,25 @@ states by it:
 * ``GlobalState.encode()`` packs exactly that value sequence as 4-byte
   big-endian unsigned integers, so byte order and tuple order agree.
 
-Exploration stores each state as one packed ``bytes`` key instead
+Exploration stores each state as one ``int`` key instead
 (``StateCodec``): the shared values, then one *code* per local record,
-``pc * 2**L + bits`` for L locals.  Every field is a fixed-width
-big-endian unsigned integer, as wide as its largest value needs, rounded
-up to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 without
+``pc * 2**L + bits`` for L locals, read as one big-endian unsigned
+integer.  Every field is as wide as its largest value needs, rounded up
+to 1, 2, 4 or 8 bytes: shared fields hold values up to n (1 without
 pid-typed variables), record fields up to ``local_domain_size() - 1``.
-Fixed widths make byte order of keys the order of ``GlobalState.encode``.
-Under the full symmetric group keys are run-length ``int``s instead
-(``runs.RunCodec``).
+Process i's code is the field ``StateCodec.shifts[i]`` bits up, the last
+process's lowest, and the shared fields sit above every code.  Fixed
+widths make int order of the keys of one layout the order of
+``GlobalState.encode``.  A move of process i from code c to code t adds
+``(t - c) << shifts[i]`` to the key, and a write of the shared values
+adds their change, shifted past the codes.  Under the full symmetric
+group keys are run-length ``int``s instead (``runs.RunCodec``).
 This module gives exploration its parts, ``successors`` and ``labeling``
 over keys; ``explore`` puts them together into a build.  Commands fire
 through one memo, ``CommandTable.record_plan``, into moves that name the
-new record code and shared values but no key layout, so the successor
-rules over both kinds of key read the same plans.
+new record code and the new shared fields with their change to a
+positional key, so the successor rules over both kinds of key read the
+same plans.
 """
 
 from __future__ import annotations
@@ -97,12 +102,10 @@ def _field_format(largest):
 class StateCodec:
     """Packs the states of one layout (n records of ``num_locals`` booleans
     and a pc of ``num_pcs`` values, behind ``num_shared`` shared values of
-    at most ``max_shared``) into the keys of the module docstring and back.
-    ``encode`` and ``decode`` raise ``ValueError`` on a misfit, so
+    at most ``max_shared``) into the int keys of the module docstring and
+    back.  ``encode`` and ``decode`` raise ``ValueError`` on a misfit, so
     ``decode(encode(s)) == s``; codes and records convert through memos.
     """
-
-    key_type = bytes
 
     def __init__(self, n, num_shared, pid_slots, num_locals, num_pcs, max_shared):
         self._layout = (n, num_shared, pid_slots, num_locals, num_pcs, max_shared)
@@ -115,12 +118,16 @@ class StateCodec:
         self.width, self.code_fmt = _field_format((num_pcs << num_locals) - 1)
         self.shared_size = num_shared * self.shared_width
         self.size = self.shared_size + n * self.width
+        # process i's code is the field ``shifts[i]`` bits up; the shared
+        # fields sit ``shift`` bits up, above every code
+        self.shift = 8 * n * self.width
+        self.shifts = tuple(8 * self.width * (n - 1 - i) for i in range(n))
         self._shared = Struct(f">{num_shared}{self.shared_fmt}")
         self._codes = Struct(f">{n}{self.code_fmt}")
         self._whole = Struct(f">{num_shared}{self.shared_fmt}{n}{self.code_fmt}")
         self._record_of = {}
         self._code_of = {}
-        self._last = object(), None  # ``census``' last key and its census
+        self._last = object(), None  # ``parts``' last key and its parts
 
     def __reduce__(self):  # copies and pickles share the codec of the layout
         return _codec, self._layout
@@ -169,58 +176,63 @@ class StateCodec:
 
     def encode(self, state):
         if (
-            len(state.shared) != self.num_shared
+            type(state) is not GlobalState
+            or len(state.shared) != self.num_shared
             or len(state.locals) != self.n
             or state.pid_slots != self.pid_slots
         ):
-            raise ValueError(f"state {state} does not fit the state layout")
-        try:
-            return self._whole.pack(*state.shared, *map(self.code, state.locals))
-        except StructError as exc:
-            raise ValueError(f"state {state} has a shared value out of range: {exc}") from None
+            raise ValueError(f"{state!r} is no state of this layout")
+        codes = list(map(self._code_of.get, state.locals))
+        if None in codes:  # a record not coded yet, which ``code`` checks
+            codes = list(map(self.code, state.locals))
+        return self.high(state.shared) << self.shift | int.from_bytes(self._codes.pack(*codes), "big")
 
     def decode(self, key):
-        if len(key) != self.size:
-            raise ValueError(f"a key of this layout has {self.size} bytes, got {len(key)}")
-        values = self._whole.unpack(key)
-        k = self.num_shared
-        return GlobalState(values[:k], tuple(map(self.record, values[k:])), self.pid_slots)
+        shared, codes = self.split(key)
+        return GlobalState(shared, tuple(map(self.record, codes)), self.pid_slots)
 
-    def shared(self, key):
-        """The shared values of a key, as a tuple."""
-        return self._shared.unpack_from(key)
-
-    def codes(self, key):
-        """The record codes of a key, indexable by process."""
-        if self.width == 1:
-            return key[self.shared_size :]
-        return self._codes.unpack_from(key, self.shared_size)
-
-    def pack_shared(self, values):
+    def split(self, key):
+        """The shared values of a key, as a tuple, and its record codes,
+        indexable by process, from one ``to_bytes``."""
         try:
-            return self._shared.pack(*values)
+            data = key.to_bytes(self.size, "big")
+        except OverflowError:
+            raise ValueError(f"{key!r} is no key of this layout") from None
+        if self.width == 1:
+            return self._shared.unpack_from(data), data[self.shared_size :]
+        return self._shared.unpack_from(data), self._codes.unpack_from(data, self.shared_size)
+
+    def high(self, values):
+        """The shared fields of the key with these shared values, as an int
+        ``shift`` bits down."""
+        try:
+            return int.from_bytes(self._shared.pack(*values), "big")
         except StructError as exc:
             raise ValueError(f"shared values {values} out of range: {exc}") from None
 
-    def census(self, key):
-        """The shared values and per-pc process counts of a key, as tuples.
-        The last key read and its census are kept, as one tuple, and a call
-        on that same key object returns them again: the builder labels a
-        state right after the successor rule read it.  Threads sharing the
-        codec at worst read a key again."""
+    def parts(self, key):
+        """``((shared values, per-pc process counts), record codes)`` of a
+        key.  The last key read and its parts are kept, as one tuple, and a
+        call on that same key object returns them again: the builder labels
+        a state (``census``) right after the successor rule read it.
+        Threads sharing the codec at worst read a key again."""
         last = self._last
         if last[0] is key:
             return last[1]
-        codes = self.codes(key)
+        shared, codes = self.split(key)
         if not self.num_locals:
             occ = list(map(codes.count, range(self.num_pcs)))
         else:
             occ = [0] * self.num_pcs
             for code in set(codes):
                 occ[code >> self.num_locals] += codes.count(code)
-        got = self.shared(key), tuple(occ)
+        got = (shared, tuple(occ)), codes
         self._last = key, got
         return got
+
+    def census(self, key):
+        """The shared values and per-pc process counts of a key, as tuples."""
+        return self.parts(key)[0]
 
 
 @lru_cache(maxsize=None)
@@ -528,16 +540,17 @@ class CommandTable:
         pid-free program), kept in ``plans[shared][i][code]``, so a reader
         finds one acting process's plans once per state and each code's
         without making a tuple: ``(guard, moves)`` per command j leaving the
-        record's pc, one move ``(j, t, packed t, packed shared values)`` per
-        outcome, the packed shared values None if the command leaves them
-        unchanged.  Every right-hand side reads the pre-state, and the
+        record's pc, one move ``(j, t, delta, high)`` per outcome: ``high``
+        the new shared fields (``StateCodec.high``) and ``delta`` what their
+        write adds to a positional key, 0 if the command leaves the shared
+        values unchanged.  Every right-hand side reads the pre-state, and the
         ``*`` assignments branch in increasing binary order of the assigned
         bits.  A plan depends only on the shared values, the record and i,
         since guards and updates compare pid values only with i and
         ``none``, so it holds for any key layout: the full-mode plan of
         process p is the run-length plan of a run head at rank p."""
         codec, n = self.codec, self.program.n
-        rec = codec.record(code)
+        rec, before = codec.record(code), codec.high(shared)
         plan = []
         for j, guard in self.by_pc[rec[0]]:
             cmd = self.program.commands[j]
@@ -554,9 +567,8 @@ class CommandTable:
                         new_shared[u.slot] = value
                     else:
                         new_rec[1 + u.slot] = value
-                new_shared, t = tuple(new_shared), codec.code(tuple(new_rec))
-                packed_shared = None if new_shared == shared else codec.pack_shared(new_shared)
-                moves.append((j, t, t.to_bytes(codec.width, "big"), packed_shared))
+                high = codec.high(new_shared)
+                moves.append((j, codec.code(tuple(new_rec)), high - before << codec.shift, high))
             plan.append((guard, tuple(moves)))
         got = self.plans.setdefault(shared, {}).setdefault(i, {})[code] = rec, tuple(plan)
         return got
@@ -583,10 +595,10 @@ def successors(program, state):
 
 
 def _key_successors(table, key):
-    """The successor rule on keys.  A successor is the key with one record
-    field replaced (and the shared prefix too when the command writes
-    shared state), as the plans of ``record_plan`` give them: process i
-    fires its plan of its code.  In a pid-free program no guard or
+    """The successor rule on keys.  Process i's move to code t adds ``(t -
+    code) << shifts[i]`` to the key, and the move's shared ``delta``, as
+    the plans of ``record_plan`` give them: process i fires its plan of
+    its code.  In a pid-free program no guard or
     effect reads the process index, and a guard reads only the acting
     record and the census (shared values and per-pc counts), so a
     record's enabled moves hold for every process holding it in every
@@ -598,8 +610,8 @@ def _key_successors(table, key):
     state space.  Threads sharing the table at worst plan again."""
     codec = table.codec
     n = codec.n
-    census = shared, occ = codec.census(key)
-    codes = codec.codes(key)
+    census, codes = codec.parts(key)
+    shared, occ = census
     pid_free = table.pid_free
     record_plan = table.record_plan
     if pid_free:
@@ -620,15 +632,14 @@ def _key_successors(table, key):
             table._last = census, enabled
     else:
         known = table.plans.get(shared) or {}
-    start, width = codec.shared_size, codec.width
-    names = table.action_names
+    shifts, names = codec.shifts, table.action_names
     out = []
     append = out.append
-    for i in range(n):
+    for i, code in enumerate(codes):
         if pid_free:
-            moves = enabled[codes[i]]
+            moves = enabled[code]
         else:
-            rec, plan = (known.get(i) or {}).get(codes[i]) or record_plan(shared, codes[i], i)
+            rec, plan = (known.get(i) or {}).get(code) or record_plan(shared, code, i)
             moves = [
                 move
                 for guard, command_moves in plan
@@ -637,14 +648,10 @@ def _key_successors(table, key):
             ]
         if not moves:
             continue
-        at = start + i * width
-        head, tail = key[:at], key[at + width :]
+        at = shifts[i]
         actions = names[i] or table.action_row(i)
-        for j, _, packed_rec, packed_shared in moves:
-            if packed_shared is None:
-                append((actions[j], head + packed_rec + tail))
-            else:
-                append((actions[j], packed_shared + head[start:] + packed_rec + tail))
+        for j, t, delta, _ in moves:
+            append((actions[j], key + ((t - code) << at) + delta))
     return out
 
 

@@ -40,8 +40,6 @@ class RunCodec:
     that is no key of n processes; ``encode`` raises ``ValueError`` on a
     state that is not its own representative or does not fit."""
 
-    key_type = int
-
     def __init__(self, codec):
         self.codec, self.n = codec, codec.n
         self.nfact = math.factorial(codec.n)
@@ -161,16 +159,16 @@ class RunCodec:
         got = self._units[p] = tuple(1 << start + a * size for a in range(k))
         return got
 
-    def _repin(self, p, i, packed_shared):
-        """``repin(p, i, packed_shared)``: how a move of pin i, or of a head
-        if i is p, that writes the ``StateCodec`` shared values
-        ``packed_shared`` rewrites a key with p pins.  The new shared fields
+    def _repin(self, p, i, high):
+        """``repin(p, i, high)``: how a move of pin i, or of a head if i is
+        p, that writes the shared values whose ``StateCodec`` fields are
+        ``high`` rewrites a key with p pins.  The new shared fields
         as an int if the pid slots still name the pins 0..p-1 in order,
         else ``(ranked shared values, picks, left)`` for ``_repinned``,
         picks and left indexing the old pinned codes followed by the moved
         code: picks gives the new pinned codes, left the codes that join
         the runs."""
-        new_pins, _, ranked = self.ranked(self.codec.shared(packed_shared))
+        new_pins, _, ranked = self.ranked(self.codec.split(high << self.codec.shift)[0])
         low = int.from_bytes(self._shared.pack(*ranked), "little")
         if new_pins == tuple(range(p)):
             return low
@@ -181,11 +179,14 @@ class RunCodec:
     def canonical(self, key):
         """The run-length key of the representative of a ``StateCodec`` key:
         the pinned sort, pinned records in rank order and the rest sorted."""
-        codes = self.codec.codes(key)
-        pins, rank, shared = self.ranked(self.codec.shared(key))
-        rest = [code for i, code in enumerate(codes) if i not in rank] if pins else codes
-        pairs = [(code, rest.count(code)) for code in sorted(set(rest))]
-        return self.pack(shared, [codes[q] for q in pins], pairs)
+        shared, codes = self.codec.split(key)
+        pins, _, shared = self.ranked(shared)
+        if pins:  # the pinned codes, then the rest: only its counts matter
+            pins, codes = [codes[q] for q in pins], list(codes)
+            for code in pins:
+                codes.remove(code)
+        pairs = [(code, codes.count(code)) for code in sorted(set(codes))]
+        return self.pack(shared, pins, pairs)
 
     def encode(self, state):
         # the state is its representative iff its key is the representative's
@@ -194,7 +195,7 @@ class RunCodec:
         key = self.canonical(positional)
         shared, pins, codes, counts, _ = self.parts(key)
         runs = chain.from_iterable(map(repeat, codes, counts))
-        if self.codec._whole.pack(*shared, *pins, *runs) != positional:
+        if int.from_bytes(self.codec._whole.pack(*shared, *pins, *runs), "big") != positional:
             raise ValueError(f"state {state} is not its own representative")
         return key
 
@@ -245,14 +246,14 @@ def run_successors(program, key, counter=False):
         at = first + i * width
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):
-                for j, t, _, packed_shared in moves:
-                    if packed_shared:
-                        new = repin(p, i, packed_shared)
+                for j, t, delta, high in moves:
+                    if delta:
+                        new = repin(p, i, high)
                         if new.__class__ is tuple:
                             append((row[j], _repinned(runs, new, key, pins, codes, counts, None, t)))
                             continue
                     target = key + ((t - code) << at)
-                    if packed_shared:
+                    if delta:
                         target += new - low
                     append((row[j], target))
     # a head is unpinned, so no pid slot names it and its index only tells
@@ -282,9 +283,9 @@ def run_successors(program, key, counter=False):
                     else:
                         at = start + a * size
                         base = key & (1 << at) - 1 | key >> at + size << at
-                for j, t, _, packed_shared in moves:
-                    if packed_shared:
-                        new = repin(p, i, packed_shared)
+                for j, t, delta, high in moves:
+                    if delta:
+                        new = repin(p, i, high)
                         if new.__class__ is tuple:
                             append((row[j], _repinned(runs, new, key, pins, codes, counts, a, t)))
                             continue
@@ -299,7 +300,7 @@ def run_successors(program, key, counter=False):
                         else:  # a run of t appears at its place in base
                             pos = start + (b - (m == 1 and b > a)) * size
                             target = base & (1 << pos) - 1 | (t | one) << pos | base >> pos << pos + size
-                    if packed_shared:
+                    if delta:
                         target += new - low
                     append((row[j], target))
         h += m

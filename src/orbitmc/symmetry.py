@@ -243,10 +243,11 @@ def rep_min(group, state, enum_cap=GROUP_ENUM_CAP, witness=True):
 
 def canonical_key_fn(program, group=None):
     """``(codec, canon)``: the codec a quotient under ``group`` stores its
-    states in, and the map from a ``StateCodec`` key to the stored key of
-    its representative: ``RunCodec.canonical``, an ``int`` run-length key,
-    under the full symmetric group, and ``rep_min`` between decode and
-    encode, a ``bytes`` key, under a generated one."""
+    states in, and the map from a positional ``StateCodec`` key, an
+    ``int``, to the stored key of its representative:
+    ``RunCodec.canonical``, a run-length ``int`` key, under the full
+    symmetric group, and ``rep_min`` between decode and encode, the
+    representative's positional ``int`` key, under a generated one."""
     if group is None:
         group = full_symmetric(program.n)
     if group.degree != program.n:

@@ -1,8 +1,8 @@
 """Packed state keys (``program.StateCodec``): round trips, order and wide fields.
 
-Exploration stores every state as one ``bytes`` key.  These tests pin the
+Exploration stores every state as one ``int`` key.  These tests pin the
 three things everything else relies on: a key decodes back to the state
-it came from, byte order of keys is the order of ``GlobalState.encode``
+it came from, int order of keys is the order of ``GlobalState.encode``
 (which canonicalization minimizes), and fields widen past one byte
 without changing any report.
 """
@@ -99,7 +99,7 @@ def test_keys_round_trip_and_keep_the_encoding_order(program):
     states = [random_state(rng, program) for _ in range(60)] + [program.initial_state()]
     keys = [codec.encode(s) for s in states]
     for state, key in zip(states, keys):
-        assert len(key) == codec.size
+        assert type(key) is int and 0 <= key < 1 << 8 * codec.size
         assert codec.decode(key) == state
         assert labeling(program, key) == labeling(program, state)
     for state in states[:5]:
@@ -110,6 +110,43 @@ def test_keys_round_trip_and_keep_the_encoding_order(program):
     assert sorted(states, key=GlobalState.encode) == sorted(states, key=codec.encode)
     for a, b in zip(keys, keys[1:]):
         assert (a < b) == (codec.decode(a).encode() < codec.decode(b).encode())
+
+
+def random_fields(rng, codec, count):
+    """``count`` random field tuples of the codec's layout, each shared value
+    up to the largest one and each record code below ``num_pcs * 2**L``;
+    about half of them differ from an earlier one in one field only."""
+    tops = ([codec.n if codec.pid_slots else 1] * codec.num_shared
+            + [(codec.num_pcs << codec.num_locals) - 1] * codec.n)
+    drawn = []
+    for _ in range(count):
+        if drawn and rng.random() < 0.5:
+            fields = list(rng.choice(drawn))
+            k = rng.randrange(len(fields))
+            fields[k] = rng.randint(0, tops[k])
+        else:
+            fields = [rng.randint(0, top) for top in tops]
+        drawn.append(tuple(fields))
+    return drawn
+
+
+@pytest.mark.parametrize("program", list(programs()), ids=lambda p: p.name)
+def test_int_order_of_keys_is_the_encoding_order(program):
+    # a key is the int of its fields big-endian, each at its field's width, so
+    # int order is byte order of the fields, which is ``GlobalState.encode``'s
+    codec = program.table.codec
+    widths = [codec.shared_width] * codec.num_shared + [codec.width] * codec.n
+    encoded = {}
+    for fields in random_fields(random.Random(program.name), codec, 200):
+        key = 0
+        for value, width in zip(fields, widths):
+            key = key << 8 * width | value
+        state = codec.decode(key)
+        assert state.shared + tuple(map(codec.code, state.locals)) == fields
+        assert codec.encode(state) == key
+        encoded[key] = state.encode()
+    assert len(set(encoded.values())) == len(encoded)
+    assert sorted(encoded) == sorted(encoded, key=encoded.get)
 
 
 def test_field_widths_follow_the_largest_value():
@@ -139,10 +176,11 @@ def test_keys_that_do_not_fit_raise_value_errors():
     for state in misfits[:2] + misfits[3:]:
         with pytest.raises(ValueError):
             codec.encode(state)
+    for key in (1 << 8 * codec.size, -1):  # a field too many, or a negative int
+        with pytest.raises(ValueError):
+            codec.decode(key)
     with pytest.raises(ValueError):
-        codec.decode(codec.encode(good)[:-1])
-    with pytest.raises(ValueError):
-        codec.decode(b"\x00\x00\x00\x07")  # record code 7 names no pc
+        codec.decode(7)  # record code 7 names no pc
     with pytest.raises(ValueError):
         parse_program(WIDE).table.codec.encode(
             GlobalState((0,), ((0, 2, 0, 0, 0, 0, 0, 0),) * 2)
@@ -367,22 +405,38 @@ def test_copied_codecs_are_the_shared_codecs():
 @pytest.mark.parametrize("name", ["mutex", "allocator"])
 @pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
 def test_a_stored_key_is_a_state_of_its_structure(name, mode):
-    # a structure's stored form is its codec's key type, bytes for
-    # positional keys and int for run-length ones; any other payload is
-    # encoded, and one that does not fit is no state of it
+    # a structure's stored form is an int key, positional or run-length;
+    # any other payload is encoded, and one that does not fit is no state of it
     program = builtin_example(name, 3)
     if mode == "counter" and program.pid_slots:
         return
     structure, _ = explore(program, mode)
-    key_type = bytes if mode == "full" else int
     for sid in structure.states():
         key = structure.key(sid)
-        assert type(key) is key_type
+        assert type(key) is int
         assert structure.has_state(key) and structure.state_of(key) == sid
         assert structure.state_of(structure.payload(sid)) == sid
         assert structure.add_state(key, structure.label_of(sid)) == sid
-    missing = structure.key(0) + (b"\x00" if mode == "full" else 1 << 64)
+    missing = structure.key(0) + (1 << 64)
     assert not structure.has_state(missing)
     with pytest.raises(KeyError):
         structure.state_of(missing)
     assert not structure.has_state(program.initial_state()._replace(shared=(9,) * 5))
+
+
+@pytest.mark.parametrize("name", ["mutex", "allocator"])
+@pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
+def test_a_foreign_payload_is_no_state_of_a_structure(name, mode):
+    # an int is looked up as a key, so one outside the layout is simply
+    # absent; anything else must encode, and one of no state type does not
+    program = builtin_example(name, 3)
+    if mode == "counter" and program.pid_slots:
+        return
+    structure, _ = explore(program, mode)
+    for payload in (5, -1, 1 << 200, "x", None, b"ab", bytes(4)):
+        assert not structure.has_state(payload)
+        with pytest.raises(KeyError):
+            structure.state_of(payload)
+        if not isinstance(payload, int):
+            with pytest.raises(ValueError):
+                structure.add_state(payload)
