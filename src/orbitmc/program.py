@@ -595,14 +595,13 @@ def successors(program, state):
 
 
 def _key_successors(table, key):
-    """The successor rule on keys.  Process i's move to code t adds ``(t -
-    code) << shifts[i]`` to the key, and the move's shared ``delta``, as
-    the plans of ``record_plan`` give them: process i fires its plan of
-    its code.  In a pid-free program no guard or
-    effect reads the process index, and a guard reads only the acting
-    record and the census (shared values and per-pc counts), so a
-    record's enabled moves hold for every process holding it in every
-    state of that census.  The table keeps the last census and its
+    """The successor rule on keys: process i fires its plan of its code,
+    as ``record_plan`` gives it, and a move to code t adds ``(t - code)
+    << shifts[i]`` and the move's ``delta`` to the key.  In a pid-free
+    program no guard or effect reads the process index, and a guard
+    reads only the acting record and the census (shared values and
+    per-pc counts), so a record's enabled moves hold for every process
+    holding it in every state of that census.  The table keeps the last census and its
     enabled moves by record code as one entry: a state of the same
     census reuses them, planning only the codes the entry lacks (with
     local booleans, two states of one census can hold other records),
