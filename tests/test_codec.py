@@ -176,7 +176,7 @@ def test_keys_that_do_not_fit_raise_value_errors():
     for state in misfits[:2] + misfits[3:]:
         with pytest.raises(ValueError):
             codec.encode(state)
-    for key in (1 << 8 * codec.size, -1):  # a field too many, or a negative int
+    for key in (1 << 8 * codec.size, -1):  # wider than the layout, or negative
         with pytest.raises(ValueError):
             codec.decode(key)
     with pytest.raises(ValueError):
