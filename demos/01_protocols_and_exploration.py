@@ -31,8 +31,9 @@ for action, target in successors(program, init):
 structure = build_full_structure(program)
 print(f"\nreachable: {structure.num_states} states, {structure.num_edges} edges")
 
-bad = structure.sat_atom("bad")
-print("states labeled bad:", sorted(bad) or "none")
+# One flag per state id, 1 where the state carries the proposition.
+bad = structure.label_flags("bad")
+print("states labeled bad:", [sid for sid, flag in enumerate(bad) if flag] or "none")
 
 # Custom programs parse from text; this one simply terminates.
 terminating = parse_program(

@@ -26,10 +26,12 @@ quotient.structure.totalize()
 result = check(quotient.structure, parse_ctl("AG !bad"))
 print("mutex(4), quotient of 48 concrete states:", "AG !bad", result.verdict)
 
-# Richer formulas run on the same fixpoint core (EX / EU / EG).
+# Richer formulas run on the same fixpoint core (EX / EU / EG), whose
+# answer is one flag per state id, 1 where the formula holds.
 for text in ("EF bad", "AF bad", "EG !bad", "E[!bad U bad]", "AX !bad"):
-    states = sat_set(quotient.structure, parse_ctl(text))
-    print(f"  sat({text}) holds in {len(states)} of {quotient.structure.num_states} states")
+    flags = sat_set(quotient.structure, parse_ctl(text))
+    ids = [sid for sid, flag in enumerate(flags) if flag]
+    print(f"  sat({text}) holds in {len(ids)} of {len(flags)} states: {ids}")
 
 # A failing invariant: drop the entry guard and check again, in the
 # quotient, then lift the abstract counterexample to a real run.

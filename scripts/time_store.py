@@ -18,16 +18,21 @@ difference from this one is what the structure held at its peak.
   every edge forwards and reads the predecessors of every state it
   removes; ``explore_ms`` and
   ``explore_rss_mb`` after the first, ``check_ms`` and ``check_rss_mb``
-  after the second.
+  after the second.  The same check then runs again on a fresh
+  structure of the row under ``tracemalloc``: ``check_peak_mb`` is its
+  traced peak and ``check_held_mb`` what stays traced once it returns,
+  with its result alive (the reverse relation that the structure keeps
+  included), both above what was traced before it.
 
 Every row also reports ``keys_mb``, the bytes of the structure's stored
 keys (``KripkeStructure.key``, by ``sys.getsizeof``, which is what each
 key object allocates): positional ``bytes`` keys in the full rows,
 run-length keys in the counter rows.
 
-Times are given as the least and the median over the runs, peaks and
-``keys_mb`` as the median.  ``states`` and ``edges`` are the structure's counts, totalized
-in the counter rows.  Only ``parse_program``, ``builtin_example``,
+Times are given as the least and the median over the runs, peaks,
+traced figures and ``keys_mb`` as the median.  ``states`` and ``edges``
+are the structure's counts, totalized in the counter rows.  Only
+``parse_program``, ``builtin_example``,
 ``explore``, ``parse_ctl``, ``check`` and ``KripkeStructure``'s
 ``key``, ``predecessors`` and ``totalize`` are called, so one copy of this file
 measures any two versions of the package that have them.  Prints one
@@ -50,7 +55,7 @@ import orbitmc
 PHASES = 6
 
 CHILD = """
-import json, resource, sys, time
+import gc, json, resource, sys, time, tracemalloc
 from orbitmc import builtin_example, check, parse_ctl, parse_program
 from orbitmc.explore import explore
 
@@ -77,6 +82,17 @@ else:
         sys.exit("AF done fails on the pipeline")
     row["check_ms"] = (time.perf_counter() - explored) * 1000.0
     row["check_rss_mb"] = peak_mb()
+    structure, _ = explore(program, "counter")
+    structure.totalize()
+    formula = parse_ctl("AF done")
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    result = check(structure, formula)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    row["check_peak_mb"] = (peak - base) / 2**20
+    row["check_held_mb"] = (held - base) / 2**20
 keys = sum(sys.getsizeof(structure.key(sid)) for sid in structure.states())
 row.update(states=structure.num_states, edges=structure.num_edges,
            explore_ms=(explored - started) * 1000.0, keys_mb=keys / 2**20)

@@ -4,8 +4,9 @@ The package explores a concurrent program of n symmetric processes three
 ways: the full interleaved state graph, its quotient under permutations
 of process indices (canonical representatives), and the occupancy-count
 abstraction, which presents the Sym(n) quotient of a pid-free program.
-CTL properties are checked by set-valued fixpoints on any of the three,
-and abstract counterexamples are lifted back to concrete executions.
+CTL properties are checked by fixpoints over one flag per state on any
+of the three, and abstract counterexamples are lifted back to concrete
+executions.
 """
 
 __version__ = "0.1.0"

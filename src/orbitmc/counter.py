@@ -74,6 +74,8 @@ class CounterView:
 
     def decode(self, key):
         shared, _, codes, counts, _ = self.runs.parts(key)
+        if sum(counts) != self.runs.n:
+            raise ValueError(f"{key!r} is no counter key of {self.runs.n} processes")
         return CounterState(shared, tuple(zip(map(self.runs.codec.record, codes), counts)))
 
 

@@ -9,18 +9,20 @@ parse time through the standard dualities, so there are exactly three
 fixpoint routines.  State ids are dense (0 ... N-1), so evaluation marks
 each state with the subformulas that hold there as the labeling
 algorithm does (Clarke, Emerson & Sistla 1986): every subformula is
-``bytes`` of one flag per state id.  An atom is one pass over the label
-slots, ``!`` one ``bytes.translate``, ``&`` and ``|`` one bitwise
-operation on the flags read as ints, and EX one count of each state's
-edges into the flagged states.  EU is a least fixpoint computed as
-backward saturation over a ``bytearray``; EG is a greatest fixpoint
-computed with a successor-count worklist: each candidate's count of
-edges into the candidate set comes from one bulk pass over the forward
-edges, and a state whose count reaches zero is removed and decrements
-its predecessors.  Both read each state and edge a bounded number of
-times, so every fixpoint runs in time linear in the structure.  All of
-it runs on any totalized Kripke structure, whether it came from the
-full, quotient or counter exploration.
+``bytes`` of one flag per state id, and flags are the one set form here:
+``sat_set`` returns them, ``check`` reads its verdict and the target of
+its path off them, and ``shortest_path`` takes them.  An atom is one
+pass over the label slots, ``!`` one ``bytes.translate``, ``&`` and
+``|`` one bitwise operation on the flags read as ints, and EX one count
+of each state's edges into the flagged states.  EU is a least fixpoint
+computed as backward saturation over a ``bytearray``; EG is a greatest
+fixpoint computed with a successor-count worklist: each candidate's
+count of edges into the candidate set comes from one bulk pass over the
+forward edges, and a state whose count reaches zero is removed and
+decrements its predecessors.  Both read each state and edge a bounded
+number of times, so every fixpoint runs in time linear in the structure.
+All of it runs on any totalized Kripke structure, whether it came from
+the full, quotient or counter exploration.
 
 Counterexamples are produced for top-level invariant-style failures
 (anything of the shape "no reachable state hits X") and witnesses for
@@ -197,20 +199,19 @@ def parse_ctl(text):
 
 
 def sat_set(structure, formula, *, _memo=None):
-    """States satisfying ``formula``, as a frozenset of state ids.
+    """States satisfying ``formula``, as ``bytes`` of one flag per state
+    id, 1 where it holds.
 
     The structure must be total (CTL talks about infinite paths) and
     every atom must exist in its AP set.  Every subformula is evaluated
-    to ``bytes`` of one flag per state id, 1 where it holds, and only the
-    result is turned into a set.  ``_memo``, a dict from the id of a
+    to flags of the same form.  ``_memo``, a dict from the id of a
     subformula node to its flags, lets ``check`` read a subformula's
     flags from the same evaluation; keyed by identity, a node that the
     formula shares is evaluated once, and no lookup hashes a subtree.
     """
     if not structure.is_total():
         raise ValueError("structure is not total; run totalize() first")
-    flags = _sat(structure, formula, {} if _memo is None else _memo)
-    return frozenset(compress(structure.states(), flags))
+    return _sat(structure, formula, {} if _memo is None else _memo)
 
 
 # ``bytes.translate`` table of ``!``: flag 0 to 1 and 1 to 0
@@ -291,7 +292,7 @@ class CheckResult(Value, frozen=False):
     reachability-shaped formulas; None otherwise.
     """
 
-    __slots__ = ("holds", "sat_states", "counterexample")
+    __slots__ = ("holds", "counterexample")
     _defaults = (None,)
 
     @property
@@ -333,8 +334,8 @@ def decided_by_tree(formula):
 def shortest_path(structure, sources, targets):
     """Deterministic BFS shortest path; None if no target is reachable.
 
-    ``targets`` is either ``bytes`` (or a ``bytearray``) of one flag per
-    state id, as the fixpoints make them, or any collection of state ids.
+    ``targets`` holds one flag per state id, as the fixpoints make them
+    (``bytes``, or any sequence of 0 and 1 indexed by state id).
     Sources are seeded in id order and successor ids expanded in stored
     order, so ties always break the same way.  Each reached state's BFS
     parent is kept in a list by state id; the path is read back from the
@@ -342,13 +343,7 @@ def shortest_path(structure, sources, targets):
     is named by the first action of its source's edges to its target, the
     edge that discovered the target.
     """
-    n = structure.num_states
-    if not isinstance(targets, (bytes, bytearray)):
-        flags = bytearray(n)
-        for sid in targets:
-            flags[sid] = 1
-        targets = flags
-    parent = [-1] * n  # a source is its own parent
+    parent = [-1] * structure.num_states  # a source is its own parent
     queue = deque()
     for sid in sorted(sources):
         if parent[sid] < 0:
@@ -376,22 +371,17 @@ def shortest_path(structure, sources, targets):
 
 def check(structure, formula):
     """Model-check ``formula``; holds iff every state of ``structure.init``
-    satisfies it, so an empty initial set holds vacuously.
-    Counterexamples/witnesses are attached per CheckResult.
+    satisfies it, so an empty initial set holds vacuously.  A failing
+    invariant-shaped formula gets a shortest counterexample and a holding
+    reachability-shaped one a shortest witness, each found by
+    ``shortest_path`` on its target's flags from the same evaluation.
     """
     init = structure.init
     memo = {}
-    sat = sat_set(structure, formula, _memo=memo)
-    holds = all(map(memo[id(formula)].__getitem__, init))
-    counterexample = None
-    target = _invariant_target(formula)
-    if target is not None and not holds:
-        counterexample = shortest_path(structure, init, memo[id(target)])
-    else:
-        target = _reachability_target(formula)
-        if target is not None and holds and init:
-            counterexample = shortest_path(structure, init, memo[id(target)])
-    return CheckResult(holds, sat, counterexample)
+    holds = all(map(sat_set(structure, formula, _memo=memo).__getitem__, init))
+    target = _reachability_target(formula) if holds else _invariant_target(formula)
+    path = None if target is None else shortest_path(structure, init, memo[id(target)])
+    return CheckResult(holds, path)
 
 
 def lift_counterexample(program, quotient_path, group=None):

@@ -7,29 +7,29 @@ and ``init`` marks the initial set.  A structure given a ``codec``
 stores each payload as the codec's key, an ``int`` (positional or
 run-length), and speaks payloads at its interface: ``payload`` decodes,
 and ``add_state``, ``state_of`` and ``has_state`` take an ``int`` as a
-key and encode any other payload.
+key and encode any other payload; ``add_state`` refuses a new key that
+its codec cannot decode.
 
 The transition relation is stored as flat ``array``s in compressed
 sparse rows: the edges of state s are the positions ``offsets[s]`` to
 ``offsets[s + 1]`` of ``targets`` (target ids) and ``actions`` (ids into
 the structure's table of action names, each name interned once), kept in
-the order they were added, each (action, target) at most once per source.
-A structure is written once, then read.  Its writer adds each source's
-edges as one block, sources in increasing id order, all before the first
-read; ``breadth_first_build`` expands states in id order, so it always
-does.  ``add_edge`` appends each edge in place, and a repeat within the
-open block stores nothing; the builder writes each block whole, since
-its successor rule gives each pair once.  Adding a source's block closes
-every block before it, and the first read closes them all: it turns the
-writer's lists into arrays with an offset past every state.  From then
-on ``add_edge`` raises ``ValueError``, as it does for an edge into any
-closed block, and so does ``add_state`` for a new payload.  The reverse
-relation, ``predecessors``, ``preimage`` and ``in_degree``, is built on
-the first reverse read by a counting sort into two more arrays, offsets
-and source ids, so a structure that is only explored forwards
-(``reach``, ``compare``, a check whose backward fixpoints start empty)
-never stores an edge twice.  A target's predecessors are ordered by
-source id, then by the source's edge order.
+the order they were added.  A structure is written once, then read.  Its
+writer adds each source's edges as one block, sources in increasing id
+order, all before the first read; ``breadth_first_build`` expands states
+in id order, so it always does.  ``add_edge`` appends each edge it is
+given, a repeat too, and the builder writes each block whole by the same
+rule.  Adding a source's block closes every block before it, and the
+first read closes them all: it turns the writer's lists into arrays with
+an offset past every state.  From then on ``add_edge`` raises
+``ValueError``, as it does for an edge into any closed block, and so does
+``add_state`` for a new payload.  The reverse relation, ``predecessors``,
+``preimage`` and ``in_degree``, is built on the first reverse read by a
+counting sort into two more arrays, offsets and source ids, so a
+structure that is only explored forwards (``reach``, ``compare``, a
+check whose backward fixpoints start empty) never holds its edges in
+both directions.  A target's predecessors are ordered by source id, then
+by the source's edge order.
 
 ``totalize`` stores no edge, and since it reads, no edge follows it.  It
 records the states it found deadlocked, and every read shows each of
@@ -126,9 +126,6 @@ class KripkeStructure:
         # are lists until the first read makes them arrays, since a list
         # appends in a fraction of an array's time
         self._edges = ([0], [], [])
-        # the open block's target ids, each to an action id stored for it; None
-        # until a repeat check of ``add_edge`` indexes the block's edges
-        self._open = None
         self._action_ids = {}
         self._action_names = []
         # derived on read: (offsets, targets, actions, dead) over every state,
@@ -151,7 +148,7 @@ class KripkeStructure:
         Re-adding an existing payload with a different label set is
         rejected, since labels are a function of the payload everywhere
         this structure is built from, and so is a new payload after the
-        first read.
+        first read, or a new key that the codec cannot decode.
         """
         labels = frozenset(labels)
         if not labels <= self._props:
@@ -161,6 +158,8 @@ class KripkeStructure:
         if sid is None:
             if self._rows is not None:
                 raise ValueError("a structure takes no new state after its first read")
+            if self._codec is not None:
+                self._codec.decode(payload)  # raises ValueError on a key it cannot read
             sid = self._append(payload)
             self._labels.append(labels)
         elif self._labels[sid] != labels:
@@ -233,10 +232,6 @@ class KripkeStructure:
             raise ValueError(f"unknown atomic proposition {name!r}")
         return bytes(map(contains, self._labels, repeat(name)))
 
-    def sat_atom(self, name):
-        """All states labeled with the named proposition."""
-        return set(compress(self.states(), self.label_flags(name)))
-
     def _check_id(self, sid):
         if not isinstance(sid, int) or not 0 <= sid < len(self._payloads):
             raise KeyError(f"unknown state id {sid!r}")
@@ -267,20 +262,6 @@ class KripkeStructure:
                 offsets.append(end)
             else:
                 offsets.extend([end] * (src - head))
-            self._open = None
-        else:
-            seen = self._open
-            if seen is None:  # the block's first repeat check: index its edges
-                start, end = offsets[src], len(targets)
-                if end - start == 1:  # a tree build's usual case
-                    seen = self._open = {targets[start]: actions[start]}
-                else:
-                    seen = self._open = dict(zip(targets[start:end], actions[start:end]))
-            stored = seen.get(dst)
-            if stored is None:
-                seen[dst] = aid
-            elif stored == aid or _holds(targets, actions, offsets[src], len(targets), aid, dst):
-                return
         targets.append(dst)
         actions.append(aid)
 
@@ -309,7 +290,9 @@ class KripkeStructure:
         if dead[src] and dst == src and action == STUTTER_ACTION:
             return True
         aid = self._action_ids.get(action)
-        return aid is not None and _holds(targets, actions, offsets[src], offsets[src + 1], aid, dst)
+        return aid is not None and any(
+            targets[k] == dst and actions[k] == aid for k in range(offsets[src], offsets[src + 1])
+        )
 
     def edges(self):
         """All (source, action, target) triples in deterministic order."""
@@ -477,11 +460,6 @@ class KripkeStructure:
         return "\n".join(lines) + "\n"
 
 
-def _holds(targets, actions, start, end, aid, dst):
-    """True iff positions ``start`` to ``end`` hold the edge (aid, dst)."""
-    return any(targets[k] == dst and actions[k] == aid for k in range(start, end))
-
-
 class BuildStats(Value, frozen=False):
     """Counters gathered while a structure is explored."""
 
@@ -505,17 +483,16 @@ def breadth_first_build(
     ``initial``, breadth first and deterministic.
 
     ``expand(payload)`` must return (action, payload) successor pairs in a
-    deterministic order, and must not repeat a pair (the package's
-    successor rules do not, as ``program._check_updates`` refuses the
-    updates that could); insertion order then fixes state numbering, so
+    deterministic order; insertion order then fixes state numbering, so
     two runs over the same inputs produce identical structures.  The
     builder writes each expanded state's edges straight into the store's
     open block, one offset per state, then one target id and one interned
-    action id per pair, with no ``add_edge`` call and no repeat check, so
-    a repeated pair would be stored twice.  The last expanded state's
-    block stays open, so ``add_edge`` then acts on the result as on a
-    structure it wrote itself.  Each
-    state is labeled when expanded, by ``labeler`` on the payload that
+    action id per pair, with no ``add_edge`` call: like ``add_edge`` it
+    stores every pair it is given, a repeat too (the package's successor
+    rules give none, as ``program._check_updates`` refuses the updates
+    that could).  The last expanded state's block stays open, so
+    ``add_edge`` then appends to it as to a structure it wrote itself.
+    Each state is labeled when expanded, by ``labeler`` on the payload that
     ``expand`` was just given, so a labeler that reads back the parse its
     successor rule made of that payload reads each state once.  With
     ``stop_at_bad`` states are labeled when inserted instead, and the loop

@@ -188,7 +188,14 @@ class StateCodec:
         return self.high(state.shared) << self.shift | int.from_bytes(self._codes.pack(*codes), "big")
 
     def decode(self, key):
-        shared, codes = self.split(key)
+        """The state of a key.  The key that ``parts`` read last is not
+        read again: a build labels its first key before ``add_state``
+        decodes it to check it."""
+        last = self._last
+        if last[0] is key:
+            (shared, _), codes = last[1]
+        else:
+            shared, codes = self.split(key)
         return GlobalState(shared, tuple(map(self.record, codes)), self.pid_slots)
 
     def split(self, key):

@@ -8,7 +8,7 @@ refuse.
 """
 
 from collections import deque
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 from orbitmc import GlobalState, Permutation, apply, builtin_example
 from orbitmc.program import (
@@ -85,6 +85,13 @@ def random_pid_state(rng, n, num_pid_slots, num_pcs=3, num_locals=1):
         for _ in range(n)
     )
     return GlobalState(shared, locs, tuple(range(1, num_pid_slots + 1)))
+
+
+def flagged(flags):
+    """The state ids that ``flags`` (one flag per state id, as ``sat_set``
+    and ``label_flags`` return them) marks, as a frozenset: the set form
+    the oracles here speak."""
+    return frozenset(compress(range(len(flags)), flags))
 
 
 def backward_bfs(structure, targets):

@@ -34,6 +34,7 @@ from orbitmc.ctl import EU, TrueF
 from oracles import (
     all_permutations,
     backward_bfs,
+    flagged,
     min_image_by_full_enumeration,
     mutex_count_closed_form,
     random_state,
@@ -202,9 +203,9 @@ def test_criterion_6_verdict_agreement():
                 assert len(set(verdicts.values())) == 1, (name, n, text, verdicts)
             for atom in atoms:
                 for structure in structures.values():
-                    expected = backward_bfs(structure, structure.sat_atom(atom))
-                    got = sat_set(structure, EU(TrueF(), parse_ctl(atom)))
-                    assert got == frozenset(expected), (name, n, atom)
+                    expected = backward_bfs(structure, flagged(structure.label_flags(atom)))
+                    got = flagged(sat_set(structure, EU(TrueF(), parse_ctl(atom))))
+                    assert got == expected, (name, n, atom)
 
 
 # -- 7: counterexample soundness -----------------------------------------------------
@@ -226,7 +227,7 @@ def test_criterion_7_counterexamples():
             current = nxt
         assert "bad" in labeling(program, current)
         full = build_full_structure(program)
-        expected = shortest_distance(full, full.init, full.sat_atom("bad"))
+        expected = shortest_distance(full, full.init, flagged(full.label_flags("bad")))
         assert lifted.steps == expected
         if n == 2:
             assert lifted.steps == 4

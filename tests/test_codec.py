@@ -440,3 +440,24 @@ def test_a_foreign_payload_is_no_state_of_a_structure(name, mode):
         if not isinstance(payload, int):
             with pytest.raises(ValueError):
                 structure.add_state(payload)
+
+
+@pytest.mark.parametrize("name", ["mutex", "allocator"])
+@pytest.mark.parametrize("mode", ["full", "quotient", "counter"])
+def test_add_state_refuses_an_int_its_codec_cannot_decode(name, mode):
+    # an int is taken as a key, so a new one is decoded once before it is
+    # stored; one that does not decode is refused and leaves no state
+    program = builtin_example(name, 3)
+    if mode == "counter" and program.pid_slots:
+        return
+    structure, _ = explore(program, mode)
+    count = structure.num_states
+    keys = [-1, 12345678901234567890, 1 << 200, structure.key(0) + (1 << 64)]
+    if mode != "full":
+        keys.append(0)  # a run-length key of no process
+    for key in keys:
+        with pytest.raises(ValueError):
+            structure.add_state(key)
+        assert not structure.has_state(key)
+    assert structure.num_states == count
+    assert structure.add_state(structure.key(0), structure.label_of(0)) == 0

@@ -27,7 +27,7 @@ from orbitmc import (
 from orbitmc.ctl import And, Atom, EG, EU, EX, FalseF, Not, Or, TrueF, neg
 from orbitmc.explore import explore
 
-from oracles import backward_bfs, shortest_distance
+from oracles import backward_bfs, flagged, shortest_distance
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,7 +90,7 @@ def test_nested_until_forms():
 def test_init_is_a_checkable_atom():
     structure = build_full_structure(builtin_example("mutex", 2))
     structure.totalize()
-    assert sat_set(structure, Atom("init")) == frozenset(structure.init)
+    assert flagged(sat_set(structure, Atom("init"))) == structure.init
     assert check(structure, parse_ctl("EF init")).holds
 
 
@@ -114,16 +114,16 @@ def two_cycle_with_bad():
 
 def test_sat_true_is_everything():
     k, s, t = two_cycle_with_bad()
-    assert sat_set(k, TrueF()) == {s, t}
-    assert sat_set(k, FalseF()) == frozenset()
+    assert sat_set(k, TrueF()) == b"\1\1"
+    assert sat_set(k, FalseF()) == b"\0\0"
 
 
 def test_sat_on_two_cycle():
     k, s, t = two_cycle_with_bad()
-    assert sat_set(k, parse_ctl("EF bad")) == {s, t}
-    assert sat_set(k, parse_ctl("AG !bad")) == frozenset()
-    assert sat_set(k, parse_ctl("EX bad")) == {s}
-    assert sat_set(k, parse_ctl("EG !bad")) == frozenset()
+    assert flagged(sat_set(k, parse_ctl("EF bad"))) == {s, t}
+    assert flagged(sat_set(k, parse_ctl("AG !bad"))) == frozenset()
+    assert flagged(sat_set(k, parse_ctl("EX bad"))) == {s}
+    assert flagged(sat_set(k, parse_ctl("EG !bad"))) == frozenset()
 
 
 def test_sat_needs_total_structure():
@@ -180,15 +180,10 @@ def test_extensional_dualities_on_random_structures():
         everything = frozenset(k.states())
         for text in FORMULA_POOL:
             f = parse_ctl(text)
-            assert sat_set(k, parse_ctl(f"AG ({text})")) == everything - sat_set(
-                k, EU(TrueF(), neg(f))
-            )
-            assert sat_set(k, parse_ctl(f"AX ({text})")) == everything - sat_set(
-                k, EX(neg(f))
-            )
-            assert sat_set(k, parse_ctl(f"AF ({text})")) == everything - sat_set(
-                k, EG(neg(f))
-            )
+            for dual, core in (("AG", EU(TrueF(), neg(f))), ("AX", EX(neg(f))),
+                               ("AF", EG(neg(f)))):
+                got = flagged(sat_set(k, parse_ctl(f"{dual} ({text})")))
+                assert got == everything - flagged(sat_set(k, core)), (dual, text)
 
 
 def test_ef_matches_backward_bfs_on_random_structures():
@@ -196,8 +191,8 @@ def test_ef_matches_backward_bfs_on_random_structures():
     for _ in range(30):
         k = random_structure(rng, rng.randint(2, 15))
         for atom in ("p", "q"):
-            expected = backward_bfs(k, k.sat_atom(atom))
-            assert sat_set(k, parse_ctl(f"EF {atom}")) == expected
+            expected = backward_bfs(k, flagged(k.label_flags(atom)))
+            assert flagged(sat_set(k, parse_ctl(f"EF {atom}"))) == expected
 
 
 def au_oracle(structure, left, right):
@@ -220,8 +215,8 @@ def test_au_normalization_matches_direct_fixpoint():
     rng = random.Random(32)
     for _ in range(25):
         k = random_structure(rng, rng.randint(2, 12))
-        got = sat_set(k, parse_ctl("A[p U q]"))
-        expected = au_oracle(k, k.sat_atom("p"), k.sat_atom("q"))
+        got = flagged(sat_set(k, parse_ctl("A[p U q]")))
+        expected = au_oracle(k, flagged(k.label_flags("p")), flagged(k.label_flags("q")))
         assert got == expected
 
 
@@ -264,7 +259,7 @@ def test_eg_matches_cycle_oracle():
     rng = random.Random(33)
     for _ in range(25):
         k = random_structure(rng, rng.randint(2, 10))
-        assert sat_set(k, parse_ctl("EG p")) == eg_oracle(k, k.sat_atom("p"))
+        assert flagged(sat_set(k, parse_ctl("EG p"))) == eg_oracle(k, flagged(k.label_flags("p")))
 
 
 # -- one flag per state: edge cases and set oracles -------------------------------
@@ -278,10 +273,9 @@ def labeled_with(structure, name):
 def test_sat_on_an_empty_structure(text):
     k = KripkeStructure(["p", "q"])
     k.totalize()
-    assert sat_set(k, parse_ctl(text)) == frozenset()
+    assert sat_set(k, parse_ctl(text)) == b""
     result = check(k, parse_ctl(text))
-    assert result.holds and result.sat_states == frozenset()
-    assert result.counterexample is None
+    assert result.holds and result.counterexample is None
 
 
 @pytest.mark.parametrize("stored_loop", [False, True])
@@ -300,7 +294,7 @@ def test_sat_on_a_one_state_structure(labels, stored_loop):
         "EX p": p, "EF q": q, "EG p": p, "E[p U q]": q, "AF p": p, "AX !q": not q,
     }
     for text, holds in expected.items():
-        assert sat_set(k, parse_ctl(text)) == (frozenset({0}) if holds else frozenset()), text
+        assert sat_set(k, parse_ctl(text)) == bytes((holds,)), text
         assert check(k, parse_ctl(text)).holds == holds, text
 
 
@@ -326,20 +320,18 @@ def test_boolean_and_ex_flags_match_set_oracles():
         }
         for text, want in expected.items():
             got = sat_set(k, parse_ctl(text))
-            assert type(got) is frozenset
-            assert got == want, (size, text)
+            assert type(got) is bytes and len(got) == size
+            assert flagged(got) == want, (size, text)
 
 
-def test_shortest_path_takes_flags_or_any_collection_of_ids():
+def test_shortest_path_reads_target_flags():
     structure = totalized_full("broken-mutex", 2)
-    bad = structure.sat_atom("bad")
-    flags = bytes(s in bad for s in structure.states())
-    expected = shortest_path(structure, structure.init, bad)
+    flags = structure.label_flags("bad")
+    expected = shortest_path(structure, structure.init, flags)
     assert expected is not None and expected.is_path_of(structure)
-    for targets in (flags, bytearray(flags), frozenset(bad), sorted(bad), iter(bad)):
-        assert shortest_path(structure, structure.init, targets) == expected
+    assert expected.steps == shortest_distance(structure, structure.init, flagged(flags))
+    assert shortest_path(structure, structure.init, bytearray(flags)) == expected
     assert shortest_path(structure, structure.init, bytes(structure.num_states)) is None
-    assert shortest_path(structure, structure.init, ()) is None
 
 
 # -- verdicts on the protocols ---------------------------------------------------
@@ -353,14 +345,14 @@ def totalized_full(name, n):
 
 def test_mutex_never_reaches_bad():
     structure = totalized_full("mutex", 3)
-    assert sat_set(structure, parse_ctl("EF bad")) == frozenset()
+    assert not any(sat_set(structure, parse_ctl("EF bad")))
     assert check(structure, parse_ctl("AG !bad")).holds
 
 
 def test_broken_mutex_reaches_bad_from_init():
     structure = totalized_full("broken-mutex", 3)
     (init,) = structure.init
-    assert init in sat_set(structure, parse_ctl("EF bad"))
+    assert sat_set(structure, parse_ctl("EF bad"))[init]
     assert not check(structure, parse_ctl("AG !bad")).holds
 
 
@@ -388,7 +380,7 @@ def test_counterexample_is_shortest():
     path = result.counterexample
     assert path is not None
     assert path.steps == 4
-    expected = shortest_distance(structure, structure.init, structure.sat_atom("bad"))
+    expected = shortest_distance(structure, structure.init, flagged(structure.label_flags("bad")))
     assert path.steps == expected
     assert path.is_path_of(structure)
     assert "bad" in structure.label_of(structure.state_of(path.states[-1]))
@@ -560,18 +552,20 @@ def chain(n, gap):
 
 
 def linear_reads(k, text):
-    """sat set of ``text`` and the reads it took, asserted to be at most 2·(|S| + |E|)."""
+    """States satisfying ``text`` and the reads it took, asserted to be at most 2·(|S| + |E|)."""
     size = k.num_states + k.num_edges
     reads = count_reads(k)
     got = sat_set(k, parse_ctl(text))
     assert reads[0] <= 2 * size, (text, reads[0], size)
-    return got, reads[0]
+    return flagged(got), reads[0]
 
 
 def eu_oracle(structure):
     """E[p U q] by backward search through p-states, independent of the fixpoint code."""
     return frozenset(
-        backward_bfs_within(structure, structure.sat_atom("q"), structure.sat_atom("p"))
+        backward_bfs_within(
+            structure, flagged(structure.label_flags("q")), flagged(structure.label_flags("p"))
+        )
     )
 
 
@@ -592,7 +586,7 @@ def test_eg_and_eu_reads_are_linear_on_random_structures():
     rng = random.Random(34)
     for _ in range(25):
         k = random_structure(rng, rng.randint(2, 15))
-        expected = eg_oracle(k, k.sat_atom("p"))
+        expected = eg_oracle(k, flagged(k.label_flags("p")))
         assert linear_reads(k, "EG p")[0] == expected
         k = random_structure(rng, rng.randint(2, 15))
         expected = eu_oracle(k)
@@ -610,14 +604,14 @@ def test_eg_counts_parallel_edges_per_edge():
     k.add_edge(a, "w", a)
     k.add_edge(b, "z", c)
     k.totalize()
-    assert sat_set(k, parse_ctl("EG p")) == {a}
-    assert sat_set(k, parse_ctl("AF !p")) == {b, c}
+    assert flagged(sat_set(k, parse_ctl("EG p"))) == {a}
+    assert flagged(sat_set(k, parse_ctl("AF !p"))) == {b, c}
 
 
 def test_eg_on_a_long_chain():
     n = 10**5
     k = chain(n, gap=n // 2)
-    assert sat_set(k, parse_ctl("EG p")) == frozenset(range(n // 2 + 1, n))
+    assert sat_set(k, parse_ctl("EG p")) == bytes(n // 2 + 1) + b"\1" * (n - n // 2 - 1)
 
 
 def test_ef_witness_on_a_long_chain():
@@ -652,3 +646,28 @@ def test_check_holds_a_few_bytes_per_state():
         assert result.holds, text
         assert structure.num_states == 1287
         assert peak / structure.num_states < 250, (text, peak / structure.num_states)
+
+
+def test_a_check_result_holds_no_per_state_memory():
+    """What ``check``'s result holds, for ``AF done`` over the totalized
+    counter structure of pipeline:12 (6188 states): the memory traced
+    across the check with the result alive, after a first check has built
+    the reverse relation that the structure keeps.  A verdict and a path
+    need no set of states; a frozenset of the satisfying ids held about
+    115 bytes per state."""
+    text = (DATA / "pipeline_8.gcl").read_text().replace("8", "12")  # n is its only 8
+    structure, _ = explore(parse_program(text), "counter")
+    structure.totalize()
+    formula = parse_ctl("AF done")
+    assert check(structure, formula).holds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = check(structure, formula)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert result.holds and result.counterexample is None
+    assert structure.num_states == 6188
+    assert held / structure.num_states < 1, held / structure.num_states

@@ -58,7 +58,7 @@ from orbitmc.program import (
     render_local,
 )
 
-from oracles import label_by_definition, successors_by_definition
+from oracles import flagged, label_by_definition, successors_by_definition
 
 
 def random_guard(rng, num_pcs, num_shared, num_locals, depth=2):
@@ -227,9 +227,9 @@ def test_random_ctl_formulas_agree_across_modes(seed):
     for op in CTL_OPERATORS:
         text = random_ctl(rng, atoms, 3, op)
         formula = parse_ctl(text)
-        quotient_sat = {quotient.payload(q) for q in sat_set(quotient, formula)}
-        full_sat = sat_set(full, formula)
-        counter_sat = sat_set(counter, formula)
+        quotient_sat = {quotient.payload(q) for q in flagged(sat_set(quotient, formula))}
+        full_sat = flagged(sat_set(full, formula))
+        counter_sat = flagged(sat_set(counter, formula))
         for sid, rep in full_reps.items():
             assert (sid in full_sat) == (rep in quotient_sat), (seed, text, full.payload(sid))
         for cid, rep in counter_reps.items():
@@ -273,7 +273,8 @@ def test_pid_program_counterexample_lifts_through_orbit_minimum():
         assert (action, nxt) in successors(program, current)
         current = nxt
     assert "bad" in labeling(program, current)
-    assert lifted.steps == shortest_distance(full, full.init, full.sat_atom("bad")) == 4
+    bad = flagged(full.label_flags("bad"))
+    assert lifted.steps == shortest_distance(full, full.init, bad) == 4
 
 
 def test_quotient_under_cyclic_subgroup():
@@ -525,8 +526,8 @@ def test_random_ctl_formulas_agree_on_random_pid_programs(seed):
     for op in CTL_OPERATORS:
         text = random_ctl(rng, atoms, 3, op)
         formula = parse_ctl(text)
-        quotient_sat = {quotient.payload(q) for q in sat_set(quotient, formula)}
-        full_sat = sat_set(full, formula)
+        quotient_sat = {quotient.payload(q) for q in flagged(sat_set(quotient, formula))}
+        full_sat = flagged(sat_set(full, formula))
         for sid, rep in full_reps.items():
             assert (sid in full_sat) == (rep in quotient_sat), (seed, text, full.payload(sid))
         assert check(full, formula).holds == check(quotient, formula).holds, (seed, text)

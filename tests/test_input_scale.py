@@ -13,6 +13,8 @@ from orbitmc.cli import build_config, run
 from orbitmc.explore import explore
 from orbitmc.parser import MAX_DIGITS, ParseError, _tokenize
 
+from oracles import flagged
+
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -43,11 +45,11 @@ def au_by_definition(structure, left, right):
 def test_nested_until_sat_sets_match_the_definition():
     structure, _ = explore(builtin_example("broken-mutex", 3), "full")
     structure.totalize()
-    bad = structure.sat_atom("bad")
+    bad = flagged(structure.label_flags("bad"))
     expected = bad
     for k in range(1, 13):
         expected = au_by_definition(structure, bad, expected)
-        assert sat_set(structure, parse_ctl(right_nested_until(k))) == expected
+        assert flagged(sat_set(structure, parse_ctl(right_nested_until(k)))) == expected
 
 
 def test_check_of_twelve_nested_untils_takes_linear_time():
@@ -76,9 +78,11 @@ def test_check_runs_one_fixpoint_per_until(monkeypatch):
         monkeypatch.setattr(ctl, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     structure, _ = explore(builtin_example("mutex", 3), "full")
     structure.totalize()
-    result = check(structure, parse_ctl(right_nested_until(12)))
-    assert not result.holds and result.sat_states == frozenset()
+    formula = parse_ctl(right_nested_until(12))
+    result = check(structure, formula)
+    assert not result.holds
     assert sorted(calls) == ["_sat_eg"] * 12 + ["_sat_eu"] * 12
+    assert sat_set(structure, formula) == bytes(structure.num_states)
 
 
 def test_literal_at_the_digit_bound_is_an_integer():

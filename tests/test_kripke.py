@@ -226,22 +226,23 @@ def test_payload_keying_preserves_state_count():
     assert structure.num_states == count
 
 
-# -- store contract: flat arrays per direction, deduplicated per source, --
+# -- store contract: flat arrays per direction, each edge as it was given, --
 # -- each source's block written once, in id order, before the first read --
 
 
-def test_repeated_add_edge_is_a_no_op():
+def test_repeated_add_edge_is_stored_again():
     k = KripkeStructure()
     s, t = k.add_state("s"), k.add_state("t")
     k.add_edge(s, "a", t)
     k.add_edge(s, "b", s)
-    k.add_edge(s, "a", t)  # a repeat within the open block
+    k.add_edge(s, "a", t)  # a repeat within the open block, appended as any edge
     k.add_edge(t, "b", s)
     k.add_edge(t, "b", s)
-    assert k.num_edges == 3
-    assert k.out_degree(s) == 2 and k.in_degree(t) == 1
-    assert k.successors(s) == [("a", t), ("b", s)]
-    assert list(k.predecessors(t)) == [s]
+    assert k.num_edges == 5
+    assert k.out_degree(s) == 3 and k.in_degree(t) == 2
+    assert k.successors(s) == [("a", t), ("b", s), ("a", t)]
+    assert list(k.predecessors(t)) == [s, s] and list(k.predecessors(s)) == [s, t, t]
+    assert k.has_edge(s, "a", t) and k.has_edge(t, "b", s) and not k.has_edge(t, "a", s)
 
 
 def test_same_endpoints_with_two_actions_are_two_edges():
@@ -287,7 +288,7 @@ def test_out_of_order_and_repeated_writes_read_in_source_order():
         k.add_state(name)
     k.add_edge(2, "x", 3)  # opens the block of 2, closing those of 0 and 1 empty
     k.add_edge(2, "y", 3)
-    k.add_edge(2, "x", 3)  # a repeat within the open block
+    k.add_edge(2, "x", 3)  # a repeat within the open block, stored again
     for src in (0, 1):  # out of order: into a closed block
         with pytest.raises(ValueError, match="one block, in id order"):
             k.add_edge(src, "x", 1)
@@ -295,10 +296,10 @@ def test_out_of_order_and_repeated_writes_read_in_source_order():
     k.add_edge(3, "x", 0)
     with pytest.raises(ValueError, match="block"):
         k.add_edge(2, "y", 3)  # a repeat of an edge in a closed block
-    assert k.num_edges == 4
-    assert list(k.edges()) == [(2, "x", 3), (2, "y", 3), (2, "z", 0), (3, "x", 0)]
-    assert [list(k.predecessors(s)) for s in k.states()] == [[2, 3], [], [], [2, 2]]
-    assert list(k.successor_ids(2)) == [3, 3, 0] and k.successors(1) == []
+    assert k.num_edges == 5
+    assert list(k.edges()) == [(2, "x", 3), (2, "y", 3), (2, "x", 3), (2, "z", 0), (3, "x", 0)]
+    assert [list(k.predecessors(s)) for s in k.states()] == [[2, 3], [], [], [2, 2, 2]]
+    assert list(k.successor_ids(2)) == [3, 3, 3, 0] and k.successors(1) == []
 
 
 @pytest.mark.parametrize("read", ["successor_ids", "predecessors", "totalize"])
@@ -364,12 +365,11 @@ def test_a_tree_build_stores_no_edge_for_its_leaves():
     assert all(structure.successors(sid) == [(STUTTER_ACTION, sid)] for sid in dead)
 
 
-def test_label_flags_mark_each_labeled_state_and_sat_atom_reads_them():
+def test_label_flags_mark_each_labeled_state():
     k = KripkeStructure(["p", "q"])
     for name, labels in (("a", {"p"}), ("b", set()), ("c", {"p", "q"})):
         k.add_state(name, labels)
     assert k.label_flags("p") == b"\1\0\1" and k.label_flags("q") == b"\0\0\1"
-    assert k.sat_atom("p") == {0, 2} and k.sat_atom("q") == {2}
     with pytest.raises(ValueError):
         k.label_flags("r")
     assert KripkeStructure(["p"]).label_flags("p") == b""
@@ -464,14 +464,14 @@ def test_build_leaves_the_last_expanded_block_open(stop_at_bad):
     )
     last = 2 if stop_at_bad else 3  # stop_at_bad halts after the edge into 3
     stored = structure.num_edges
-    for action, target in expand(last)[: 1 if stop_at_bad else 3]:
-        structure.add_edge(last, action, target)  # each a repeat: stores nothing
-    assert structure.num_edges == stored
+    pairs = expand(last)[: 1 if stop_at_bad else 3]  # the pairs its block holds
+    for action, target in pairs:
+        structure.add_edge(last, action, target)  # each a repeat: appended again
     structure.add_edge(last, "new", 2)
-    assert structure.num_edges == stored + 1
     with pytest.raises(ValueError, match="block closed"):
         structure.add_edge(last - 1, "new", 2)
-    assert structure.successors(last)[-1] == ("new", 2)
+    assert structure.num_edges == stored + len(pairs) + 1
+    assert structure.successors(last) == pairs + pairs + [("new", 2)]
 
 
 def test_build_state_bound_and_stop_at_bad():

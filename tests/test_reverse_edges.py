@@ -6,8 +6,8 @@ returns.
 written once, before the first read, and derives the reverse arrays on
 the first reverse read (``predecessors``, ``preimage``, ``in_degree``).
 ``ListReference`` states the same contract as plain lists, per source its
-(action, target) pairs in the order first added and a stutter loop for
-each state dead when ``totalize`` ran.  It hands its edges to the
+(action, target) pairs in the order added, a repeat as often as it was
+added, and a stutter loop for each state dead when ``totalize`` ran.  It hands its edges to the
 structure in source order, so every read here, forward and reverse, is
 compared with it whatever the order the edges were drawn in, and every
 write after the first read is refused.  Predecessors come in ``edges()``
@@ -56,8 +56,7 @@ class ListReference:
 
     def add_edge(self, src, action, dst):
         self.triples.append((src, action, dst))
-        if (action, dst) not in self.out[src]:
-            self.out[src].append((action, dst))
+        self.out[src].append((action, dst))
 
     def build(self):
         add_in_source_order(self.structure, self.triples)
@@ -148,10 +147,10 @@ def test_reads_after_the_first_read_the_same():
     k = KripkeStructure()
     s, t, u = k.add_state("s"), k.add_state("t"), k.add_state("u")
     k.add_edge(s, "a", t)
-    k.add_edge(s, "a", t)  # a repeat stores nothing in either direction
+    k.add_edge(s, "a", t)  # a repeat is stored again, in both directions
     k.add_edge(u, "b", s)
     first = [(list(k.predecessors(x)), k.in_degree(x), k.successors(x)) for x in k.states()]
-    assert first == [([u], 1, [("a", t)]), ([s], 1, []), ([], 0, [("b", s)])]
+    assert first == [([u], 1, [("a", t), ("a", t)]), ([s, s], 2, []), ([], 0, [("b", s)])]
     assert k.preimage({s, t}) == {s, u}
     with pytest.raises(ValueError):
         k.add_state("v")
