@@ -61,7 +61,9 @@ class CounterState(Value):
 class CounterView:
     """A program's run-length keys read as ``CounterState`` values: the
     codec a counter structure speaks through.  Record order is code
-    order, so the pairs of a counter state are the key's runs."""
+    order, so the pairs of a counter state are the key's runs.  ``decode``
+    raises ``ValueError`` on a key whose counts do not total n or whose
+    shared values lie outside their domains (``RunCodec.fits``)."""
 
     def __init__(self, program):
         self.runs = program.table.runs
@@ -74,7 +76,7 @@ class CounterView:
 
     def decode(self, key):
         shared, _, codes, counts, _ = self.runs.parts(key)
-        if sum(counts) != self.runs.n:
+        if sum(counts) != self.runs.n or not self.runs.fits(shared):
             raise ValueError(f"{key!r} is no counter key of {self.runs.n} processes")
         return CounterState(shared, tuple(zip(map(self.runs.codec.record, codes), counts)))
 

@@ -300,18 +300,17 @@ class CheckResult(Value, frozen=False):
         return "holds" if self.holds else "fails"
 
 
-def _invariant_target(formula):
-    """For formulas of the shape "never X", the inner target X."""
-    if isinstance(formula, Not) and isinstance(formula.inner, EU):
-        if isinstance(formula.inner.left, TrueF):
-            return formula.inner.right
-    return None
-
-
-def _reachability_target(formula):
+def _reach(formula):
+    """``formula`` if it is ``E[true U X]``, the node of ``EF X``, else None."""
     if isinstance(formula, EU) and isinstance(formula.left, TrueF):
-        return formula.right
+        return formula
     return None
+
+
+def _never(formula):
+    """For formulas of the shape "never X", ``!E[true U X]``, the inner
+    ``E[true U X]`` node."""
+    return _reach(formula.inner) if isinstance(formula, Not) else None
 
 
 def decided_by_tree(formula):
@@ -325,28 +324,36 @@ def decided_by_tree(formula):
     follows the tree's edges, the first edge into each state in
     breadth-first order.
     """
-    target = _invariant_target(formula)
-    if target is None:
-        target = _reachability_target(formula)
-    return target is not None and not any(isinstance(g, (EX, EU, EG)) for g in _nodes(target))
+    node = _never(formula) or _reach(formula)
+    return node is not None and not any(isinstance(g, (EX, EU, EG)) for g in _nodes(node.right))
 
 
-def shortest_path(structure, sources, targets):
+def shortest_path(structure, sources, targets, within=None):
     """Deterministic BFS shortest path; None if no target is reachable.
 
     ``targets`` holds one flag per state id, as the fixpoints make them
-    (``bytes``, or any sequence of 0 and 1 indexed by state id).
-    Sources are seeded in id order and successor ids expanded in stored
-    order, so ties always break the same way.  Each reached state's BFS
-    parent is kept in a list by state id; the path is read back from the
-    target and reversed once, in time linear in its length, and each step
-    is named by the first action of its source's edges to its target, the
-    edge that discovered the target.
+    (``bytes``, or any sequence of 0 and 1 indexed by state id), and so
+    does ``within``, if given: the search enqueues only the states it
+    flags.  Sources are seeded in id order and successor ids expanded in
+    stored order, so ties always break the same way.  Each reached
+    state's BFS parent is kept in a list by state id; the path is read
+    back from the target and reversed once, in time linear in its
+    length, and each step is named by the first action of its source's
+    edges to its target, the edge that discovered the target.
+
+    With ``within`` the flags of ``E[true U targets]``, as ``check``
+    passes them, the path is the one the whole search returns: every
+    state on a shortest path to a target reaches a target, and so does
+    the state that first discovers it, so the search pops those states in
+    the same order and records the same parents, while it reads the
+    successors of only the states that can reach a target.
     """
     parent = [-1] * structure.num_states  # a source is its own parent
+    if within is None:
+        within = b"\1" * structure.num_states
     queue = deque()
     for sid in sorted(sources):
-        if parent[sid] < 0:
+        if parent[sid] < 0 and within[sid]:
             parent[sid] = sid
             queue.append(sid)
     while queue:
@@ -363,7 +370,7 @@ def shortest_path(structure, sources, targets):
             ]
             return Path(tuple(map(structure.payload, states)), tuple(actions))
         for dst in structure.successor_ids(sid):
-            if parent[dst] < 0:
+            if parent[dst] < 0 and within[dst]:
                 parent[dst] = sid
                 queue.append(dst)
     return None
@@ -372,15 +379,19 @@ def shortest_path(structure, sources, targets):
 def check(structure, formula):
     """Model-check ``formula``; holds iff every state of ``structure.init``
     satisfies it, so an empty initial set holds vacuously.  A failing
-    invariant-shaped formula gets a shortest counterexample and a holding
-    reachability-shaped one a shortest witness, each found by
-    ``shortest_path`` on its target's flags from the same evaluation.
+    invariant-shaped formula, ``!E[true U X]``, gets a shortest
+    counterexample and a holding reachability-shaped one, ``E[true U X]``,
+    a shortest witness, each found by ``shortest_path`` on the flags of X
+    from the same evaluation, searching only the states that the flags of
+    ``E[true U X]`` mark: those that can reach an X-state.
     """
     init = structure.init
     memo = {}
     holds = all(map(sat_set(structure, formula, _memo=memo).__getitem__, init))
-    target = _reachability_target(formula) if holds else _invariant_target(formula)
-    path = None if target is None else shortest_path(structure, init, memo[id(target)])
+    node = _reach(formula) if holds else _never(formula)
+    path = None
+    if node is not None:
+        path = shortest_path(structure, init, memo[id(node.right)], memo[id(node)])
     return CheckResult(holds, path)
 
 
@@ -388,11 +399,17 @@ def lift_counterexample(program, quotient_path, group=None):
     """Concretize a path of representatives into a real execution.
 
     Walks the concrete successor relation on the program's positional
-    ``int`` keys, at each step taking the successor whose canonical key is
-    the next path state's (least key, which is least ``GlobalState.encode``,
-    on ties, since int order of positional keys is that order).  A missing match
-    means the quotient was not built from an automorphism group: an
-    internal bug (``InternalError``), not an input error.
+    ``int`` keys, at each step taking the least ``(key, action)`` among
+    the successors whose canonical key is the next path state's (least
+    key is least ``GlobalState.encode``, since int order of positional
+    keys is that order, and the action string breaks ties); the path's
+    own action names are not read.  Under the full symmetric group the
+    successors fall into orbit classes first (``_orbit_classes``), and one
+    canonical key decides each class, so a step costs about as much as
+    the successors it reads rather than one canonicalization each; under
+    a generated group every successor is a class of its own.  A missing
+    match means the quotient was not built from an automorphism group:
+    an internal bug (``InternalError``), not an input error.
     """
     group = group or full_symmetric(program.n)
     current = program.initial_state()
@@ -400,17 +417,71 @@ def lift_counterexample(program, quotient_path, group=None):
         raise ValueError("path does not start at the representative of the initial state")
     codec = program.table.codec
     stored, canon = canonical_key_fn(program, group)
+    classed = group.kind == "full-symmetric"
+    memos = {}, {}  # ``_orbit_classes``': action -> firing process, shared fields -> values
     key = codec.encode(current)
     states, actions = [current], []
     for step, want in enumerate(quotient_path.states[1:]):
         want = stored.encode(want)
-        candidates = [(t, action) for action, t in successors(program, key) if canon(t) == want]
-        if not candidates:
+        pairs = successors(program, key)
+        if classed:
+            classes = _orbit_classes(stored, key, pairs, memos)
+        else:
+            classes = [[pair] for pair in pairs]
+        matches = [
+            (t, action)
+            for members in classes
+            if canon(members[0][1]) == want
+            for action, t in members
+        ]
+        if not matches:
             raise InternalError(
                 "no concrete successor matches the quotient edge at step "
                 f"{step}; the symmetry machinery is unsound for this program"
             )
-        key, action = min(candidates)
+        key, action = min(matches)
         states.append(codec.decode(key))
         actions.append(action)
     return Path(tuple(states), tuple(actions))
+
+
+def _orbit_classes(runs, key, pairs, memos):
+    """The ``(action, key)`` successor pairs of the ``StateCodec`` key
+    ``key`` in classes that each lie in one Sym(n) orbit (Emerson & Sistla
+    1996), as lists.  Take two processes that hold the same record and
+    that no pid slot names: swapping them fixes the state, so their moves
+    reach one orbit when both write the same new record and the same new
+    shared values, each firer's own index read as "self".  Such a
+    process's move, read off its action ``"i/j"`` and its key, falls in
+    the class ``(code, new code, new shared fields)``, with the fields as
+    a tuple of values holding -1 for the firer's index if a pid slot holds
+    it; a move of a process that a pid slot names is a class of its own.
+    ``memos`` holds two dicts: each action's firing process, and the
+    shared values of each shared fields int."""
+    codec = runs.codec
+    shared, codes = codec.split(key)
+    pinned = runs.ranked(shared)[1]
+    shift, shifts, mask = codec.shift, codec.shifts, (1 << 8 * codec.width) - 1
+    pid_slots = codec.pid_slots
+    firers, values = memos
+    classes = {}
+    for cls, pair in enumerate(pairs):
+        action, t = pair
+        i = firers.get(action)
+        if i is None:
+            i = firers[action] = int(action.partition("/")[0])
+        if i not in pinned:
+            high = t >> shift
+            if pid_slots:
+                got = values.get(high)
+                if got is None:
+                    got = values[high] = codec.split(high << shift)[0]
+                if any(got[s] == i for s in pid_slots):
+                    high = tuple(-1 if v == i and s in pid_slots else v for s, v in enumerate(got))
+            cls = codes[i], t >> shifts[i] & mask, high
+        members = classes.get(cls)
+        if members is None:
+            classes[cls] = [pair]
+        else:
+            members.append(pair)
+    return classes.values()

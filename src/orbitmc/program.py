@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import gt
 from struct import Struct, error as StructError
 
 from .errors import UnsupportedModelError
@@ -103,7 +104,8 @@ class StateCodec:
     """Packs the states of one layout (n records of ``num_locals`` booleans
     and a pc of ``num_pcs`` values, behind ``num_shared`` shared values of
     at most ``max_shared``) into the int keys of the module docstring and
-    back.  ``encode`` and ``decode`` raise ``ValueError`` on a misfit, so
+    back.  ``encode`` and ``decode`` raise ``ValueError`` on a misfit, a
+    shared value outside its slot's domain (``in_domains``) included, so
     ``decode(encode(s)) == s``; codes and records convert through memos.
     """
 
@@ -115,6 +117,8 @@ class StateCodec:
         self.num_locals = num_locals
         self.num_pcs = num_pcs
         self.shared_width, self.shared_fmt = _field_format(max_shared)
+        # the largest value of each shared slot: n (``none``) for a pid slot, 1 for a bool
+        self.shared_max = tuple(n if s in pid_slots else 1 for s in range(num_shared))
         self.width, self.code_fmt = _field_format((num_pcs << num_locals) - 1)
         self.shared_size = num_shared * self.shared_width
         self.size = self.shared_size + n * self.width
@@ -180,6 +184,7 @@ class StateCodec:
             or len(state.shared) != self.num_shared
             or len(state.locals) != self.n
             or state.pid_slots != self.pid_slots
+            or not self.in_domains(state.shared)
         ):
             raise ValueError(f"{state!r} is no state of this layout")
         codes = list(map(self._code_of.get, state.locals))
@@ -196,7 +201,14 @@ class StateCodec:
             (shared, _), codes = last[1]
         else:
             shared, codes = self.split(key)
+        if not self.in_domains(shared):
+            raise ValueError(f"{key!r} holds shared values {shared} outside their domains")
         return GlobalState(shared, tuple(map(self.record, codes)), self.pid_slots)
+
+    def in_domains(self, shared):
+        """Whether each shared value lies in its slot's domain: 0 or 1 for
+        a bool, a process index or n (``none``) for a pid."""
+        return not any(map(gt, shared, self.shared_max))
 
     def split(self, key):
         """The shared values of a key, as a tuple, and its record codes,

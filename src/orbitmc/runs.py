@@ -37,8 +37,9 @@ from .program import GlobalState, _field_format
 class RunCodec:
     """The run-length keys of one ``StateCodec`` layout.  ``decode`` gives
     the representative ``GlobalState`` and raises ``ValueError`` on an int
-    that is no key of n processes; ``encode`` raises ``ValueError`` on a
-    state that is not its own representative or does not fit."""
+    that is no key of n processes, its shared values included (``fits``);
+    ``encode`` raises ``ValueError`` on a state that is not its own
+    representative or does not fit."""
 
     def __init__(self, codec):
         self.codec, self.n = codec, codec.n
@@ -151,6 +152,12 @@ class RunCodec:
             got = self._ranks[shared] = pins, rank, ranked
         return got
 
+    def fits(self, shared):
+        """Whether these are the shared values of a run-length key: each in
+        its slot's domain (``StateCodec.in_domains``), and each pid slot
+        holding n or a pin rank, ranks in order of first appearance."""
+        return self.codec.in_domains(shared) and self.ranked(shared)[2] == shared
+
     def units(self, p, k):
         """A unit of the count of each of the first k runs of a key with p
         pins, by run index; kept per p, for the most runs asked so far."""
@@ -202,7 +209,8 @@ class RunCodec:
     def decode(self, key):
         shared, pins, codes, counts, _ = self.parts(key)
         locs = tuple(chain(pins, *map(repeat, codes, counts)))
-        if len(locs) != self.n or 0 in counts or list(codes) != sorted(set(codes)):
+        if (len(locs) != self.n or 0 in counts or list(codes) != sorted(set(codes))
+                or not self.fits(shared)):
             raise ValueError(f"{key!r} is no run-length key of {self.n} processes")
         return GlobalState(shared, tuple(map(self.codec.record, locs)), self.codec.pid_slots)
 

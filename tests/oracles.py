@@ -274,6 +274,32 @@ def quotient_by_rep_min(program, state_bound=50_000):
     }
 
 
+def lift_by_canonicalizing_every_candidate(program, quotient_path, group=None):
+    """The lift of a path of representatives by its first rule: at each
+    step canonicalize every concrete successor of the language's
+    definition (``rep_min``) and take the least ``(GlobalState.encode,
+    action)`` among those whose representative is the next path state.
+    Returns the ``Path``, or None at the first step that no successor
+    matches."""
+    from orbitmc import Path, full_symmetric, rep_min
+
+    group = group or full_symmetric(program.n)
+    current = program.initial_state()
+    states, actions = [current], []
+    for want in quotient_path.states[1:]:
+        matches = [
+            (t.encode(), action, t)
+            for action, t in successors_by_definition(program, current)
+            if rep_min(group, t, witness=False)[0] == want
+        ]
+        if not matches:
+            return None
+        _, action, current = min(matches)
+        states.append(current)
+        actions.append(action)
+    return Path(tuple(states), tuple(actions))
+
+
 # -- harness pieces -------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from orbitmc import (
     successors,
 )
 from orbitmc.cli import build_config, run
+from orbitmc.counter import CounterView
 from orbitmc.explore import explore
 from orbitmc.program import (
     V_CONST,
@@ -114,9 +115,10 @@ def test_keys_round_trip_and_keep_the_encoding_order(program):
 
 def random_fields(rng, codec, count):
     """``count`` random field tuples of the codec's layout, each shared value
-    up to the largest one and each record code below ``num_pcs * 2**L``;
-    about half of them differ from an earlier one in one field only."""
-    tops = ([codec.n if codec.pid_slots else 1] * codec.num_shared
+    in its slot's domain (up to n in a pid slot, 1 in a bool) and each
+    record code below ``num_pcs * 2**L``; about half of them differ from an
+    earlier one in one field only."""
+    tops = ([codec.n if s in codec.pid_slots else 1 for s in range(codec.num_shared)]
             + [(codec.num_pcs << codec.num_locals) - 1] * codec.n)
     drawn = []
     for _ in range(count):
@@ -172,11 +174,11 @@ def test_keys_that_do_not_fit_raise_value_errors():
         GlobalState(good.shared, ((3,),) * 3, good.pid_slots),  # no such pc
         GlobalState(good.shared, ((0, 1),) * 3, good.pid_slots),  # a local too many
     ]
-    assert codec.decode(codec.encode(misfits[2])) == misfits[2]
-    for state in misfits[:2] + misfits[3:]:
+    for state in misfits:
         with pytest.raises(ValueError):
             codec.encode(state)
-    for key in (1 << 8 * codec.size, -1):  # wider than the layout, or negative
+    fits_the_field = codec.encode(good) - (good.shared[0] - 4 << codec.shift)  # grant = 4
+    for key in (1 << 8 * codec.size, -1, fits_the_field):  # too wide, negative, no pid
         with pytest.raises(ValueError):
             codec.decode(key)
     with pytest.raises(ValueError):
@@ -461,3 +463,70 @@ def test_add_state_refuses_an_int_its_codec_cannot_decode(name, mode):
         assert not structure.has_state(key)
     assert structure.num_states == count
     assert structure.add_state(structure.key(0), structure.label_of(0)) == 0
+
+
+BOOL_CELL = """
+processes 3;
+shared x : bool;
+pc {a, b};
+init pc=a, x=0;
+a -> b : true / x := 1;
+b -> a : true / x := 0;
+"""
+
+
+def out_of_domain_keys():
+    """Case name -> (codec, key, structure): each key fits its codec's
+    fields but holds a shared value that no state holds."""
+    allocator, cell = builtin_example("allocator", 3), parse_program(BOOL_CELL)
+    full = allocator.table.codec
+    runs = allocator.table.runs
+    exec_, ready = full.code((2,)), full.code((0,))
+    cell_codec, cell_runs = cell.table.codec, cell.table.runs
+    start = cell_codec.encode(cell.initial_state())
+    cases = [
+        # the grant cell holds 203: 3 (none) plus 200
+        ("allocator full", full, full.encode(allocator.initial_state()) | 200 << full.shift,
+         build_full_structure(allocator)),
+        # a bool holds 7 in a positional key, a run-length key and a counter key
+        ("bool full", cell_codec, start | 7 << cell_codec.shift, build_full_structure(cell)),
+        ("bool quotient", cell_runs, cell_runs.pack((7,), (), ((cell_codec.code((0,)), 3),)),
+         build_quotient(cell).structure),
+        ("bool counter", CounterView(cell), cell_runs.pack((7,), (), ((cell_codec.code((0,)), 3),)),
+         build_counter_structure(cell)),
+        # the grant cell holds pin rank 1 with one process pinned: it would
+        # decode to grant = 1 with the pinned record at process 0
+        ("allocator rank", runs, runs.pack((1,), (exec_,), ((ready, 2),)),
+         build_quotient(allocator).structure),
+    ]
+    return {name: rest for name, *rest in cases}
+
+
+@pytest.mark.parametrize("case", ["allocator full", "bool full", "bool quotient",
+                                  "bool counter", "allocator rank"])
+def test_decode_refuses_shared_values_outside_their_domains(case):
+    codec, key, structure = out_of_domain_keys()[case]
+    with pytest.raises(ValueError):
+        codec.decode(key)
+    count = structure.num_states
+    with pytest.raises(ValueError):
+        structure.add_state(key)
+    assert structure.num_states == count and not structure.has_state(key)
+
+
+def test_decode_takes_every_domain_value():
+    # the bounds are inclusive: none (n) in a pid slot, 1 in a bool, and
+    # pin rank 0 with one pin in a run-length key
+    allocator, cell = builtin_example("allocator", 3), parse_program(BOOL_CELL)
+    full, runs = allocator.table.codec, allocator.table.runs
+    exec_, ready = full.code((2,)), full.code((0,))
+    none = GlobalState((3,), ((0,),) * 3, (0,))
+    assert full.decode(full.encode(none)) == none
+    assert runs.decode(runs.pack((0,), (exec_,), ((ready, 2),))) == GlobalState(
+        (0,), ((2,), (0,), (0,)), (0,))
+    cell_codec, cell_runs = cell.table.codec, cell.table.runs
+    one = GlobalState((1,), ((1,),) * 3)
+    assert cell_codec.decode(cell_codec.encode(one)) == one
+    key = cell_runs.pack((1,), (), ((cell_codec.code((1,)), 3),))
+    assert cell_runs.decode(key) == one
+    assert CounterView(cell).decode(key).shared == (1,)

@@ -24,7 +24,7 @@ from orbitmc import (
     successors,
     transposition,
 )
-from orbitmc.ctl import And, Atom, EG, EU, EX, FalseF, Not, Or, TrueF, neg
+from orbitmc.ctl import And, Atom, EG, EU, EX, FalseF, Not, Or, TrueF, decided_by_tree, neg
 from orbitmc.explore import explore
 
 from oracles import backward_bfs, flagged, shortest_distance
@@ -332,6 +332,47 @@ def test_shortest_path_reads_target_flags():
     assert expected.steps == shortest_distance(structure, structure.init, flagged(flags))
     assert shortest_path(structure, structure.init, bytearray(flags)) == expected
     assert shortest_path(structure, structure.init, bytes(structure.num_states)) is None
+
+
+def test_a_search_within_the_states_that_reach_a_target_returns_the_same_path():
+    # ``within`` the flags of E[true U targets], as ``check`` passes them
+    rng = random.Random(34)
+    unreached = 0
+    for _ in range(40):
+        k = random_structure(rng, rng.randint(2, 15))
+        for atom in ("p", "q"):
+            targets = k.label_flags(atom)
+            within = sat_set(k, parse_ctl(f"EF {atom}"))
+            source_sets = [[sid] for sid in k.states()]
+            source_sets += [rng.sample(range(k.num_states), rng.randint(2, k.num_states))
+                            for _ in range(3)]
+            for sources in source_sets:
+                expected = shortest_path(k, sources, targets)
+                assert shortest_path(k, sources, targets, within) == expected
+                unreached += expected is None
+    assert unreached > 0  # some sources reach no target
+
+
+def test_an_ef_witness_reads_only_the_states_that_reach_its_target():
+    """``check`` of ``EF done`` on pipeline:12 counter, built as the CLI
+    builds it (the discovery tree), reads the successors of the 60 states
+    of its witness before its last: the whole search read 6187."""
+    text = (DATA / "pipeline_8.gcl").read_text().replace("8", "12")  # n is its only 8
+    formula = parse_ctl("EF done")
+    structure, _ = explore(parse_program(text), "counter", _tree=decided_by_tree(formula))
+    structure.totalize()
+    reads = [0]
+    successor_ids = structure.successor_ids
+
+    def counted(sid):
+        reads[0] += 1
+        return successor_ids(sid)
+
+    structure.successor_ids = counted
+    result = check(structure, formula)
+    assert result.holds and result.counterexample.steps == 60
+    assert structure.num_states == 6188
+    assert reads[0] <= 61, reads[0]
 
 
 # -- verdicts on the protocols ---------------------------------------------------
