@@ -12,15 +12,16 @@ Two failing models, each checked in quotient mode against ``AG !bad``:
 
 Each row builds the quotient up to the first ``bad`` state
 (``explore(..., stop_at_bad=True)``), totalizes it and takes the
-counterexample of ``check``, then lifts that path ``--repeat`` times.
-``ms_per_step`` is the least lift time over the repeats divided by the
-path's steps.  Only ``builtin_example``, ``builtin_source``,
+counterexample of ``check``, then lifts that path ``--repeat`` times and
+on until ``--seconds`` have passed.  ``ms_per_step`` is the least lift
+time over the repeats divided by the path's steps, and ``repeats`` their
+number.  Only ``builtin_example``, ``builtin_source``,
 ``parse_program``, ``explore``, ``parse_ctl``, ``check`` and
 ``lift_counterexample`` are called, so one copy of this file times any
 two versions of the package that have them.  Prints one JSON object.
 
 Usage: PYTHONPATH=src python scripts/time_lift.py [--sizes 100 200 400 800 1600 3200]
-       [--pid-sizes 25 50 100 200 400] [--repeat 5]
+       [--pid-sizes 25 50 100 200 400] [--repeat 5] [--seconds 1]
 """
 
 import argparse
@@ -42,20 +43,21 @@ def broken_allocator(n):
     return parse_program(broken)
 
 
-def row(model, program, repeat):
+def row(model, program, repeat, seconds):
     structure, _ = explore(program, "quotient", stop_at_bad=True)
     structure.totalize()
     result = check(structure, parse_ctl("AG !bad"))
     if result.holds:
         raise ValueError(f"{model}:{program.n} does not fail AG !bad")
     path = result.counterexample
-    best = float("inf")
-    for _ in range(repeat):
+    times = []
+    deadline = time.perf_counter() + seconds
+    while len(times) < repeat or time.perf_counter() < deadline:
         started = time.perf_counter()
         lifted = lift_counterexample(program, path)
-        best = min(best, time.perf_counter() - started)
-    return {"model": model, "n": program.n, "steps": lifted.steps,
-            "ms_per_step": round(best / lifted.steps * 1e3, 4)}
+        times.append(time.perf_counter() - started)
+    return {"model": model, "n": program.n, "steps": lifted.steps, "repeats": len(times),
+            "ms_per_step": round(min(times) / lifted.steps * 1e3, 4)}
 
 
 def main(argv=None):
@@ -63,12 +65,14 @@ def main(argv=None):
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200])
     parser.add_argument("--pid-sizes", type=int, nargs="+", default=[25, 50, 100, 200, 400])
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=1.0)
     args = parser.parse_args(argv)
-    rows = [row("broken-mutex", builtin_example("broken-mutex", n), args.repeat)
+    rows = [row("broken-mutex", builtin_example("broken-mutex", n), args.repeat, args.seconds)
             for n in args.sizes]
-    rows += [row("broken-allocator", broken_allocator(n), args.repeat) for n in args.pid_sizes]
+    rows += [row("broken-allocator", broken_allocator(n), args.repeat, args.seconds)
+             for n in args.pid_sizes]
     print(json.dumps({"python": platform.python_version(), "repeat": args.repeat,
-                      "rows": rows}, indent=2))
+                      "seconds": args.seconds, "rows": rows}, indent=2))
 
 
 if __name__ == "__main__":

@@ -457,7 +457,8 @@ def _orbit_classes(runs, key, pairs, memos):
     a tuple of values holding -1 for the firer's index if a pid slot holds
     it; a move of a process that a pid slot names is a class of its own.
     ``memos`` holds two dicts: each action's firing process, and the
-    shared values of each shared fields int."""
+    shared values of each shared fields int with the set of the values
+    its pid slots hold."""
     codec = runs.codec
     shared, codes = codec.split(key)
     pinned = runs.ranked(shared)[1]
@@ -475,9 +476,10 @@ def _orbit_classes(runs, key, pairs, memos):
             if pid_slots:
                 got = values.get(high)
                 if got is None:
-                    got = values[high] = codec.split(high << shift)[0]
-                if any(got[s] == i for s in pid_slots):
-                    high = tuple(-1 if v == i and s in pid_slots else v for s, v in enumerate(got))
+                    vals = codec.split(high << shift)[0]
+                    got = values[high] = vals, {vals[s] for s in pid_slots}
+                if i in got[1]:
+                    high = tuple(-1 if v == i and s in pid_slots else v for s, v in enumerate(got[0]))
             cls = codes[i], t >> shifts[i] & mask, high
         members = classes.get(cls)
         if members is None:
