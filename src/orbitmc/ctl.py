@@ -346,7 +346,9 @@ def shortest_path(structure, sources, targets, within=None):
     state on a shortest path to a target reaches a target, and so does
     the state that first discovers it, so the search pops those states in
     the same order and records the same parents, while it reads the
-    successors of only the states that can reach a target.
+    successors of only the states that can reach a target.  Without
+    ``within``, the default kept for callers outside ``check``, the search
+    may enqueue every state.
     """
     parent = [-1] * structure.num_states  # a source is its own parent
     if within is None:
@@ -418,14 +420,13 @@ def lift_counterexample(program, quotient_path, group=None):
     codec = program.table.codec
     stored, canon = canonical_key_fn(program, group)
     classed = group.kind == "full-symmetric"
-    memos = {}, {}  # ``_orbit_classes``': action -> firing process, shared fields -> values
     key = codec.encode(current)
     states, actions = [current], []
     for step, want in enumerate(quotient_path.states[1:]):
         want = stored.encode(want)
         pairs = successors(program, key)
         if classed:
-            classes = _orbit_classes(stored, key, pairs, memos)
+            classes = _orbit_classes(stored, key, pairs)
         else:
             classes = [[pair] for pair in pairs]
         matches = [
@@ -445,7 +446,7 @@ def lift_counterexample(program, quotient_path, group=None):
     return Path(tuple(states), tuple(actions))
 
 
-def _orbit_classes(runs, key, pairs, memos):
+def _orbit_classes(runs, key, pairs):
     """The ``(action, key)`` successor pairs of the ``StateCodec`` key
     ``key`` in classes that each lie in one Sym(n) orbit (Emerson & Sistla
     1996), as lists.  Take two processes that hold the same record and
@@ -455,31 +456,22 @@ def _orbit_classes(runs, key, pairs, memos):
     process's move, read off its action ``"i/j"`` and its key, falls in
     the class ``(code, new code, new shared fields)``, with the fields as
     a tuple of values holding -1 for the firer's index if a pid slot holds
-    it; a move of a process that a pid slot names is a class of its own.
-    ``memos`` holds two dicts: each action's firing process, and the
-    shared values of each shared fields int with the set of the values
-    its pid slots hold."""
+    it; a move of a process that a pid slot names is a class of its own."""
     codec = runs.codec
     shared, codes = codec.split(key)
     pinned = runs.ranked(shared)[1]
     shift, shifts, mask = codec.shift, codec.shifts, (1 << 8 * codec.width) - 1
     pid_slots = codec.pid_slots
-    firers, values = memos
     classes = {}
     for cls, pair in enumerate(pairs):
         action, t = pair
-        i = firers.get(action)
-        if i is None:
-            i = firers[action] = int(action.partition("/")[0])
+        i = int(action.partition("/")[0])
         if i not in pinned:
             high = t >> shift
             if pid_slots:
-                got = values.get(high)
-                if got is None:
-                    vals = codec.split(high << shift)[0]
-                    got = values[high] = vals, {vals[s] for s in pid_slots}
-                if i in got[1]:
-                    high = tuple(-1 if v == i and s in pid_slots else v for s, v in enumerate(got[0]))
+                values, named = runs.shared_of(high)
+                if i in named:
+                    high = tuple(-1 if v == i and s in pid_slots else v for s, v in enumerate(values))
             cls = codes[i], t >> shifts[i] & mask, high
         members = classes.get(cls)
         if members is None:

@@ -52,6 +52,7 @@ class RunCodec:
         self._shared = Struct("<" + codec.shared_fmt * codec.num_shared)
         self._structs = {}
         self._ranks = {}
+        self._highs = {}
         self._units = {}
         # ``repin`` is ``_repin`` memoized: the kernel asks it for every move that
         # writes shared values
@@ -150,6 +151,17 @@ class RunCodec:
             slots = self.codec.pid_slots
             ranked = tuple(rank.get(v, self.n) if s in slots else v for s, v in enumerate(shared))
             got = self._ranks[shared] = pins, rank, ranked
+        return got
+
+    def shared_of(self, high):
+        """The shared values of the ``StateCodec`` shared fields int
+        ``high`` and the set of the values its pid slots hold; memoized,
+        for the lift's orbit classes (``ctl._orbit_classes``)."""
+        got = self._highs.get(high)
+        if got is None:
+            codec = self.codec
+            values = codec.split(high << codec.shift)[0]
+            got = self._highs[high] = values, {values[s] for s in codec.pid_slots}
         return got
 
     def fits(self, shared):

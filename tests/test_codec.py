@@ -169,7 +169,7 @@ def test_keys_that_do_not_fit_raise_value_errors():
     misfits = [
         GlobalState(good.shared, good.locals[:2], good.pid_slots),  # wrong n
         GlobalState(good.shared, good.locals, ()),  # wrong pid slots
-        GlobalState((4,), good.locals, good.pid_slots),  # never a pid value, but fits
+        GlobalState((4,), good.locals, good.pid_slots),  # a pid value out of its domain
         GlobalState((256,), good.locals, good.pid_slots),  # wider than the field
         GlobalState(good.shared, ((3,),) * 3, good.pid_slots),  # no such pc
         GlobalState(good.shared, ((0, 1),) * 3, good.pid_slots),  # a local too many
