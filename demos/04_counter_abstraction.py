@@ -4,8 +4,8 @@
 Counting how many processes sit in each local state forgets exactly as
 much as sorting does, so for pid-free programs the counter structure and
 the quotient structure are the same graph under different names: one
-build stores both, and each counter state concretizes to the quotient's
-representative of the same id.
+build stores both, edge actions included, and each counter state
+concretizes to the quotient's representative of the same id.
 """
 
 import math
@@ -20,15 +20,18 @@ from orbitmc import (
     render_state,
     to_counter,
 )
+from orbitmc.counter import render_action
 
 program = builtin_example("mutex", 4)
 
 initial = to_counter(program.initial_state())
 print("initial occupancy:", initial.counts, "| concretizes to", render_state(program, from_counter(initial)))
 
+# a counter edge carries the quotient's action "i/j" (process i of the
+# sorted concretization fires command j); render_action names i's record
 print("\none step away (note the decrement-then-test entry guard):")
 for action, target in counter_successors(program, initial):
-    print(f"  --{action}--> {target.counts}")
+    print(f"  --{action} = {render_action(program, initial, action)}--> {target.counts}")
 
 counter = build_counter_structure(program)
 quotient = build_quotient(program)
@@ -37,6 +40,7 @@ same = all(
     from_counter(counter.payload(sid)) == quotient.structure.payload(sid) for sid in counter.states()
 )
 print("same representatives:", same)
+print("same edges, actions included:", list(counter.edges()) == list(quotient.structure.edges()))
 
 # With k local states and no guards at all, the reachable occupancies
 # are every way to drop n processes into k buckets.

@@ -13,7 +13,8 @@ of each:
 
 * ``kernel_us``: the mode's successor rule on every key
   (``program.successors``, ``runs.run_successors`` or
-  ``counter.counter_successors``);
+  ``counter.counter_successors``, which all name a move ``"i/j"`` for
+  process i and command j);
 * ``labeling_us``: the same pass with ``program.labeling`` called on
   each key right after its successors, less the kernel pass: what
   labeling adds to a build that labels a state when it expands it;

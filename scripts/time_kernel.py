@@ -20,7 +20,8 @@ filled memos and keeps the best of these warm passes:
 ``us_per_state`` is the best warm pass per state in microseconds, and
 ``cold_us_per_state`` the cold pass per state, each the least and the
 median over the runs; ``states`` and ``successors`` count the keys and
-the pairs one pass returns.  Only ``run_successors``, the program's
+the pairs one pass returns.  Only ``run_successors(program, key)``
+(whose actions are ``"i/j"`` in counter mode too), the program's
 ``table.runs`` codec, the ``program._codec`` and ``runs.run_codec``
 memos, ``builtin_source`` and ``parse_program`` are called, so one copy
 of this file times any two versions of the package that have them.
@@ -45,12 +46,12 @@ from orbitmc import program as program_module, runs as runs_module
 from orbitmc.parser import parse_program
 from orbitmc.runs import run_successors
 
-source, counter, passes = sys.argv[1], sys.argv[2] == "counter", int(sys.argv[3])
+source, passes = sys.argv[1], int(sys.argv[2])
 program = parse_program(source)
 first = program.table.runs.encode(program.initial_state())
 keys, seen = [first], {first}
 for key in keys:
-    for _, target in run_successors(program, key, counter):
+    for _, target in run_successors(program, key):
         if target not in seen:
             seen.add(target)
             keys.append(target)
@@ -59,12 +60,12 @@ runs_module.run_codec.cache_clear()
 program = parse_program(source)
 started = time.perf_counter()
 for key in keys:
-    run_successors(program, key, counter)
+    run_successors(program, key)
 cold = time.perf_counter() - started
 best = float("inf")
 for _ in range(passes):
     started = time.perf_counter()
-    successors = sum(len(run_successors(program, key, counter)) for key in keys)
+    successors = sum(len(run_successors(program, key)) for key in keys)
     best = min(best, time.perf_counter() - started)
 print(json.dumps({"states": len(keys), "successors": successors,
                   "us_per_state": best / len(keys) * 1e6,
@@ -98,7 +99,7 @@ def main(argv=None):
     for name in MODELS:
         for n in args.sizes:
             mode = "counter" if name == "pipeline" else "quotient"
-            runs = [run_child(CHILD, model_text(name, n), mode, PASSES) for _ in range(args.runs)]
+            runs = [run_child(CHILD, model_text(name, n), PASSES) for _ in range(args.runs)]
             report["models"][f"{name}:{n}"] = {
                 "mode": mode,
                 "states": runs[0]["states"],

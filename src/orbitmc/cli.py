@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .counter import from_counter
+from .counter import from_counter, render_action
 from .ctl import atoms, check, decided_by_tree, lift_counterexample, parse_ctl
 from .errors import (
     CheckerError,
@@ -297,8 +297,10 @@ def run_export_dot(config, out):
         )
     program, _ = load_program(config)
     structure, _ = explore(program, config.mode, effective_bound(config))
-    view = from_counter if config.mode == "counter" else (lambda state: state)
-    out.write(structure.export_dot(name, lambda payload: render_state(program, view(payload))))
+    view, actions = lambda state: state, None
+    if config.mode == "counter":
+        view, actions = from_counter, functools.partial(render_action, program)
+    out.write(structure.export_dot(name, lambda payload: render_state(program, view(payload)), actions))
     return EXIT_OK
 
 

@@ -6,11 +6,14 @@ that is the full-symmetry quotient under other names, and counter mode
 is its build (``explore.explore``): the run-length ``int`` keys of
 ``runs.RunCodec`` (the shared values, then one ``(record code, count)``
 pair per distinct record, codes increasing), stepped by integer
-arithmetic in ``runs.run_successors``, with actions named ``"<record>/<j>"`` and
-payloads decoded to ``CounterState`` (``CounterView``).  A program's
-counter structure and its quotient are thus one graph, the same keys,
-labels and edges in the same order, and ``from_counter`` of a counter
-payload is the quotient's payload of that id.
+arithmetic in ``runs.run_successors``, and payloads decoded to
+``CounterState`` (``CounterView``).  A program's counter structure and
+its quotient are thus one graph, the same keys, labels and edges in the
+same order, actions included: ``"i/j"``, i the index of the firing
+record's first process in ``from_counter`` of the source.
+``from_counter`` of a counter payload is the quotient's payload of that
+id, and only DOT output names an action by its record
+(``render_action``).
 
 The classic pitfall is the self-exclusion of "other process" guard atoms:
 all_others(pc != C) must not count the firing process.  The one guard
@@ -23,7 +26,8 @@ from __future__ import annotations
 from itertools import groupby
 
 from .errors import UnsupportedModelError
-from .program import GlobalState
+from .kripke import STUTTER_ACTION
+from .program import GlobalState, render_local
 from .runs import run_successors
 from .value import Value, _init2
 
@@ -104,12 +108,24 @@ def from_counter(cstate):
 def counter_successors(program, cstate):
     """All (action, counter state) pairs one step away, by
     ``runs.run_successors``: a command fires once per occupied record, with
-    the action ``"<record>/<j>"``.  ``cstate`` is a run-length key, and so
-    are the successors; given a ``CounterState``, they are decoded ones.
-    Pid-typed programs raise ``UnsupportedModelError``."""
+    the quotient's action ``"i/j"``, i the index of the record's first
+    process in ``from_counter(cstate)`` (``render_action`` names it by its
+    record).  ``cstate`` is a run-length key, and so are the successors;
+    given a ``CounterState``, they are decoded ones.  Pid-typed programs
+    raise ``UnsupportedModelError``."""
     if not program.table.pid_free:
         _require_pid_free(program)
     if not isinstance(cstate, CounterState):
-        return run_successors(program, cstate, counter=True)
+        return run_successors(program, cstate)
     view = CounterView(program)
-    return [(a, view.decode(k)) for a, k in run_successors(program, view.encode(cstate), True)]
+    return [(a, view.decode(k)) for a, k in run_successors(program, view.encode(cstate))]
+
+
+def render_action(program, cstate, action):
+    """The DOT text of an action out of ``cstate``: ``"<record>/<j>"`` for
+    ``"i/j"``, the record being ``from_counter(cstate).locals[i]``, and any
+    other action (``"stutter"``) unchanged."""
+    if action == STUTTER_ACTION:
+        return action
+    i, j = action.split("/")
+    return f"{render_local(program, from_counter(cstate).locals[int(i)])}/{j}"

@@ -9,8 +9,9 @@ initial key and a successor rule over keys:
 * quotient under Sym(n): run-length keys (``runs.RunCodec``, ``int``)
   stepped by ``runs.run_successors``;
 * counter: the same keys stepped by ``counter.counter_successors``, which
-  names actions by record, and read as ``counter.CounterState`` values
-  through ``counter.CounterView``;
+  calls ``runs.run_successors`` and so names actions as the quotient
+  does, and read as ``counter.CounterState`` values through
+  ``counter.CounterView``;
 * quotient under a generated subgroup (``build_quotient`` only):
   positional ``int`` keys, each successor canonicalized by the ``canon`` of
   ``symmetry.canonical_key_fn``.

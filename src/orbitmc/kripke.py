@@ -23,8 +23,8 @@ rule.  Adding a source's block closes every block before it, and the
 first read closes them all: it turns the writer's lists into arrays with
 an offset past every state.  From then on ``add_edge`` raises
 ``ValueError``, as it does for an edge into any closed block, and so does
-``add_state`` for a new payload.  The reverse relation, ``predecessors``,
-``preimage`` and ``in_degree``, is built on the first reverse read by a
+``add_state`` for a new payload.  The reverse relation, ``predecessors``
+and ``preimage``, is built on the first reverse read by a
 counting sort into two more arrays, offsets and source ids, so a
 structure that is only explored forwards (``reach``, ``compare``, a
 check whose backward fixpoints start empty) never holds its edges in
@@ -337,11 +337,6 @@ class KripkeStructure:
         starts, sources = self._pred or self._reverse()
         return sources[starts[sid] : starts[sid + 1]]
 
-    def out_degree(self, sid):
-        self._check_id(sid)
-        offsets, _, _, dead = self._rows or self._read()
-        return offsets[sid + 1] - offsets[sid] + dead[sid]
-
     def edge_counts(self, flags):
         """The number of edges out of each state into the states that
         ``flags`` marks (one flag per state id), as a list by state id: one
@@ -351,11 +346,6 @@ class KripkeStructure:
         hits = bytes(map(flags.__getitem__, targets))
         rows = map(hits.count, repeat(1), offsets, islice(offsets, 1, None))
         return list(map(add, rows, map(and_, dead, flags)))
-
-    def in_degree(self, sid):
-        self._check_id(sid)
-        starts, _ = self._pred or self._reverse()
-        return starts[sid + 1] - starts[sid]
 
     def _reverse(self):
         """The reverse relation ``(offsets, sources)``, by a counting sort of
@@ -439,8 +429,10 @@ class KripkeStructure:
 
     # -- export --------------------------------------------------------------
 
-    def export_dot(self, graph_name="M", payload_renderer=None):
-        """Deterministic DOT text: states by id, edges lexicographic."""
+    def export_dot(self, graph_name="M", payload_renderer=None, action_renderer=None):
+        """Deterministic DOT text: states by id, edges lexicographic.  An
+        ``action_renderer(source payload, action)`` gives an edge's label
+        text, which then orders the edges."""
         lines = [f"digraph {graph_name} {{"]
         for sid in self.states():
             if payload_renderer is not None:
@@ -454,7 +446,11 @@ class KripkeStructure:
             if sid in self.init:
                 attrs.append("peripheries=2")
             lines.append(f'  {sid} [{", ".join(attrs)}];')
-        for src, action, dst in sorted(self.edges()):
+        edges = self.edges()
+        if action_renderer is not None:
+            edges = [(src, action_renderer(self.payload(src), action), dst)
+                     for src, action, dst in edges]
+        for src, action, dst in sorted(edges):
             lines.append(f'  {src} -> {dst} [label="{action}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -532,12 +532,10 @@ class CommandTable:
         # process (None in a pid-free program), by record code
         self.plans = {}
         self._last = None, None  # ``_key_successors``' last census and its enabled moves
-        # ``action_names[i][j]`` is the action "i/j" and ``counter_names[code][j]``
-        # the action "<record>/<j>"; ``action_row`` and ``counter_row`` fill a
-        # row on first use, so a quotient that fires few of n processes never
-        # builds the rest
+        # ``action_names[i][j]`` is the action "i/j"; ``action_row`` fills a row
+        # on first use, so a quotient that fires few of n processes never
+        # builds the rest, from ``_action_row``, which every table shares
         self.action_names = [None] * program.n
-        self.counter_names = {}
 
     @cached_property
     def runs(self):
@@ -547,11 +545,6 @@ class CommandTable:
 
     def action_row(self, i):
         row = self.action_names[i] = _action_row(i, len(self.program.commands))
-        return row
-
-    def counter_row(self, code):
-        label = render_local(self.program, self.codec.record(code))
-        row = self.counter_names[code] = _action_row(label, len(self.program.commands))
         return row
 
     def record_plan(self, shared, code, i=None):
@@ -594,8 +587,10 @@ class CommandTable:
 
 
 @lru_cache(maxsize=None)
-def _action_row(name, commands):
-    return tuple(f"{name}/{j}" for j in range(commands))
+def _action_row(i, commands):
+    # shared by every table, so a process that parses programs again and
+    # again (``cli.run`` called per check) formats each row once
+    return tuple(f"{i}/{j}" for j in range(commands))
 
 
 def successors(program, state):

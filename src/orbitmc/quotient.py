@@ -15,8 +15,8 @@ holding the shared values, the pinned records in pin-rank order, then
 one ``(record code, count)`` pair per distinct unpinned record, each
 count 1 byte wide up to n = 255 and 2 bytes past that.  ``runs.run_successors`` fires each pin and each run head;
 actions ``"i/j"`` name the head by its index in the representative.
-Counter mode is this build with records naming the actions and keys
-decoding to ``counter.CounterState``.  A generated subgroup keeps
+Counter mode is this build, actions included, with keys decoding to
+``counter.CounterState``.  A generated subgroup keeps
 positional keys, fires every process and canonicalizes each successor
 (``symmetry.canonical_key_fn``).  The initial state, and any state
 handed to ``QuotientStructure.rep``, is canonicalized by

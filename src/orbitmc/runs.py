@@ -233,7 +233,7 @@ def run_codec(codec):
     return RunCodec(codec)
 
 
-def run_successors(program, key, counter=False):
+def run_successors(program, key):
     """All (action, key) pairs one step away from a run-length key: each pin
     i fires with its plan of its code as process i, then the head of each
     run, which stands for its run, with the plan of its code as process p
@@ -246,15 +246,16 @@ def run_successors(program, key, counter=False):
     values, their change is added.  Any other move is rebuilt from the
     ranked shared values, the new pinned codes and the runs with the
     units that left or joined the pins (``_repinned``).  Actions are
-    ``"i/j"`` for the index i in the decoded representative, or with
-    ``counter`` ``"<record>/<j>"`` (``CommandTable.counter_row``)."""
+    ``"i/j"`` for the index i of the firing process in the decoded
+    representative, a head being its run's first process, in the quotient
+    and the counter abstraction alike."""
     table = program.table
     runs = table.runs
     n = runs.n
     shared, pins, codes, counts, occ = runs.parts(key)
     plans = table.plans.get(shared) or {}
     record_plan, repin = table.record_plan, runs.repin
-    names, counter_names = table.action_names, table.counter_names
+    names = table.action_names
     p = len(pins)
     low = key & runs.shared_mask  # the shared fields
     first, width, size = runs.bits  # where pin 0 begins, a code's width, a pair's
@@ -289,10 +290,7 @@ def run_successors(program, key, counter=False):
         if not plan:
             h += m
             continue
-        if counter:
-            row = counter_names.get(code) or table.counter_row(code)
-        else:
-            row = names[h] or table.action_row(h)
+        row = names[h] or table.action_row(h)
         base = None
         for guard, moves in plan:
             if guard.eval(shared, rec, i, occ, n):

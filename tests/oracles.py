@@ -237,10 +237,9 @@ def quotient_by_rep_min(program, state_bound=50_000):
     triples for the quotient's firing rule (every pinned process and the
     first process of each run of equal records, fired by the language's
     definition) and, for pid-free programs, ``counter_edges`` as (counter
-    state, "<record>/<j>", counter state) triples.
+    state, "i/j", counter state) triples, the quotient's actions.
     """
     from orbitmc import build_full_structure, full_symmetric, rep_min, to_counter
-    from orbitmc.program import render_local
 
     group = full_symmetric(program.n)
     full = build_full_structure(program, state_bound=state_bound)
@@ -260,9 +259,7 @@ def quotient_by_rep_min(program, state_bound=50_000):
             target = rep_min(group, t, witness=False)[0]
             actions.add((rep, action, target))
             if not program.pid_slots:
-                i, j = action.split("/")
-                label = f"{render_local(program, rep.locals[int(i)])}/{j}"
-                counter_edges.add((to_counter(rep), label, to_counter(target)))
+                counter_edges.add((to_counter(rep), action, to_counter(target)))
     return {
         "payloads": set(labels),
         "labels": labels,

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -7,7 +8,10 @@ import sys
 import pytest
 
 import orbitmc
+from orbitmc import build_counter_structure, build_quotient, parse_program
 from orbitmc.cli import BOUND_ENV_VAR, build_config, run
+from orbitmc.counter import render_action
+from orbitmc.program import render_local
 
 
 def invoke(*argv, env=None, monkeypatch=None):
@@ -493,6 +497,48 @@ def test_counter_mode_export_dot_is_pinned():
     code, out, _ = invoke("export-dot", "--builtin", "mutex:3", "--mode", "counter")
     assert code == 0
     assert out == GOLDEN_COUNTER_DOT
+
+
+# two local booleans, a ``*`` branch and a move that writes only shared
+# values; the builtins have no locals, so their golden files print no record
+# with booleans
+LOCALS_MODEL = """
+processes 3; shared g : bool; local x : bool; local y : bool; pc {A,B};
+init pc=A, g=0, x=0, y=0;
+A -> B : true / x := *;
+B -> A : g == 0 / y := 1, x := 0;
+B -> B : x == 1 / g := 1;
+A -> A : y == 1 & g == 1 / g := 0;
+"""
+
+
+def test_counter_dot_names_each_edge_by_its_firing_record(tmp_path):
+    model = tmp_path / "locals.gcl"
+    model.write_text(LOCALS_MODEL)
+    code, out, _ = invoke("export-dot", "--model", str(model), "--mode", "counter")
+    assert code == 0
+    program = parse_program(LOCALS_MODEL)
+    quotient = build_quotient(program).structure
+    expected = []
+    for src, action, dst in quotient.edges():
+        i, j = action.split("/")
+        record = render_local(program, quotient.payload(src).locals[int(i)])
+        expected.append((src, f"{record}/{j}", dst))
+    assert any("(x=1,y=" in text for _, text, _ in expected)
+    lines = [f'  {src} -> {dst} [label="{text}"];' for src, text, dst in sorted(expected)]
+    assert [line for line in out.splitlines() if " -> " in line] == lines
+
+
+def test_counter_dot_prints_stutter_loops_unchanged():
+    program = parse_program("processes 2; local x : bool; pc {A,B}; init pc=A, x=0;"
+                            " A -> B : true / x := *;")
+    structure = build_counter_structure(program)
+    _, dead = structure.totalize()
+    assert dead
+    dot = structure.export_dot(action_renderer=functools.partial(render_action, program))
+    for sid in dead:
+        assert f'  {sid} -> {sid} [label="stutter"];' in dot.splitlines()
+    assert '[label="A(x=0)/0"]' in dot
 
 
 GOLDEN_FULL_DOT = """\

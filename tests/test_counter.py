@@ -126,7 +126,7 @@ def test_splice_shared_only_command_keeps_counts():
     program = parse_program(MOVER.format(n=3, cmds="B -> B : true / g := 1;"))
     before = counts((A, 1), (B, 2), shared=(0,))
     [(action, after)] = counter_successors(program, before)
-    assert action == "B/0"
+    assert action == "1/0"
     assert after == counts((A, 1), (B, 2), shared=(1,))
     assert after.counts == before.counts
 
@@ -134,49 +134,49 @@ def test_splice_shared_only_command_keeps_counts():
 def test_splice_drops_the_entry_of_the_last_leaving_unit():
     program = mover("B -> C")
     assert counter_successors(mover("B -> C", n=2), counts((B, 1), (C, 1), shared=(0,))) == [
-        ("B/0", counts((C, 2), shared=(0,)))
+        ("0/0", counts((C, 2), shared=(0,)))
     ]
     assert counter_successors(program, counts((A, 1), (B, 1), (D, 1), shared=(0,))) == [
-        ("B/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
+        ("1/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
     ]
 
 
 def test_splice_inserts_a_new_record_at_the_front():
     program = mover("D -> A")
     assert counter_successors(program, counts((B, 1), (D, 2), shared=(0,))) == [
-        ("D/0", counts((A, 1), (B, 1), (D, 1), shared=(0,)))
+        ("1/0", counts((A, 1), (B, 1), (D, 1), shared=(0,)))
     ]
     assert counter_successors(mover("D -> A", n=2), counts((C, 1), (D, 1), shared=(0,))) == [
-        ("D/0", counts((A, 1), (C, 1), shared=(0,)))
+        ("1/0", counts((A, 1), (C, 1), shared=(0,)))
     ]
 
 
 def test_splice_inserts_a_new_record_in_the_middle():
     # from a record before the gap, and from one after it
     assert counter_successors(mover("A -> C"), counts((A, 2), (D, 1), shared=(0,))) == [
-        ("A/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
+        ("0/0", counts((A, 1), (C, 1), (D, 1), shared=(0,)))
     ]
     assert counter_successors(mover("D -> B"), counts((A, 1), (C, 1), (D, 1), shared=(0,))) == [
-        ("D/0", counts((A, 1), (B, 1), (C, 1), shared=(0,)))
+        ("2/0", counts((A, 1), (B, 1), (C, 1), shared=(0,)))
     ]
 
 
 def test_splice_inserts_a_new_record_at_the_end():
     program = mover("A -> D")
     assert counter_successors(program, counts((A, 1), (B, 2), shared=(0,))) == [
-        ("A/0", counts((B, 2), (D, 1), shared=(0,)))
+        ("0/0", counts((B, 2), (D, 1), shared=(0,)))
     ]
     assert counter_successors(program, counts((A, 3), shared=(0,))) == [
-        ("A/0", counts((A, 2), (D, 1), shared=(0,)))
+        ("0/0", counts((A, 2), (D, 1), shared=(0,)))
     ]
 
 
 def test_splice_increments_an_existing_record():
     assert counter_successors(mover("B -> D"), counts((B, 2), (D, 1), shared=(0,))) == [
-        ("B/0", counts((B, 1), (D, 2), shared=(0,)))
+        ("0/0", counts((B, 1), (D, 2), shared=(0,)))
     ]
     assert counter_successors(mover("D -> A"), counts((A, 1), (C, 1), (D, 1), shared=(0,))) == [
-        ("D/0", counts((A, 2), (C, 1), shared=(0,)))
+        ("2/0", counts((A, 2), (C, 1), shared=(0,)))
     ]
 
 
@@ -187,9 +187,9 @@ def test_splice_keeps_records_with_locals_in_order():
     )
     before = CounterState((), (((0, 0), 2), ((0, 1), 1), ((1, 1), 1)))
     assert counter_successors(program, before) == [
-        ("A(x=0)/0", CounterState((), (((0, 0), 1), ((0, 1), 1), ((1, 1), 2)))),
-        ("A(x=1)/0", CounterState((), (((0, 0), 2), ((1, 1), 2)))),
-        ("B(x=1)/1", CounterState((), (((0, 0), 3), ((0, 1), 1)))),
+        ("0/0", CounterState((), (((0, 0), 1), ((0, 1), 1), ((1, 1), 2)))),
+        ("2/0", CounterState((), (((0, 0), 2), ((1, 1), 2)))),
+        ("3/1", CounterState((), (((0, 0), 3), ((0, 1), 1)))),
     ]
 
 

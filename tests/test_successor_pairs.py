@@ -6,8 +6,10 @@ of each expansion's list, which is sound only while every successor rule
 gives each pair once: ``program.successors`` in full mode,
 ``runs.run_successors`` in the quotient, ``counter.counter_successors`` in
 counter mode, and the canonicalized full-mode rule of a generated
-subgroup.  The tests read the rule each build expanded with, so they
-check what the builder sees.
+subgroup.  Each names a move ``"i/j"``, i the firing process's index in
+the source state (its decoded representative under Sym(n), counter mode
+included) and j the command.  The tests read the rule each build
+expanded with, so they check what the builder sees.
 
 In a pid-free program, ``program._key_successors`` keeps the last census
 (shared values and per-pc counts) and its enabled moves by record code.
